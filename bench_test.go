@@ -1,197 +1,57 @@
-// Package uswg's benchmark harness: one testing.B benchmark per table and
-// figure of the thesis's evaluation (Chapter 5), plus ablation benches for
-// the design choices DESIGN.md calls out. Run with:
+// Package uswg's benchmark harness: one testing.B benchmark per registered
+// scenario (every table and figure of the thesis's evaluation, Chapter 5,
+// plus the fault and scale extensions), ablation benches for the design
+// choices DESIGN.md calls out, and the microbenchmarks the CI bench gate
+// checks. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Each experiment benchmark executes its driver at a reduced scale
-// (sessions shrink, shapes hold) and reports the headline quantity of its
-// table/figure as a custom metric, so a bench run doubles as a shape check:
+// Each scenario runs at a reduced scale (sessions shrink, shapes hold);
+// curve scenarios report their first and last y values as custom metrics,
+// so a bench run doubles as a shape check:
 //
-//	BenchmarkFig56ExtremeUsers ... resp_us_per_byte_1u=... resp_us_per_byte_6u=...
+//	BenchmarkScenario/fig5.6 ... y_first=... y_last=...
 package uswg
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"uswg/internal/config"
 	"uswg/internal/core"
-	"uswg/internal/experiments"
 	"uswg/internal/gds"
 	"uswg/internal/rng"
+	"uswg/internal/scenario"
+	"uswg/internal/stats"
+	"uswg/internal/trace"
 )
 
 // benchScale shrinks session counts; shapes are preserved.
 const benchScale = 0.2
 
-var benchOpts = experiments.Options{Scale: benchScale}
-
-// --------------------------------------------------------------- Table 5.1
-
-// BenchmarkTable51FileSystemCreation regenerates Table 5.1: the FSC builds
-// the initial file system from the category file distributions.
-func BenchmarkTable51FileSystemCreation(b *testing.B) {
-	var files int
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table51(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		files = 0
-		for _, row := range res.Rows {
-			files += row.CreatedFiles
-		}
+// BenchmarkScenario runs every registered scenario by name, with sweep
+// points fanned out across GOMAXPROCS goroutines (the Options.Parallelism
+// default).
+func BenchmarkScenario(b *testing.B) {
+	opts := scenario.Options{Scale: benchScale}
+	for _, name := range scenario.Names() {
+		sc, _ := scenario.Lookup(name)
+		b.Run(name, func(b *testing.B) {
+			var res scenario.Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = scenario.Run(context.Background(), sc, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if c, ok := res.(*scenario.CurveResult); ok && len(c.YS) > 0 {
+				b.ReportMetric(c.YS[0], "y_first")
+				b.ReportMetric(c.YS[len(c.YS)-1], "y_last")
+			}
+		})
 	}
-	b.ReportMetric(float64(files), "files_created")
-}
-
-// --------------------------------------------------------------- Table 5.2
-
-// BenchmarkTable52UserCharacterization regenerates Table 5.2: per-category
-// usage measures observed over a run.
-func BenchmarkTable52UserCharacterization(b *testing.B) {
-	var obs float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table52(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		obs = res.Rows[2].ObsPctSessions // REG/USER/RDONLY, spec 100%
-	}
-	b.ReportMetric(obs, "reg_rdonly_pct_sessions")
-}
-
-// --------------------------------------------------------------- Table 5.3
-
-// BenchmarkTable53ResponseTime regenerates Table 5.3: access size and
-// response time of file access system calls for 1..6 users.
-func BenchmarkTable53ResponseTime(b *testing.B) {
-	var rows []experiments.Table53Row
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table53(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = res.Rows
-	}
-	b.ReportMetric(rows[0].ResponseMean, "resp_us_1u")
-	b.ReportMetric(rows[5].ResponseMean, "resp_us_6u")
-	b.ReportMetric(rows[5].AccessMean, "access_bytes_6u")
-}
-
-// --------------------------------------------------------------- Table 5.4
-
-// BenchmarkTable54UserTypes renders the user-type table (an input; included
-// so every table has a regenerator).
-func BenchmarkTable54UserTypes(b *testing.B) {
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = experiments.Table54().Render()
-	}
-	b.ReportMetric(float64(len(out)), "render_bytes")
-}
-
-// -------------------------------------------------------- Figures 5.1, 5.2
-
-// BenchmarkFig51PhaseTypeDensities evaluates and renders the thesis's
-// phase-type exponential example densities.
-func BenchmarkFig51PhaseTypeDensities(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if experiments.Fig51().Render() == "" {
-			b.Fatal("empty render")
-		}
-	}
-}
-
-// BenchmarkFig52GammaDensities evaluates and renders the multi-stage gamma
-// example densities.
-func BenchmarkFig52GammaDensities(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if experiments.Fig52().Render() == "" {
-			b.Fatal("empty render")
-		}
-	}
-}
-
-// --------------------------------------------------- Figures 5.3, 5.4, 5.5
-
-// BenchmarkFig53to55UsageHistograms runs the 600-session (scaled) workload
-// and histograms the three per-session usage measures.
-func BenchmarkFig53to55UsageHistograms(b *testing.B) {
-	var res *experiments.Fig53to55Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.Fig53to55(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(res.AccessPerByte.Raw.Total()), "sessions")
-}
-
-// ------------------------------------------------------ Figures 5.6 - 5.11
-
-func benchSweep(b *testing.B, run func(experiments.Options) (*experiments.UserSweepResult, error)) {
-	b.Helper()
-	var res *experiments.UserSweepResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = run(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Points[0].ResponsePerByte, "resp_us_per_byte_1u")
-	b.ReportMetric(res.Points[5].ResponsePerByte, "resp_us_per_byte_6u")
-}
-
-// BenchmarkFig56ExtremeUsers sweeps 1..6 zero-think-time users (the
-// near-linear curve) with the sweep's points fanned out across
-// GOMAXPROCS goroutines (the Options.Parallelism default).
-func BenchmarkFig56ExtremeUsers(b *testing.B) { benchSweep(b, experiments.Fig56) }
-
-// BenchmarkFig56ExtremeUsersSequential runs the same sweep with
-// Parallelism=1 — the before/after pair for the sweep fan-out (the points
-// produced must be identical; see TestSweepParallelismDeterminism).
-func BenchmarkFig56ExtremeUsersSequential(b *testing.B) {
-	benchSweep(b, func(opts experiments.Options) (*experiments.UserSweepResult, error) {
-		opts.Parallelism = 1
-		return experiments.Fig56(opts)
-	})
-}
-
-// BenchmarkFig57AllHeavy sweeps a 100% heavy population.
-func BenchmarkFig57AllHeavy(b *testing.B) { benchSweep(b, experiments.Fig57) }
-
-// BenchmarkFig58Heavy80 sweeps an 80% heavy / 20% light population.
-func BenchmarkFig58Heavy80(b *testing.B) { benchSweep(b, experiments.Fig58) }
-
-// BenchmarkFig59Heavy50 sweeps a 50/50 population.
-func BenchmarkFig59Heavy50(b *testing.B) { benchSweep(b, experiments.Fig59) }
-
-// BenchmarkFig510Heavy20 sweeps a 20% heavy / 80% light population.
-func BenchmarkFig510Heavy20(b *testing.B) { benchSweep(b, experiments.Fig510) }
-
-// BenchmarkFig511AllLight sweeps a 100% light population.
-func BenchmarkFig511AllLight(b *testing.B) { benchSweep(b, experiments.Fig511) }
-
-// ------------------------------------------------------------- Figure 5.12
-
-// BenchmarkFig512AccessSizeSweep sweeps the mean access size 128..2048 B
-// under one extremely heavy user (per-byte cost falls as calls amortize).
-func BenchmarkFig512AccessSizeSweep(b *testing.B) {
-	var res *experiments.Fig512Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.Fig512(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Points[0].ResponsePerByte, "resp_us_per_byte_128B")
-	b.ReportMetric(res.Points[5].ResponsePerByte, "resp_us_per_byte_2048B")
 }
 
 // ------------------------------------------------------------------ ablations
@@ -256,17 +116,29 @@ func BenchmarkAblationMarkovStream(b *testing.B) {
 }
 
 // BenchmarkAblationSmoothingWindow times the Figures 5.3-5.5 smoothing pass
-// across window widths.
+// across window widths, on the access-per-byte histogram of one run.
 func BenchmarkAblationSmoothingWindow(b *testing.B) {
-	res, err := experiments.Fig53to55(benchOpts)
+	spec := config.Default()
+	spec.Sessions = 120
+	gen, err := core.NewGenerator(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
+	res, err := gen.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := stats.NewHistogram(0, 10, 40)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range res.Analysis.SessionValues(func(s trace.SessionUsage) float64 { return s.AccessPerByte }) {
+		h.Add(v)
+	}
 	for _, w := range []int{3, 5, 9} {
-		w := w
 		b.Run(fmt.Sprintf("window=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = res.AccessPerByte.Raw.Smoothed(w)
+				_ = h.Smoothed(w)
 			}
 		})
 	}

@@ -6,7 +6,7 @@
 //
 //	gdsplot                       # the thesis's Figure 5.1 and 5.2 examples
 //	gdsplot -spec spec.json       # every distribution in an experiment spec
-//	gdsplot -exp 1024 -hi 8000    # an exponential with the given mean
+//	gdsplot -exp 1024 -hi 8000    # an exponential with the given (positive) mean
 //	gdsplot -curve plots/fig5.6.json [-svg out.svg]
 //	                              # re-render a `wlgen paper` plot file as
 //	                              # ASCII, or as SVG with -svg
@@ -35,13 +35,15 @@ func main() {
 		height    = flag.Int("height", 12, "plot height")
 	)
 	flag.Parse()
+	expSet := false
+	flag.Visit(func(f *flag.Flag) { expSet = expSet || f.Name == "exp" })
 
 	switch {
 	case *curvePath != "":
 		if err := renderCurve(*curvePath, *svgPath, *width, *height); err != nil {
 			fail(err)
 		}
-	case *expMean > 0:
+	case expSet:
 		d, err := dist.NewExponential(*expMean)
 		if err != nil {
 			fail(err)

@@ -8,7 +8,7 @@ package main
 //	wlgen scenario run  -name fig5.6             run a registered scenario
 //	wlgen scenario run  -file my.json            run a JSON scenario file
 //
-// run accepts -scale/-seed/-parallel like cmd/experiments; output is
+// run accepts -scale/-seed/-parallel like `wlgen paper`; output is
 // byte-identical at any -parallel setting. -json/-csv swap the rendered
 // text for the result's table (scenario.Tabular) in machine form. dump → edit → run is the
 // no-compile workflow for new workloads: every knob of the built-ins —

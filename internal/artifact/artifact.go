@@ -128,6 +128,9 @@ func fileName(name string) string {
 // scenario's files depend only on (seed, scale, scenario) — the folder's
 // comparable content is byte-identical at any parallelism.
 func Generate(ctx context.Context, dir string, opts Options) (*Manifest, error) {
+	if err := opts.Run.Validate(); err != nil {
+		return nil, fmt.Errorf("artifact: %w", err)
+	}
 	names, err := resolveNames(opts.Only)
 	if err != nil {
 		return nil, err

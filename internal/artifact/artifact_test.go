@@ -3,6 +3,8 @@ package artifact
 import (
 	"bytes"
 	"context"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -196,6 +198,32 @@ func TestGenerateDeterministic(t *testing.T) {
 	if _, err := Generate(context.Background(), b, optsB); err != nil {
 		t.Fatal(err)
 	}
+	requireSameContent(t, a, b)
+}
+
+// TestRunAllParallelismDeterminism locks in the cross-scenario fan-out's
+// contract: Generate runs whole scenarios concurrently, yet every registered
+// scenario's output must be byte-identical to a sequential run — each
+// scenario derives its seeds from Options alone.
+func TestRunAllParallelismDeterminism(t *testing.T) {
+	a, b := t.TempDir(), t.TempDir()
+	optsA := testOptions(nil)
+	optsA.Run.Parallelism = 8
+	optsB := optsA
+	optsB.Run.Parallelism = 1
+	if _, err := Generate(context.Background(), a, optsA); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Generate(context.Background(), b, optsB); err != nil {
+		t.Fatal(err)
+	}
+	requireSameContent(t, a, b)
+}
+
+// requireSameContent requires every points, scenarios and plots file of
+// folder a to exist byte-identical in folder b.
+func requireSameContent(t *testing.T, a, b string) {
+	t.Helper()
 	for _, sub := range []string{DirPoints, DirScenarios, DirPlots} {
 		namesA, err := listFiles(filepath.Join(a, sub))
 		if err != nil {
@@ -214,7 +242,7 @@ func TestGenerateDeterministic(t *testing.T) {
 				t.Fatalf("%s/%s missing on second run: %v", sub, n, err)
 			}
 			if !bytes.Equal(ba, bb) {
-				t.Errorf("%s/%s differs between parallelism 4 and 1", sub, n)
+				t.Errorf("%s/%s differs between parallel and sequential runs", sub, n)
 			}
 		}
 	}
@@ -243,5 +271,18 @@ func TestResolveNames(t *testing.T) {
 	}
 	if _, err := resolveNames([]string{" ", ""}); err == nil {
 		t.Error("all-blank Only accepted")
+	}
+
+	// A bad scale is rejected like a bad name: before any folder is written.
+	for _, scale := range []float64{-0.5, math.NaN(), math.Inf(1)} {
+		dir := filepath.Join(t.TempDir(), "out")
+		opts := testOptions([]string{"fig5.12"})
+		opts.Run.Scale = scale
+		if _, err := Generate(context.Background(), dir, opts); !errors.Is(err, scenario.ErrScenario) {
+			t.Errorf("scale %v: err = %v, want ErrScenario", scale, err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("scale %v: folder written before validation", scale)
+		}
 	}
 }

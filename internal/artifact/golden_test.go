@@ -2,38 +2,62 @@ package artifact
 
 import (
 	"context"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"uswg/internal/scenario"
 )
 
-// TestGoldenCISubset regenerates the committed golden subset
-// (testdata/golden-ci) and requires a clean ULP-tolerant diff — the same
-// comparison the CI paper-artifacts job runs via `wlgen paper -diff`. If an
-// intentional change to the engine or the artifact format moves the numbers,
-// regenerate the golden:
+// goldenDir holds the committed artifact folder of every registered scenario
+// at -scale 0.2, generated at -parallel 1.
+const goldenDir = "testdata/golden"
+
+// TestGolden regenerates every registered scenario at Parallelism 8 and
+// requires a clean ULP-tolerant diff against the committed folder, which was
+// generated at Parallelism 1. One run proves two things for every scenario:
+// parallel fan-out (of points and of whole scenarios) reproduces sequential
+// output, and the code still produces the recorded data. It is the same
+// comparison the CI paper-artifacts job runs via `wlgen paper -diff`.
 //
-//	go run ./cmd/wlgen paper -out /tmp/g -stamp ci -only fig5.6,table5.3,scale5.2pool,scale5.3 -scale 0.2
-//	rm -rf internal/artifact/testdata/golden-ci
-//	cp -r /tmp/g/ci internal/artifact/testdata/golden-ci
-//	rm -rf internal/artifact/testdata/golden-ci/{logs,manifest.json}
-func TestGoldenCISubset(t *testing.T) {
+// If an intentional change to the engine, a scenario, or the artifact format
+// moves the numbers, regenerate the folder and review the data diff:
+//
+//	go run ./cmd/wlgen paper -out /tmp/g -stamp golden -scale 0.2 -parallel 1
+//	rm -rf internal/artifact/testdata/golden
+//	cp -r /tmp/g/golden internal/artifact/testdata/golden
+//	rm -rf internal/artifact/testdata/golden/{logs,manifest.json}
+func TestGolden(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{
-		Only: []string{"fig5.6", "table5.3", "scale5.2pool", "scale5.3"},
-		Run:  scenario.Options{Scale: 0.2, Parallelism: 4},
-	}
+	opts := Options{Run: scenario.Options{Scale: 0.2, Parallelism: 8}}
 	if _, err := Generate(context.Background(), dir, opts); err != nil {
 		t.Fatal(err)
 	}
-	diffs, err := DiffDirs("testdata/golden-ci", dir, DiffOptions{})
+	diffs, err := DiffDirs(goldenDir, dir, DiffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stem := func(d Difference) string {
+		base := filepath.Base(d.File)
+		return strings.TrimSuffix(base, filepath.Ext(base))
+	}
+	owned := make(map[string]bool)
+	for _, name := range scenario.Names() {
+		owned[fileName(name)] = true
+		t.Run(name, func(t *testing.T) {
+			for _, d := range diffs {
+				if stem(d) == fileName(name) {
+					t.Errorf("drift vs golden: %s", d)
+				}
+			}
+		})
+	}
 	for _, d := range diffs {
-		t.Errorf("drift vs golden: %s", d)
+		if !owned[stem(d)] {
+			t.Errorf("file of no registered scenario: %s", d)
+		}
 	}
 	if len(diffs) > 0 {
-		t.Log("if this change is intentional, regenerate testdata/golden-ci (see test comment)")
+		t.Log("if this change is intentional, regenerate testdata/golden (see test comment)")
 	}
 }

@@ -150,6 +150,36 @@ func TestRunsAreReproducible(t *testing.T) {
 	}
 }
 
+// TestAnalysisBitIdenticalAcrossRuns runs the full generator twice from one
+// seed and requires the complete Analysis — every session row, every per-op
+// summary — to be identical, not merely summary statistics.
+func TestAnalysisBitIdenticalAcrossRuns(t *testing.T) {
+	run := func() *Result {
+		spec := config.Default()
+		spec.Seed = 424242
+		spec.Users = 3
+		spec.Sessions = 12
+		spec.SystemFiles = 40
+		spec.FilesPerUser = 20
+		gen, err := NewGenerator(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := gen.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	if a.VirtualDuration != b.VirtualDuration {
+		t.Errorf("virtual durations differ: %v vs %v", a.VirtualDuration, b.VirtualDuration)
+	}
+	if !reflect.DeepEqual(a.Analysis, b.Analysis) {
+		t.Error("full Analysis differs between identical-seed runs")
+	}
+}
+
 func TestDifferentSeedsDiffer(t *testing.T) {
 	run := func(seed uint64) int {
 		spec := smallSpec()

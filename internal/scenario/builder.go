@@ -35,7 +35,7 @@ func (b *Builder) Users(n int) *Builder { b.sc.Base.Users = n; return b }
 func (b *Builder) Sessions(paper int) *Builder { b.sc.Base.Sessions = paper; return b }
 
 // SessionsPerUser sets the paper session count and multiplies it by the
-// point's user count (the sweep drivers' sessions(50)*users shape).
+// point's user count (the user sweeps' sessions(50)*users shape).
 func (b *Builder) SessionsPerUser(paper int) *Builder {
 	b.sc.Base.Sessions = paper
 	b.sc.Base.SessionsPerUser = true

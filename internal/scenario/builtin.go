@@ -2,10 +2,10 @@ package scenario
 
 // The built-in scenarios: every table and figure of the thesis's Chapter 5
 // evaluation, the fault5.x resilience family, and the scale5.x extension,
-// re-expressed as data. Each value reproduces its original compiled driver
-// byte for byte (the golden equivalence test in package experiments holds
-// the two paths together); `wlgen scenario dump -name <x>` exports any of
-// them as JSON, and a new workload is the same shape in a file — no driver.
+// expressed as data. The committed golden folder
+// (internal/artifact/testdata/golden) pins each one's output; `wlgen
+// scenario dump -name <x>` exports any of them as JSON, and a new workload
+// is the same shape in a file — no code.
 
 import (
 	"fmt"

@@ -22,16 +22,26 @@ import (
 	"uswg/internal/vfs"
 )
 
-// Options tune a scenario run exactly as experiments.Options tuned the
-// compiled drivers: the zero value reproduces the thesis's parameters.
+// Options tune a scenario run: the zero value reproduces the thesis's
+// parameters.
 type Options struct {
 	// Seed overrides the default seed when nonzero.
 	Seed uint64
-	// Scale multiplies paper session counts (0 means 1.0).
+	// Scale multiplies paper session counts: finite and >= 0, where 0 means
+	// 1.0.
 	Scale float64
 	// Parallelism bounds how many sweep points run concurrently (0 means
 	// GOMAXPROCS). Output is byte-identical at any setting.
 	Parallelism int
+}
+
+// Validate rejects options no run can honor: a negative, infinite, or NaN
+// Scale.
+func (o Options) Validate() error {
+	if !(o.Scale >= 0) || math.IsInf(o.Scale, 1) {
+		return fmt.Errorf("%w: scale %v must be finite and >= 0 (0 means 1.0)", ErrScenario, o.Scale)
+	}
+	return nil
 }
 
 func (o Options) seed() uint64 {
@@ -50,7 +60,7 @@ func (o Options) EffectiveSeed() uint64 { return o.seed() }
 // sessions scales a paper session count, keeping a sane minimum.
 func (o Options) sessions(paper int) int {
 	s := o.Scale
-	if s <= 0 {
+	if s == 0 {
 		s = 1
 	}
 	n := int(math.Round(float64(paper) * s))
@@ -125,14 +135,6 @@ func (r *CurveResult) Table() (string, []string, [][]string) {
 	return r.Title, r.Headers, r.Rows
 }
 
-// TextResult is a fully rendered block (densities, histograms).
-type TextResult struct {
-	Text string
-}
-
-// Render returns the block.
-func (r *TextResult) Render() string { return r.Text }
-
 // TransientResult is the windowed time-series of one run: one row per
 // window plus the run's churn/outage/recovery summary lines.
 type TransientResult struct {
@@ -190,7 +192,7 @@ func (r *TransientResult) Table() (string, []string, [][]string) {
 // each fn writes only its own index's slot, the first error by index wins
 // (what a sequential loop would have returned), and a cancelled context
 // stops new points from starting. The engine fans sweep points out through
-// it, and package experiments reuses it for whole-experiment fan-out.
+// it, and the artifact pipeline reuses it for whole-scenario fan-out.
 func ForEachPoint(ctx context.Context, opts Options, n int, fn func(i int) error) error {
 	run := func(i int) error {
 		if err := ctx.Err(); err != nil {
@@ -247,6 +249,9 @@ func Run(ctx context.Context, sc *Scenario, opts Options) (Result, error) {
 // statistics — points executed and the trace counters summed across them —
 // for the artifact manifest.
 func RunWithStats(ctx context.Context, sc *Scenario, opts Options) (Result, Stats, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, Stats{}, err
+	}
 	if sc == nil {
 		return nil, Stats{}, fmt.Errorf("%w: nil scenario", ErrScenario)
 	}
@@ -318,8 +323,7 @@ func (sc *Scenario) coords(idx int) []int {
 	return out
 }
 
-// compilePoint builds the spec for one flat sweep index, replicating the
-// compiled drivers' per-point construction exactly: base knobs over
+// compilePoint builds the spec for one flat sweep index: base knobs over
 // config.Default(), axis bindings, the session formula, the seed salt, and
 // the (possibly dropped) fault plan.
 func (sc *Scenario) compilePoint(opts Options, idx int) (*pointSpec, error) {

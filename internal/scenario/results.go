@@ -3,9 +3,7 @@ package scenario
 // The non-sweep result types that carry their reduced data instead of
 // pre-rendered text, so every output kind has a machine view (Tabular) next
 // to the human one (Render) — the contract the artifact pipeline needs to
-// write a CSV and JSON for every registered scenario. Render reproduces the
-// legacy TextResult bytes exactly (the golden equivalence test in package
-// experiments holds that line).
+// write a CSV and JSON for every registered scenario.
 
 import (
 	"strconv"
@@ -75,7 +73,7 @@ type DensitiesResult struct {
 	Panels        []DensityCurveData
 }
 
-// Render plots each panel exactly as the pre-Tabular TextResult did.
+// Render plots each panel as an ASCII density curve.
 func (r *DensitiesResult) Render() string {
 	panels := make([]string, len(r.Panels))
 	for i, p := range r.Panels {
@@ -122,8 +120,7 @@ type HistogramsResult struct {
 	Panels        []HistPanelData
 }
 
-// Render plots each panel raw then smoothed, exactly as the pre-Tabular
-// TextResult did.
+// Render plots each panel raw then smoothed.
 func (r *HistogramsResult) Render() string {
 	var b strings.Builder
 	b.WriteString(r.Title)

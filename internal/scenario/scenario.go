@@ -2,12 +2,12 @@
 // serializable description of a whole experiment — workload knobs, a sweep
 // grid with per-point derived seeds, an optional fault plan with axis-bound
 // parameters, and an output contract (table, curve, grid, histograms, ...) —
-// that the engine (Run) executes with the same per-point parallelism and the
-// same byte-for-byte determinism the hand-written experiment drivers had.
+// that the engine (Run) executes with per-point parallelism and byte-for-byte
+// determinism.
 //
-// Experiments become data instead of compiled drivers: every table and
-// figure of the thesis's evaluation, the fault5.x resilience family, and the
-// scale5.x extension is a registered Scenario value (builtin.go), a new
+// Experiments are data, not code: every table and figure of the thesis's
+// evaluation, the fault5.x resilience family, and the scale5.x extension
+// is a registered Scenario value (builtin.go), a new
 // workload is a JSON file (`wlgen scenario run -file`), and a Go caller
 // composes one with the fluent Builder:
 //
@@ -24,9 +24,9 @@
 //
 // Determinism contract: every sweep point derives its seed from Options and
 // the scenario's Salt alone and runs an independent generator, so rendered
-// output is byte-identical at any Options.Parallelism — the same contract
-// the compiled drivers carried, now enforced for every scenario the data
-// path can express.
+// output is byte-identical at any Options.Parallelism. The committed golden
+// artifact folder (internal/artifact/testdata/golden, gated by TestGolden)
+// pins every registered scenario's output to recorded data.
 //
 // The package orchestrates the DES→workload→trace→analysis pipeline from
 // above — one full pipeline run per sweep point — and hands results to the
@@ -157,11 +157,11 @@ type Workload struct {
 	// Users is the fixed simultaneous user count (a BindUsers axis
 	// overrides it per point).
 	Users int `json:"users,omitempty"`
-	// Sessions is the paper session count fed through Options.Scale (the
-	// drivers' opts.sessions). 0 keeps the default spec's count.
+	// Sessions is the paper session count, multiplied by Options.Scale.
+	// 0 keeps the default spec's count.
 	Sessions int `json:"sessions,omitempty"`
 	// SessionsPerUser multiplies the scaled session count by the point's
-	// user count (the sweep drivers' sessions(50)*users shape).
+	// user count (the user sweeps' sessions(50)*users shape).
 	SessionsPerUser bool `json:"sessions_per_user,omitempty"`
 	// SessionsFromUsers uses the point's user count as the paper session
 	// count (one session per user at full scale — scale5.1).

@@ -3,6 +3,8 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -231,6 +233,16 @@ func TestValidationErrors(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// A scale no run can honor fails before any point runs; 0 means 1.0.
+	for _, scale := range []float64{-0.5, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Run(context.Background(), base(), Options{Scale: scale}); !errors.Is(err, ErrScenario) {
+			t.Errorf("scale %v: err = %v, want ErrScenario", scale, err)
+		}
+	}
+	if err := (Options{}).Validate(); err != nil {
+		t.Errorf("zero Options rejected: %v", err)
 	}
 
 	// A usage title whose fmt verbs do not match the session-count argument
