@@ -15,25 +15,31 @@ type BlockID struct {
 // nilIdx terminates the slot links.
 const nilIdx = -1
 
-// slot is one LRU list node, linked by slot index rather than pointer: the
-// slot array is allocated as the cache fills and recycled on eviction, so
-// steady-state misses allocate nothing (the old container/list backing
-// allocated an Element per insert — measurable on the macro benchmarks,
-// where every cache miss in a multi-million-event run paid it).
+// slot is one cached block, linked by slot index rather than pointer into
+// two lists at once: the LRU list (prev/next) and its file's chain
+// (fprev/fnext), which holds every cached block of the same file. The slot
+// array grows as the cache fills and is recycled through the free list, so
+// steady-state misses allocate nothing.
 type slot struct {
-	id         BlockID
-	prev, next int32
+	id           BlockID
+	prev, next   int32
+	fprev, fnext int32
 }
 
 // LRU is a fixed-capacity least-recently-used block cache. It is not safe
 // for concurrent use; in the DES only one process runs at a time, which is
 // the synchronization the simulated server relies on.
+//
+// Blocks are indexed per file: files maps a file to the head of its chain,
+// and a lookup walks that chain. A file holds a handful of blocks, so the
+// walk is short, and dropping a whole file (InvalidateFile, on every
+// truncate and unlink) costs its own blocks rather than a scan of the cache.
 type LRU struct {
 	capacity   int
 	slots      []slot
 	free       []int32
 	head, tail int32
-	items      map[BlockID]int32
+	files      map[uint64]int32
 
 	hits   int64
 	misses int64
@@ -46,15 +52,16 @@ func NewLRU(capacity int) *LRU {
 		capacity: capacity,
 		head:     nilIdx,
 		tail:     nilIdx,
-		items:    make(map[BlockID]int32),
+		files:    make(map[uint64]int32),
 	}
 }
 
 // Capacity returns the configured capacity in blocks.
 func (c *LRU) Capacity() int { return c.capacity }
 
-// Len returns the number of blocks currently cached.
-func (c *LRU) Len() int { return len(c.items) }
+// Len returns the number of blocks currently cached: every slot not on the
+// free list holds one.
+func (c *LRU) Len() int { return len(c.slots) - len(c.free) }
 
 // Access touches a block, returning true on a hit. On a miss the block is
 // inserted (evicting the least recently used block if full).
@@ -63,7 +70,7 @@ func (c *LRU) Access(id BlockID) bool {
 		c.misses++
 		return false
 	}
-	if i, ok := c.items[id]; ok {
+	if i := c.find(id); i != nilIdx {
 		c.moveToFront(i)
 		c.hits++
 		return true
@@ -76,30 +83,58 @@ func (c *LRU) Access(id BlockID) bool {
 // Contains reports whether a block is cached without touching LRU order or
 // statistics.
 func (c *LRU) Contains(id BlockID) bool {
-	_, ok := c.items[id]
-	return ok
+	return c.find(id) != nilIdx
 }
 
 // Invalidate removes a block if present (e.g., after a file is truncated).
 func (c *LRU) Invalidate(id BlockID) {
-	if i, ok := c.items[id]; ok {
-		c.unlink(i)
-		delete(c.items, id)
-		c.free = append(c.free, i)
+	if i := c.find(id); i != nilIdx {
+		c.remove(i)
 	}
 }
 
 // InvalidateFile removes every cached block of the given file.
 func (c *LRU) InvalidateFile(file uint64) {
-	for i := c.head; i != nilIdx; {
-		next := c.slots[i].next
-		if c.slots[i].id.File == file {
-			c.unlink(i)
-			delete(c.items, c.slots[i].id)
-			c.free = append(c.free, i)
-		}
-		i = next
+	h, ok := c.files[file]
+	if !ok {
+		return
 	}
+	for i := h; i != nilIdx; i = c.slots[i].fnext {
+		c.unlink(i)
+		c.free = append(c.free, i)
+	}
+	delete(c.files, file)
+}
+
+// find returns the slot caching id, or nilIdx.
+func (c *LRU) find(id BlockID) int32 {
+	i, ok := c.files[id.File]
+	if !ok {
+		return nilIdx
+	}
+	for ; i != nilIdx; i = c.slots[i].fnext {
+		if c.slots[i].id.Block == id.Block {
+			return i
+		}
+	}
+	return nilIdx
+}
+
+// remove drops slot i from both lists and recycles it.
+func (c *LRU) remove(i int32) {
+	c.unlink(i)
+	s := &c.slots[i]
+	if s.fprev != nilIdx {
+		c.slots[s.fprev].fnext = s.fnext
+	} else if s.fnext != nilIdx {
+		c.files[s.id.File] = s.fnext
+	} else {
+		delete(c.files, s.id.File)
+	}
+	if s.fnext != nilIdx {
+		c.slots[s.fnext].fprev = s.fprev
+	}
+	c.free = append(c.free, i)
 }
 
 // unlink removes slot i from the LRU list without recycling it.
@@ -140,12 +175,8 @@ func (c *LRU) moveToFront(i int32) {
 }
 
 func (c *LRU) insert(id BlockID) {
-	if len(c.items) >= c.capacity {
-		if b := c.tail; b != nilIdx {
-			c.unlink(b)
-			delete(c.items, c.slots[b].id)
-			c.free = append(c.free, b)
-		}
+	if c.Len() >= c.capacity {
+		c.remove(c.tail)
 	}
 	var i int32
 	if n := len(c.free); n > 0 {
@@ -155,9 +186,15 @@ func (c *LRU) insert(id BlockID) {
 		c.slots = append(c.slots, slot{})
 		i = int32(len(c.slots) - 1)
 	}
-	c.slots[i].id = id
+	s := &c.slots[i]
+	s.id = id
 	c.pushFront(i)
-	c.items[id] = i
+	s.fprev, s.fnext = nilIdx, nilIdx
+	if h, ok := c.files[id.File]; ok {
+		s.fnext = h
+		c.slots[h].fprev = i
+	}
+	c.files[id.File] = i
 }
 
 // Reset empties the cache: every cached block is discarded and all slots
@@ -165,12 +202,10 @@ func (c *LRU) insert(id BlockID) {
 // Hit/miss statistics are preserved — a crash does not erase what the run
 // has measured, only what the machine had warmed.
 func (c *LRU) Reset() {
-	for i := c.head; i != nilIdx; {
-		next := c.slots[i].next
-		delete(c.items, c.slots[i].id)
+	for i := c.head; i != nilIdx; i = c.slots[i].next {
 		c.free = append(c.free, i)
-		i = next
 	}
+	clear(c.files)
 	c.head, c.tail = nilIdx, nilIdx
 }
 

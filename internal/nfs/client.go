@@ -111,7 +111,7 @@ type Client struct {
 	// scheduler: exactly one simulated process runs at a time.
 	pages       *cache.LRU
 	dirty       map[uint64]dirtySpan // unflushed write-behind data by inode
-	dirtyBlocks int64
+	dirtyBlocks int64                // sum of the dirty spans' blocks
 
 	// ops is the per-client free list of pooled data-op states (guarded by
 	// the DES scheduler, like the page cache). Steady state keeps every
@@ -362,6 +362,13 @@ func (st *opState) done() {
 // Sequential access (§4.2) keeps one span per file sufficient.
 type dirtySpan struct {
 	lo, hi int64
+}
+
+// blocks returns how many wire blocks of size bs the span touches. The
+// client keeps the sum over its spans in dirtyBlocks, adjusting it wherever
+// a span is installed, widened, flushed or discarded.
+func (s dirtySpan) blocks(bs int64) int64 {
+	return (s.hi-1)/bs - s.lo/bs + 1
 }
 
 var _ vfs.FileSystem = (*Client)(nil)
@@ -721,6 +728,7 @@ func (st *opState) install() {
 	if !ok {
 		span = dirtySpan{lo: off, hi: off + got}
 	} else {
+		c.dirtyBlocks -= span.blocks(c.cfg.WireBlock)
 		if off < span.lo {
 			span.lo = off
 		}
@@ -729,7 +737,7 @@ func (st *opState) install() {
 		}
 	}
 	c.dirty[st.ino] = span
-	c.recountDirty()
+	c.dirtyBlocks += span.blocks(c.cfg.WireBlock)
 	if c.dirtyBlocks > int64(c.cfg.maxDirty()) {
 		c.flush(st.ctx, st.ino, st.flushedFn)
 		return
@@ -753,16 +761,6 @@ func (c *Client) push(ctx vfs.Ctx, ino uint64, off, n int64, k func()) {
 	st.startTransfer(off, n, true, st.doneFn)
 }
 
-// recountDirty recomputes the dirty block total across files.
-func (c *Client) recountDirty() {
-	bs := c.cfg.WireBlock
-	var total int64
-	for _, s := range c.dirty {
-		total += (s.hi-1)/bs - s.lo/bs + 1
-	}
-	c.dirtyBlocks = total
-}
-
 // flush writes the inode's dirty span to the server, drops it, and runs k.
 func (c *Client) flush(ctx vfs.Ctx, ino uint64, k func()) {
 	span, ok := c.dirty[ino]
@@ -771,16 +769,16 @@ func (c *Client) flush(ctx vfs.Ctx, ino uint64, k func()) {
 		return
 	}
 	delete(c.dirty, ino)
-	c.recountDirty()
+	c.dirtyBlocks -= span.blocks(c.cfg.WireBlock)
 	c.flushes++
 	c.push(ctx, ino, span.lo, span.hi-span.lo, k)
 }
 
 // discardDirty forgets unflushed data for an inode (truncate or unlink).
 func (c *Client) discardDirty(ino uint64) {
-	if _, ok := c.dirty[ino]; ok {
+	if span, ok := c.dirty[ino]; ok {
 		delete(c.dirty, ino)
-		c.recountDirty()
+		c.dirtyBlocks -= span.blocks(c.cfg.WireBlock)
 	}
 	if c.pages != nil {
 		c.pages.InvalidateFile(ino)

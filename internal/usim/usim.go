@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"uswg/internal/config"
@@ -289,10 +290,13 @@ type session struct {
 	rec  trace.Record
 	// done runs when the session's last operation has completed.
 	done func()
-	// scratch backs liveItems between operations (one live-set per op on
-	// the hot path; reallocating it every time dominated allocation
-	// profiles).
-	scratch []*workItem
+	// live holds the items with work left, in items order: filled once per
+	// session by selectFiles, then kept by afterStep, which drops the
+	// stepped item (cur, at live[curIdx]) once its step has killed it. An
+	// item's liveness changes only while it is stepped, and a dead item
+	// stays dead, so live equals items filtered by itemLive at every pick.
+	live   []*workItem
+	curIdx int
 
 	// Operation loop state (was closure captures; see drive).
 	running bool
@@ -375,7 +379,7 @@ func (ar *arena) reset() {
 	ses := &ar.ses
 	ar.free = append(ar.free, ses.items...)
 	ses.items = ses.items[:0]
-	ses.scratch = ses.scratch[:0]
+	ses.live = ses.live[:0]
 	clear(ses.created)
 	ses.last, ses.cur = nil, nil
 	ses.ops = 0
@@ -575,6 +579,11 @@ func (ses *session) selectFiles(ar *arena) {
 			ses.items = append(ses.items, item)
 		}
 	}
+	for _, it := range ses.items {
+		if itemLive(it) {
+			ses.live = append(ses.live, it)
+		}
+	}
 }
 
 // noCharge is a Ctx that absorbs holds; used for bookkeeping lookups that
@@ -625,18 +634,18 @@ func (ses *session) drive() {
 			ses.finish()
 			return
 		}
-		live := ses.liveItems()
-		if len(live) == 0 {
+		if len(ses.live) == 0 {
 			ses.running = false
 			ses.finish()
 			return
 		}
-		item := live[ses.r.Intn(len(live))]
+		idx := ses.r.Intn(len(ses.live))
 		if ses.ext.Locality > 0 && ses.last != nil && ses.r.Float64() < ses.ext.Locality && itemLive(ses.last) {
-			item = ses.last
+			idx = ses.curIdx // last is the previous cur, still at curIdx
 		}
-		ses.cur = item
-		ses.step(item)
+		ses.curIdx = idx
+		ses.cur = ses.live[idx]
+		ses.step(ses.cur)
 		// pending is set iff the step's whole continuation chain ran
 		// inline (synchronous Ctx); under the DES the step suspended
 		// and a later calendar event re-enters drive.
@@ -644,9 +653,13 @@ func (ses *session) drive() {
 	ses.running = false
 }
 
-// afterStep runs when an operation's continuation chain completes: account
-// the op, sample the think time, and re-enter the loop.
+// afterStep runs when an operation's continuation chain completes: drop
+// the stepped item from the live set if the step killed it, account the
+// op, sample the think time, and re-enter the loop.
 func (ses *session) afterStep() {
+	if !itemLive(ses.cur) {
+		ses.live = slices.Delete(ses.live, ses.curIdx, ses.curIdx+1)
+	}
 	ses.last = ses.cur
 	ses.ops++
 	if t := ses.think.Sample(ses.r); t > 0 {
@@ -658,17 +671,6 @@ func (ses *session) afterStep() {
 
 func itemLive(it *workItem) bool {
 	return it.remain > 0 || (it.open && !it.isDir)
-}
-
-func (ses *session) liveItems() []*workItem {
-	live := ses.scratch[:0]
-	for _, it := range ses.items {
-		if itemLive(it) {
-			live = append(live, it)
-		}
-	}
-	ses.scratch = live
-	return live
 }
 
 // step performs one operation on the item, respecting the logical
