@@ -180,11 +180,31 @@ type Log struct {
 
 // Shard holds one user's records. Within a run exactly one simulated
 // process writes a given user's operations, so appends need no lock.
+//
+// Records live in a list of fixed-capacity chunks that never move once
+// allocated: an append writes into the last chunk's spare capacity, or into
+// a fresh chunk when it is full, so no record is ever copied again. Chunk
+// capacities double from minChunk up to maxChunk, which bounds a shard's
+// slack to one partly filled chunk — small for the many near-empty shards
+// of a large population, at most maxChunk-1 entries for a busy one.
 type Shard struct {
-	log  *Log
-	recs []Record
-	seqs []int64 // global insertion stamps, parallel to recs
+	log    *Log
+	chunks [][]entry // every chunk but the last is full; none is empty
 }
+
+// entry is one record with its global insertion stamp.
+type entry struct {
+	seq int64
+	rec Record
+}
+
+// Chunk capacities run minChunk, 2·minChunk, ... up to maxChunk entries
+// (about 120 KB), reached after chunkDoublings chunks.
+const (
+	minChunk       = 16
+	chunkDoublings = 6
+	maxChunk       = minChunk << chunkDoublings
+)
 
 // defaultMaxShards bounds the shard table when Reserve has not been called.
 // User indices above the bound wrap around and share shards — harmless for
@@ -242,16 +262,35 @@ func (l *Log) shardLocked(user int) *Shard {
 // Append adds a record to the shard without locking. The caller must be the
 // shard's only writer (the DES kernel guarantees this: one process runs at
 // a time and each user's sessions run on one process).
-func (s *Shard) Append(r Record) {
-	s.seqs = append(s.seqs, s.log.seq.Add(1))
-	s.recs = append(s.recs, r)
-}
+func (s *Shard) Append(r Record) { s.Emit(&r) }
 
 // Emit copies the record into the shard, making *Shard a trace.Stream.
-func (s *Shard) Emit(r *Record) { s.Append(*r) }
+func (s *Shard) Emit(r *Record) {
+	last := len(s.chunks) - 1
+	if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
+		size := maxChunk
+		if last+1 < chunkDoublings {
+			size = minChunk << (last + 1)
+		}
+		s.chunks = append(s.chunks, make([]entry, 0, size))
+		last++
+	}
+	c := s.chunks[last]
+	c = c[:len(c)+1]
+	e := &c[len(c)-1]
+	e.seq = s.log.seq.Add(1)
+	e.rec = *r
+	s.chunks[last] = c
+}
 
 // Len returns the number of records in the shard.
-func (s *Shard) Len() int { return len(s.recs) }
+func (s *Shard) Len() int {
+	n := 0
+	for _, c := range s.chunks {
+		n += len(c)
+	}
+	return n
+}
 
 // Add appends a record under the log's lock, routing it to the record's
 // user shard. Safe for concurrent use; slower than Shard(...).Append.
@@ -269,39 +308,41 @@ func (l *Log) Stream(user int) Stream { return l.Shard(user) }
 
 var _ Sink = (*Log)(nil)
 
-// view is a point-in-time snapshot of the shard contents: the slice
-// headers are captured under the log's lock, so later locked appends —
-// which may grow a shard into a new backing array — cannot race with a
-// reader walking the snapshot. Elements below the captured lengths are
-// append-only and never mutate.
-type view struct {
-	recs [][]Record
-	seqs [][]int64
-}
+// view is a point-in-time snapshot of the shard contents: each shard's
+// chunk headers are copied under the log's lock, so later locked appends —
+// which extend the last chunk's length or add chunks — cannot race with a
+// reader walking the snapshot, which sees exactly the prefix that existed
+// when it was taken. Entries below the captured lengths never mutate.
+type view [][][]entry
 
 func (l *Log) snapshot() view {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	v := view{recs: make([][]Record, len(l.shards)), seqs: make([][]int64, len(l.shards))}
+	n := 0
+	for _, s := range l.shards {
+		n += len(s.chunks)
+	}
+	headers := make([][]entry, 0, n) // one allocation backs every shard's copy
+	v := make(view, len(l.shards))
 	for i, s := range l.shards {
-		v.recs[i] = s.recs
-		v.seqs[i] = s.seqs
+		start := len(headers)
+		headers = append(headers, s.chunks...)
+		v[i] = headers[start:len(headers):len(headers)]
 	}
 	return v
 }
 
 // mergeCursor is one shard's position in the k-way merge.
 type mergeCursor struct {
-	shard int
-	idx   int
-	seq   int64
+	shard, chunk, idx int
+	seq               int64
 }
 
 // each merges the snapshot's shards in global insertion order with a
 // cursor min-heap: O(n log s) over n records and s shards, so iteration
 // cost stays flat as user counts (and therefore shard counts) grow.
 func (v view) each(fn func(*Record)) {
-	heap := make([]mergeCursor, 0, len(v.recs))
+	heap := make([]mergeCursor, 0, len(v))
 	push := func(c mergeCursor) {
 		heap = append(heap, c)
 		i := len(heap) - 1
@@ -333,17 +374,21 @@ func (v view) each(fn func(*Record)) {
 			i = smallest
 		}
 	}
-	for si := range v.recs {
-		if len(v.recs[si]) > 0 {
-			push(mergeCursor{shard: si, idx: 0, seq: v.seqs[si][0]})
+	for si, chunks := range v {
+		if len(chunks) > 0 {
+			push(mergeCursor{shard: si, seq: chunks[0][0].seq})
 		}
 	}
 	for len(heap) > 0 {
-		top := heap[0]
-		fn(&v.recs[top.shard][top.idx])
-		next := top.idx + 1
-		if next < len(v.recs[top.shard]) {
-			heap[0] = mergeCursor{shard: top.shard, idx: next, seq: v.seqs[top.shard][next]}
+		top := &heap[0]
+		chunks := v[top.shard]
+		fn(&chunks[top.chunk][top.idx].rec)
+		top.idx++
+		if top.idx == len(chunks[top.chunk]) {
+			top.chunk, top.idx = top.chunk+1, 0
+		}
+		if top.chunk < len(chunks) {
+			top.seq = chunks[top.chunk][top.idx].seq
 			siftDown()
 			continue
 		}
@@ -355,10 +400,11 @@ func (v view) each(fn func(*Record)) {
 
 // Len returns the number of records.
 func (l *Log) Len() int {
-	v := l.snapshot()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	n := 0
-	for _, recs := range v.recs {
-		n += len(recs)
+	for _, s := range l.shards {
+		n += s.Len()
 	}
 	return n
 }
@@ -434,8 +480,11 @@ func ReadJSONL(r io.Reader) (*Log, error) {
 func DecodeJSONL(r io.Reader, sink Sink) (int, error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
 	n := 0
+	var rec Record
 	for {
-		var rec Record
+		// Reset before each decode: a line that omits an omitempty field
+		// (path, bytes, err, user_type) must not inherit the last record's.
+		rec = Record{}
 		if err := dec.Decode(&rec); err != nil {
 			if err == io.EOF {
 				return n, nil

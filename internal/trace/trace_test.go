@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -88,22 +89,64 @@ func TestLogAddAndRecords(t *testing.T) {
 	}
 }
 
+// TestLogConcurrentAdd runs locked Adds from several goroutines while
+// readers iterate: each Each must see a prefix of every writer's stream,
+// in order, and the final count must be exact.
 func TestLogConcurrentAdd(t *testing.T) {
 	var l Log
 	var wg sync.WaitGroup
-	const workers, per = 8, 100
+	const workers, per, readers = 8, 100, 2
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				l.Add(Record{Session: w, Op: OpRead})
+				l.Add(Record{Session: w, User: w, Op: OpRead, Bytes: int64(i)})
 			}
 		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; pass < 20; pass++ {
+				var next [workers]int64
+				l.Each(func(rec *Record) {
+					if rec.Bytes != next[rec.Session] {
+						t.Errorf("worker %d: saw record %d, want %d", rec.Session, rec.Bytes, next[rec.Session])
+					}
+					next[rec.Session] = rec.Bytes + 1
+				})
+			}
+		}()
 	}
 	wg.Wait()
 	if l.Len() != workers*per {
 		t.Errorf("Len = %d, want %d", l.Len(), workers*per)
+	}
+}
+
+// TestDecodeJSONLResetsOmittedFields decodes a record that omits every
+// omitempty field after one that sets them all: the reused decode buffer
+// must not carry the earlier values over.
+func TestDecodeJSONLResetsOmittedFields(t *testing.T) {
+	var src Log
+	src.Add(Record{Session: 1, User: 1, UserType: "heavy", Op: OpWrite, Path: "/u1/f0",
+		Category: 2, Bytes: 4096, FileSize: 4096, Start: 5, Elapsed: 700, Err: "vfs: no space left on device"})
+	src.Add(Record{Session: 1, User: 1, Op: OpStat, Category: -1, Start: 710, Elapsed: 90})
+	var buf bytes.Buffer
+	if err := src.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := back.Records(), src.Records(); !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded records\n%+v\nwant\n%+v", got, want)
+	}
+	if got, want := Analyze(back), Analyze(&src); !reflect.DeepEqual(got, want) {
+		t.Errorf("Analyze of decoded log differs:\n%+v\nwant\n%+v", got, want)
 	}
 }
 

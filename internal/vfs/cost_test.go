@@ -101,18 +101,23 @@ func TestLocalCostZeroBytes(t *testing.T) {
 
 func TestLocalCostDiskContentionUnderSim(t *testing.T) {
 	// Two processes reading distinct uncached files through one disk arm
-	// must serialize: completions differ by a full service time.
+	// must serialize: completions differ by a full service time. Their
+	// pooled MemFS op states are live at once (both opens hold, then both
+	// reads queue at the disk), so each process must still get its own
+	// file's size back, and every state must be back on the free list.
 	env := sim.NewEnv()
 	lc := NewLocalCost(env, testCostConfig())
 	mem := NewMemFS(WithCostModel(lc))
 	fs := Sync{FS: mem}
 	setup := &ManualClock{}
-	for _, p := range []string{"/a", "/b"} {
+	paths := []string{"/a", "/b"}
+	sizes := []int64{4096, 8192}
+	for i, p := range paths {
 		fd, err := fs.Create(setup, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.Write(setup, fd, 4096); err != nil {
+		if _, err := fs.Write(setup, fd, sizes[i]); err != nil {
 			t.Fatal(err)
 		}
 		if err := fs.Close(setup, fd); err != nil {
@@ -126,7 +131,8 @@ func TestLocalCostDiskContentionUnderSim(t *testing.T) {
 	lc.Cache().InvalidateFile(3)
 
 	var done [2]sim.Time
-	for i, p := range []string{"/a", "/b"} {
+	var got [2]int64
+	for i, p := range paths {
 		i, p := i, p
 		env.Start("reader", func(proc *sim.Proc, fin sim.K) {
 			mem.Open(proc, p, ReadOnly, func(fd FD, err error) {
@@ -135,12 +141,13 @@ func TestLocalCostDiskContentionUnderSim(t *testing.T) {
 					fin()
 					return
 				}
-				mem.Read(proc, fd, 4096, func(_ int64, err error) {
+				mem.Read(proc, fd, 1<<20, func(n int64, err error) {
 					if err != nil {
 						t.Error(err)
 						fin()
 						return
 					}
+					got[i] = n
 					mem.Close(proc, fd, func(err error) {
 						if err != nil {
 							t.Error(err)
@@ -160,6 +167,15 @@ func TestLocalCostDiskContentionUnderSim(t *testing.T) {
 	gap := done[1] - done[0]
 	if gap < 1500 {
 		t.Errorf("disk accesses did not serialize: completions %v (gap %v)", done, gap)
+	}
+	if got != [2]int64{sizes[0], sizes[1]} {
+		t.Errorf("concurrent reads delivered %v, want %v", got, sizes)
+	}
+	if mem.opsMade < 2 || freeOps(mem) != mem.opsMade {
+		t.Errorf("op pool made %d states, %d back on the free list; want >= 2, all of them", mem.opsMade, freeOps(mem))
+	}
+	if mem.OpenFDs() != 0 {
+		t.Errorf("%d descriptors leaked", mem.OpenFDs())
 	}
 }
 

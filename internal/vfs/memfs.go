@@ -12,22 +12,27 @@ import (
 // by size only — the workload generator measures operation streams and
 // timing, not data — which keeps multi-gigabyte synthetic file systems cheap.
 //
-// MemFS is safe for concurrent use; under the DES scheduler only one process
-// runs at a time, and the internal mutex additionally covers direct use from
-// ordinary goroutines. Cost-model charges (which may park a DES process via
-// Ctx.Hold) are always made OUTSIDE the mutex — a parked process must never
-// hold it, or every other simulated process would deadlock behind a lock
-// whose owner cannot run.
+// A MemFS without a cost model is safe for concurrent use: the internal
+// mutex covers direct use from ordinary goroutines (the wall-clock runner).
+// A charging cost model confines it to one goroutine at a time — the DES
+// kernel, or a synchronous setup clock — because the model's own state
+// (LocalCost's cache and op pool) and MemFS's op pool are unguarded. Cost
+// charges (which may park a DES process via Ctx.Hold) are always made
+// OUTSIDE the mutex — a parked process must never hold it, or every other
+// simulated process would deadlock behind a lock whose owner cannot run.
 type MemFS struct {
-	mu      sync.Mutex
-	root    *inode
-	nextIno uint64
-	fds     map[FD]*openFile
-	nextFD  FD
-	maxFDs  int
-	cost    CostModel
-	slab    []inode     // inode arena: large trees cost one alloc per chunk
-	ofree   []*openFile // recycled descriptor states
+	mu        sync.Mutex
+	root      *inode
+	nextIno   uint64
+	fds       map[FD]*openFile
+	nextFD    FD
+	maxFDs    int
+	cost      CostModel
+	uncharged bool        // cost is NoCost: ops run inline, bypassing the op pool
+	slab      []inode     // inode arena: large trees cost one alloc per chunk
+	ofree     []*openFile // recycled descriptor states
+	opFree    *memOp      // free list of charged-op states
+	opsMade   int         // states ever allocated; all are on opFree when idle
 }
 
 type inode struct {
@@ -75,6 +80,7 @@ func NewMemFS(opts ...Option) *MemFS {
 	for _, o := range opts {
 		o(fs)
 	}
+	_, fs.uncharged = fs.cost.(NoCost)
 	return fs
 }
 
@@ -101,6 +107,87 @@ func (fs *MemFS) getOpenFile() *openFile {
 		return of
 	}
 	return &openFile{}
+}
+
+// memKind names the operation a memOp completes after its cost charge.
+type memKind uint8
+
+const (
+	opMkdir memKind = iota
+	opCreate
+	opOpen
+	opData // read or write: the descriptor already advanced, deliver n
+	opClose
+	opUnlink
+	opStat
+	opReadDir
+)
+
+// memOp is the defunctionalized state of one charged MemFS operation: its
+// arguments and typed continuation, completed by run once the cost model's
+// charge has been paid. run is bound to a method value once, when the state
+// is first allocated, and the state is recycled through the owning MemFS's
+// free list — mirroring LocalCost's dataOp — so a steady-state op
+// allocates nothing. A cost-free MemFS never uses it (see MemFS).
+type memOp struct {
+	fs   *MemFS
+	next *memOp // free list link
+
+	kind memKind
+	ctx  Ctx
+	path string
+	mode OpenMode
+	fd   FD
+	n    int64
+
+	kErr  func(error)
+	kFD   func(FD, error)
+	kN    func(int64, error)
+	kInfo func(FileInfo, error)
+	kDir  func([]string, error)
+
+	runFn func()
+}
+
+// getOp pops a recycled op state or allocates one, binding run once.
+func (fs *MemFS) getOp(kind memKind, ctx Ctx) *memOp {
+	op := fs.opFree
+	if op == nil {
+		op = &memOp{fs: fs}
+		op.runFn = op.run
+		fs.opsMade++
+	} else {
+		fs.opFree = op.next
+	}
+	op.kind, op.ctx = kind, ctx
+	return op
+}
+
+// run completes the operation after its charge. The state is copied out and
+// returned to the free list first: the continuation may start the next
+// MemFS op at once and reuse it.
+func (op *memOp) run() {
+	st, fs := *op, op.fs
+	*op = memOp{fs: fs, next: fs.opFree, runFn: op.runFn}
+	fs.opFree = op
+	switch st.kind {
+	case opMkdir:
+		st.kErr(fs.mkdir(st.path))
+	case opCreate:
+		st.kFD(fs.create(st.ctx, st.path))
+	case opOpen:
+		st.kFD(fs.open(st.path, st.mode))
+	case opData:
+		st.kN(st.n, nil)
+	case opClose:
+		st.kErr(fs.close(st.fd))
+	case opUnlink:
+		st.kErr(fs.unlink(st.ctx, st.path))
+	case opStat:
+		st.kInfo(fs.stat(st.path))
+	case opReadDir:
+		st.kDir(fs.readDir(st.path))
+	}
 }
 
 // lookup resolves path to its parent directory and final segment. Plain
@@ -183,7 +270,13 @@ func (fs *MemFS) lookupSlow(path string) (parent *inode, name string, node *inod
 
 // Mkdir creates a directory. Parents must already exist.
 func (fs *MemFS) Mkdir(ctx Ctx, path string, k func(error)) {
-	fs.cost.MetaOp(ctx, func() { k(fs.mkdir(path)) }) //wlint:allow hotalloc escapes per server-side op under a charging cost model; MemFS defunctionalization is the next ROADMAP alloc-hunt item
+	if fs.uncharged {
+		k(fs.mkdir(path))
+		return
+	}
+	op := fs.getOp(opMkdir, ctx)
+	op.path, op.kErr = path, k
+	fs.cost.MetaOp(ctx, op.runFn)
 }
 
 // mkdir is Mkdir's namespace mutation, after the cost charge.
@@ -235,7 +328,13 @@ func IsExist(err error) bool { return errors.Is(err, ErrExist) }
 
 // Create creates (or truncates) a regular file and opens it write-only.
 func (fs *MemFS) Create(ctx Ctx, path string, k func(FD, error)) {
-	fs.cost.MetaOp(ctx, func() { k(fs.create(ctx, path)) }) //wlint:allow hotalloc escapes per server-side op under a charging cost model; MemFS defunctionalization is the next ROADMAP alloc-hunt item
+	if fs.uncharged {
+		k(fs.create(ctx, path))
+		return
+	}
+	op := fs.getOp(opCreate, ctx)
+	op.path, op.kFD = path, k
+	fs.cost.MetaOp(ctx, op.runFn)
 }
 
 // create is Create's namespace mutation, after the cost charge.
@@ -277,7 +376,13 @@ func (fs *MemFS) create(ctx Ctx, path string) (FD, error) {
 
 // Open opens an existing regular file.
 func (fs *MemFS) Open(ctx Ctx, path string, mode OpenMode, k func(FD, error)) {
-	fs.cost.MetaOp(ctx, func() { k(fs.open(path, mode)) }) //wlint:allow hotalloc escapes per server-side op under a charging cost model; MemFS defunctionalization is the next ROADMAP alloc-hunt item
+	if fs.uncharged {
+		k(fs.open(path, mode))
+		return
+	}
+	op := fs.getOp(opOpen, ctx)
+	op.path, op.mode, op.kFD = path, mode, k
+	fs.cost.MetaOp(ctx, op.runFn)
 }
 
 // open is Open's descriptor allocation, after the cost charge.
@@ -346,7 +451,7 @@ func (fs *MemFS) Read(ctx Ctx, fd FD, n int64, k func(int64, error)) {
 		k(0, err)
 		return
 	}
-	fs.cost.DataOp(ctx, ino, off, m, false, func() { k(m, nil) }) //wlint:allow hotalloc escapes per server-side op under a charging cost model; MemFS defunctionalization is the next ROADMAP alloc-hunt item
+	fs.dataOp(ctx, ino, off, m, false, k)
 }
 
 // writeState advances the descriptor for a write of n bytes, extending the
@@ -380,7 +485,19 @@ func (fs *MemFS) Write(ctx Ctx, fd FD, n int64, k func(int64, error)) {
 		k(0, err)
 		return
 	}
-	fs.cost.DataOp(ctx, ino, off, n, true, func() { k(n, nil) }) //wlint:allow hotalloc escapes per server-side op under a charging cost model; MemFS defunctionalization is the next ROADMAP alloc-hunt item
+	fs.dataOp(ctx, ino, off, n, true, k)
+}
+
+// dataOp charges a read or write of n bytes the descriptor has already
+// advanced over, then delivers n.
+func (fs *MemFS) dataOp(ctx Ctx, ino uint64, off, n int64, write bool, k func(int64, error)) {
+	if fs.uncharged {
+		k(n, nil)
+		return
+	}
+	op := fs.getOp(opData, ctx)
+	op.n, op.kN = n, k
+	fs.cost.DataOp(ctx, ino, off, n, write, op.runFn)
 }
 
 // Seek repositions the descriptor's offset. It charges nothing: a seek is
@@ -417,7 +534,13 @@ func (fs *MemFS) seek(fd FD, offset int64, whence int) (int64, error) {
 
 // Close releases the descriptor.
 func (fs *MemFS) Close(ctx Ctx, fd FD, k func(error)) {
-	fs.cost.MetaOp(ctx, func() { k(fs.close(fd)) }) //wlint:allow hotalloc escapes per server-side op under a charging cost model; MemFS defunctionalization is the next ROADMAP alloc-hunt item
+	if fs.uncharged {
+		k(fs.close(fd))
+		return
+	}
+	op := fs.getOp(opClose, ctx)
+	op.fd, op.kErr = fd, k
+	fs.cost.MetaOp(ctx, op.runFn)
 }
 
 func (fs *MemFS) close(fd FD) error {
@@ -436,7 +559,13 @@ func (fs *MemFS) close(fd FD) error {
 // Unlink removes a file name. Data reachable through open descriptors
 // survives until they close.
 func (fs *MemFS) Unlink(ctx Ctx, path string, k func(error)) {
-	fs.cost.MetaOp(ctx, func() { k(fs.unlink(ctx, path)) }) //wlint:allow hotalloc escapes per server-side op under a charging cost model; MemFS defunctionalization is the next ROADMAP alloc-hunt item
+	if fs.uncharged {
+		k(fs.unlink(ctx, path))
+		return
+	}
+	op := fs.getOp(opUnlink, ctx)
+	op.path, op.kErr = path, k
+	fs.cost.MetaOp(ctx, op.runFn)
 }
 
 func (fs *MemFS) unlink(ctx Ctx, path string) error {
@@ -463,7 +592,13 @@ func (fs *MemFS) unlink(ctx Ctx, path string) error {
 
 // Stat returns metadata for a path.
 func (fs *MemFS) Stat(ctx Ctx, path string, k func(FileInfo, error)) {
-	fs.cost.MetaOp(ctx, func() { k(fs.stat(path)) }) //wlint:allow hotalloc escapes per server-side op under a charging cost model; MemFS defunctionalization is the next ROADMAP alloc-hunt item
+	if fs.uncharged {
+		k(fs.stat(path))
+		return
+	}
+	op := fs.getOp(opStat, ctx)
+	op.path, op.kInfo = path, k
+	fs.cost.MetaOp(ctx, op.runFn)
 }
 
 func (fs *MemFS) stat(path string) (FileInfo, error) {
@@ -481,7 +616,13 @@ func (fs *MemFS) stat(path string) (FileInfo, error) {
 
 // ReadDir lists a directory in lexical order.
 func (fs *MemFS) ReadDir(ctx Ctx, path string, k func([]string, error)) {
-	fs.cost.MetaOp(ctx, func() { k(fs.readDir(path)) }) //wlint:allow hotalloc escapes per server-side op under a charging cost model; MemFS defunctionalization is the next ROADMAP alloc-hunt item
+	if fs.uncharged {
+		k(fs.readDir(path))
+		return
+	}
+	op := fs.getOp(opReadDir, ctx)
+	op.path, op.kDir = path, k
+	fs.cost.MetaOp(ctx, op.runFn)
 }
 
 func (fs *MemFS) readDir(path string) ([]string, error) {
