@@ -2,7 +2,6 @@ package nfs
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"uswg/internal/cache"
@@ -89,14 +88,11 @@ func (c ClientConfig) maxDirty() int {
 	return 8
 }
 
-type clientFD struct {
-	path string
-	ino  uint64
-}
-
 // Client is a simulated NFS client implementing vfs.FileSystem. The file
 // namespace and sizes live in a cost-free MemFS shadow; all time comes from
-// client CPU, the shared wire, and the server.
+// client CPU, the shared wire, and the server. The shadow's descriptor table
+// is also the client's: every descriptor the client opens is tagged with the
+// client as its owner, and reads and writes resolve it there in one lookup.
 type Client struct {
 	cfg     ClientConfig
 	backing *vfs.MemFS
@@ -104,7 +100,6 @@ type Client struct {
 	link    *netsim.Link // nil outside a DES
 
 	mu    sync.Mutex
-	fds   map[vfs.FD]clientFD
 	attrs map[string]float64 // path -> expiry time, µs
 
 	// Client page cache (nil when CacheBlocks is 0). Guarded by the DES
@@ -399,7 +394,6 @@ func NewClientWithBacking(server *Server, link *netsim.Link, cfg ClientConfig, b
 		backing: backing,
 		server:  server,
 		link:    link,
-		fds:     make(map[vfs.FD]clientFD),
 		attrs:   make(map[string]float64),
 		dirty:   make(map[uint64]dirtySpan),
 	}
@@ -477,19 +471,6 @@ func (c *Client) dropAttr(path string) {
 	c.mu.Unlock()
 }
 
-func (c *Client) trackFD(fd vfs.FD, path string, ino uint64) {
-	c.mu.Lock()
-	c.fds[fd] = clientFD{path: path, ino: ino}
-	c.mu.Unlock()
-}
-
-func (c *Client) fdInfo(fd vfs.FD) (clientFD, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	info, ok := c.fds[fd]
-	return info, ok
-}
-
 // inoOf resolves a path's inode in the shadow namespace without charging.
 func (c *Client) inoOf(path string) (uint64, error) {
 	info, err := c.shadow().Stat(path)
@@ -543,19 +524,13 @@ func (st *opState) createEntry() { st.c.rpcMeta(st.ctx, st.createRPCFn) }
 func (st *opState) createRPC() {
 	c, ctx, path, k := st.c, st.ctx, st.path, st.kFD
 	c.putOp(st)
-	fd, err := c.shadow().Create(path)
-	if err != nil {
-		k(0, err)
-		return
-	}
-	ino, err := c.inoOf(path)
+	fd, ino, err := c.shadow().Create(path, c)
 	if err != nil {
 		k(0, err)
 		return
 	}
 	c.server.Invalidate(ino) // truncation drops stale server blocks
 	c.discardDirty(ino)
-	c.trackFD(fd, path, ino)
 	c.setAttr(ctx, path)
 	k(fd, nil)
 }
@@ -587,18 +562,7 @@ func (st *opState) openRPC() {
 func (st *opState) openFinish() {
 	c, path, mode, k := st.c, st.path, st.mode, st.kFD
 	c.putOp(st)
-	fd, err := c.shadow().Open(path, mode)
-	if err != nil {
-		k(0, err)
-		return
-	}
-	ino, err := c.inoOf(path)
-	if err != nil {
-		k(0, err)
-		return
-	}
-	c.trackFD(fd, path, ino)
-	k(fd, nil)
+	k(c.shadow().Open(path, mode, c))
 }
 
 // Read transfers up to n bytes. Blocks present in the client page cache are
@@ -610,31 +574,17 @@ func (c *Client) Read(ctx vfs.Ctx, fd vfs.FD, n int64, k func(int64, error)) {
 	ctx.Hold(c.cfg.CPUPerCall, st.readEntryFn)
 }
 
-// readEntry runs after Read's CPU hold: resolve the descriptor, move the
-// shadow offset, and start the page walk (or a straight fetch) on this
-// same state.
+// readEntry runs after Read's CPU hold: move the shadow offset of this
+// client's descriptor, and start the page walk (or a straight fetch) on
+// this same state.
 func (st *opState) readEntry() {
 	c := st.c
-	info, ok := c.fdInfo(st.fd)
-	if !ok {
-		st.failData(fmt.Errorf("%w: %d", vfs.ErrBadFD, st.fd))
-		return
-	}
-	off, err := c.shadow().Seek(st.fd, 0, vfs.SeekCurrent)
-	if err != nil {
+	ino, _, off, got, err := c.shadow().Advance(st.fd, st.n, false, c)
+	if err != nil || got == 0 {
 		st.failData(err)
 		return
 	}
-	got, err := c.shadow().Read(st.fd, st.n)
-	if err != nil {
-		st.failData(err)
-		return
-	}
-	if got == 0 {
-		st.failData(nil)
-		return
-	}
-	st.ino = info.ino
+	st.ino = ino
 	st.got = got
 	if c.pages == nil {
 		st.startTransfer(off, got, false, st.finishFn)
@@ -664,37 +614,24 @@ func (c *Client) Write(ctx vfs.Ctx, fd vfs.FD, n int64, k func(int64, error)) {
 	ctx.Hold(c.cfg.CPUPerCall, st.writeEntryFn)
 }
 
-// writeEntry runs after Write's CPU hold: move the shadow offset and either
-// push synchronously or install write-behind pages, all on this same state.
+// writeEntry runs after Write's CPU hold: move the shadow offset of this
+// client's descriptor and either push synchronously or install
+// write-behind pages, all on this same state.
 func (st *opState) writeEntry() {
 	c := st.c
-	info, ok := c.fdInfo(st.fd)
-	if !ok {
-		st.failData(fmt.Errorf("%w: %d", vfs.ErrBadFD, st.fd))
-		return
-	}
-	off, err := c.shadow().Seek(st.fd, 0, vfs.SeekCurrent)
-	if err != nil {
+	ino, path, off, got, err := c.shadow().Advance(st.fd, st.n, true, c)
+	if err != nil || got == 0 {
 		st.failData(err)
 		return
 	}
-	got, err := c.shadow().Write(st.fd, st.n)
-	if err != nil {
-		st.failData(err)
-		return
-	}
-	if got == 0 {
-		st.failData(nil)
-		return
-	}
-	st.ino = info.ino
+	st.ino = ino
 	st.got = got
 	st.wOff = off
-	st.wPath = info.path
+	st.wPath = path
 	if c.pages == nil || !c.cfg.WriteBehind {
 		// Synchronous push on a second pooled state; this one survives to
 		// set the attribute cache and deliver the result.
-		c.push(st.ctx, info.ino, off, got, st.finishWriteFn)
+		c.push(st.ctx, ino, off, got, st.finishWriteFn)
 		return
 	}
 	// Write-behind: install pages, extend the dirty span.
@@ -788,27 +725,17 @@ func (c *Client) discardDirty(ino uint64) {
 // Crash models the workstation losing power: every open descriptor, cached
 // attribute, cached page, and unflushed write-behind span vanishes instantly
 // and without cost — nothing ran, so nothing is charged and no RPC is sent.
-// Descriptors are released in the shadow namespace (the server's view: the
-// crashed machine's handles are simply gone, and unlinked-but-open files
-// become truly unreachable); dirty write-behind data is lost, exactly the
-// exposure window NFS write-behind opens. The page cache keeps its hit/miss
-// statistics but empties, so the rebooted user re-misses everything — the
-// cold-cache rejoin cost. Implements vfs.Crasher.
+// The descriptors this client opened are released in the shadow namespace
+// (the server's view: the crashed machine's handles are simply gone, and
+// unlinked-but-open files become truly unreachable); dirty write-behind data
+// is lost, exactly the exposure window NFS write-behind opens. The page
+// cache keeps its hit/miss statistics but empties, so the rebooted user
+// re-misses everything — the cold-cache rejoin cost. Implements vfs.Crasher.
 func (c *Client) Crash() {
 	c.mu.Lock()
-	fds := make([]vfs.FD, 0, len(c.fds))
-	for fd := range c.fds {
-		fds = append(fds, fd)
-	}
-	c.fds = make(map[vfs.FD]clientFD)
 	c.attrs = make(map[string]float64)
 	c.mu.Unlock()
-	//wlint:allow hotalloc runs once per workstation crash, not per op
-	sort.Slice(fds, func(i, j int) bool { return fds[i] < fds[j] })
-	sh := c.shadow()
-	for _, fd := range fds {
-		sh.Close(fd) //nolint:errcheck // crash cleanup: the handle may already be gone
-	}
+	c.shadow().CloseOwned(c)
 	c.dirty = make(map[uint64]dirtySpan)
 	c.dirtyBlocks = 0
 	if c.pages != nil {
@@ -842,13 +769,13 @@ func (c *Client) Close(ctx vfs.Ctx, fd vfs.FD, k func(error)) {
 	ctx.Hold(c.cfg.CPUPerCall, st.closeEntryFn)
 }
 
-// closeEntry runs after Close's CPU hold: flush write-behind data for
-// tracked descriptors, then release the shadow descriptor.
+// closeEntry runs after Close's CPU hold: flush write-behind data if this
+// client opened the descriptor, then release the shadow descriptor.
 func (st *opState) closeEntry() {
 	c := st.c
-	if info, ok := c.fdInfo(st.fd); ok {
-		st.wPath = info.path
-		c.flush(st.ctx, info.ino, st.closeFlushFn)
+	if ino, path, ok := c.shadow().Owned(st.fd, c); ok {
+		st.wPath = path
+		c.flush(st.ctx, ino, st.closeFlushFn)
 		return
 	}
 	st.closeFinish()
@@ -864,14 +791,7 @@ func (st *opState) closeFlushed() {
 func (st *opState) closeFinish() {
 	c, fd, k := st.c, st.fd, st.kErr
 	c.putOp(st)
-	if err := c.shadow().Close(fd); err != nil {
-		k(err)
-		return
-	}
-	c.mu.Lock()
-	delete(c.fds, fd)
-	c.mu.Unlock()
-	k(nil)
+	k(c.shadow().Close(fd))
 }
 
 // Unlink removes a file on the server.

@@ -208,6 +208,11 @@ func (f *Fleet) SetupFS() vfs.FileSystem {
 // the home replica) and per FD (to the client that opened it). FDs are
 // allocated by the shared backing, so they are unique fleet-wide and need
 // no translation — only ownership tracking.
+//
+// The router keeps its own FD table rather than asking the shadow which
+// client opened an FD: a pooled client serves several principals, and when
+// a co-tenant's crash closes this principal's FD, the call must still go to
+// the client, which charges its CPU time before failing with ErrBadFD.
 type routerFS struct {
 	f       *Fleet
 	home    int

@@ -1,6 +1,7 @@
 package nfs
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -167,5 +168,38 @@ func TestRouterFSTracksFDs(t *testing.T) {
 	// A closed FD's routing entry is reclaimed.
 	if _, err := fsys.Read(ctx, fd2, 10); err == nil {
 		t.Error("read of closed fd should fail")
+	}
+}
+
+// TestPooledCrashClosesCoTenantFD pins what a co-tenant sees when the user
+// sharing its pool slot crashes: the crash closes every descriptor the
+// slot's client holds, yet the co-tenant's router still routes its FD to the
+// client, which charges one system call of CPU and then fails the read with
+// ErrBadFD; the close fails with ErrBadFD too.
+func TestPooledCrashClosesCoTenantFD(t *testing.T) {
+	f := testFleet(t, 1, 1, 2, 5, false)
+	ctx := &vfs.ManualClock{}
+	if err := (vfs.Sync{FS: f.SetupFS()}).Mkdir(ctx, "/u1"); err != nil {
+		t.Fatal(err)
+	}
+	crasher, tenant := f.FSForUser(0), vfs.Sync{FS: f.FSForUser(1)}
+	fd, err := tenant.Create(ctx, "/u1/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tenant.Write(ctx, fd, 100); err != nil {
+		t.Fatal(err)
+	}
+	crasher.(vfs.Crasher).Crash()
+
+	start := ctx.Now()
+	if _, err := tenant.Read(ctx, fd, 10); !errors.Is(err, vfs.ErrBadFD) {
+		t.Errorf("co-tenant read after crash = %v, want ErrBadFD", err)
+	}
+	if got, want := ctx.Now()-start, testClientConfig().CPUPerCall; got != want {
+		t.Errorf("failed read took %v µs, want one system call (%v µs)", got, want)
+	}
+	if err := tenant.Close(ctx, fd); !errors.Is(err, vfs.ErrBadFD) {
+		t.Errorf("co-tenant close after crash = %v, want ErrBadFD", err)
 	}
 }

@@ -2,6 +2,7 @@ package nfs
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"uswg/internal/disk"
@@ -348,6 +349,24 @@ func TestReadAtEOFIsFree(t *testing.T) {
 	}
 }
 
+// sharedClients returns two write-behind clients of one server over one
+// backing namespace, the way every user's client shares it.
+func sharedClients(t *testing.T) (a, b *Client, srv *Server) {
+	t.Helper()
+	srv, err := NewServer(nil, testServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	backing := vfs.NewMemFS()
+	if a, err = NewClientWithBacking(srv, nil, cachedClientConfig(), backing); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = NewClientWithBacking(srv, nil, cachedClientConfig(), backing); err != nil {
+		t.Fatal(err)
+	}
+	return a, b, srv
+}
+
 func TestBadFD(t *testing.T) {
 	c := newTestClient(t)
 	ctx := &vfs.ManualClock{}
@@ -359,6 +378,70 @@ func TestBadFD(t *testing.T) {
 	}
 	if err := cs(c).Close(ctx, 999); !errors.Is(err, vfs.ErrBadFD) {
 		t.Errorf("close bad fd: %v", err)
+	}
+
+	// A descriptor belongs to the client that opened it, even though the
+	// clients share the backing that numbers it.
+	a, b, srv := sharedClients(t)
+	mkFile(t, a, "/f", 8192)
+	fd, err := cs(a).Open(ctx, "/f", vfs.ReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs(a).Write(ctx, fd, 100); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("vfs: bad file descriptor: %d", fd)
+	if _, err := cs(b).Read(ctx, fd, 10); err == nil || err.Error() != want {
+		t.Errorf("read of another client's fd = %v, want %q", err, want)
+	}
+	if _, err := cs(b).Write(ctx, fd, 10); err == nil || err.Error() != want {
+		t.Errorf("write of another client's fd = %v, want %q", err, want)
+	}
+	// Closing it through the other client flushes nothing: the dirty data
+	// is a's, and no RPC goes out.
+	calls, flushes := srv.Calls(), a.Flushes()+b.Flushes()
+	if err := cs(b).Close(ctx, fd); err != nil {
+		t.Errorf("close of another client's fd = %v", err)
+	}
+	if srv.Calls() != calls || a.Flushes()+b.Flushes() != flushes || b.RPCs() != 0 {
+		t.Errorf("foreign close made %d server calls, %d flushes, %d RPCs from b",
+			srv.Calls()-calls, a.Flushes()+b.Flushes()-flushes, b.RPCs())
+	}
+}
+
+// TestClientCrashClosesOwnFDs checks that a crash closes exactly the
+// descriptors its client opened and leaves a co-mounted client's alone.
+func TestClientCrashClosesOwnFDs(t *testing.T) {
+	a, b, _ := sharedClients(t)
+	ctx := &vfs.ManualClock{}
+	mkFile(t, a, "/f", 8192)
+	open := func(c *Client, n int) []vfs.FD {
+		var fds []vfs.FD
+		for range n {
+			fd, err := cs(c).Open(ctx, "/f", vfs.ReadOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fds = append(fds, fd)
+		}
+		return fds
+	}
+	aFDs, bFDs := open(a, 3), open(b, 2)
+	before := a.Backing().OpenFDs()
+	a.Crash()
+	if got := a.Backing().OpenFDs(); got != before-len(aFDs) {
+		t.Errorf("crash left %d open fds of %d, want %d closed", got, before, len(aFDs))
+	}
+	for _, fd := range aFDs {
+		if _, err := cs(a).Read(ctx, fd, 10); !errors.Is(err, vfs.ErrBadFD) {
+			t.Errorf("read of crashed fd %d = %v, want ErrBadFD", fd, err)
+		}
+	}
+	for _, fd := range bFDs {
+		if n, err := cs(b).Read(ctx, fd, 10); err != nil || n != 10 {
+			t.Errorf("co-mounted client's fd %d read %d, %v after the crash", fd, n, err)
+		}
 	}
 }
 

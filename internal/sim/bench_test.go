@@ -47,3 +47,28 @@ func BenchmarkKernelEvents(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
+
+// BenchmarkResourceContended times one acquire/release hand-off through a
+// resource with a standing queue: eight processes cycle acquire, hold,
+// release on one server, so each op is one release that grants the oldest
+// waiter and one acquisition that joins the back of the queue.
+func BenchmarkResourceContended(b *testing.B) {
+	env := NewEnv()
+	res := NewResource(env, 1)
+	p := &Proc{env: env}
+	for range 8 {
+		var held, release func()
+		held = func() { p.Hold(1, release) }
+		release = func() {
+			res.Release()
+			res.Acquire(p, held)
+		}
+		res.Acquire(p, held)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := env.Run(env.now + 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -16,7 +16,12 @@ type Resource struct {
 	env     *Env
 	servers int
 	inUse   int
-	queue   []waiter // waiting processes, FIFO
+	// queue is a ring of the waiting processes, FIFO from head, that
+	// doubles when full, so a standing queue (nfsd pool, wire, disk arm)
+	// reuses its slots.
+	queue   []waiter
+	head    int
+	waiting int
 
 	// Statistics.
 	acquired  int64
@@ -27,8 +32,7 @@ type Resource struct {
 
 // waiter is one queued acquisition: the continuation to grant and the
 // enqueue time (for wait accounting). A struct rather than a wrapping
-// closure keeps the contended-acquire path allocation-free apart from the
-// queue slot itself.
+// closure keeps the contended-acquire path allocation-free.
 type waiter struct {
 	k     K
 	start Time
@@ -49,7 +53,7 @@ func (r *Resource) Servers() int { return r.servers }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting.
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return r.waiting }
 
 // Acquire obtains one server and continues with k. If all servers are busy
 // the continuation is queued in FIFO order and resumed by a later Release;
@@ -65,7 +69,20 @@ func (r *Resource) Acquire(p *Proc, k K) {
 		k()
 		return
 	}
-	r.queue = append(r.queue, waiter{k: k, start: r.env.now})
+	if r.waiting == len(r.queue) {
+		r.grow()
+	}
+	r.queue[(r.head+r.waiting)&(len(r.queue)-1)] = waiter{k: k, start: r.env.now}
+	r.waiting++
+}
+
+// grow doubles the ring (its length stays a power of two), moving the
+// waiters to the front in FIFO order.
+func (r *Resource) grow() {
+	q := make([]waiter, max(4, 2*len(r.queue)))
+	n := copy(q, r.queue[r.head:])
+	copy(q[n:], r.queue[:r.head])
+	r.queue, r.head = q, 0
 }
 
 // Release frees one server, handing it directly to the oldest waiter if any
@@ -75,9 +92,11 @@ func (r *Resource) Acquire(p *Proc, k K) {
 // wait is accounted here — the grant event fires at this same instant, so
 // the total is identical to accounting inside the woken continuation.
 func (r *Resource) Release() {
-	if len(r.queue) > 0 {
-		next := r.queue[0]
-		r.queue = r.queue[1:]
+	if r.waiting > 0 {
+		next := r.queue[r.head]
+		r.queue[r.head] = waiter{} // drop the granted continuation
+		r.head = (r.head + 1) & (len(r.queue) - 1)
+		r.waiting--
 		r.acquired++
 		r.waitTotal += r.env.now - next.start
 		r.env.schedule(r.env.now, next.k)

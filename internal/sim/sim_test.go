@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -219,6 +220,102 @@ func TestResourceFIFOOrder(t *testing.T) {
 		if v != i {
 			t.Fatalf("service order = %v, want FIFO", order)
 		}
+	}
+}
+
+// TestResourceQueueMatchesSliceFIFO drives bursts of 3, 17 and 64 waiters,
+// interleaved with partial releases, through the ring queue — wrapping its
+// head and doubling it several times — beside the plain slice FIFO it
+// replaced. Grants must follow arrival order, and QueueLen and the wait
+// total must match the reference after every step.
+func TestResourceQueueMatchesSliceFIFO(t *testing.T) {
+	env := NewEnv()
+	res := NewResource(env, 2)
+	type queued struct {
+		id    int
+		start Time
+	}
+	var ref []queued
+	var refWait Time
+	var granted, want []int
+	check := func(when string) {
+		t.Helper()
+		if res.QueueLen() != len(ref) || res.waitTotal != refWait {
+			t.Fatalf("%s: QueueLen %d, wait total %v; reference %d, %v", when, res.QueueLen(), res.waitTotal, len(ref), refWait)
+		}
+	}
+	advance := func(d Time) {
+		env.schedule(env.now+d, func() {})
+		if err := env.Run(Forever); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res.Acquire(nil, func() {}) // both servers stay busy: every later
+	res.Acquire(nil, func() {}) // acquisition queues
+	next := 0
+	for round := range 6 {
+		for _, burst := range []int{3, 17, 64} {
+			for range burst {
+				id := next
+				next++
+				res.Acquire(nil, func() { granted = append(granted, id) })
+				ref = append(ref, queued{id: id, start: env.now})
+				check("arrival")
+			}
+			advance(Time(1 + round))
+			for range min(burst/2+round, len(ref)) {
+				res.Release()
+				refWait += env.now - ref[0].start
+				want = append(want, ref[0].id)
+				ref = ref[1:]
+				check("release")
+			}
+			advance(0.5)
+		}
+	}
+	for len(ref) > 0 {
+		res.Release()
+		refWait += env.now - ref[0].start
+		want = append(want, ref[0].id)
+		ref = ref[1:]
+		check("drain")
+		advance(0.25)
+	}
+	if len(res.queue) < 256 {
+		t.Errorf("ring grew to %d slots; the test meant to double it past 128", len(res.queue))
+	}
+	if !slices.Equal(granted, want) {
+		t.Errorf("grant order diverges from arrival order:\n got %v\nwant %v", granted, want)
+	}
+}
+
+// TestResourceSteadyQueueAllocs pins the ring's reuse: once it has grown,
+// a standing queue of processes cycling acquire, hold, release allocates
+// nothing.
+func TestResourceSteadyQueueAllocs(t *testing.T) {
+	env := NewEnv()
+	res := NewResource(env, 1)
+	p := &Proc{env: env}
+	for range 8 {
+		var held, release func()
+		held = func() { p.Hold(1, release) }
+		release = func() {
+			res.Release()
+			res.Acquire(p, held)
+		}
+		res.Acquire(p, held)
+	}
+	run := func() {
+		if err := env.Run(env.now + 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+		t.Errorf("64 contended cycles allocate %v times, want 0", allocs)
+	}
+	if res.QueueLen() != 7 || res.Acquired() < 50*64 {
+		t.Errorf("queue length %d after %d acquisitions, want a standing queue of 7", res.QueueLen(), res.Acquired())
 	}
 }
 

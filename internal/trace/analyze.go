@@ -99,28 +99,57 @@ func AnalyzeRecords(records []Record) *Analysis {
 // iteration (Each) and replayed slices share the reduction.
 type analyzer struct {
 	sessions map[int]*sessionAgg
-	byOp     map[Op]*OpSummary
+	// byOp holds the known ops' summaries, indexed by Op; a summary with
+	// Count 0 has not been seen. otherOps holds any other Op value, which
+	// only Go code can build (DecodeJSONL rejects unknown names).
+	byOp     [OpMkdir + 1]OpSummary
+	otherOps map[Op]*OpSummary
 	a        *Analysis
 }
 
 func newAnalyzer() *analyzer {
 	return &analyzer{
 		sessions: make(map[int]*sessionAgg),
-		byOp:     make(map[Op]*OpSummary),
 		a:        &Analysis{},
 	}
 }
 
-func (acc *analyzer) add(r *Record) {
-	sessions, byOp, a := acc.sessions, acc.byOp, acc.a
-	sa, ok := sessions[r.Session]
+// add folds one record into its session's accumulator, found by id.
+func (acc *analyzer) add(r *Record) { acc.fold(acc.session(r), r) }
+
+// session returns the accumulator of r's session, starting one if needed.
+func (acc *analyzer) session(r *Record) *sessionAgg {
+	sa, ok := acc.sessions[r.Session]
 	if !ok {
 		sa = &sessionAgg{
 			usage: SessionUsage{Session: r.Session, User: r.User, UserType: r.UserType},
 			files: make(map[string]*fileAgg),
 		}
-		sessions[r.Session] = sa
+		acc.sessions[r.Session] = sa
 	}
+	return sa
+}
+
+// opSummary returns op's summary.
+func (acc *analyzer) opSummary(op Op) *OpSummary {
+	if op >= 0 && int(op) < len(acc.byOp) {
+		return &acc.byOp[op]
+	}
+	os, ok := acc.otherOps[op]
+	if !ok {
+		if acc.otherOps == nil {
+			acc.otherOps = make(map[Op]*OpSummary)
+		}
+		os = &OpSummary{Op: op}
+		acc.otherOps[op] = os
+	}
+	return os
+}
+
+// fold adds r to sa, the accumulator of r's session, and to the per-op and
+// global totals.
+func (acc *analyzer) fold(sa *sessionAgg, r *Record) {
+	a := acc.a
 	sa.usage.Ops++
 	sa.usage.ResponseTotal += r.Elapsed
 	a.Ops++
@@ -128,11 +157,7 @@ func (acc *analyzer) add(r *Record) {
 		a.Errors++
 	}
 
-	os, ok := byOp[r.Op]
-	if !ok {
-		os = &OpSummary{Op: r.Op}
-		byOp[r.Op] = os
-	}
+	os := acc.opSummary(r.Op)
 	os.Count++
 	os.Response.Add(r.Elapsed)
 
@@ -212,8 +237,14 @@ func (acc *analyzer) finish() *Analysis {
 	}
 	sort.Slice(a.Sessions, func(i, j int) bool { return a.Sessions[i].Session < a.Sessions[j].Session })
 
+	for op, os := range acc.byOp {
+		if os.Count > 0 {
+			os.Op = Op(op)
+			a.ByOp = append(a.ByOp, os)
+		}
+	}
 	//wlint:allow maprange append-then-sort: the slice is sorted by unique op code on the line after the loop
-	for _, os := range acc.byOp {
+	for _, os := range acc.otherOps {
 		a.ByOp = append(a.ByOp, *os)
 	}
 	sort.Slice(a.ByOp, func(i, j int) bool { return a.ByOp[i].Op < a.ByOp[j].Op })

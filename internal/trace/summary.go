@@ -59,18 +59,23 @@ func (s *Summarizer) Stream(int) Stream { return &summarizerStream{s: s} }
 
 // summarizerStream folds without locking (single-threaded DES contract) and
 // retires the previous session when its stream moves on to the next one.
+// It holds its in-flight session's accumulator, so a record finds it without
+// a map lookup; the pointer is resolved again only when the session changes.
 type summarizerStream struct {
 	s   *Summarizer
-	cur int  // session id of the stream's in-flight session
-	has bool // cur is valid (at least one record seen)
+	cur int         // session id of the stream's in-flight session
+	sa  *sessionAgg // cur's accumulator; nil until the first record
 }
 
 func (st *summarizerStream) Emit(r *Record) {
-	if st.has && r.Session != st.cur {
-		st.s.acc.retire(st.cur)
+	acc := st.s.acc
+	if st.sa == nil || r.Session != st.cur {
+		if st.sa != nil {
+			acc.retire(st.cur)
+		}
+		st.cur, st.sa = r.Session, acc.session(r)
 	}
-	st.cur, st.has = r.Session, true
-	st.s.acc.add(r)
+	acc.fold(st.sa, r)
 }
 
 // Ops returns the number of records folded so far.

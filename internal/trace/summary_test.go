@@ -161,14 +161,20 @@ func TestDiscardSink(t *testing.T) {
 // simulator produces them — one held Stream handle per user, sessions
 // contiguous and globally unique — each session's accumulator is retired as
 // soon as its stream moves on, yet the Analysis stays bit-identical to
-// materializing the full Log.
+// materializing the full Log. Some records carry an Op outside the known
+// range, which only Go code can build; each must still get its own ByOp row.
 func TestQuickSummarizerRetirementMatchesAnalyze(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := int(nRaw%128) + 1
 		recs := make([]Record, n)
+		counts := map[Op]int64{}
 		for i := range recs {
 			recs[i] = randomRecord(r)
+			if r.Intn(8) == 0 {
+				recs[i].Op = []Op{-2, 0, OpMkdir + 1, 77}[r.Intn(4)]
+			}
+			counts[recs[i].Op]++
 			// Globally unique session ids, contiguous per user after the
 			// stable sort below — the simulator's contract.
 			recs[i].Session = recs[i].User*1000 + recs[i].Session
@@ -199,7 +205,18 @@ func TestQuickSummarizerRetirementMatchesAnalyze(t *testing.T) {
 			t.Logf("live sessions = %d > handles = %d", live, len(handles))
 			return false
 		}
-		return reflect.DeepEqual(Analyze(&l), s.Finish())
+		got := s.Finish()
+		for i, os := range got.ByOp {
+			if os.Count != counts[os.Op] || i > 0 && got.ByOp[i-1].Op >= os.Op {
+				t.Logf("ByOp[%d] = op %d count %d, want count %d in op order", i, os.Op, os.Count, counts[os.Op])
+				return false
+			}
+		}
+		if len(got.ByOp) != len(counts) {
+			t.Logf("%d ByOp rows for %d distinct ops", len(got.ByOp), len(counts))
+			return false
+		}
+		return reflect.DeepEqual(Analyze(&l), got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -266,5 +283,38 @@ func TestSummarizerRetirementBoundsHeap(t *testing.T) {
 	// And the reductions agree exactly.
 	if !reflect.DeepEqual(retiring.Finish(), retainAll.Finish()) {
 		t.Error("retiring and non-retiring analyses diverge")
+	}
+}
+
+// BenchmarkSummarizerFold times one record folded through a Summarizer
+// stream handle. Sessions of 256 records cycle open/read/write/close over
+// 16 files and follow one another on the handle, so every 256th record
+// retires a session and starts the next one's accumulators. Sixty-four
+// sessions are folded and their garbage collected before the timer starts,
+// so even a short fixed-count run such as 1000x times the steady state
+// rather than the first sessions' map growth.
+func BenchmarkSummarizerFold(b *testing.B) {
+	ops := []Op{OpOpen, OpRead, OpWrite, OpClose}
+	recs := make([]Record, 256)
+	for i := range recs {
+		recs[i] = Record{User: 0, UserType: "heavy", Op: ops[i%4], Path: "/u0/f" + strconv.Itoa(i/4%16), FileSize: 8192, Elapsed: float64(1 + i%7)}
+		if recs[i].Op.IsData() {
+			recs[i].Bytes = 1024
+		}
+	}
+	h := NewSummarizer().Stream(0)
+	i := 0
+	for ; i < 64*len(recs); i++ {
+		r := &recs[i%len(recs)]
+		r.Session = i / len(recs)
+		h.Emit(r)
+	}
+	runtime.GC()
+	b.ReportAllocs()
+	for b.Loop() {
+		r := &recs[i%len(recs)]
+		r.Session = i / len(recs)
+		h.Emit(r)
+		i++
 	}
 }

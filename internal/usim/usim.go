@@ -319,12 +319,18 @@ type session struct {
 	closeK     func()
 	finIdx     int // logout sweep position
 
+	// selectFiles' size lookup of an existing file, delivered by sizedFn.
+	sized   bool
+	size    int64
+	sizeErr error
+
 	// Continuations bound once per arena: the session body never
 	// allocates a closure per operation.
 	driveFn       func()
 	afterStepFn   func()
 	metaDoneFn    func(error)
 	statDoneFn    func(vfs.FileInfo, error)
+	sizedFn       func(vfs.FileInfo, error)
 	readdirDoneFn func([]string, error)
 	fdDoneFn      func(vfs.FD, error)
 	seekDoneFn    func(int64, error)
@@ -425,6 +431,7 @@ func (ses *session) bind() {
 	ses.afterStepFn = ses.afterStep
 	ses.metaDoneFn = ses.metaDone
 	ses.statDoneFn = func(_ vfs.FileInfo, err error) { ses.metaDone(err) }
+	ses.sizedFn = func(info vfs.FileInfo, err error) { ses.sized, ses.size, ses.sizeErr = true, info.Size, err }
 	ses.readdirDoneFn = func(_ []string, err error) { ses.metaDone(err) }
 	ses.fdDoneFn = func(fd vfs.FD, err error) {
 		if err == nil {
@@ -566,12 +573,12 @@ func (ses *session) selectFiles(ar *arena) {
 			default:
 				// Existing file: stat to learn the size, then budget
 				// bytes = apb x size.
-				info, err := vfs.Sync{FS: ses.fsys}.Stat(noCharge{}, item.path)
+				size, err := ses.statSize(item.path)
 				if err != nil {
 					continue
 				}
-				item.size = info.Size
-				item.remain = int64(math.Max(1, math.Round(apb*float64(info.Size))))
+				item.size = size
+				item.remain = int64(math.Max(1, math.Round(apb*float64(size))))
 				if cat.Writes() {
 					item.writeRem = item.remain / 2 // RD-WRT: half the budget written
 				}
@@ -584,6 +591,18 @@ func (ses *session) selectFiles(ar *arena) {
 			ses.live = append(ses.live, it)
 		}
 	}
+}
+
+// statSize stats an existing file through the user's file system on a
+// zero clock, outside the simulated operation stream. Like vfs.Sync it needs
+// the continuation to run before Stat returns; it panics otherwise.
+func (ses *session) statSize(path string) (int64, error) {
+	ses.sized = false
+	ses.fsys.Stat(noCharge{}, path, ses.sizedFn)
+	if !ses.sized {
+		panic("usim: file size lookup did not complete inline")
+	}
+	return ses.size, ses.sizeErr
 }
 
 // noCharge is a Ctx that absorbs holds; used for bookkeeping lookups that

@@ -392,3 +392,37 @@ func TestAccessPerByteShapesBudget(t *testing.T) {
 		t.Errorf("observed access-per-byte = %v, want ~2", su.AccessPerByte)
 	}
 }
+
+// TestSelectFilesSizingAllocs checks that sizing existing files allocates
+// nothing per file: selectFiles on a recycled arena must not allocate more
+// when a session sizes 32 existing files than when it sizes 2.
+func TestSelectFilesSizingAllocs(t *testing.T) {
+	allocs := func(files int) float64 {
+		s, _ := harness(t, func(sp *config.Spec) {
+			sp.Categories = []config.Category{{
+				FileType: config.FileReg, Owner: config.OwnerUser, Use: config.UseRdOnly,
+				FileSize: config.Exp(4096), PercentFiles: 100, AccessPerByte: config.Exp(1),
+				FilesAccessed: config.Const(float64(files)), PercentUsers: 100,
+			}}
+			sp.SystemFiles, sp.FilesPerUser = 0, 64
+		})
+		ar := newArena()
+		ses := &ar.ses
+		ses.sim, ses.fsys, ses.r = s, s.userFS(0), rng.New(1)
+		sized := 0
+		cycle := func() {
+			ar.reset()
+			ses.selectFiles(ar)
+			sized = len(ses.items)
+		}
+		cycle()
+		n := testing.AllocsPerRun(50, cycle)
+		if sized != files {
+			t.Fatalf("session sized %d files, want %d", sized, files)
+		}
+		return n
+	}
+	if few, many := allocs(2), allocs(32); many > few {
+		t.Errorf("selectFiles allocates %v times sizing 32 files, %v sizing 2", many, few)
+	}
+}

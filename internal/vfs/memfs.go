@@ -3,6 +3,7 @@ package vfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -47,6 +48,10 @@ type openFile struct {
 	off  int64
 	mode OpenMode
 	path string
+	// owner is the opener's tag: nil for FileSystem callers, the opening
+	// client for descriptors taken through Bare. Reads and writes must
+	// present the same tag.
+	owner any
 }
 
 // Option configures a MemFS.
@@ -174,9 +179,10 @@ func (op *memOp) run() {
 	case opMkdir:
 		st.kErr(fs.mkdir(st.path))
 	case opCreate:
-		st.kFD(fs.create(st.ctx, st.path))
+		fd, _, err := fs.create(st.ctx, st.path, nil)
+		st.kFD(fd, err)
 	case opOpen:
-		st.kFD(fs.open(st.path, st.mode))
+		st.kFD(fs.open(st.path, st.mode, nil))
 	case opData:
 		st.kN(st.n, nil)
 	case opClose:
@@ -329,7 +335,8 @@ func IsExist(err error) bool { return errors.Is(err, ErrExist) }
 // Create creates (or truncates) a regular file and opens it write-only.
 func (fs *MemFS) Create(ctx Ctx, path string, k func(FD, error)) {
 	if fs.uncharged {
-		k(fs.create(ctx, path))
+		fd, _, err := fs.create(ctx, path, nil)
+		k(fd, err)
 		return
 	}
 	op := fs.getOp(opCreate, ctx)
@@ -337,23 +344,24 @@ func (fs *MemFS) Create(ctx Ctx, path string, k func(FD, error)) {
 	fs.cost.MetaOp(ctx, op.runFn)
 }
 
-// create is Create's namespace mutation, after the cost charge.
-func (fs *MemFS) create(ctx Ctx, path string) (FD, error) {
+// create is Create's namespace mutation, after the cost charge. It also
+// returns the file's inode.
+func (fs *MemFS) create(ctx Ctx, path string, owner any) (FD, uint64, error) {
 	fs.mu.Lock()
 	parent, name, node, err := fs.lookup(path)
 	if err != nil {
 		fs.mu.Unlock()
-		return 0, err
+		return 0, 0, err
 	}
 	if parent == nil {
 		fs.mu.Unlock()
-		return 0, fmt.Errorf("%w: %q", ErrIsDir, path)
+		return 0, 0, fmt.Errorf("%w: %q", ErrIsDir, path)
 	}
 	truncatedIno := uint64(0)
 	if node != nil {
 		if node.dir {
 			fs.mu.Unlock()
-			return 0, fmt.Errorf("%w: %q", ErrIsDir, path)
+			return 0, 0, fmt.Errorf("%w: %q", ErrIsDir, path)
 		}
 		node.size = 0
 		truncatedIno = node.ino
@@ -366,18 +374,18 @@ func (fs *MemFS) create(ctx Ctx, path string) (FD, error) {
 		}
 		parent.children[name] = node
 	}
-	fd, err := fs.allocFD(node, WriteOnly, path)
+	fd, err := fs.allocFD(node, WriteOnly, path, owner)
 	fs.mu.Unlock()
 	if truncatedIno != 0 {
 		fs.cost.Truncate(ctx, truncatedIno)
 	}
-	return fd, err
+	return fd, node.ino, err
 }
 
 // Open opens an existing regular file.
 func (fs *MemFS) Open(ctx Ctx, path string, mode OpenMode, k func(FD, error)) {
 	if fs.uncharged {
-		k(fs.open(path, mode))
+		k(fs.open(path, mode, nil))
 		return
 	}
 	op := fs.getOp(opOpen, ctx)
@@ -386,7 +394,7 @@ func (fs *MemFS) Open(ctx Ctx, path string, mode OpenMode, k func(FD, error)) {
 }
 
 // open is Open's descriptor allocation, after the cost charge.
-func (fs *MemFS) open(path string, mode OpenMode) (FD, error) {
+func (fs *MemFS) open(path string, mode OpenMode, owner any) (FD, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if mode != ReadOnly && mode != WriteOnly && mode != ReadWrite {
@@ -402,51 +410,57 @@ func (fs *MemFS) open(path string, mode OpenMode) (FD, error) {
 	if node.dir {
 		return 0, fmt.Errorf("%w: %q", ErrIsDir, path)
 	}
-	return fs.allocFD(node, mode, path)
+	return fs.allocFD(node, mode, path, owner)
 }
 
-func (fs *MemFS) allocFD(node *inode, mode OpenMode, path string) (FD, error) {
+func (fs *MemFS) allocFD(node *inode, mode OpenMode, path string, owner any) (FD, error) {
 	if len(fs.fds) >= fs.maxFDs {
 		return 0, ErrTooManyFD
 	}
 	fd := fs.nextFD
 	fs.nextFD++
 	of := fs.getOpenFile()
-	of.node, of.off, of.mode, of.path = node, 0, mode, path
+	of.node, of.off, of.mode, of.path, of.owner = node, 0, mode, path, owner
 	fs.fds[fd] = of
 	return fd, nil
 }
 
-// readState advances the descriptor for a read of up to n bytes, returning
-// the inode and offset the transfer covers (m = 0 at end of file).
-func (fs *MemFS) readState(fd FD, n int64) (ino uint64, off, m int64, err error) {
+// advance moves owner's descriptor over a read of up to n bytes, or a write
+// of n bytes that extends the file as needed. It returns the file's inode
+// and path and the offset and length the transfer covers (m = 0 at end of
+// file). A descriptor that is not open, or was opened by another owner, is
+// ErrBadFD; then the open mode and a negative size are checked, in that
+// order.
+func (fs *MemFS) advance(fd FD, n int64, write bool, owner any) (ino uint64, path string, off, m int64, err error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	of, ok := fs.fds[fd]
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("%w: %d", ErrBadFD, fd)
+	if !ok || of.owner != owner {
+		return 0, "", 0, 0, fmt.Errorf("%w: %d", ErrBadFD, fd)
 	}
-	if !of.mode.CanRead() {
-		return 0, 0, 0, fmt.Errorf("%w: read on %s descriptor", ErrBadMode, of.mode)
+	verb, allowed := "read", of.mode.CanRead()
+	if write {
+		verb, allowed = "write", of.mode.CanWrite()
+	}
+	if !allowed {
+		return 0, "", 0, 0, fmt.Errorf("%w: %s on %s descriptor", ErrBadMode, verb, of.mode)
 	}
 	if n < 0 {
-		return 0, 0, 0, fmt.Errorf("%w: negative read size %d", ErrInvalid, n)
+		return 0, "", 0, 0, fmt.Errorf("%w: negative %s size %d", ErrInvalid, verb, n)
 	}
-	avail := of.node.size - of.off
-	if avail <= 0 {
-		return 0, 0, 0, nil // EOF
+	off = of.off
+	if write {
+		of.node.size = max(of.node.size, off+n)
+	} else {
+		n = min(n, max(of.node.size-off, 0)) // 0 at end of file
 	}
-	if n > avail {
-		n = avail
-	}
-	ino, off = of.node.ino, of.off
-	of.off += n
-	return ino, off, n, nil
+	of.off = off + n
+	return of.node.ino, of.path, off, n, nil
 }
 
 // Read transfers up to n bytes from the descriptor's current offset.
 func (fs *MemFS) Read(ctx Ctx, fd FD, n int64, k func(int64, error)) {
-	ino, off, m, err := fs.readState(fd, n)
+	ino, _, off, m, err := fs.advance(fd, n, false, nil)
 	if err != nil || m == 0 {
 		k(0, err)
 		return
@@ -454,38 +468,15 @@ func (fs *MemFS) Read(ctx Ctx, fd FD, n int64, k func(int64, error)) {
 	fs.dataOp(ctx, ino, off, m, false, k)
 }
 
-// writeState advances the descriptor for a write of n bytes, extending the
-// file as needed, and returns the inode and offset the transfer covers.
-func (fs *MemFS) writeState(fd FD, n int64) (ino uint64, off int64, err error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	of, ok := fs.fds[fd]
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: %d", ErrBadFD, fd)
-	}
-	if !of.mode.CanWrite() {
-		return 0, 0, fmt.Errorf("%w: write on %s descriptor", ErrBadMode, of.mode)
-	}
-	if n < 0 {
-		return 0, 0, fmt.Errorf("%w: negative write size %d", ErrInvalid, n)
-	}
-	ino, off = of.node.ino, of.off
-	of.off += n
-	if of.off > of.node.size {
-		of.node.size = of.off
-	}
-	return ino, off, nil
-}
-
 // Write transfers n bytes at the descriptor's current offset, extending the
 // file as needed.
 func (fs *MemFS) Write(ctx Ctx, fd FD, n int64, k func(int64, error)) {
-	ino, off, err := fs.writeState(fd, n)
+	ino, _, off, m, err := fs.advance(fd, n, true, nil)
 	if err != nil {
 		k(0, err)
 		return
 	}
-	fs.dataOp(ctx, ino, off, n, true, k)
+	fs.dataOp(ctx, ino, off, m, true, k)
 }
 
 // dataOp charges a read or write of n bytes the descriptor has already
@@ -550,10 +541,15 @@ func (fs *MemFS) close(fd FD) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrBadFD, fd)
 	}
-	delete(fs.fds, fd)
-	of.node, of.path = nil, ""
-	fs.ofree = append(fs.ofree, of)
+	fs.release(fd, of)
 	return nil
+}
+
+// release drops an open descriptor and recycles its state. fs.mu is held.
+func (fs *MemFS) release(fd FD, of *openFile) {
+	delete(fs.fds, fd)
+	*of = openFile{}
+	fs.ofree = append(fs.ofree, of)
 }
 
 // Unlink removes a file name. Data reachable through open descriptors
@@ -679,6 +675,11 @@ func sumSizes(n *inode) int64 {
 // paying the continuation-adapter allocations on every shadow lookup showed
 // up in profiles. Operations behave exactly like their FileSystem
 // counterparts under a NoCost model.
+//
+// Create and Open record an owner, an opaque comparable tag (the NFS client
+// passes itself), and Advance serves only that owner, so the descriptor
+// table doubles as each owner's list of open files. Seek and Close act on
+// any descriptor, whoever opened it.
 type Bare struct {
 	FS *MemFS
 }
@@ -689,25 +690,55 @@ func (fs *MemFS) Bare() Bare { return Bare{FS: fs} }
 // Mkdir creates a directory.
 func (b Bare) Mkdir(path string) error { return b.FS.mkdir(path) }
 
-// Create creates (or truncates) a regular file open for writing.
-func (b Bare) Create(path string) (FD, error) { return b.FS.create(nil, path) }
-
-// Open opens an existing regular file.
-func (b Bare) Open(path string, mode OpenMode) (FD, error) { return b.FS.open(path, mode) }
-
-// Read advances the descriptor and returns the bytes covered (0 at EOF).
-func (b Bare) Read(fd FD, n int64) (int64, error) {
-	_, _, m, err := b.FS.readState(fd, n)
-	return m, err
+// Create creates (or truncates) a regular file open for writing by owner,
+// and returns the file's inode with the descriptor.
+func (b Bare) Create(path string, owner any) (FD, uint64, error) {
+	return b.FS.create(nil, path, owner)
 }
 
-// Write advances the descriptor, extending the file as needed.
-func (b Bare) Write(fd FD, n int64) (int64, error) {
-	_, _, err := b.FS.writeState(fd, n)
-	if err != nil {
-		return 0, err
+// Open opens an existing regular file for owner.
+func (b Bare) Open(path string, mode OpenMode, owner any) (FD, error) {
+	return b.FS.open(path, mode, owner)
+}
+
+// Advance moves owner's descriptor over a read of up to n bytes (write
+// false) or a write of n bytes, in one lookup. It returns the file's inode
+// and path and the offset and byte count the transfer covers; m is 0 at end
+// of file. A descriptor not open for owner is ErrBadFD, checked before the
+// open mode (ErrBadMode) and then a negative n (ErrInvalid).
+func (b Bare) Advance(fd FD, n int64, write bool, owner any) (ino uint64, path string, off, m int64, err error) {
+	return b.FS.advance(fd, n, write, owner)
+}
+
+// Owned reports whether fd is open for owner, with the file's inode and
+// path.
+func (b Bare) Owned(fd FD, owner any) (ino uint64, path string, ok bool) {
+	b.FS.mu.Lock()
+	defer b.FS.mu.Unlock()
+	of, ok := b.FS.fds[fd]
+	if !ok || of.owner != owner {
+		return 0, "", false
 	}
-	return n, nil
+	return of.node.ino, of.path, true
+}
+
+// CloseOwned closes every descriptor open for owner, in ascending order.
+// It scans the whole descriptor table, so a call costs O(descriptors open
+// on the backing), whoever opened them.
+func (b Bare) CloseOwned(owner any) {
+	fs := b.FS
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	var fds []FD
+	for fd, of := range fs.fds {
+		if of.owner == owner {
+			fds = append(fds, fd)
+		}
+	}
+	slices.Sort(fds)
+	for _, fd := range fds {
+		fs.release(fd, fs.fds[fd])
+	}
 }
 
 // Seek repositions the descriptor's offset.

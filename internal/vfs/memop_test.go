@@ -74,11 +74,20 @@ func TestMemOpSteadyStateAllocs(t *testing.T) {
 // reference the pooled path is compared against.
 type bareFS struct{ b Bare }
 
-func (f bareFS) Mkdir(_ Ctx, p string, k func(error))                { k(f.b.Mkdir(p)) }
-func (f bareFS) Create(_ Ctx, p string, k func(FD, error))           { k(f.b.Create(p)) }
-func (f bareFS) Open(_ Ctx, p string, m OpenMode, k func(FD, error)) { k(f.b.Open(p, m)) }
-func (f bareFS) Read(_ Ctx, fd FD, n int64, k func(int64, error))    { k(f.b.Read(fd, n)) }
-func (f bareFS) Write(_ Ctx, fd FD, n int64, k func(int64, error))   { k(f.b.Write(fd, n)) }
+func (f bareFS) Mkdir(_ Ctx, p string, k func(error)) { k(f.b.Mkdir(p)) }
+func (f bareFS) Create(_ Ctx, p string, k func(FD, error)) {
+	fd, _, err := f.b.Create(p, nil)
+	k(fd, err)
+}
+func (f bareFS) Open(_ Ctx, p string, m OpenMode, k func(FD, error)) { k(f.b.Open(p, m, nil)) }
+func (f bareFS) Read(_ Ctx, fd FD, n int64, k func(int64, error)) {
+	_, _, _, m, err := f.b.Advance(fd, n, false, nil)
+	k(m, err)
+}
+func (f bareFS) Write(_ Ctx, fd FD, n int64, k func(int64, error)) {
+	_, _, _, m, err := f.b.Advance(fd, n, true, nil)
+	k(m, err)
+}
 func (f bareFS) Seek(_ Ctx, fd FD, off int64, wh int, k func(int64, error)) {
 	k(f.b.Seek(fd, off, wh))
 }

@@ -1,6 +1,8 @@
 package vfs
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -133,6 +135,153 @@ func TestQuickSplitPath(t *testing.T) {
 		return len(segs) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickAdvanceMatchesSeekAndTransfer checks Bare.Advance against a model
+// of the sequence it replaces in the NFS client: a Seek(fd, 0, SeekCurrent)
+// for the offset, then a Read or Write. Random create/open/advance/seek/
+// close/unlink sequences by three owners must agree with the model in FD
+// numbers, offsets, byte counts and file sizes. Advance on a never-issued,
+// closed or other owner's FD must fail with ErrBadFD, and the mode and
+// negative-size errors must come in that order, all with their usual text.
+func TestQuickAdvanceMatchesSeekAndTransfer(t *testing.T) {
+	type file struct{ size int64 }
+	type desc struct {
+		f     *file
+		off   int64
+		mode  OpenMode
+		owner int
+	}
+	owners := []any{nil, new(int), new(int)}
+	modes := []OpenMode{ReadOnly, WriteOnly, ReadWrite}
+	paths := []string{"/a", "/b", "/d/c"}
+	f := func(seed int64, opsRaw uint16) bool {
+		r := rand.New(rand.NewSource(seed))
+		m := NewMemFS()
+		b := m.Bare()
+		if err := b.Mkdir("/d"); err != nil {
+			t.Fatal(err)
+		}
+		files := map[string]*file{}
+		fds := map[FD]*desc{}
+		issued := []FD{999} // 999 is never issued
+		next := FD(3)
+		// fail reports the step and stops the case.
+		ok := true
+		fail := func(step int, format string, args ...any) {
+			t.Errorf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
+			ok = false
+		}
+		for step := 0; ok && step < 50+int(opsRaw%300); step++ {
+			p := paths[r.Intn(len(paths))]
+			who := r.Intn(len(owners))
+			switch r.Intn(8) {
+			case 0: // create (truncates an existing file)
+				fd, _, err := b.Create(p, owners[who])
+				if err != nil || fd != next {
+					fail(step, "create %s = %d, %v; want fd %d", p, fd, err, next)
+					break
+				}
+				next++
+				if files[p] == nil {
+					files[p] = &file{}
+				}
+				files[p].size = 0
+				fds[fd] = &desc{f: files[p], mode: WriteOnly, owner: who}
+				issued = append(issued, fd)
+			case 1: // open
+				mode := modes[r.Intn(len(modes))]
+				fd, err := b.Open(p, mode, owners[who])
+				if files[p] == nil {
+					if !errors.Is(err, ErrNotExist) {
+						fail(step, "open missing %s = %v", p, err)
+					}
+					break
+				}
+				if err != nil || fd != next {
+					fail(step, "open %s = %d, %v; want fd %d", p, fd, err, next)
+					break
+				}
+				next++
+				fds[fd] = &desc{f: files[p], mode: mode, owner: who}
+				issued = append(issued, fd)
+			case 2, 3, 4: // advance on any FD ever issued, by any owner
+				fd := issued[r.Intn(len(issued))]
+				n := int64(r.Intn(5000))
+				if r.Intn(6) == 0 {
+					n = -1 - int64(r.Intn(4))
+				}
+				write := r.Intn(2) == 0
+				_, _, off, got, err := b.Advance(fd, n, write, owners[who])
+				d := fds[fd]
+				verb := "read"
+				if write {
+					verb = "write"
+				}
+				var want string
+				switch {
+				case d == nil || d.owner != who:
+					want = fmt.Sprintf("vfs: bad file descriptor: %d", fd)
+				case write && !d.mode.CanWrite() || !write && !d.mode.CanRead():
+					want = fmt.Sprintf("vfs: operation not permitted by open mode: %s on %s descriptor", verb, d.mode)
+				case n < 0:
+					want = fmt.Sprintf("vfs: invalid argument: negative %s size %d", verb, n)
+				}
+				if want != "" {
+					if err == nil || err.Error() != want {
+						fail(step, "%s fd %d n %d by owner %d = %v, want %q", verb, fd, n, who, err, want)
+					}
+					break
+				}
+				// The replaced pair: the offset Seek(fd, 0, SeekCurrent)
+				// reports, then the bytes Read or Write moves.
+				wantOff, wantN := d.off, n
+				if write {
+					d.off += n
+					d.f.size = max(d.f.size, d.off)
+				} else {
+					wantN = max(min(n, d.f.size-d.off), 0)
+					d.off += wantN
+				}
+				if err != nil || off != wantOff || got != wantN {
+					fail(step, "%s fd %d n %d = off %d, %d bytes, %v; want off %d, %d bytes", verb, fd, n, off, got, err, wantOff, wantN)
+				}
+			case 5: // seek serves any owner
+				fd := issued[r.Intn(len(issued))]
+				to := int64(r.Intn(8000))
+				pos, err := b.Seek(fd, to, SeekStart)
+				if d := fds[fd]; d != nil {
+					d.off = to
+					if err != nil || pos != to {
+						fail(step, "seek fd %d to %d = %d, %v", fd, to, pos, err)
+					}
+				} else if !errors.Is(err, ErrBadFD) {
+					fail(step, "seek closed fd %d = %v", fd, err)
+				}
+			case 6: // close serves any owner
+				fd := issued[r.Intn(len(issued))]
+				err := b.Close(fd)
+				if (fds[fd] != nil) != (err == nil) {
+					fail(step, "close fd %d = %v", fd, err)
+				}
+				delete(fds, fd)
+			case 7: // unlink: open descriptors keep the file
+				if err := b.Unlink(p); (files[p] != nil) != (err == nil) {
+					fail(step, "unlink %s = %v", p, err)
+				}
+				delete(files, p)
+			}
+			for path, f := range files {
+				if info, err := b.Stat(path); err != nil || info.Size != f.size {
+					fail(step, "stat %s = %+v, %v; want size %d", path, info, err, f.size)
+				}
+			}
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
