@@ -102,11 +102,6 @@ type ResolvedTopology struct {
 	Client nfs.ClientConfig
 }
 
-// Fleet reports whether the resolved shape needs the multi-island / pooled
-// construction path. When false the generator takes the legacy code path
-// byte for byte.
-func (r ResolvedTopology) Fleet() bool { return r.Servers > 1 || r.Pool > 0 }
-
 // ResolveTopology applies the Topology block (if any) over the legacy
 // Server/Client fields and returns the effective fleet shape.
 func (f FSSpec) ResolveTopology() ResolvedTopology {

@@ -12,9 +12,6 @@ import (
 func TestResolveTopologyLegacyIdentity(t *testing.T) {
 	s := Default()
 	r := s.FS.ResolveTopology()
-	if r.Fleet() {
-		t.Error("legacy spec must not take the fleet path")
-	}
 	if r.Servers != 1 || r.Pool != 0 || r.Placement != PlaceShard {
 		t.Errorf("legacy resolution = %+v", r)
 	}
@@ -40,9 +37,6 @@ func TestResolveTopologyOverrides(t *testing.T) {
 		Net:        &net,
 	}
 	r := s.FS.ResolveTopology()
-	if !r.Fleet() {
-		t.Fatal("expected fleet path")
-	}
 	if r.Servers != 4 || r.Pool != 16 || r.Placement != PlaceReplicate {
 		t.Errorf("shape = %+v", r)
 	}

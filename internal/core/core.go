@@ -46,26 +46,19 @@ type Generator struct {
 	log       *trace.Log        // the sink in log mode, nil when streaming
 	sum       *trace.Summarizer // the sink in streaming mode, nil otherwise
 	windows   *trace.Windows    // the windowed view, nil unless trace.window_us is set
-	server    *nfs.Server       // island 0's server in NFS mode, non-nil
-	link      *netsim.Link      // island 0's link in NFS mode, non-nil
+	fleet     *nfs.Fleet        // every NFS run's islands and clients, nil outside NFS mode
 	servers   []*nfs.Server     // every island's server in NFS mode
 	links     []*netsim.Link    // every island's link in NFS mode
-	fleet     *nfs.Fleet        // non-nil in multi-island / pooled NFS mode
-	clients   []*nfs.Client     // one per user in single-island NFS mode
 	local     *vfs.LocalCost    // non-nil in local mode
 	faults    *fault.Engine     // non-nil when the spec carries a fault plan
 	warmOps   int64             // warmed paths (opens + stats), for cost tests
 	ran       bool
 
-	// Lazy-population wiring (spec.LazyUsers): the namespace shadow and
-	// client config needed to build a single-island client at a user's
-	// arrival, the per-materialized-user file-system bindings (entries are
-	// deleted again when a user's stream ends), and the shared warming
-	// helper.
-	backing   *vfs.MemFS
-	clientCfg nfs.ClientConfig
-	lazyFS    map[int]vfs.FileSystem
-	w         *warmer
+	// Lazy-population wiring (spec.LazyUsers): the per-materialized-user
+	// file-system bindings (entries are deleted again when a user's stream
+	// ends) and the shared warming helper.
+	lazyFS map[int]vfs.FileSystem
+	w      *warmer
 }
 
 // Result is a completed run.
@@ -128,78 +121,38 @@ func NewGenerator(spec *config.Spec) (*Generator, error) {
 	case config.FSNFS:
 		g.env = sim.NewEnv()
 		topo := spec.FS.ResolveTopology()
-		backing := vfs.NewMemFS(vfs.WithMaxFDs(1 << 20))
-		if topo.Fleet() {
-			// Scale-out topology: N islands (server + wire + mounted
-			// clients) behind a deterministic namespace router, optionally
-			// with K pooled clients per island multiplexing all users
-			// mapped there. The islands share the backing namespace
-			// shadow, so FDs are fleet-unique and the router only tracks
-			// ownership.
-			fleet, err := nfs.NewFleet(g.env, nfs.FleetConfig{
-				Servers:   topo.Servers,
-				Pool:      topo.Pool,
-				Replicate: topo.Placement == config.PlaceReplicate,
-				Server:    topo.Server,
-				Client:    topo.Client,
-			}, spec.Users, spec.Seed, backing)
-			if err != nil {
-				return nil, fmt.Errorf("core: NFS fleet: %w", err)
-			}
-			g.fleet = fleet
-			islands := fleet.Islands()
-			g.servers = make([]*nfs.Server, len(islands))
-			g.links = make([]*netsim.Link, len(islands))
-			for i, isl := range islands {
-				g.servers[i] = isl.Server
-				g.links[i] = isl.Link
-			}
-			g.server, g.link = g.servers[0], g.links[0]
-			setupFS = fleet.SetupFS()
-			g.fs = fleet.FSForUser(0)
-		} else {
-			server, err := nfs.NewServer(g.env, topo.Server)
-			if err != nil {
-				return nil, fmt.Errorf("core: NFS server: %w", err)
-			}
-			g.server = server
-			g.link = netsim.NewLink(g.env, topo.Client.Net)
-			g.servers = []*nfs.Server{g.server}
-			g.links = []*netsim.Link{g.link}
-			// One client per user — the thesis's testbed gave every user
-			// their own SUN 3/50 workstation (private page and attribute
-			// caches), all mounting one server over one shared Ethernet.
-			// The clients share a namespace shadow so the FSC's files are
-			// visible everywhere. A lazy population builds no clients here:
-			// each user's workstation is constructed at its arrival
-			// (materializeUser) and dropped when its stream ends, so the
-			// resident client count tracks active users.
-			if !spec.LazyUsers {
-				g.clients = make([]*nfs.Client, spec.Users)
-				for i := range g.clients {
-					c, err := nfs.NewClientWithBacking(server, g.link, topo.Client, backing)
-					if err != nil {
-						return nil, fmt.Errorf("core: NFS client %d: %w", i, err)
-					}
-					g.clients[i] = c
-				}
-			}
-			// The FSC builds the initial file system through a throwaway
-			// setup client so no user starts the measured run with pages
-			// or attributes its peers lack; only the shared server-side
-			// state (namespace, server cache) carries over, symmetrically.
-			setup, err := nfs.NewClientWithBacking(server, g.link, topo.Client, backing)
-			if err != nil {
-				return nil, fmt.Errorf("core: NFS setup client: %w", err)
-			}
-			setupFS = setup
-			if spec.LazyUsers {
-				g.backing, g.clientCfg = backing, topo.Client
-				g.fs = setup
-			} else {
-				g.fs = g.clients[0]
-			}
+		// Every NFS run is a fleet: N islands (server + wire) behind a
+		// deterministic namespace router, sharing one namespace shadow so
+		// FDs are fleet-unique. The thesis testbed is the one-island fleet
+		// with private clients — every user their own SUN 3/50 workstation
+		// (private page and attribute caches), all mounting one server over
+		// one shared Ethernet. A client pool instead multiplexes all users
+		// mapped to an island over K clients.
+		fleet, err := nfs.NewFleet(g.env, nfs.FleetConfig{
+			Servers:   topo.Servers,
+			Pool:      topo.Pool,
+			Replicate: topo.Placement == config.PlaceReplicate,
+			Server:    topo.Server,
+			Client:    topo.Client,
+		}, spec.Seed, vfs.NewMemFS(vfs.WithMaxFDs(1<<20)))
+		if err != nil {
+			return nil, fmt.Errorf("core: NFS fleet: %w", err)
 		}
+		g.fleet = fleet
+		islands := fleet.Islands()
+		g.servers = make([]*nfs.Server, len(islands))
+		g.links = make([]*netsim.Link, len(islands))
+		for i, isl := range islands {
+			g.servers[i], g.links[i] = isl.Server, isl.Link
+		}
+		// The FSC builds the initial file system through throwaway setup
+		// clients, so no user starts the measured run with pages or
+		// attributes its peers lack; only the shared server-side state
+		// (namespace, server cache) carries over, symmetrically. Nothing
+		// past construction holds them but a lazy inventory, which creates
+		// arriving users' trees through them.
+		setupFS = fleet.SetupFS()
+		g.fs = fleet.FSForUser(0)
 	case config.FSReal:
 		fs, err := realfs.New(spec.FS.RealRoot)
 		if err != nil {
@@ -236,10 +189,10 @@ func NewGenerator(spec *config.Spec) (*Generator, error) {
 		g.faults = eng
 	}
 	// In NFS mode SetFSForUser below routes every session to a per-user
-	// wrapped client, so the default FS is wrapped only in the single-FS
-	// modes (local, real).
+	// wrapped mount, so the default FS is wrapped only outside NFS mode
+	// (local, real).
 	measured := g.fs
-	if g.faults != nil && spec.Fault.HasFSRules() && len(g.clients) == 0 && g.fleet == nil && g.backing == nil {
+	if g.faults != nil && spec.Fault.HasFSRules() && g.fleet == nil {
 		measured = fault.NewFS(g.fs, g.faults)
 	}
 
@@ -247,37 +200,18 @@ func NewGenerator(spec *config.Spec) (*Generator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: USIM: %w", err)
 	}
+	if g.fleet != nil {
+		g.warmSlots()
+	}
 	switch {
 	case spec.LazyUsers:
-		// Per-user construction (file tree, client or router binding, cache
-		// warmth) happens at each user's arrival via the hooks; only the
-		// shared system tree's warming is eager, matching its eager build.
-		if g.fleet != nil {
-			g.warmFleetSystem(inv, g.warmer())
-		}
+		// Per-user construction (file tree, binding, cache warmth) happens
+		// at each user's arrival via the hooks.
 		g.installLazy(s)
 	case g.fleet != nil:
-		g.warmFleet(inv, s)
 		perUser := make([]vfs.FileSystem, spec.Users)
 		for u := range perUser {
-			fs := g.fleet.FSForUser(u)
-			if g.faults != nil && spec.Fault.HasFSRules() {
-				fs = fault.NewFS(fs, g.faults)
-			}
-			perUser[u] = fs
-		}
-		s.SetFSForUser(func(user int) vfs.FileSystem {
-			return perUser[user%len(perUser)]
-		})
-	case len(g.clients) > 0:
-		g.warmClients(inv, s)
-		perUser := make([]vfs.FileSystem, len(g.clients))
-		for i, c := range g.clients {
-			if g.faults != nil && spec.Fault.HasFSRules() {
-				perUser[i] = fault.NewFS(c, g.faults)
-			} else {
-				perUser[i] = c
-			}
+			perUser[u] = g.bindUser(s, u)
 		}
 		s.SetFSForUser(func(user int) vfs.FileSystem {
 			return perUser[user%len(perUser)]
@@ -368,100 +302,88 @@ func (w *warmer) warm(c *nfs.Client, path string, isDir bool) {
 	c.Close(&free, w.fd, w.closeDone)
 }
 
-// warmClients brings every per-user client to the same steady state before
-// the measured run: each user's reachable pre-created files are read once
-// (directories stat'ed) on an uncharged clock. The thesis measured
-// logged-in users in steady state, not first-boot cold caches — and doing
-// this per client keeps every user's starting state identical, so response
-// differences across users come only from contention.
-func (g *Generator) warmClients(inv *fsc.Inventory, s *usim.Simulator) {
+// Cache warming brings every client to a steady state before the measured
+// run: each user's reachable pre-created files are read once (directories
+// stat'ed) on an uncharged clock. The thesis measured logged-in users in
+// steady state, not first-boot cold caches — and warming every user the
+// same way keeps their starting states identical, so response differences
+// across users come only from contention. The rule has two parts:
+//
+//   - warmSlots, once at setup: a pooled fleet warms each shared set (one
+//     not owned by a USER category) once per pool slot on every island that
+//     serves it, so warming grows with pool size and distinct files, not
+//     users × files.
+//   - warmUser, as each user is bound: a user that is not a cold start
+//     warms, in category order and on the client it reads each path
+//     through, every set not already warmed on a shared slot — all of them
+//     with private clients, only its own with a pool.
+
+// warmSlots warms the shared sets on every pool slot of every island that
+// serves them, path-major. A fleet of private clients has no slots.
+func (g *Generator) warmSlots() {
+	if !g.fleet.Pooled() {
+		return
+	}
 	w := g.warmer()
-	for u, c := range g.clients {
-		if s.ColdStart(u) {
-			// A lifecycle user arriving after t=0 boots cold: it pays the
-			// cache-warming cost during the measured run — the rejoin
-			// storm the steady-state model deliberately hides.
-			continue
-		}
-		g.warmUserClient(inv, w, c, u)
-	}
-}
-
-// warmUserClient reads one user's reachable sets — the shared system sets
-// and the user's own — through that user's client.
-func (g *Generator) warmUserClient(inv *fsc.Inventory, w *warmer, c *nfs.Client, u int) {
-	for cat := range g.spec.Categories {
-		set := inv.ForUser(u, cat)
-		if set == nil {
-			continue
-		}
-		isDir := g.spec.Categories[cat].IsDir()
-		for _, path := range set.Paths {
-			w.warm(c, path, isDir)
-		}
-	}
-}
-
-// warmFleet is warmClients for the scale-out topology. Pooled clients make
-// warming proportional to distinct files and pool size instead of
-// users × files: each shared system set is read once per pool slot on every
-// island that serves its reads, and each user's own files are read once on
-// the one client that user reads them through. Cold-start users skip their
-// own files but still find warm shared state — in pooled mode the
-// "workstation" is shared, so a late arrival inherits the slot's caches.
-func (g *Generator) warmFleet(inv *fsc.Inventory, s *usim.Simulator) {
-	w := g.warmer()
-	g.warmFleetSystem(inv, w)
-	for u := 0; u < g.spec.Users; u++ {
-		if s.ColdStart(u) {
-			continue
-		}
-		g.warmFleetUser(inv, w, u)
-	}
-}
-
-// warmFleetSystem warms the shared system sets on every pool slot of every
-// island that serves them.
-func (g *Generator) warmFleetSystem(inv *fsc.Inventory, w *warmer) {
 	islands := g.fleet.Islands()
 	for cat := range g.spec.Categories {
-		if g.spec.Categories[cat].Owner == config.OwnerUser {
+		c := &g.spec.Categories[cat]
+		if c.Owner == config.OwnerUser {
 			continue
 		}
-		set := inv.ForUser(0, cat)
+		set := g.inventory.ForUser(0, cat)
 		if set == nil {
 			continue
 		}
-		isDir := g.spec.Categories[cat].IsDir()
 		for _, path := range set.Paths {
 			for isl := range islands {
 				if !g.fleet.Serves(isl, path) {
 					continue
 				}
-				for _, c := range islands[isl].Pool() {
-					w.warm(c, path, isDir)
+				for _, slot := range islands[isl].Pool() {
+					w.warm(slot, path, c.IsDir())
 				}
 			}
 		}
 	}
 }
 
-// warmFleetUser warms one user's own sets on the client that user reads
-// them through.
-func (g *Generator) warmFleetUser(inv *fsc.Inventory, w *warmer, u int) {
+// warmUser warms user u's reachable sets that no shared slot holds.
+func (g *Generator) warmUser(u int) {
+	w := g.warmer()
+	pooled := g.fleet.Pooled()
 	for cat := range g.spec.Categories {
-		if g.spec.Categories[cat].Owner != config.OwnerUser {
+		c := &g.spec.Categories[cat]
+		if pooled && c.Owner != config.OwnerUser {
 			continue
 		}
-		set := inv.ForUser(u, cat)
+		set := g.inventory.ForUser(u, cat)
 		if set == nil {
 			continue
 		}
-		isDir := g.spec.Categories[cat].IsDir()
 		for _, path := range set.Paths {
-			w.warm(g.fleet.ReadClientFor(u, path), path, isDir)
+			w.warm(g.fleet.ReadClientFor(u, path), path, c.IsDir())
 		}
 	}
+}
+
+// bindUser is every NFS user's binding, called for each user in order by
+// eager setup and at each arrival by a lazy population: warm the user's
+// caches unless it boots cold, then return its mount, wrapped by the fault
+// engine when the plan has file-system rules. A lifecycle user arriving
+// after t=0 boots cold: it pays the cache-warming cost during the measured
+// run — the rejoin storm the steady-state model deliberately hides. With a
+// pool it still finds the slots' shared state warm, since the
+// "workstation" is shared.
+func (g *Generator) bindUser(s *usim.Simulator, u int) vfs.FileSystem {
+	if !s.ColdStart(u) {
+		g.warmUser(u)
+	}
+	fs := g.fleet.FSForUser(u)
+	if g.faults != nil && g.spec.Fault.HasFSRules() {
+		fs = fault.NewFS(fs, g.faults)
+	}
+	return fs
 }
 
 // installLazy wires the lazy population's user hooks: materialization at
@@ -474,45 +396,27 @@ func (g *Generator) installLazy(s *usim.Simulator) {
 	s.SetFSForUser(func(user int) vfs.FileSystem { return g.lazyFS[user] })
 	s.SetUserHooks(usim.UserHooks{
 		Materialize: func(u int) error { return g.materializeUser(s, u) },
-		Release:     func(u int) { delete(g.lazyFS, u) },
+		Release: func(u int) {
+			delete(g.lazyFS, u)
+			if g.fleet != nil {
+				g.fleet.Release(u)
+			}
+		},
 	})
 }
 
 // materializeUser is the lazy population's arrival hook, the whole per-user
 // construction cost moved to first arrival: create the user's file tree
-// (pre-drawn sizes, uncharged setup clock), bind its file system — a fresh
-// workstation client on the single island, the router binding in fleet
-// mode — and warm its caches exactly as the eager construction would have.
-// Cold-start users (lifecycle arrivals after t=0) still skip warming.
+// (pre-drawn sizes, uncharged setup clock), then in NFS mode bind the user
+// exactly as eager setup does. In local mode the shared file system serves
+// everyone; only the file tree is lazy.
 func (g *Generator) materializeUser(s *usim.Simulator, u int) error {
 	if err := g.inventory.MaterializeUser(u); err != nil {
 		return err
 	}
-	var fs vfs.FileSystem
-	switch {
-	case g.fleet != nil:
-		if !s.ColdStart(u) {
-			g.warmFleetUser(g.inventory, g.warmer(), u)
-		}
-		fs = g.fleet.FSForUser(u)
-	case g.backing != nil:
-		c, err := nfs.NewClientWithBacking(g.server, g.link, g.clientCfg, g.backing)
-		if err != nil {
-			return fmt.Errorf("core: NFS client %d: %w", u, err)
-		}
-		if !s.ColdStart(u) {
-			g.warmUserClient(g.inventory, g.warmer(), c, u)
-		}
-		fs = c
-	default:
-		// Local mode: the shared file system serves everyone; only the
-		// file tree is lazy.
-		return nil
+	if g.fleet != nil {
+		g.lazyFS[u] = g.bindUser(s, u)
 	}
-	if g.faults != nil && g.spec.Fault.HasFSRules() {
-		fs = fault.NewFS(fs, g.faults)
-	}
-	g.lazyFS[u] = fs
 	return nil
 }
 
@@ -532,7 +436,10 @@ func (g *Generator) Spec() *config.Spec { return g.spec }
 // Tables returns the compiled CDF tables.
 func (g *Generator) Tables() *gds.TableSet { return g.tables }
 
-// FS returns the file system under test.
+// FS returns the file system under test, which the user simulator falls
+// back on for a user with no binding of its own. In NFS mode it is user
+// 0's mount, never a setup client: the FSC's setup clients do not outlive
+// construction.
 func (g *Generator) FS() vfs.FileSystem { return g.fs }
 
 // Inventory returns the FSC's created file inventory.
@@ -547,21 +454,39 @@ func (g *Generator) Sink() trace.Sink { return g.sink }
 func (g *Generator) Log() *trace.Log { return g.log }
 
 // Server returns island 0's simulated NFS server, or nil outside NFS mode.
-func (g *Generator) Server() *nfs.Server { return g.server }
+func (g *Generator) Server() *nfs.Server {
+	if len(g.servers) == 0 {
+		return nil
+	}
+	return g.servers[0]
+}
 
 // Link returns island 0's simulated network link, or nil outside NFS mode.
-func (g *Generator) Link() *netsim.Link { return g.link }
+func (g *Generator) Link() *netsim.Link {
+	if len(g.links) == 0 {
+		return nil
+	}
+	return g.links[0]
+}
 
-// Servers returns every island's server (length 1 outside fleet mode, nil
-// outside NFS mode).
+// Servers returns every island's server (length 1 on the one-island
+// testbed, nil outside NFS mode).
 func (g *Generator) Servers() []*nfs.Server { return g.servers }
 
-// Links returns every island's link (length 1 outside fleet mode, nil
-// outside NFS mode).
+// Links returns every island's link (length 1 on the one-island testbed,
+// nil outside NFS mode).
 func (g *Generator) Links() []*netsim.Link { return g.links }
 
-// Fleet returns the scale-out topology, or nil in single-island mode.
-func (g *Generator) Fleet() *nfs.Fleet { return g.fleet }
+// Fleet returns the scale-out topology — more than one server, or a client
+// pool — or nil otherwise. Every NFS run is built as a fleet, but the
+// one-island testbed with private clients is not exposed as one: its
+// clients are the users' own workstations, not shared fleet capacity.
+func (g *Generator) Fleet() *nfs.Fleet {
+	if g.fleet != nil && (len(g.servers) > 1 || g.fleet.Pooled()) {
+		return g.fleet
+	}
+	return nil
+}
 
 // WarmOps reports how many paths cache warming touched (opens + stats) —
 // the construction-cost figure the pooled-client mode bounds. With lazy

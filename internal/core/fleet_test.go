@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"uswg/internal/config"
@@ -81,16 +82,18 @@ func TestFleetRunsAreReproducible(t *testing.T) {
 	}
 }
 
-// TestFleetLegacySpecUnchanged guards the 1-island identity: a spec with no
-// topology block must produce the exact trace it produced before the fleet
-// existed (same construction path, same event order, same RNG draws).
+// TestFleetLegacySpecUnchanged pins the accessors of the thesis testbed: a
+// spec with no topology block runs on a one-island fleet of private
+// clients, which Fleet does not expose as scale-out, while Servers/Links
+// hold its one server and link and Server/Link alias them. Fleet does
+// expose every scale-out shape.
 func TestFleetLegacySpecUnchanged(t *testing.T) {
 	gen, err := NewGenerator(smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gen.Fleet() != nil {
-		t.Fatal("legacy spec must not construct a fleet")
+		t.Fatal("legacy spec must not expose a scale-out fleet")
 	}
 	if len(gen.Servers()) != 1 || len(gen.Links()) != 1 {
 		t.Errorf("legacy spec exposes %d servers / %d links, want 1/1",
@@ -99,6 +102,18 @@ func TestFleetLegacySpecUnchanged(t *testing.T) {
 	if gen.Servers()[0] != gen.Server() || gen.Links()[0] != gen.Link() {
 		t.Error("fleet accessors must alias the legacy singletons")
 	}
+	// A pool, even on one island, or a second island makes it scale-out.
+	for _, topo := range []*config.Topology{{Servers: 1, ClientPool: 2}, {Servers: 2}} {
+		spec := smallSpec()
+		spec.FS.Topology = topo
+		gen, err := NewGenerator(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gen.Fleet() == nil {
+			t.Errorf("topology %+v must expose its fleet", *topo)
+		}
+	}
 }
 
 // TestPooledWarmingCost is the scale claim behind the client pool: warming
@@ -106,15 +121,14 @@ func TestFleetLegacySpecUnchanged(t *testing.T) {
 // 40-user population must warm far fewer paths than the per-user mode, and
 // growing the population with the pool held fixed must only add the new
 // users' own files (not another full pass over the system tree per user).
+// It then pins the warming rule by count on every shape.
 func TestPooledWarmingCost(t *testing.T) {
-	warmOps := func(users, pool int) int64 {
+	run := func(users int, topo *config.Topology) *Generator {
 		spec := smallSpec()
 		spec.Users = users
 		spec.Sessions = 4
 		spec.FilesPerUser = 4
-		if pool > 0 {
-			spec.FS.Topology = &config.Topology{Servers: 2, ClientPool: pool}
-		}
+		spec.FS.Topology = topo
 		gen, err := NewGenerator(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -122,17 +136,103 @@ func TestPooledWarmingCost(t *testing.T) {
 		if _, err := gen.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return gen.WarmOps()
+		return gen
 	}
 	const users, pool = 40, 2
-	legacy, pooled := warmOps(users, 0), warmOps(users, pool)
+	pooledTopo := &config.Topology{Servers: 2, ClientPool: pool}
+	legacy, pooled := run(users, nil).WarmOps(), run(users, pooledTopo).WarmOps()
 	if pooled*4 > legacy {
 		t.Errorf("pooled warming (%d ops) should be well under legacy (%d ops)", pooled, legacy)
 	}
 	// Doubling the population with the pool fixed adds only the new users'
 	// own files: the system-tree share must not grow.
-	grown := warmOps(2*users, pool)
+	grown := run(2*users, pooledTopo).WarmOps()
 	if added := grown - pooled; added > int64(users)*8 {
 		t.Errorf("adding %d users added %d warm ops; pooled warming should not rescan the system tree per user", users, added)
+	}
+
+	// The rule by count. Shared sets live under /sys: with private clients
+	// every user reads them and its own sets; with a pool each slot reads
+	// the shared paths once on every island serving them — the one owning
+	// island under shard, both islands under replicate — and each user
+	// reads only its own.
+	paths := func(gen *Generator) (shared, own int64) {
+		spec, inv := gen.Spec(), gen.Inventory()
+		for cat := range spec.Categories {
+			if spec.Categories[cat].Owner != config.OwnerUser {
+				shared += int64(len(inv.ForUser(0, cat).Paths))
+				continue
+			}
+			for u := 0; u < spec.Users; u++ {
+				own += int64(len(inv.ForUser(u, cat).Paths))
+			}
+		}
+		return shared, own
+	}
+	private := func(shared, own int64) int64 { return users*shared + own }
+	for _, tc := range []struct {
+		name string
+		topo *config.Topology
+		want func(shared, own int64) int64
+	}{
+		{"testbed", nil, private},
+		{"servers=2", &config.Topology{Servers: 2}, private},
+		{"servers=2,replicate", &config.Topology{Servers: 2, Placement: config.PlaceReplicate}, private},
+		{"pool", pooledTopo, func(shared, own int64) int64 { return pool*shared + own }},
+		{"pool,replicate", &config.Topology{Servers: 2, ClientPool: pool, Placement: config.PlaceReplicate},
+			func(shared, own int64) int64 { return 2*pool*shared + own }},
+	} {
+		gen := run(users, tc.topo)
+		shared, own := paths(gen)
+		if shared == 0 || own == 0 {
+			t.Fatalf("%s: %d shared and %d own paths; the count check is vacuous", tc.name, shared, own)
+		}
+		if got, want := gen.WarmOps(), tc.want(shared, own); got != want {
+			t.Errorf("%s: WarmOps = %d, want %d (%d shared paths, %d own)", tc.name, got, want, shared, own)
+		}
+	}
+}
+
+// TestRunEndsWithoutLeaks is a piece of the end-of-run invariant check, on
+// the testbed and on two islands of private clients, eager and lazy, with
+// and without workstation crashes: no descriptor is left open on the
+// shared namespace shadow, and a lazy population holds no private client —
+// every user's workstation left with its stream.
+func TestRunEndsWithoutLeaks(t *testing.T) {
+	for _, tc := range lazyTopologies[:2] {
+		for _, lazy := range []bool{false, true} {
+			for _, crash := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s,lazy=%v,crash=%v", tc.name, lazy, crash), func(t *testing.T) {
+					spec := churnSpec()
+					spec.Users = 4
+					if !crash {
+						spec.UserTypes[0].Lifecycle = nil
+					}
+					spec.FS.Topology = tc.topo
+					spec.LazyUsers = lazy
+					gen, err := NewGenerator(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := gen.Run(); err != nil {
+						t.Fatal(err)
+					}
+					if crash && gen.Churn().Crashes == 0 {
+						t.Fatal("no workstation crashed; the crash case is vacuous")
+					}
+					if n := gen.fleet.Backing().OpenFDs(); n != 0 {
+						t.Errorf("%d descriptors left open on the namespace shadow", n)
+					}
+					if lazy {
+						if n := gen.fleet.Resident(); n != 0 {
+							t.Errorf("%d private clients resident after the run", n)
+						}
+						if n := len(gen.lazyFS); n != 0 {
+							t.Errorf("%d users still bound after the run", n)
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -27,45 +27,63 @@ func lazySpec() *config.Spec {
 	return spec
 }
 
+// lazyTopologies are the NFS shapes the lazy-equals-eager and heap tests
+// take: the one-island testbed, and two islands of private clients with
+// each placement. Both modes bind a user through the same warm-then-mount
+// path, so a private fleet matches at any island count.
+var lazyTopologies = []struct {
+	name string
+	topo *config.Topology
+}{
+	{"testbed", nil},
+	{"servers=2", &config.Topology{Servers: 2}},
+	{"servers=2,replicate", &config.Topology{Servers: 2, Placement: config.PlaceReplicate}},
+}
+
 // TestLazyMatchesEagerByteIdentical is the lazy path's core guarantee: with
 // no cache eviction, a lazy run's full record stream, analysis, and virtual
 // duration are bit-equal to the eager run's — file sizes are pre-drawn on
 // the eager stream, every other per-user draw has a private stream, and
 // materialization replays construction in eager user order.
 func TestLazyMatchesEagerByteIdentical(t *testing.T) {
-	run := func(lazy bool) (*Result, []trace.Record, int) {
-		spec := lazySpec()
-		spec.LazyUsers = lazy
-		gen, err := NewGenerator(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := gen.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, gen.Log().Records(), gen.MaterializedUsers()
-	}
-	eagerRes, eagerRecs, eagerBuilt := run(false)
-	lazyRes, lazyRecs, lazyBuilt := run(true)
+	for _, tc := range lazyTopologies {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(lazy bool) (*Result, []trace.Record, int) {
+				spec := lazySpec()
+				spec.FS.Topology = tc.topo
+				spec.LazyUsers = lazy
+				gen, err := NewGenerator(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := gen.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, gen.Log().Records(), gen.MaterializedUsers()
+			}
+			eagerRes, eagerRecs, eagerBuilt := run(false)
+			lazyRes, lazyRecs, lazyBuilt := run(true)
 
-	if eagerBuilt != 12 {
-		t.Errorf("eager built %d user trees, want 12", eagerBuilt)
-	}
-	if lazyBuilt != 6 {
-		t.Errorf("lazy built %d user trees, want 6 (one per session-holding user)", lazyBuilt)
-	}
-	if len(eagerRecs) == 0 {
-		t.Fatal("eager run produced no records")
-	}
-	if !reflect.DeepEqual(eagerRecs, lazyRecs) {
-		t.Fatalf("record streams differ: eager %d records, lazy %d", len(eagerRecs), len(lazyRecs))
-	}
-	if eagerRes.VirtualDuration != lazyRes.VirtualDuration {
-		t.Errorf("virtual duration: eager %v, lazy %v", eagerRes.VirtualDuration, lazyRes.VirtualDuration)
-	}
-	if !reflect.DeepEqual(eagerRes.Analysis, lazyRes.Analysis) {
-		t.Error("analyses differ between eager and lazy runs")
+			if eagerBuilt != 12 {
+				t.Errorf("eager built %d user trees, want 12", eagerBuilt)
+			}
+			if lazyBuilt != 6 {
+				t.Errorf("lazy built %d user trees, want 6 (one per session-holding user)", lazyBuilt)
+			}
+			if len(eagerRecs) == 0 {
+				t.Fatal("eager run produced no records")
+			}
+			if !reflect.DeepEqual(eagerRecs, lazyRecs) {
+				t.Fatalf("record streams differ: eager %d records, lazy %d", len(eagerRecs), len(lazyRecs))
+			}
+			if eagerRes.VirtualDuration != lazyRes.VirtualDuration {
+				t.Errorf("virtual duration: eager %v, lazy %v", eagerRes.VirtualDuration, lazyRes.VirtualDuration)
+			}
+			if !reflect.DeepEqual(eagerRes.Analysis, lazyRes.Analysis) {
+				t.Error("analyses differ between eager and lazy runs")
+			}
+		})
 	}
 }
 
@@ -158,49 +176,58 @@ func TestLazyLifecycleDeterministic(t *testing.T) {
 
 // TestLazyMaterializationBoundsHeap is the memory claim at scale: a
 // 100,000-user lazy population with 1% of users ever active must stay
-// within a small multiple of a 1,000-user eager run's heap growth —
-// per-user cost attaches to materialized users, and idle users cost only
-// their slot in a few flat index slices.
+// within a small multiple of a 1,000-user eager run's heap growth on the
+// same topology — per-user cost attaches to materialized users, and idle
+// users cost only their slot in a few flat index slices. On two islands of
+// private clients this also pins that a lazy user's clients are built at
+// its arrival and dropped when it leaves, not provisioned for everyone.
 func TestLazyMaterializationBoundsHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-user run in -short mode")
 	}
-	grow := func(users int, lazy bool) uint64 {
-		spec := config.Default()
-		spec.Users = users
-		spec.Sessions = 1000 // the first 1000 users hold one session each
-		spec.SystemFiles = 30
-		spec.FilesPerUser = 4
-		spec.Seed = 7
-		spec.Trace = config.TraceSpec{Mode: config.TraceStream}
-		spec.LazyUsers = lazy
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		gen, err := NewGenerator(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := gen.Run(); err != nil {
-			t.Fatal(err)
-		}
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(gen)
-		if after.HeapAlloc < before.HeapAlloc {
-			return 0
-		}
-		return after.HeapAlloc - before.HeapAlloc
-	}
-	eager1k := grow(1000, false)
-	lazy100k := grow(100000, true)
-	// Both runs execute the same 1000 sessions; the lazy run carries 99k
-	// extra users that must each cost no more than their entries in the
-	// population-indexed slices (types, shares, pre-drawn sizes). 4x plus
-	// slack is far below the ~100x an eager 100k construction costs.
-	slack := uint64(8 << 20)
-	if lazy100k > 4*eager1k+slack {
-		t.Errorf("lazy 100k-user heap growth %d B exceeds 4x eager 1k-user growth %d B + slack",
-			lazy100k, eager1k)
+	for _, tc := range lazyTopologies[:2] { // placement does not change what is built
+		t.Run(tc.name, func(t *testing.T) {
+			grow := func(users int, lazy bool) uint64 {
+				spec := config.Default()
+				spec.Users = users
+				spec.Sessions = 1000 // the first 1000 users hold one session each
+				spec.SystemFiles = 30
+				spec.FilesPerUser = 4
+				spec.Seed = 7
+				spec.Trace = config.TraceSpec{Mode: config.TraceStream}
+				spec.FS.Topology = tc.topo
+				spec.LazyUsers = lazy
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				gen, err := NewGenerator(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := gen.Run(); err != nil {
+					t.Fatal(err)
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				runtime.KeepAlive(gen)
+				if after.HeapAlloc < before.HeapAlloc {
+					return 0
+				}
+				return after.HeapAlloc - before.HeapAlloc
+			}
+			eager1k := grow(1000, false)
+			lazy100k := grow(100000, true)
+			// Both runs execute the same 1000 sessions; the lazy run carries
+			// 99k extra users that must each cost no more than their entries
+			// in the population-indexed slices (types, shares, pre-drawn
+			// sizes). 4x plus slack is far below the ~100x an eager 100k
+			// construction costs.
+			slack := uint64(8 << 20)
+			t.Logf("heap growth: eager 1k users %d B, lazy 100k users %d B", eager1k, lazy100k)
+			if lazy100k > 4*eager1k+slack {
+				t.Errorf("lazy 100k-user heap growth %d B exceeds 4x eager 1k-user growth %d B + slack",
+					lazy100k, eager1k)
+			}
+		})
 	}
 }

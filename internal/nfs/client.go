@@ -389,6 +389,12 @@ func NewClientWithBacking(server *Server, link *netsim.Link, cfg ClientConfig, b
 	if backing == nil {
 		return nil, fmt.Errorf("nfs: nil backing")
 	}
+	return newClient(server, link, cfg, backing), nil
+}
+
+// newClient builds a client from arguments its caller has already checked:
+// a valid cfg and a non-nil server and backing.
+func newClient(server *Server, link *netsim.Link, cfg ClientConfig, backing *vfs.MemFS) *Client {
 	c := &Client{
 		cfg:     cfg,
 		backing: backing,
@@ -400,7 +406,7 @@ func NewClientWithBacking(server *Server, link *netsim.Link, cfg ClientConfig, b
 	if cfg.CacheBlocks > 0 {
 		c.pages = cache.NewLRU(cfg.CacheBlocks)
 	}
-	return c, nil
+	return c
 }
 
 // Backing exposes the namespace shadow (for the FSC to size-check, and for

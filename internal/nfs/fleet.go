@@ -10,17 +10,18 @@ import (
 	"uswg/internal/vfs"
 )
 
-// FleetConfig describes a resolved scale-out topology: N identical islands
-// (server + wire), an optional pooled-client mode, and the namespace
-// placement strategy.
+// FleetConfig describes a resolved topology: N identical islands (server +
+// wire), pooled or private clients, and the namespace placement strategy.
+// The thesis testbed is one island with private clients.
 type FleetConfig struct {
 	// Servers is the island count (at least 1).
 	Servers int
-	// Pool is the pooled-client count per island. 0 provisions one client
-	// per user on every island (the legacy density, scaled out); K > 0
-	// multiplexes all users mapped to an island over K clients
-	// (user -> slot user mod K), which is what makes construction and
-	// warming proportional to pool size and distinct files.
+	// Pool is the pooled-client count per island. 0 gives every user a
+	// private client on every island, built at the user's first use and
+	// dropped by Release; K > 0 multiplexes all users mapped to an island
+	// over K clients (user -> slot user mod K) built at construction, which
+	// is what makes construction and warming proportional to pool size and
+	// distinct files.
 	Pool int
 	// Replicate serves reads of the read-mostly system tree (/sys) from
 	// the requesting user's home island instead of the hash-designated
@@ -32,15 +33,15 @@ type FleetConfig struct {
 }
 
 // Island is one self-contained serving unit: a server, its wire, and the
-// clients mounted on it.
+// pooled clients mounted on it.
 type Island struct {
 	Server *Server
 	Link   *netsim.Link
 	pool   []*Client
 }
 
-// Pool returns the island's clients (pooled mode: the K pool slots;
-// per-user mode: one client per user).
+// Pool returns the island's pool slots, empty when users have private
+// clients. It never holds a nil client.
 func (i *Island) Pool() []*Client { return i.pool }
 
 // Fleet is a set of islands behind a deterministic namespace router. All
@@ -51,8 +52,8 @@ func (i *Island) Pool() []*Client { return i.pool }
 // therefore every RPC — identically, at any scheduler interleaving.
 type Fleet struct {
 	islands   []*Island
-	setup     []*Client // one throwaway setup client per island
-	width     int       // clients per island
+	client    ClientConfig    // every client's configuration
+	private   map[int]*Client // private clients by user*islands+island; nil with a pool
 	salt      uint64
 	replicate bool
 	backing   *vfs.MemFS
@@ -60,27 +61,28 @@ type Fleet struct {
 	cslab     []*Client  // client-table arena for FSForUser
 }
 
-// NewFleet builds servers, links, and client pools for the given topology.
-// users sizes the per-user client mode (Pool == 0); seed derives the
-// routing salt and the per-island construction streams.
-func NewFleet(env *sim.Env, cfg FleetConfig, users int, seed uint64, backing *vfs.MemFS) (*Fleet, error) {
+// NewFleet builds every island's server and link and, with a pool, its pool
+// slots; seed derives the routing salt. Private clients and the FSC's setup
+// clients are built on demand (ClientFor, SetupFS).
+func NewFleet(env *sim.Env, cfg FleetConfig, seed uint64, backing *vfs.MemFS) (*Fleet, error) {
 	if cfg.Servers < 1 {
 		return nil, fmt.Errorf("nfs: fleet needs at least 1 server, got %d", cfg.Servers)
 	}
-	width := cfg.Pool
-	if width <= 0 {
-		width = users
+	if err := cfg.Client.Validate(); err != nil {
+		return nil, err
 	}
-	if width < 1 {
-		width = 1
+	if backing == nil {
+		return nil, fmt.Errorf("nfs: nil backing")
 	}
 	f := &Fleet{
 		islands:   make([]*Island, 0, cfg.Servers),
-		setup:     make([]*Client, 0, cfg.Servers),
-		width:     width,
+		client:    cfg.Client,
 		salt:      rng.DeriveSeed(seed, "topology"),
 		replicate: cfg.Replicate,
 		backing:   backing,
+	}
+	if cfg.Pool <= 0 {
+		f.private = make(map[int]*Client)
 	}
 	for i := 0; i < cfg.Servers; i++ {
 		// Islands are built in a fixed order; each construction is a pure
@@ -89,21 +91,11 @@ func NewFleet(env *sim.Env, cfg FleetConfig, users int, seed uint64, backing *vf
 		if err != nil {
 			return nil, err
 		}
-		link := netsim.NewLink(env, cfg.Client.Net)
-		isl := &Island{Server: srv, Link: link, pool: make([]*Client, 0, width)}
-		for k := 0; k < width; k++ {
-			c, err := NewClientWithBacking(srv, link, cfg.Client, backing)
-			if err != nil {
-				return nil, err
-			}
-			isl.pool = append(isl.pool, c)
-		}
-		su, err := NewClientWithBacking(srv, link, cfg.Client, backing)
-		if err != nil {
-			return nil, err
+		isl := &Island{Server: srv, Link: netsim.NewLink(env, cfg.Client.Net), pool: make([]*Client, max(cfg.Pool, 0))}
+		for k := range isl.pool {
+			isl.pool[k] = newClient(srv, isl.Link, cfg.Client, backing)
 		}
 		f.islands = append(f.islands, isl)
-		f.setup = append(f.setup, su)
 	}
 	return f, nil
 }
@@ -111,8 +103,9 @@ func NewFleet(env *sim.Env, cfg FleetConfig, users int, seed uint64, backing *vf
 // Islands returns the fleet's islands in construction order.
 func (f *Fleet) Islands() []*Island { return f.islands }
 
-// Width is the number of clients per island.
-func (f *Fleet) Width() int { return f.width }
+// Pooled reports whether users share pool slots rather than owning private
+// clients.
+func (f *Fleet) Pooled() bool { return f.private == nil }
 
 // Backing returns the shared namespace shadow.
 func (f *Fleet) Backing() *vfs.MemFS { return f.backing }
@@ -160,11 +153,22 @@ func (f *Fleet) readIsland(home int, path string) int {
 	return f.Route(path)
 }
 
-// ClientFor returns the client user uses on island isl (the user's pool
-// slot). The slot assignment user mod width is part of the deterministic
-// placement contract.
+// ClientFor returns the client user uses on island isl: its pool slot
+// (user mod pool size, part of the deterministic placement contract), or
+// its private client, built on first use.
 func (f *Fleet) ClientFor(user, isl int) *Client {
-	return f.islands[isl].pool[user%f.width]
+	if f.private == nil {
+		pool := f.islands[isl].pool
+		return pool[user%len(pool)]
+	}
+	key := user*len(f.islands) + isl
+	c, ok := f.private[key]
+	if !ok {
+		i := f.islands[isl]
+		c = newClient(i.Server, i.Link, f.client, f.backing)
+		f.private[key] = c
+	}
+	return c
 }
 
 // ReadClientFor returns the client user uses to read path — on the home
@@ -173,13 +177,31 @@ func (f *Fleet) ReadClientFor(user int, path string) *Client {
 	return f.ClientFor(user, f.readIsland(user%len(f.islands), path))
 }
 
-// FSForUser returns user's mount view of the fleet: a router that
+// Release drops user's private clients, as a lazy user's workstation leaves
+// with its stream; a later ClientFor builds fresh ones. Pool slots outlive
+// every user, so a pooled fleet keeps them.
+func (f *Fleet) Release(user int) {
+	for isl := range f.islands {
+		delete(f.private, user*len(f.islands)+isl)
+	}
+}
+
+// Resident reports how many private clients the fleet holds (0 with a
+// pool).
+func (f *Fleet) Resident() int { return len(f.private) }
+
+// FSForUser returns user's mount view of the fleet. On one island with
+// private clients that is the user's client itself: a router in front of
+// one unshared client has nothing to route. Otherwise it is a router that
 // dispatches each VFS call to the owning island's client for that user.
 // Routers and their client tables come from per-fleet slabs — provisioning a
 // large population costs one allocation per chunk, and the FD-ownership map
 // appears only once a user actually opens something.
 func (f *Fleet) FSForUser(user int) vfs.FileSystem {
 	n := len(f.islands)
+	if n == 1 && f.private != nil {
+		return f.ClientFor(user, 0)
+	}
 	if len(f.rslab) == 0 {
 		f.rslab = make([]routerFS, 64)
 	}
@@ -196,11 +218,16 @@ func (f *Fleet) FSForUser(user int) vfs.FileSystem {
 	return r
 }
 
-// SetupFS returns the construction-time mount: a router over one throwaway
-// setup client per island, so FSC writes build cache state on the owning
-// servers without polluting any user's client cache.
+// SetupFS returns a construction-time mount over fresh setup clients, one
+// per island, so FSC writes build server-side state on the owning islands
+// without touching any user's client cache. The fleet keeps no reference to
+// them: they live as long as the returned mount.
 func (f *Fleet) SetupFS() vfs.FileSystem {
-	return &routerFS{f: f, home: 0, clients: f.setup}
+	setup := make([]*Client, len(f.islands))
+	for i, isl := range f.islands {
+		setup[i] = newClient(isl.Server, isl.Link, f.client, f.backing)
+	}
+	return &routerFS{f: f, clients: setup}
 }
 
 // routerFS is one principal's view of the fleet: vfs.FileSystem calls are

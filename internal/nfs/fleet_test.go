@@ -9,7 +9,7 @@ import (
 	"uswg/internal/vfs"
 )
 
-func testFleet(t *testing.T, servers, pool, users int, seed uint64, replicate bool) *Fleet {
+func testFleet(t *testing.T, servers, pool int, seed uint64, replicate bool) *Fleet {
 	t.Helper()
 	f, err := NewFleet(sim.NewEnv(), FleetConfig{
 		Servers:   servers,
@@ -17,7 +17,7 @@ func testFleet(t *testing.T, servers, pool, users int, seed uint64, replicate bo
 		Replicate: replicate,
 		Server:    testServerConfig(),
 		Client:    testClientConfig(),
-	}, users, seed, vfs.NewMemFS())
+	}, seed, vfs.NewMemFS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +34,8 @@ func TestFleetRoutingDeterministic(t *testing.T) {
 			paths = append(paths, fmt.Sprintf("/u%d/text-file/f%d", u, i))
 		}
 	}
-	a := testFleet(t, 4, 8, 100, 42, false)
-	b := testFleet(t, 4, 8, 100, 42, false)
+	a := testFleet(t, 4, 8, 42, false)
+	b := testFleet(t, 4, 8, 42, false)
 	for _, p := range paths {
 		if a.Route(p) != b.Route(p) {
 			t.Fatalf("route of %q differs across constructions: %d vs %d", p, a.Route(p), b.Route(p))
@@ -47,7 +47,7 @@ func TestFleetRoutingDeterministic(t *testing.T) {
 			t.Fatal("route depends on query order")
 		}
 	}
-	c := testFleet(t, 4, 8, 100, 43, false)
+	c := testFleet(t, 4, 8, 43, false)
 	diff := 0
 	for _, p := range paths {
 		if a.Route(p) != c.Route(p) {
@@ -62,7 +62,7 @@ func TestFleetRoutingDeterministic(t *testing.T) {
 // TestFleetRouteByDirectory checks that a directory's files co-locate: the
 // hash keys on the parent directory, so a category's files land together.
 func TestFleetRouteByDirectory(t *testing.T) {
-	f := testFleet(t, 8, 4, 10, 7, false)
+	f := testFleet(t, 8, 4, 7, false)
 	home := f.Route("/u3/text-file/f0")
 	for i := 1; i < 20; i++ {
 		if got := f.Route(fmt.Sprintf("/u3/text-file/f%d", i)); got != home {
@@ -83,7 +83,7 @@ func TestFleetRouteByDirectory(t *testing.T) {
 // reads are served from the requesting user's home island, writes and
 // non-system paths stay on the hash-designated primary.
 func TestFleetReplicateSystemReads(t *testing.T) {
-	f := testFleet(t, 4, 2, 8, 11, true)
+	f := testFleet(t, 4, 2, 11, true)
 	const sys = "/sys/temporary/f1"
 	for isl := 0; isl < 4; isl++ {
 		if !f.Serves(isl, sys) {
@@ -105,14 +105,11 @@ func TestFleetReplicateSystemReads(t *testing.T) {
 	}
 }
 
-// TestFleetPoolSlots checks the pooled-client provisioning: width clients
-// per island plus one setup client, users multiplexed user mod width.
+// TestFleetPoolSlots checks the pooled-client provisioning: pool clients
+// per island, users multiplexed user mod pool.
 func TestFleetPoolSlots(t *testing.T) {
-	const pool, users = 4, 100
-	f := testFleet(t, 2, pool, users, 3, false)
-	if f.Width() != pool {
-		t.Fatalf("width = %d, want %d", f.Width(), pool)
-	}
+	const pool = 4
+	f := testFleet(t, 2, pool, 3, false)
 	for _, isl := range f.Islands() {
 		if len(isl.Pool()) != pool {
 			t.Fatalf("island has %d clients, want %d", len(isl.Pool()), pool)
@@ -124,10 +121,49 @@ func TestFleetPoolSlots(t *testing.T) {
 	if f.ClientFor(1, 0) == f.ClientFor(2, 0) {
 		t.Error("users 1 and 2 should use different pool slots")
 	}
-	// Per-user mode provisions one client per user.
-	g := testFleet(t, 2, 0, 5, 3, false)
-	if g.Width() != 5 {
-		t.Errorf("per-user width = %d, want 5", g.Width())
+}
+
+// TestFleetPrivateClients pins the private-client lifecycle: no pool slots,
+// a user's client built at first use and then reused, distinct per user and
+// per island, dropped by Release and rebuilt afresh after it. On one island
+// the user's mount is its client itself.
+func TestFleetPrivateClients(t *testing.T) {
+	f := testFleet(t, 2, 0, 3, false)
+	if f.Pooled() {
+		t.Fatal("a fleet without a pool reports pooled")
+	}
+	for i, isl := range f.Islands() {
+		if n := len(isl.Pool()); n != 0 {
+			t.Errorf("island %d has %d pool slots, want 0", i, n)
+		}
+	}
+	if f.Resident() != 0 {
+		t.Fatalf("%d clients built before any use", f.Resident())
+	}
+	c := f.ClientFor(1, 0)
+	if f.ClientFor(1, 0) != c {
+		t.Error("a user's client is not reused")
+	}
+	if f.ClientFor(1, 1) == c || f.ClientFor(2, 0) == c {
+		t.Error("private clients are shared across islands or users")
+	}
+	if f.Resident() != 3 {
+		t.Errorf("resident = %d, want 3", f.Resident())
+	}
+	f.Release(1)
+	if f.Resident() != 1 {
+		t.Errorf("resident after release = %d, want 1 (user 2's)", f.Resident())
+	}
+	if f.ClientFor(1, 0) == c {
+		t.Error("a released user got its old client back")
+	}
+
+	one := testFleet(t, 1, 0, 3, false)
+	if fs, ok := one.FSForUser(2).(*Client); !ok || fs != one.ClientFor(2, 0) {
+		t.Errorf("one-island private mount is %T, want the user's own client", one.FSForUser(2))
+	}
+	if _, ok := testFleet(t, 1, 2, 3, false).FSForUser(2).(*routerFS); !ok {
+		t.Error("a pooled mount must be a router even on one island")
 	}
 }
 
@@ -135,7 +171,7 @@ func TestFleetPoolSlots(t *testing.T) {
 // ownership: ops on an FD go to the client that opened it, and a bad FD is
 // rejected with vfs.ErrBadFD without touching any island.
 func TestRouterFSTracksFDs(t *testing.T) {
-	f := testFleet(t, 4, 2, 8, 5, false)
+	f := testFleet(t, 4, 2, 5, false)
 	ctx := &vfs.ManualClock{}
 	root := vfs.Sync{FS: f.SetupFS()}
 	if err := root.Mkdir(ctx, "/u1"); err != nil {
@@ -177,7 +213,7 @@ func TestRouterFSTracksFDs(t *testing.T) {
 // client, which charges one system call of CPU and then fails the read with
 // ErrBadFD; the close fails with ErrBadFD too.
 func TestPooledCrashClosesCoTenantFD(t *testing.T) {
-	f := testFleet(t, 1, 1, 2, 5, false)
+	f := testFleet(t, 1, 1, 5, false)
 	ctx := &vfs.ManualClock{}
 	if err := (vfs.Sync{FS: f.SetupFS()}).Mkdir(ctx, "/u1"); err != nil {
 		t.Fatal(err)

@@ -1064,9 +1064,18 @@ func runTransient(sc *Scenario, opts Options) (Result, Stats, error) {
 		line("churn: %d workstation crashes, %d cold reboots, %d truncated sessions, %d departed users",
 			churn.Crashes, churn.Reboots, churn.TruncatedSessions, churn.Departed)
 	}
-	if link := gen.Link(); link != nil && ps.spec.Fault != nil {
+	if links := gen.Links(); len(links) > 0 && ps.spec.Fault != nil {
+		// A fleet's wire is every island's link.
+		var drops, retransmits, giveUps int64
+		var blocked float64
+		for _, l := range links {
+			drops += l.Drops()
+			retransmits += l.Retransmits()
+			giveUps += l.GiveUps()
+			blocked += l.BlockedTime()
+		}
 		line("network: %d drops, %d retransmits, %d give-ups, %.1f s blocked in retry holds",
-			link.Drops(), link.Retransmits(), link.GiveUps(), link.BlockedTime()/1e6)
+			drops, retransmits, giveUps, blocked/1e6)
 	}
 	if fe := gen.Faults(); fe != nil && fe.OutageDrops() > 0 {
 		line("outage: %d calls swallowed by the dead server", fe.OutageDrops())

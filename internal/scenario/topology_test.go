@@ -2,9 +2,13 @@ package scenario
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"uswg/internal/config"
+	"uswg/internal/core"
+	"uswg/internal/fault"
 )
 
 // TestFleetScenarioDeterministicAcrossParallelism is the scale-out
@@ -127,4 +131,69 @@ func TestTopologyWorkloadValidation(t *testing.T) {
 			t.Error("expected positive-axis rejection")
 		}
 	})
+}
+
+// TestTransientFleetSumsLinks pins the transient view's network line on a
+// fleet: drops, retransmits, give-ups and blocked time are sums over every
+// island's link, not island 0's alone.
+func TestTransientFleetSumsLinks(t *testing.T) {
+	sc := New("transient-fleet-test").
+		Users(4).SessionsPerUser(10).Files(30, 6).Stream().Window(5e6).
+		Population(config.ExtremelyHeavyPopulation()).
+		Servers(2).ClientPool(2).
+		Fault(fault.Plan{
+			Name:       "lossy-fleet",
+			Rules:      []fault.Rule{{Name: "drop", Ops: []string{fault.OpNet}, Prob: 0.01, Drop: true}},
+			NetTimeout: 100_000,
+		}, false).
+		Transient("transient fleet").
+		MustBuild()
+	opts := Options{Parallelism: 1}
+	res, err := Run(context.Background(), sc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, ok := res.(*TransientResult)
+	if !ok {
+		t.Fatalf("result type %T", res)
+	}
+	var got string
+	for _, l := range tr.Summary {
+		if strings.HasPrefix(l, "network:") {
+			got = l
+		}
+	}
+
+	// The same point, rebuilt and run again, exposes its links.
+	ps, err := sc.compilePoint(opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := core.NewGenerator(ps.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gen.Run(); err != nil {
+		t.Fatal(err)
+	}
+	links := gen.Links()
+	if len(links) != 2 {
+		t.Fatalf("links = %d, want 2", len(links))
+	}
+	var drops, retransmits, giveUps int64
+	var blocked float64
+	for i, l := range links {
+		if l.Drops() == 0 {
+			t.Errorf("island %d dropped nothing; the sum check is vacuous", i)
+		}
+		drops += l.Drops()
+		retransmits += l.Retransmits()
+		giveUps += l.GiveUps()
+		blocked += l.BlockedTime()
+	}
+	want := fmt.Sprintf("network: %d drops, %d retransmits, %d give-ups, %.1f s blocked in retry holds",
+		drops, retransmits, giveUps, blocked/1e6)
+	if got != want {
+		t.Errorf("summary network line:\n got %q\nwant %q", got, want)
+	}
 }

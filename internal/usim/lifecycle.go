@@ -238,7 +238,7 @@ func (s *Simulator) initLifecycle() error {
 }
 
 // ColdStart reports whether the user arrives after t=0 and must therefore
-// boot with cold caches: pre-run warming (core.warmClients) skips it, so
+// boot with cold caches: cache warming (core's bindUser) skips it, so
 // its first session pays the cache-warming cost a rejoining machine pays.
 func (s *Simulator) ColdStart(user int) bool {
 	if s.life == nil || user >= len(s.life) || s.life[user] == nil {
