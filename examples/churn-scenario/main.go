@@ -3,8 +3,8 @@
 // and the session in flight), repairs for a constant MTTR, and rejoins
 // cold; the transient output renders the run minute by minute instead of
 // as one steady-state mean, plus churn summary lines. Lifecycle knobs are
-// part of each user type, so the same scenario serializes to JSON for
-// `wlgen scenario run -file` (add -json/-csv for the machine view).
+// part of each user type, so the same Scenario literal serializes to JSON
+// for `wlgen scenario run -file` (add -json/-csv for the machine view).
 //
 //	go run ./examples/churn-scenario
 package main
@@ -23,11 +23,20 @@ func main() {
 	mttf, mttr := config.Exp(20e6), config.Const(2e6) // crash ~20 s, repair 2 s
 	pop[0].Lifecycle = &config.Lifecycle{MTTF: &mttf, MTTR: &mttr}
 
-	sc := scenario.New("churny-office").
-		Users(4).SessionsPerUser(40).Files(120, 60).
-		Population(pop).Stream().Window(10e6). // 10 s windows
-		Transient("A crashing office: 4 workstations, MTTF 20 s, MTTR 2 s").
-		MustBuild()
+	sc := &scenario.Scenario{
+		Name: "churny-office",
+		Base: scenario.Workload{
+			Users: 4, Sessions: 40, SessionsPerUser: true,
+			SystemFiles: 120, FilesPerUser: 60,
+			UserTypes:     pop,
+			Trace:         config.TraceStream,
+			TraceWindowUS: 10e6, // 10 s windows
+		},
+		Output: scenario.Output{
+			Kind:  scenario.KindTransient,
+			Title: "A crashing office: 4 workstations, MTTF 20 s, MTTR 2 s",
+		},
+	}
 
 	res, err := scenario.Run(context.Background(), sc, scenario.Options{Scale: 0.5})
 	if err != nil {

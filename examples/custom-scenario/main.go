@@ -1,10 +1,11 @@
 // Custom scenario: a degraded-network 500-user sweep composed as data, no
-// experiment driver. The fluent builder describes the whole experiment —
+// experiment driver. One Scenario literal describes the whole experiment —
 // population, sweep axis, a correlated burst-loss wire (Gilbert-Elliott
 // good/bad episodes), streaming sink, output contract — and the scenario
 // engine runs it with per-point seeds, byte-identical at any parallelism.
-// `sc.Encode(os.Stdout)` would print the same scenario as JSON for
-// `wlgen scenario run -file`.
+// The fields are the JSON schema: `sc.Encode(os.Stdout)` would print the
+// same scenario as a file for `wlgen scenario run -file`, and the built-ins
+// are such files (`wlgen scenario dump -name fig5.6`).
 //
 //	go run ./examples/custom-scenario
 package main
@@ -20,26 +21,37 @@ import (
 )
 
 func main() {
-	sc := scenario.New("degraded-500").
-		Population(config.ExtremelyHeavyPopulation()).
-		SessionsFromUsers(). // one login session per user at full scale
-		Files(60, 12).Stream().
-		SweepUsers(100, 200, 300, 400, 500).Salt(scenario.SaltUsers, 11, 3).
-		Fault(fault.Plan{
+	sc := &scenario.Scenario{
+		Name: "degraded-500",
+		Base: scenario.Workload{
+			SessionsFromUsers: true, // one login session per user at full scale
+			SystemFiles:       60, FilesPerUser: 12,
+			UserTypes: config.ExtremelyHeavyPopulation(),
+			Trace:     config.TraceStream,
+		},
+		Sweep: []scenario.Axis{{Name: "users", Values: []float64{100, 200, 300, 400, 500}, Bind: scenario.BindUsers}},
+		Fault: &scenario.FaultSpec{Plan: fault.Plan{
 			Name: "bursty-wire",
 			Rules: []fault.Rule{{
 				Name: "burst", Ops: []string{fault.OpNet}, Drop: true,
 				Burst: &fault.Burst{PEnter: 0.0005, PExit: 0.05},
 			}},
 			NetTimeout: 50_000, NetRetries: 3,
-		}, false).
-		Curve("Response per byte, 100-500 users on a bursty wire",
-			scenario.MetricUsers, "users", "µs/byte", scenario.MetricRPB).
-		Col("users", scenario.MetricUsers, scenario.FormatInt).
-		Col("drops", scenario.MetricDrops, scenario.FormatInt).
-		Col("retransmits", scenario.MetricRetransmits, scenario.FormatInt).
-		Col("µs/byte", scenario.MetricRPB, scenario.FormatF).
-		MustBuild()
+		}},
+		Seed: scenario.Salt{From: scenario.SaltUsers, Mul: 11, Add: 3},
+		Output: scenario.Output{
+			Kind:  scenario.KindCurve,
+			Title: "Response per byte, 100-500 users on a bursty wire",
+			X:     scenario.MetricUsers, XLabel: "users",
+			Y: scenario.MetricRPB, YLabel: "µs/byte",
+			Columns: []scenario.Column{
+				{Header: "users", Metric: scenario.MetricUsers, Format: scenario.FormatInt},
+				{Header: "drops", Metric: scenario.MetricDrops, Format: scenario.FormatInt},
+				{Header: "retransmits", Metric: scenario.MetricRetransmits, Format: scenario.FormatInt},
+				{Header: "µs/byte", Metric: scenario.MetricRPB, Format: scenario.FormatF},
+			},
+		},
+	}
 
 	res, err := scenario.Run(context.Background(), sc, scenario.Options{Scale: 0.2})
 	if err != nil {

@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -20,14 +21,41 @@ const goldenDir = "testdata/golden"
 // output, and the code still produces the recorded data. It is the same
 // comparison the CI paper-artifacts job runs via `wlgen paper -diff`.
 //
+// The folder's scenarios/ entry is a symlink to the scenario package's
+// built-in files (internal/scenario/builtin), so the resolved specs exist
+// once and the diff checks that each registered scenario still dumps to its
+// own file.
+//
 // If an intentional change to the engine, a scenario, or the artifact format
-// moves the numbers, regenerate the folder and review the data diff:
+// moves the numbers, regenerate points/ and plots/ and review the data diff
+// (scenarios/ is the built-in set itself; edit the files there):
 //
 //	go run ./cmd/wlgen paper -out /tmp/g -stamp golden -scale 0.2 -parallel 1
-//	rm -rf internal/artifact/testdata/golden
-//	cp -r /tmp/g/golden internal/artifact/testdata/golden
-//	rm -rf internal/artifact/testdata/golden/{logs,manifest.json}
+//	for d in points plots; do
+//		rm -rf internal/artifact/testdata/golden/$d
+//		cp -r /tmp/g/golden/$d internal/artifact/testdata/golden/$d
+//	done
 func TestGolden(t *testing.T) {
+	link := filepath.Join(goldenDir, DirScenarios)
+	fi, err := os.Lstat(link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Mode()&os.ModeSymlink == 0 {
+		t.Fatalf("%s is a copy, not a symlink to internal/scenario/builtin (regenerate only points/ and plots/)", link)
+	}
+	got, err := filepath.EvalSymlinks(link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := filepath.EvalSymlinks(filepath.Join("..", "scenario", "builtin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("%s resolves to %s, want %s", link, got, want)
+	}
+
 	dir := t.TempDir()
 	opts := Options{Run: scenario.Options{Scale: 0.2, Parallelism: 8}}
 	if _, err := Generate(context.Background(), dir, opts); err != nil {

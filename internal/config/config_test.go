@@ -220,6 +220,25 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTrailingData: a spec file holds one JSON object, so
+// garbage, a second spec (two files concatenated) or a stray brace after it
+// fail instead of being silently ignored; trailing whitespace is fine.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Default().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	js := buf.String()
+	for _, tail := range []string{"garbage", js, "}"} {
+		if _, err := Decode(strings.NewReader(js + tail)); !errors.Is(err, ErrSpec) {
+			t.Errorf("trailing %.20q: err = %v, want ErrSpec", tail, err)
+		}
+	}
+	if _, err := Decode(strings.NewReader(js + " \t\r\n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
 func TestDecodeRejectsInvalidSpec(t *testing.T) {
 	if _, err := Decode(strings.NewReader(`{"name":"x"}`)); !errors.Is(err, ErrSpec) {
 		t.Errorf("invalid spec error = %v, want ErrSpec", err)

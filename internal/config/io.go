@@ -18,13 +18,18 @@ func (s *Spec) Encode(w io.Writer) error {
 	return nil
 }
 
-// Decode parses a spec from JSON and validates it.
+// Decode parses a spec from JSON and validates it. The input must hold
+// exactly one JSON object: trailing data (a second object, a stray brace)
+// is rejected rather than silently ignored.
 func Decode(r io.Reader) (*Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("config: decode: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing data after the spec object", ErrSpec)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -28,19 +28,36 @@ func lazyDetScenario(name string, lazy bool) *Scenario {
 	fs := config.Default().FS
 	fs.Server.CacheBlocks = 1 << 20
 	fs.Client.CacheBlocks = 1 << 20
-	b := New(name).
-		Sessions(60).Files(30, 4).Stream().
-		Population(config.ExtremelyHeavyPopulation()).
-		FS(fs).Servers(2).ClientPool(4).
-		SweepUsers(32, 64, 128).Salt(SaltUsers, 29, 7).
-		Curve("lazy determinism", MetricUsers, "users", "µs/byte", MetricRPB).
-		Col("users", MetricUsers, FormatInt).
-		Col("ops", MetricOps, FormatInt).
-		Col("µs/byte", MetricRPB, FormatF)
-	if lazy {
-		b.LazyUsers()
+	return &Scenario{
+		Name: name,
+		Base: Workload{
+			Sessions: 60, SystemFiles: 30, FilesPerUser: 4, Trace: config.TraceStream,
+			UserTypes: config.ExtremelyHeavyPopulation(),
+			FS:        &fs,
+			Topology:  &config.Topology{Servers: 2, ClientPool: 4},
+			LazyUsers: lazy,
+		},
+		Sweep: []Axis{{Name: "users", Values: []float64{32, 64, 128}, Bind: BindUsers}},
+		Seed:  Salt{From: SaltUsers, Mul: 29, Add: 7},
+		Output: Output{
+			Kind: KindCurve, Title: "lazy determinism",
+			X: MetricUsers, XLabel: "users", YLabel: "µs/byte", Y: MetricRPB,
+			Columns: []Column{
+				{Header: "users", Metric: MetricUsers, Format: FormatInt},
+				{Header: "ops", Metric: MetricOps, Format: FormatInt},
+				{Header: "µs/byte", Metric: MetricRPB, Format: FormatF},
+			},
+		},
 	}
-	return b.MustBuild()
+}
+
+// lazyArrivalPopulation is scale5.3's population: zero-think-time users
+// whose workstations boot across a shared 30-second arrival window.
+func lazyArrivalPopulation() []config.UserType {
+	arrive := config.DistSpec{Kind: config.KindUniform, Lo: 0, Hi: 30e6}
+	pop := config.ExtremelyHeavyPopulation()
+	pop[0].Lifecycle = &config.Lifecycle{Arrive: &arrive}
+	return pop
 }
 
 // TestLazyScenarioMatchesEagerAcrossParallelism is the PR's byte-identity
@@ -70,15 +87,20 @@ func TestLazyScenarioMatchesEagerAcrossParallelism(t *testing.T) {
 // materialized-users column must come in below the registered population
 // (otherwise the 100k rows of scale5.3 would be eager in disguise).
 func TestLazyScenarioMaterializesSubset(t *testing.T) {
-	sc := New("lazy-subset-test").
-		Users(256).Sessions(40).Files(30, 4).Stream().
-		Population(lazyArrivalPopulation()).LazyUsers().
-		Servers(2).ClientPool(4).
-		Salt(SaltIndex, 29, 11).
-		Table("lazy subset").
-		Col("users", MetricUsers, FormatInt).
-		Col("materialized", MetricMaterialized, FormatInt).
-		MustBuild()
+	sc := &Scenario{
+		Name: "lazy-subset-test",
+		Base: Workload{
+			Users: 256, Sessions: 40, SystemFiles: 30, FilesPerUser: 4, Trace: config.TraceStream,
+			UserTypes: lazyArrivalPopulation(),
+			Topology:  &config.Topology{Servers: 2, ClientPool: 4},
+			LazyUsers: true,
+		},
+		Seed: Salt{From: SaltIndex, Mul: 29, Add: 11},
+		Output: Output{Kind: KindTable, Title: "lazy subset", Columns: []Column{
+			{Header: "users", Metric: MetricUsers, Format: FormatInt},
+			{Header: "materialized", Metric: MetricMaterialized, Format: FormatInt},
+		}},
+	}
 	res, err := Run(context.Background(), sc, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -7,18 +7,29 @@
 //
 // Experiments are data, not code: every table and figure of the thesis's
 // evaluation, the fault5.x resilience family, and the scale5.x extension
-// is a registered Scenario value (builtin.go), a new
-// workload is a JSON file (`wlgen scenario run -file`), and a Go caller
-// composes one with the fluent Builder:
+// is a JSON file in builtin/, embedded and decoded at init into the
+// read-only registry (Lookup, Names). A new workload is a JSON file too
+// (`wlgen scenario run -file`, or Decode), and a Go caller writes a
+// Scenario literal:
 //
-//	sc := scenario.New("my-sweep").
-//		Population(config.ExtremelyHeavyPopulation()).
-//		SessionsPerUser(50).Files(120, 60).Stream().
-//		SweepUsers(1, 2, 4, 8).Salt(scenario.SaltUsers, 17, 0).
-//		Curve("response per byte", scenario.MetricUsers, "users", "µs/byte", scenario.MetricRPB).
-//		Col("users", scenario.MetricUsers, scenario.FormatInt).
-//		Col("µs/byte", scenario.MetricRPB, scenario.FormatF).
-//		MustBuild()
+//	sc := &scenario.Scenario{
+//		Name: "my-sweep",
+//		Base: scenario.Workload{
+//			Sessions: 50, SessionsPerUser: true,
+//			SystemFiles: 120, FilesPerUser: 60, Trace: config.TraceStream,
+//			UserTypes: config.ExtremelyHeavyPopulation(),
+//		},
+//		Sweep: []scenario.Axis{{Name: "users", Values: []float64{1, 2, 4, 8}, Bind: scenario.BindUsers}},
+//		Seed:  scenario.Salt{From: scenario.SaltUsers, Mul: 17},
+//		Output: scenario.Output{
+//			Kind: scenario.KindCurve, Title: "response per byte",
+//			X: scenario.MetricUsers, XLabel: "users", Y: scenario.MetricRPB, YLabel: "µs/byte",
+//			Columns: []scenario.Column{
+//				{Header: "users", Metric: scenario.MetricUsers, Format: scenario.FormatInt},
+//				{Header: "µs/byte", Metric: scenario.MetricRPB, Format: scenario.FormatF},
+//			},
+//		},
+//	}
 //	res, err := scenario.Run(ctx, sc, scenario.Options{})
 //	fmt.Println(res.Render())
 //
@@ -422,8 +433,9 @@ func checkFormatString(format, what string, arg any) error {
 	return nil
 }
 
-// validateSweep checks the axes against the fault template and returns the
-// number of case axes found.
+// validateSweep checks each axis: its values are in range for its bind
+// (a fault-bound value against a copy of its rule), and at most one axis
+// selects cases.
 func (sc *Scenario) validateSweep() error {
 	cases := 0
 	for i := range sc.Sweep {
@@ -474,14 +486,27 @@ func (sc *Scenario) validateSweep() error {
 				if sc.Fault == nil {
 					return fmt.Errorf("%w: axis %q binds a fault parameter but the scenario has no fault template", ErrScenario, ax.Name)
 				}
-				found := false
-				for _, r := range sc.Fault.Plan.Rules {
-					if r.Name == ax.Rule {
-						found = true
+				var rule *fault.Rule
+				for ri := range sc.Fault.Plan.Rules {
+					if sc.Fault.Plan.Rules[ri].Name == ax.Rule {
+						rule = &sc.Fault.Plan.Rules[ri]
 					}
 				}
-				if !found {
+				if rule == nil {
 					return fmt.Errorf("%w: axis %q binds fault rule %q, not in the plan", ErrScenario, ax.Name, ax.Rule)
+				}
+				// Each value goes into a copy of the rule, as the engine
+				// binds it per point, and the rule checks its own ranges.
+				for _, v := range ax.Values {
+					r := *rule
+					if ax.Bind == BindFaultProb {
+						r.Prob = v
+					} else {
+						r.Latency = v
+					}
+					if err := r.Validate(); err != nil {
+						return fmt.Errorf("scenario: axis %q: %s value %v: %w", ax.Name, ax.Bind, v, err)
+					}
 				}
 			default:
 				return fmt.Errorf("%w: axis %q: unknown bind %q", ErrScenario, ax.Name, ax.Bind)
@@ -659,13 +684,17 @@ func (sc *Scenario) JSON() ([]byte, error) {
 
 // Decode parses a scenario from JSON and validates it. Unknown fields are
 // rejected so a typoed knob fails loudly instead of silently running the
-// default.
+// default, and so is anything after the one scenario object, so two files
+// concatenated into one cannot silently run only the first.
 func Decode(r io.Reader) (*Scenario, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var sc Scenario
 	if err := dec.Decode(&sc); err != nil {
 		return nil, fmt.Errorf("scenario: decode: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing data after the scenario object", ErrScenario)
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err

@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -16,25 +19,45 @@ import (
 // small runs sweeps at a fraction of the paper session counts.
 var small = Options{Scale: 0.05}
 
-// TestBuiltinsRoundTripJSON dumps every built-in scenario to JSON, decodes
-// it back, and requires the decoded value to be structurally identical —
-// the codec loses nothing the engine consumes.
+// TestBuiltinsRoundTripJSON pins the built-in files to the codec: builtin/
+// holds exactly the files builtinOrder names, each file is a fixed point of
+// Encode(Decode(f)) byte for byte, and each registered scenario dumps back
+// to its file.
 func TestBuiltinsRoundTripJSON(t *testing.T) {
+	entries, err := os.ReadDir("builtin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, e := range entries {
+		files = append(files, e.Name())
+	}
+	var want []string
+	for _, name := range builtinOrder {
+		want = append(want, name+".json")
+	}
+	sort.Strings(want)
+	if !reflect.DeepEqual(files, want) {
+		t.Fatalf("builtin/ holds %v\nbuiltinOrder names %v", files, want)
+	}
 	for _, name := range Names() {
-		sc, ok := Lookup(name)
-		if !ok {
-			t.Fatalf("missing built-in %s", name)
+		data, err := os.ReadFile(filepath.Join("builtin", name+".json"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := sc.Encode(&buf); err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
-		}
-		back, err := Decode(&buf)
+		sc, err := Decode(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
-		if !reflect.DeepEqual(sc, back) {
-			t.Errorf("%s: JSON round trip changed the scenario\nwas:  %+v\nback: %+v", name, sc, back)
+		if js, err := sc.JSON(); err != nil || !bytes.Equal(js, data) {
+			t.Errorf("%s: Encode(Decode(file)) differs from the file (err %v)", name, err)
+		}
+		reg, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("%s: not registered", name)
+		}
+		if js, err := reg.JSON(); err != nil || !bytes.Equal(js, data) {
+			t.Errorf("%s: registered scenario does not dump to its file (err %v)", name, err)
 		}
 	}
 }
@@ -184,6 +207,16 @@ func TestFault55BurstScenario(t *testing.T) {
 // TestValidationErrors enumerates malformed scenarios the codec must
 // reject.
 func TestValidationErrors(t *testing.T) {
+	// withFaultAxis adds an "eio" fault template and an axis binding the
+	// given values into it.
+	withFaultAxis := func(bind string, values ...float64) func(*Scenario) {
+		return func(sc *Scenario) {
+			sc.Fault = &FaultSpec{Plan: fault.Plan{Name: "p", Rules: []fault.Rule{{
+				Name: "eio", Ops: []string{"read", "write"}, Err: fault.EIO,
+			}}}}
+			sc.Sweep = append(sc.Sweep, Axis{Name: "knob", Values: values, Bind: bind, Rule: "eio"})
+		}
+	}
 	cases := []struct {
 		label string
 		mut   func(*Scenario)
@@ -209,15 +242,30 @@ func TestValidationErrors(t *testing.T) {
 		{"fault bind without template", func(sc *Scenario) {
 			sc.Sweep[0] = Axis{Name: "rate", Values: []float64{0.1}, Bind: BindFaultProb, Rule: "r"}
 		}},
+		{"fault prob 1.5", withFaultAxis(BindFaultProb, 0, 0.01, 1.5)},
+		{"fault latency -5", withFaultAxis(BindFaultLatency, 0, 1000, -5)},
 	}
 	base := func() *Scenario {
-		return New("valid").
-			SessionsPerUser(10).Files(60, 12).Stream().
-			SweepUsers(1, 2).Salt(SaltUsers, 1, 0).
-			Curve("t", MetricUsers, "users", "µs/byte", MetricRPB).
-			Col("users", MetricUsers, FormatInt).
-			Col("µs/byte", MetricRPB, FormatF).
-			MustBuild()
+		return &Scenario{
+			Name: "valid",
+			Base: Workload{
+				Sessions: 10, SessionsPerUser: true, SystemFiles: 60, FilesPerUser: 12,
+				Trace: config.TraceStream,
+			},
+			Sweep: []Axis{{Name: "users", Values: []float64{1, 2}, Bind: BindUsers}},
+			Seed:  Salt{From: SaltUsers, Mul: 1},
+			Output: Output{
+				Kind: KindCurve, Title: "t",
+				X: MetricUsers, XLabel: "users", YLabel: "µs/byte", Y: MetricRPB,
+				Columns: []Column{
+					{Header: "users", Metric: MetricUsers, Format: FormatInt},
+					{Header: "µs/byte", Metric: MetricRPB, Format: FormatF},
+				},
+			},
+		}
+	}
+	if err := base().Validate(); err != nil {
+		t.Fatalf("base scenario rejected: %v", err)
 	}
 	for _, tc := range cases {
 		sc := base()
@@ -245,16 +293,51 @@ func TestValidationErrors(t *testing.T) {
 		t.Errorf("zero Options rejected: %v", err)
 	}
 
+	// A fault-bound value out of its rule's range fails at decode, naming
+	// the axis and the value; in-range values pass.
+	bad := base()
+	withFaultAxis(BindFaultProb, 0, 1.5)(bad)
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), `axis "knob"`) || !strings.Contains(err.Error(), "1.5") {
+		t.Errorf("fault prob 1.5: err = %v, want one naming axis \"knob\" and 1.5", err)
+	}
+	for _, mut := range []func(*Scenario){
+		withFaultAxis(BindFaultProb, 0, 0.01, 1),
+		withFaultAxis(BindFaultLatency, 0, 1000),
+	} {
+		sc := base()
+		mut(sc)
+		if err := sc.Validate(); err != nil {
+			t.Errorf("in-range fault axis rejected: %v", err)
+		}
+	}
+
 	// A usage title whose fmt verbs do not match the session-count argument
 	// must fail validation rather than corrupt the rendered output.
+	usage := func(title string) *Scenario {
+		return &Scenario{Name: "t2", Base: Workload{Sessions: 10}, Output: Output{Kind: KindUsage, Title: title}}
+	}
 	for _, title := range []string{"no verb at all", "80% heavy (%d sessions)", "%s sessions"} {
-		bad := New("t2").Sessions(10).Usage(title)
-		if _, err := bad.Build(); err == nil {
+		if err := usage(title).Validate(); err == nil {
 			t.Errorf("usage title %q accepted", title)
 		}
 	}
-	if _, err := New("t3").Sessions(10).Usage("fine (%d sessions), 100%% data").Build(); err != nil {
+	if err := usage("fine (%d sessions), 100%% data").Validate(); err != nil {
 		t.Errorf("escaped %%%% in usage title rejected: %v", err)
+	}
+
+	// Anything but whitespace after the scenario object fails: garbage, a
+	// second object (two files concatenated), a stray closing brace.
+	js, err := base().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{"garbage", string(js), "}"} {
+		if _, err := Decode(strings.NewReader(string(js) + tail)); !errors.Is(err, ErrScenario) {
+			t.Errorf("trailing %.20q: err = %v, want ErrScenario", tail, err)
+		}
+	}
+	if _, err := Decode(strings.NewReader(string(js) + " \t\r\n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 
 	// Unknown JSON fields fail loudly.
@@ -262,32 +345,44 @@ func TestValidationErrors(t *testing.T) {
 		t.Error("unknown field accepted")
 	}
 	// A grid whose row axis does not bind users is rejected.
-	grid := New("g").
-		SweepValue("rate", BindFaultProb, 0.1).Rule("r").
-		SweepValue("more", BindAccessSize, 256).
-		Fault(fault.Plan{Name: "p", Rules: []fault.Rule{{Name: "r", Ops: []string{"read"}, Err: fault.EIO}}}, false).
-		Grid("t", "users", FormatPct).
-		Cell("µs/B @%s", MetricRPB, FormatF)
-	if _, err := grid.Build(); err == nil {
+	grid := &Scenario{
+		Name: "g",
+		Sweep: []Axis{
+			{Name: "rate", Values: []float64{0.1}, Bind: BindFaultProb, Rule: "r"},
+			{Name: "more", Values: []float64{256}, Bind: BindAccessSize},
+		},
+		Fault: &FaultSpec{Plan: fault.Plan{Name: "p", Rules: []fault.Rule{{Name: "r", Ops: []string{"read"}, Err: fault.EIO}}}},
+		Output: Output{
+			Kind: KindGrid, Title: "t", RowHeader: "users", ColFormat: FormatPct,
+			Cells: []Column{{Header: "µs/B @%s", Metric: MetricRPB, Format: FormatF}},
+		},
+	}
+	if err := grid.Validate(); err == nil {
 		t.Error("grid without a users row axis accepted")
 	}
 }
 
-// TestRegistryRejectsDuplicates covers duplicate names and alias clashes.
+// TestRegistryRejectsDuplicates covers duplicate names and alias clashes,
+// and a built-in file whose name field disagrees with its file name.
 func TestRegistryRejectsDuplicates(t *testing.T) {
 	mk := func(name string, alias ...string) *Scenario {
-		return New(name).Alias(alias...).
-			Population([]config.UserType{{Name: "u", ThinkTime: config.Exp(1000), Fraction: 1}}).
-			UserTypesTable("t").MustBuild()
+		return &Scenario{
+			Name: name, Aliases: alias,
+			Base:   Workload{UserTypes: []config.UserType{{Name: "u", ThinkTime: config.Exp(1000), Fraction: 1}}},
+			Output: Output{Kind: KindUserTypes, Title: "t"},
+		}
 	}
-	if err := Register(mk("table5.1")); err == nil {
+	if err := register(mk("table5.1")); err == nil {
 		t.Error("duplicate name accepted")
 	}
-	if err := Register(mk("fig5.4")); err == nil {
+	if err := register(mk("fig5.4")); err == nil {
 		t.Error("name shadowing an alias accepted")
 	}
-	if err := Register(mk("reg-test-unique", "fig5.6")); err == nil {
+	if err := register(mk("reg-test-unique", "fig5.6")); err == nil {
 		t.Error("alias shadowing a scenario accepted")
+	}
+	if err := registerFile("builtin/fig5.6.json", "fig5.7"); err == nil {
+		t.Error("file whose name field differs from its file name accepted")
 	}
 	if _, ok := Lookup("fig5.4"); !ok {
 		t.Error("alias fig5.4 does not resolve")
@@ -302,16 +397,22 @@ func TestRegistryRejectsDuplicates(t *testing.T) {
 // TestTransientValidation: the transient output contract needs a window
 // width and refuses sweep axes.
 func TestTransientValidation(t *testing.T) {
-	noWindow := New("t1").Users(2).Transient("no window").sc
-	if err := noWindow.Validate(); err == nil {
+	transient := func(window float64) *Scenario {
+		return &Scenario{
+			Name:   "t",
+			Base:   Workload{Users: 2, TraceWindowUS: window},
+			Output: Output{Kind: KindTransient, Title: "transient"},
+		}
+	}
+	if err := transient(0).Validate(); err == nil {
 		t.Error("transient without trace_window_us must fail validation")
 	}
-	swept := New("t2").Users(2).Window(1e6).Transient("swept").sc
+	swept := transient(1e6)
 	swept.Sweep = []Axis{{Name: "users", Values: []float64{1, 2}, Bind: BindUsers}}
 	if err := swept.Validate(); err == nil {
 		t.Error("transient with a sweep axis must fail validation")
 	}
-	if _, err := New("t3").Users(2).Window(1e6).Transient("ok").Build(); err != nil {
+	if err := transient(1e6).Validate(); err != nil {
 		t.Errorf("valid transient rejected: %v", err)
 	}
 }

@@ -15,16 +15,25 @@ import (
 // acceptance bar: a sweep over a pooled multi-island fleet renders
 // byte-identically at any parallelism.
 func TestFleetScenarioDeterministicAcrossParallelism(t *testing.T) {
-	sc := New("fleet-det-test").
-		SessionsFromUsers().Files(30, 6).Stream().
-		Population(config.ExtremelyHeavyPopulation()).
-		Servers(4).ClientPool(4).
-		SweepUsers(8, 16, 32).Salt(SaltUsers, 31, 2).
-		Curve("fleet determinism", MetricUsers, "users", "µs/byte", MetricRPB).
-		Col("users", MetricUsers, FormatInt).
-		Col("µs/byte", MetricRPB, FormatF).
-		Col("nfsd util", MetricNFSDUtil, FormatPct1).
-		MustBuild()
+	sc := &Scenario{
+		Name: "fleet-det-test",
+		Base: Workload{
+			SessionsFromUsers: true, SystemFiles: 30, FilesPerUser: 6, Trace: config.TraceStream,
+			UserTypes: config.ExtremelyHeavyPopulation(),
+			Topology:  &config.Topology{Servers: 4, ClientPool: 4},
+		},
+		Sweep: []Axis{{Name: "users", Values: []float64{8, 16, 32}, Bind: BindUsers}},
+		Seed:  Salt{From: SaltUsers, Mul: 31, Add: 2},
+		Output: Output{
+			Kind: KindCurve, Title: "fleet determinism",
+			X: MetricUsers, XLabel: "users", YLabel: "µs/byte", Y: MetricRPB,
+			Columns: []Column{
+				{Header: "users", Metric: MetricUsers, Format: FormatInt},
+				{Header: "µs/byte", Metric: MetricRPB, Format: FormatF},
+				{Header: "nfsd util", Metric: MetricNFSDUtil, Format: FormatPct1},
+			},
+		},
+	}
 	run := func(par int) string {
 		res, err := Run(context.Background(), sc, Options{Parallelism: par, Scale: 0.1})
 		if err != nil {
@@ -46,15 +55,20 @@ func TestFleetScenarioDeterministicAcrossParallelism(t *testing.T) {
 // TestSweepServersBind checks the servers axis: each point runs at its own
 // island count, and the axis value feeds the point's primary value.
 func TestSweepServersBind(t *testing.T) {
-	sc := New("sweep-servers-test").
-		Users(8).Sessions(8).Files(30, 6).Stream().
-		Population(config.ExtremelyHeavyPopulation()).
-		ClientPool(4).
-		SweepServers(1, 2, 4).Salt(SaltValue, 3, 1).
-		Table("servers sweep").
-		Col("servers", MetricValue, FormatInt).
-		Col("µs/byte", MetricRPB, FormatF).
-		MustBuild()
+	sc := &Scenario{
+		Name: "sweep-servers-test",
+		Base: Workload{
+			Users: 8, Sessions: 8, SystemFiles: 30, FilesPerUser: 6, Trace: config.TraceStream,
+			UserTypes: config.ExtremelyHeavyPopulation(),
+			Topology:  &config.Topology{ClientPool: 4},
+		},
+		Sweep: []Axis{{Name: "servers", Values: []float64{1, 2, 4}, Bind: BindServers}},
+		Seed:  Salt{From: SaltValue, Mul: 3, Add: 1},
+		Output: Output{Kind: KindTable, Title: "servers sweep", Columns: []Column{
+			{Header: "servers", Metric: MetricValue, Format: FormatInt},
+			{Header: "µs/byte", Metric: MetricRPB, Format: FormatF},
+		}},
+	}
 	res, err := Run(context.Background(), sc, Options{Parallelism: 2, Scale: 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -137,17 +151,21 @@ func TestTopologyWorkloadValidation(t *testing.T) {
 // fleet: drops, retransmits, give-ups and blocked time are sums over every
 // island's link, not island 0's alone.
 func TestTransientFleetSumsLinks(t *testing.T) {
-	sc := New("transient-fleet-test").
-		Users(4).SessionsPerUser(10).Files(30, 6).Stream().Window(5e6).
-		Population(config.ExtremelyHeavyPopulation()).
-		Servers(2).ClientPool(2).
-		Fault(fault.Plan{
+	sc := &Scenario{
+		Name: "transient-fleet-test",
+		Base: Workload{
+			Users: 4, Sessions: 10, SessionsPerUser: true, SystemFiles: 30, FilesPerUser: 6,
+			Trace: config.TraceStream, TraceWindowUS: 5e6,
+			UserTypes: config.ExtremelyHeavyPopulation(),
+			Topology:  &config.Topology{Servers: 2, ClientPool: 2},
+		},
+		Fault: &FaultSpec{Plan: fault.Plan{
 			Name:       "lossy-fleet",
 			Rules:      []fault.Rule{{Name: "drop", Ops: []string{fault.OpNet}, Prob: 0.01, Drop: true}},
 			NetTimeout: 100_000,
-		}, false).
-		Transient("transient fleet").
-		MustBuild()
+		}},
+		Output: Output{Kind: KindTransient, Title: "transient fleet"},
+	}
 	opts := Options{Parallelism: 1}
 	res, err := Run(context.Background(), sc, opts)
 	if err != nil {
