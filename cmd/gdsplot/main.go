@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	gdsplot                       # the thesis's Figure 5.1 and 5.2 examples
+//	gdsplot                       # the fig5.1 and fig5.2 scenarios' panels
 //	gdsplot -spec spec.json       # every distribution in an experiment spec
 //	gdsplot -exp 1024 -hi 8000    # an exponential with the given (positive) mean
 //	gdsplot -curve plots/fig5.6.json [-svg out.svg]
@@ -22,6 +22,7 @@ import (
 	"uswg/internal/dist"
 	"uswg/internal/gds"
 	"uswg/internal/report"
+	"uswg/internal/scenario"
 )
 
 func main() {
@@ -63,11 +64,15 @@ func main() {
 			plotSpec("file_size["+c.Name()+"]", c.FileSize, *width, *height)
 		}
 	default:
-		for _, nd := range gds.Fig51Examples() {
-			fmt.Println(report.Density(nd.Dist.(dist.Density), 0, *hi, *width, *height, nd.Label))
-		}
-		for _, nd := range gds.Fig52Examples() {
-			fmt.Println(report.Density(nd.Dist.(dist.Density), 0, *hi, *width, *height, nd.Label))
+		for _, name := range []string{"fig5.1", "fig5.2"} {
+			sc, _ := scenario.Lookup(name)
+			for _, p := range sc.Output.Densities {
+				d, err := p.Density()
+				if err != nil {
+					fail(err)
+				}
+				fmt.Println(report.Density(d, 0, *hi, *width, *height, p.Label))
+			}
 		}
 	}
 }

@@ -7,6 +7,10 @@
 //	wlgen run   [-spec spec.json] [-log f]     run the experiment, print a summary
 //	wlgen run   -stream                        same, streaming the trace (no log retained)
 //	wlgen analyze -log usage.jsonl [-stream]   analyze a usage log (the Usage Analyzer)
+//	wlgen fit   [-family gamma] [-in f]        fit a distribution to samples, print its DistSpec
+//	wlgen validate -log usage.jsonl [-spec f]  check a usage log's statistical similarity to its spec
+//	wlgen replay -log usage.jsonl [-out f]     re-execute a usage log (the trace-data baseline)
+//	wlgen script [-dirs n] [-files n]          run the Andrew-style benchmark script (the benchmark baseline)
 //	wlgen scenario {list|dump|run}             declarative experiments (see scenario.go)
 //	wlgen paper -out paper_runs/               regenerate every figure/table artifact (see paper.go)
 //	wlgen paper -diff A B                      compare two artifact folders cell by cell
@@ -21,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"uswg/internal/config"
@@ -70,7 +75,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: wlgen {spec|mkfs|run|analyze|scenario|paper} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: wlgen {spec|mkfs|run|analyze|fit|validate|replay|script|scenario|paper} [flags]")
 	os.Exit(2)
 }
 
@@ -158,25 +163,32 @@ func cmdRun(args []string) error {
 		}
 		fmt.Printf("usage log: %s (%d records)\n", *logPath, gen.Log().Len())
 	}
-	printSummary(spec, res, gen)
+	printSummary(os.Stdout, spec, res, gen)
 	return nil
 }
 
-func printSummary(spec *config.Spec, res *core.Result, gen *core.Generator) {
+// printSummary writes the run summary. A fleet of more than one island
+// gets one pair of server lines per island, labeled by island index.
+func printSummary(w io.Writer, spec *config.Spec, res *core.Result, gen *core.Generator) {
 	a := res.Analysis
-	fmt.Printf("experiment %q: %d sessions, %d users, fs=%s\n",
+	fmt.Fprintf(w, "experiment %q: %d sessions, %d users, fs=%s\n",
 		spec.Name, res.Sessions, spec.Users, spec.FS.Kind)
 	if res.VirtualDuration > 0 {
-		fmt.Printf("virtual duration: %.0f µs\n", res.VirtualDuration)
+		fmt.Fprintf(w, "virtual duration: %.0f µs\n", res.VirtualDuration)
 	}
-	fmt.Printf("operations: %d (%d errors)\n", a.Ops, a.Errors)
-	fmt.Printf("access size:   mean %s B (std %s)\n", report.F(a.AccessSize.Mean()), report.F(a.AccessSize.Std()))
-	fmt.Printf("response time: mean %s µs (std %s)\n", report.F(a.Response.Mean()), report.F(a.Response.Std()))
-	fmt.Printf("response/byte: %s µs/B\n", report.F(a.MeanResponsePerByte()))
-	if srv := gen.Server(); srv != nil {
-		fmt.Printf("nfs server: %d RPCs, nfsd utilization %.1f%%, mean daemon wait %s µs\n",
-			srv.Calls(), 100*srv.NFSDUtilization(), report.F(srv.MeanNFSDWait()))
-		fmt.Printf("server cache hit rate: %.1f%%\n", 100*srv.Cache().HitRate())
+	fmt.Fprintf(w, "operations: %d (%d errors)\n", a.Ops, a.Errors)
+	fmt.Fprintf(w, "access size:   mean %s B (std %s)\n", report.F(a.AccessSize.Mean()), report.F(a.AccessSize.Std()))
+	fmt.Fprintf(w, "response time: mean %s µs (std %s)\n", report.F(a.Response.Mean()), report.F(a.Response.Std()))
+	fmt.Fprintf(w, "response/byte: %s µs/B\n", report.F(a.MeanResponsePerByte()))
+	servers := gen.Servers()
+	for i, srv := range servers {
+		name := "server"
+		if len(servers) > 1 {
+			name = fmt.Sprintf("server %d", i)
+		}
+		fmt.Fprintf(w, "nfs %s: %d RPCs, nfsd utilization %.1f%%, mean daemon wait %s µs\n",
+			name, srv.Calls(), 100*srv.NFSDUtilization(), report.F(srv.MeanNFSDWait()))
+		fmt.Fprintf(w, "%s cache hit rate: %.1f%%\n", name, 100*srv.Cache().HitRate())
 	}
 }
 

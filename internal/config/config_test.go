@@ -218,6 +218,22 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	if _, err := Decode(strings.NewReader(`{"bogus_field": 1}`)); err == nil {
 		t.Error("unknown fields should be rejected")
 	}
+	// The topology block is the fleet shape only: a server, client or wire
+	// knob set inside it is an unknown field, not an override of fs.server
+	// or fs.client.
+	s := Default()
+	s.FS.Topology = &Topology{Servers: 2}
+	var buf bytes.Buffer
+	if err := s.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, kv := range []string{`"nfsds": 2`, `"server": {"NFSDs": 2}`, `"client": {"WireBlock": 1024}`, `"net": {"LatencyPerMessage": 10}`} {
+		js := strings.Replace(buf.String(), `"servers": 2`, `"servers": 2, `+kv, 1)
+		key := kv[:strings.Index(kv, ":")]
+		if _, err := Decode(strings.NewReader(js)); err == nil || !strings.Contains(err.Error(), "unknown field "+key) {
+			t.Errorf("topology %s: err = %v, want unknown field %s", key, err, key)
+		}
+	}
 }
 
 // TestDecodeRejectsTrailingData: a spec file holds one JSON object, so

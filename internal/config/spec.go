@@ -361,13 +361,13 @@ type FSSpec struct {
 	Kind string `json:"kind"`
 	// Local parameterizes the simulated local file system.
 	Local vfs.LocalCostConfig `json:"local,omitempty"`
-	// Server and Client parameterize the simulated NFS. They are the
-	// legacy single-island form; Topology supersedes them when set.
+	// Server and Client parameterize the simulated NFS: every island's
+	// server and every client (wire model included) is built from them.
 	Server nfs.ServerConfig `json:"server,omitempty"`
 	Client nfs.ClientConfig `json:"client,omitempty"`
-	// Topology describes the serving fleet: island count, pooled clients,
-	// placement, and per-island config overrides. Nil keeps the legacy
-	// single server with one client per user.
+	// Topology is the fleet shape: island count, pooled clients and
+	// placement. Nil keeps the thesis's single server with one client per
+	// user.
 	Topology *Topology `json:"topology,omitempty"`
 	// RealRoot is the host directory for the real mode.
 	RealRoot string `json:"real_root,omitempty"`
@@ -385,11 +385,10 @@ func (f FSSpec) Validate() error {
 		if err := f.Topology.Validate(); err != nil {
 			return err
 		}
-		r := f.ResolveTopology()
-		if err := r.Server.Validate(); err != nil {
+		if err := f.Server.Validate(); err != nil {
 			return err
 		}
-		return r.Client.Validate()
+		return f.Client.Validate()
 	case FSReal:
 		if f.Topology != nil {
 			return fmt.Errorf("%w: topology requires fs kind %q, not %q", ErrSpec, FSNFS, f.Kind)

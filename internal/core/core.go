@@ -120,7 +120,6 @@ func NewGenerator(spec *config.Spec) (*Generator, error) {
 		g.fs = vfs.NewMemFS(vfs.WithCostModel(g.local), vfs.WithMaxFDs(1<<20))
 	case config.FSNFS:
 		g.env = sim.NewEnv()
-		topo := spec.FS.ResolveTopology()
 		// Every NFS run is a fleet: N islands (server + wire) behind a
 		// deterministic namespace router, sharing one namespace shadow so
 		// FDs are fleet-unique. The thesis testbed is the one-island fleet
@@ -128,13 +127,7 @@ func NewGenerator(spec *config.Spec) (*Generator, error) {
 		// (private page and attribute caches), all mounting one server over
 		// one shared Ethernet. A client pool instead multiplexes all users
 		// mapped to an island over K clients.
-		fleet, err := nfs.NewFleet(g.env, nfs.FleetConfig{
-			Servers:   topo.Servers,
-			Pool:      topo.Pool,
-			Replicate: topo.Placement == config.PlaceReplicate,
-			Server:    topo.Server,
-			Client:    topo.Client,
-		}, spec.Seed, vfs.NewMemFS(vfs.WithMaxFDs(1<<20)))
+		fleet, err := nfs.NewFleet(g.env, spec.FS.ResolveTopology(), spec.Seed, vfs.NewMemFS(vfs.WithMaxFDs(1<<20)))
 		if err != nil {
 			return nil, fmt.Errorf("core: NFS fleet: %w", err)
 		}

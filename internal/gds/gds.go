@@ -1,10 +1,10 @@
 // Package gds implements the Graphic Distribution Specifier: the part of
 // the workload generator that turns distribution specifications into the
 // CDF tables the FSC and USIM sample from (thesis §4.1.1). It compiles the
-// serializable specs of package config into package dist distributions,
-// fits phase-type exponential and multi-stage gamma families to empirical
-// samples, and carries the thesis's Figure 5.1/5.2 example
-// parameterizations.
+// serializable specs of package config into package dist distributions
+// and fits phase-type exponential and multi-stage gamma families to
+// empirical samples. The thesis's Figure 5.1/5.2 example parameterizations
+// are the fig5.1 and fig5.2 scenarios' density panels.
 //
 // The thesis's GDS displayed densities under X11; here rendering is ASCII
 // (package report), which the thesis itself anticipates: "If the X11 window
@@ -166,79 +166,6 @@ func Fit(samples []float64, family FitFamily, stages int) (config.DistSpec, dist
 		return spec, d, nil
 	default:
 		return config.DistSpec{}, nil, fmt.Errorf("%w: unknown fit family %q", config.ErrSpec, family)
-	}
-}
-
-// NamedDist pairs a label with a density for plotting.
-type NamedDist struct {
-	Label string
-	Dist  dist.Distribution
-}
-
-// Fig51Examples returns the thesis's Figure 5.1 phase-type exponential
-// example parameterizations. The first and third labels are printed in the
-// figure; the middle panel's parameters are unlabeled in the thesis, so a
-// representative two-phase curve is substituted.
-func Fig51Examples() []NamedDist {
-	mk := func(stages ...dist.ExpStage) dist.Distribution {
-		d, err := dist.NewPhaseTypeExp(stages)
-		if err != nil {
-			panic(fmt.Sprintf("gds: bad built-in example: %v", err))
-		}
-		return d
-	}
-	return []NamedDist{
-		{
-			Label: "f(x) = exp(22.1, x)",
-			Dist:  mk(dist.ExpStage{W: 1, Theta: 22.1}),
-		},
-		{
-			Label: "f(x) = 0.5 exp(10, x) + 0.5 exp(25, x-20)",
-			Dist: mk(
-				dist.ExpStage{W: 0.5, Theta: 10},
-				dist.ExpStage{W: 0.5, Theta: 25, Offset: 20},
-			),
-		},
-		{
-			Label: "f(x) = 0.4 exp(12.7, x) + 0.3 exp(18.2, x-18) + 0.3 exp(15.0, x-40)",
-			Dist: mk(
-				dist.ExpStage{W: 0.4, Theta: 12.7},
-				dist.ExpStage{W: 0.3, Theta: 18.2, Offset: 18},
-				dist.ExpStage{W: 0.3, Theta: 15.0, Offset: 40},
-			),
-		},
-	}
-}
-
-// Fig52Examples returns the thesis's Figure 5.2 multi-stage gamma example
-// parameterizations. The second and third labels are printed in the figure;
-// the first panel's parameters are unlabeled, so a representative
-// single-stage gamma is substituted.
-func Fig52Examples() []NamedDist {
-	mk := func(stages ...dist.GammaStage) dist.Distribution {
-		d, err := dist.NewMultiStageGamma(stages)
-		if err != nil {
-			panic(fmt.Sprintf("gds: bad built-in example: %v", err))
-		}
-		return d
-	}
-	return []NamedDist{
-		{
-			Label: "f(x) = g(2.0, 8.0, x)",
-			Dist:  mk(dist.GammaStage{W: 1, Alpha: 2, Theta: 8}),
-		},
-		{
-			Label: "f(x) = g(1.5, 25.4, x-12)",
-			Dist:  mk(dist.GammaStage{W: 1, Alpha: 1.5, Theta: 25.4, Offset: 12}),
-		},
-		{
-			Label: "f(x) = 0.7 g(1.3, 12.3, x) + 0.2 g(1.5, 12.4, x-23) + 0.1 g(1.4, 12.3, x-41)",
-			Dist: mk(
-				dist.GammaStage{W: 0.7, Alpha: 1.3, Theta: 12.3},
-				dist.GammaStage{W: 0.2, Alpha: 1.5, Theta: 12.4, Offset: 23},
-				dist.GammaStage{W: 0.1, Alpha: 1.4, Theta: 12.3, Offset: 41},
-			),
-		},
 	}
 }
 

@@ -186,33 +186,6 @@ func TestFitUnknownFamily(t *testing.T) {
 	}
 }
 
-func TestFigureExamples(t *testing.T) {
-	for _, fig := range [][]NamedDist{Fig51Examples(), Fig52Examples()} {
-		if len(fig) != 3 {
-			t.Fatalf("figure has %d panels, want 3", len(fig))
-		}
-		for _, nd := range fig {
-			den, ok := nd.Dist.(dist.Density)
-			if !ok {
-				t.Fatalf("%s: no density", nd.Label)
-			}
-			// Densities must be non-negative and have mass on [0, 100]
-			// (the thesis plots x in 0..100).
-			var mass float64
-			for x := 0.5; x < 100; x++ {
-				p := den.PDF(x)
-				if p < 0 || math.IsNaN(p) {
-					t.Fatalf("%s: PDF(%v) = %v", nd.Label, x, p)
-				}
-				mass += p
-			}
-			if mass <= 0 {
-				t.Errorf("%s: no mass on [0, 100]", nd.Label)
-			}
-		}
-	}
-}
-
 func TestBuildTables(t *testing.T) {
 	spec := config.Default()
 	ts, err := BuildTables(spec)

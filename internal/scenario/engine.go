@@ -11,7 +11,6 @@ import (
 
 	"uswg/internal/config"
 	"uswg/internal/core"
-	"uswg/internal/dist"
 	"uswg/internal/fault"
 	"uswg/internal/fsc"
 	"uswg/internal/gds"
@@ -499,8 +498,12 @@ type pointRun struct {
 	haveWriteSplit bool
 }
 
-// runPoint executes one compiled point.
-func runPoint(ps *pointSpec) (*pointRun, error) {
+// runPoint compiles and executes one point of the grid.
+func (sc *Scenario) runPoint(opts Options, idx int) (*pointRun, error) {
+	ps, err := sc.compilePoint(opts, idx)
+	if err != nil {
+		return nil, err
+	}
 	gen, err := core.NewGenerator(ps.spec)
 	if err != nil {
 		return nil, err
@@ -693,12 +696,8 @@ func (p *pointRun) cell(c Column) (string, error) {
 func runSweep(ctx context.Context, sc *Scenario, opts Options) (Result, Stats, error) {
 	n := sc.gridSize()
 	runs := make([]*pointRun, n)
-	err := ForEachPoint(ctx, opts, n, func(i int) error {
-		ps, err := sc.compilePoint(opts, i)
-		if err != nil {
-			return err
-		}
-		runs[i], err = runPoint(ps)
+	err := ForEachPoint(ctx, opts, n, func(i int) (err error) {
+		runs[i], err = sc.runPoint(opts, i)
 		return err
 	})
 	if err != nil {
@@ -838,20 +837,12 @@ func runCharacterization(sc *Scenario, opts Options) (Result, error) {
 // runUsage runs the workload with a full-record log and reduces it to
 // per-category usage set against the spec inputs (Table 5.2).
 func runUsage(sc *Scenario, opts Options) (Result, Stats, error) {
-	ps, err := sc.compilePoint(opts, 0)
+	run, err := sc.runPoint(opts, 0)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	spec := ps.spec
-	gen, err := core.NewGenerator(spec)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	runRes, err := gen.Run()
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	stats := Stats{Points: 1, Counters: runRes.Analysis.Counters()}
+	spec, gen := run.spec, run.gen
+	stats := Stats{Points: 1, Counters: run.res.Analysis.Counters()}
 	if gen.Log() == nil {
 		return nil, Stats{}, fmt.Errorf("%w: usage characterization needs trace \"log\"", ErrScenario)
 	}
@@ -942,35 +933,13 @@ func renderUserTypes(sc *Scenario) (Result, error) {
 	}, nil
 }
 
-// compileDensity turns a DistSpec into a plottable density.
-func compileDensity(spec config.DistSpec) (dist.Density, error) {
-	switch spec.Kind {
-	case config.KindExponential:
-		return dist.NewExponential(spec.Mean)
-	case config.KindPhaseExp:
-		stages := make([]dist.ExpStage, len(spec.ExpStages))
-		for i, s := range spec.ExpStages {
-			stages[i] = dist.ExpStage{W: s.W, Theta: s.Theta, Offset: s.Offset}
-		}
-		return dist.NewPhaseTypeExp(stages)
-	case config.KindGamma:
-		stages := make([]dist.GammaStage, len(spec.GammaStages))
-		for i, s := range spec.GammaStages {
-			stages[i] = dist.GammaStage{W: s.W, Alpha: s.Alpha, Theta: s.Theta, Offset: s.Offset}
-		}
-		return dist.NewMultiStageGamma(stages)
-	default:
-		return nil, fmt.Errorf("%w: density panels support exponential, phase-exp, and gamma kinds, not %q", ErrScenario, spec.Kind)
-	}
-}
-
 // renderDensityPanels samples the output's distributions (Figures 5.1-5.2)
 // into a DensitiesResult, which renders the same ASCII panels and exports
 // the sampled points as its table.
 func renderDensityPanels(sc *Scenario) (Result, error) {
 	out := &DensitiesResult{Title: sc.Output.Title, Width: 60, Height: 12}
 	for _, p := range sc.Output.Densities {
-		d, err := compileDensity(p.Dist)
+		d, err := p.Density()
 		if err != nil {
 			return nil, err
 		}
@@ -983,19 +952,11 @@ func renderDensityPanels(sc *Scenario) (Result, error) {
 // runHistograms runs one point and histograms per-session usage measures,
 // raw and smoothed (Figures 5.3-5.5), into a HistogramsResult.
 func runHistograms(sc *Scenario, opts Options) (Result, Stats, error) {
-	ps, err := sc.compilePoint(opts, 0)
+	run, err := sc.runPoint(opts, 0)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	gen, err := core.NewGenerator(ps.spec)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	res, err := gen.Run()
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	a := res.Analysis
+	a := run.res.Analysis
 
 	measure := func(name string) func(trace.SessionUsage) float64 {
 		switch name {
@@ -1008,7 +969,7 @@ func runHistograms(sc *Scenario, opts Options) (Result, Stats, error) {
 		}
 	}
 	out := &HistogramsResult{
-		Title: fmt.Sprintf(sc.Output.Title, ps.spec.Sessions),
+		Title: fmt.Sprintf(sc.Output.Title, run.spec.Sessions),
 		Width: 60, Height: 10,
 	}
 	for _, p := range sc.Output.Panels {
@@ -1035,23 +996,16 @@ func runHistograms(sc *Scenario, opts Options) (Result, Stats, error) {
 // response spike, a crash is a throughput dip, and recovery is the window
 // where response returns to its pre-fault baseline.
 func runTransient(sc *Scenario, opts Options) (Result, Stats, error) {
-	ps, err := sc.compilePoint(opts, 0)
+	run, err := sc.runPoint(opts, 0)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	gen, err := core.NewGenerator(ps.spec)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	res, err := gen.Run()
-	if err != nil {
-		return nil, Stats{}, err
-	}
+	gen, res := run.gen, run.res
 	wins := gen.Windows().Finish()
 
 	out := &TransientResult{
 		Title:   sc.Output.Title,
-		WidthUS: ps.spec.Trace.WindowUS,
+		WidthUS: run.spec.Trace.WindowUS,
 		Windows: wins,
 	}
 	line := func(format string, args ...any) {
@@ -1064,7 +1018,7 @@ func runTransient(sc *Scenario, opts Options) (Result, Stats, error) {
 		line("churn: %d workstation crashes, %d cold reboots, %d truncated sessions, %d departed users",
 			churn.Crashes, churn.Reboots, churn.TruncatedSessions, churn.Departed)
 	}
-	if links := gen.Links(); len(links) > 0 && ps.spec.Fault != nil {
+	if links := gen.Links(); len(links) > 0 && run.spec.Fault != nil {
 		// A fleet's wire is every island's link.
 		var drops, retransmits, giveUps int64
 		var blocked float64
@@ -1088,9 +1042,9 @@ func runTransient(sc *Scenario, opts Options) (Result, Stats, error) {
 	// end of the first window whose response has returned to the pre-fault
 	// baseline (ops-weighted mean response of the windows fully before the
 	// first outage, spike threshold 1.5x). Resolution is one window width.
-	if ps.spec.Fault != nil && len(ps.spec.Fault.ServerOutages) > 0 {
+	if run.spec.Fault != nil && len(run.spec.Fault.ServerOutages) > 0 {
 		onset, clear := math.Inf(1), 0.0
-		for _, o := range ps.spec.Fault.ServerOutages {
+		for _, o := range run.spec.Fault.ServerOutages {
 			onset = math.Min(onset, o.Start)
 			clear = math.Max(clear, o.End)
 		}

@@ -58,7 +58,9 @@ import (
 	"strings"
 
 	"uswg/internal/config"
+	"uswg/internal/dist"
 	"uswg/internal/fault"
+	"uswg/internal/gds"
 )
 
 // ErrScenario reports an invalid scenario specification.
@@ -197,16 +199,14 @@ type Workload struct {
 	// windowed time-series collector with this window width, virtual µs
 	// (required by the transient output kind).
 	TraceWindowUS float64 `json:"trace_window_us,omitempty"`
-	// NFSDs overrides the simulated server's daemon count. Legacy alias:
-	// Topology.NFSDs is the consolidated form, and setting both is
-	// rejected.
+	// NFSDs overrides the simulated server's daemon count
+	// (FS.Server.NFSDs).
 	NFSDs int `json:"nfsds,omitempty"`
 	// FS replaces the whole file-system spec (kind, server/client/cache
 	// knobs). Applied before NFSDs and Topology.
 	FS *config.FSSpec `json:"fs,omitempty"`
-	// Topology is the consolidated serving-fleet block: island count,
-	// per-island nfsds, pooled clients, placement, and server/client/net
-	// overrides. Applied after FS; BindServers/BindClientPool axes
+	// Topology is the fleet shape: island count, pooled clients and
+	// placement. Applied after FS; BindServers/BindClientPool axes
 	// override its counts per point.
 	Topology *config.Topology `json:"topology,omitempty"`
 	// MaxOpsPerSession bounds a session (0 keeps the default).
@@ -321,6 +321,20 @@ type HistPanel struct {
 type DensityPanel struct {
 	Label string          `json:"label"`
 	Dist  config.DistSpec `json:"dist"`
+}
+
+// Density compiles the panel's distribution; it fails for a distribution
+// with no PDF to plot (tables, constants, truncations).
+func (p DensityPanel) Density() (dist.Density, error) {
+	d, err := gds.Compile(p.Dist)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: density %q: %w", p.Label, err)
+	}
+	den, ok := d.(dist.Density)
+	if !ok {
+		return nil, fmt.Errorf("%w: density %q: a %s distribution has no PDF", ErrScenario, p.Label, p.Dist.Kind)
+	}
+	return den, nil
 }
 
 // Output is the scenario's output contract: what is measured per point and
@@ -552,11 +566,6 @@ func (sc *Scenario) Validate() error {
 		if err := t.Validate(); err != nil {
 			return fmt.Errorf("scenario: workload topology: %w", err)
 		}
-		// One form per knob: the legacy nfsds alias and the consolidated
-		// block must not both set the daemon count.
-		if sc.Base.NFSDs > 0 && t.NFSDs > 0 {
-			return fmt.Errorf("%w: workload sets both the legacy nfsds field and topology.nfsds — use one form", ErrScenario)
-		}
 		if sc.Base.FS != nil && sc.Base.FS.Topology != nil {
 			return fmt.Errorf("%w: workload sets topology both inline and inside fs — use one form", ErrScenario)
 		}
@@ -623,8 +632,8 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("%w: densities output needs panels", ErrScenario)
 		}
 		for _, p := range out.Densities {
-			if err := p.Dist.Validate(); err != nil {
-				return fmt.Errorf("scenario: density %q: %w", p.Label, err)
+			if _, err := p.Density(); err != nil {
+				return err
 			}
 		}
 		return nil

@@ -344,6 +344,17 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := Decode(strings.NewReader(`{"name": "x", "sessionz": 5, "output": {"kind": "table"}}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
+	// The workload's topology block is the fleet shape only; the daemon
+	// count is the workload's nfsds, so topology.nfsds is unknown too.
+	topo := base()
+	topo.Base.Topology = &config.Topology{Servers: 2}
+	if js, err = topo.JSON(); err != nil {
+		t.Fatal(err)
+	}
+	nfsds := strings.Replace(string(js), `"servers": 2`, `"servers": 2, "nfsds": 2`, 1)
+	if _, err := Decode(strings.NewReader(nfsds)); err == nil || !strings.Contains(err.Error(), `unknown field "nfsds"`) {
+		t.Errorf("topology nfsds: err = %v, want unknown field \"nfsds\"", err)
+	}
 	// A grid whose row axis does not bind users is rejected.
 	grid := &Scenario{
 		Name: "g",
@@ -359,6 +370,25 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if err := grid.Validate(); err == nil {
 		t.Error("grid without a users row axis accepted")
+	}
+}
+
+// TestDensityPanelsNeedPDF: a densities panel compiles through gds.Compile
+// at validation, so a distribution with no PDF to plot fails Decode rather
+// than the run.
+func TestDensityPanelsNeedPDF(t *testing.T) {
+	sc := &Scenario{Name: "dens", Output: Output{Kind: KindDensities, Title: "t",
+		Densities: []DensityPanel{{Label: "f", Dist: config.Exp(10)}}}}
+	if err := sc.Validate(); err != nil {
+		t.Fatalf("exponential panel rejected: %v", err)
+	}
+	sc.Output.Densities[0].Dist = config.DistSpec{Kind: config.KindTableCDF, Xs: []float64{0, 1}, Ps: []float64{0, 1}}
+	js, err := sc.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(bytes.NewReader(js)); !errors.Is(err, ErrScenario) {
+		t.Errorf("table-cdf panel: Decode err = %v, want ErrScenario", err)
 	}
 }
 

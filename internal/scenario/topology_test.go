@@ -88,8 +88,8 @@ func TestSweepServersBind(t *testing.T) {
 	}
 }
 
-// TestTopologyWorkloadValidation covers the one-form-per-knob rule at the
-// scenario layer and the sweep-axis integer requirements.
+// TestTopologyWorkloadValidation covers the scenario layer's topology checks
+// and the sweep-axis integer requirements.
 func TestTopologyWorkloadValidation(t *testing.T) {
 	base := func() *Scenario {
 		return &Scenario{
@@ -104,14 +104,6 @@ func TestTopologyWorkloadValidation(t *testing.T) {
 		sc.Base.Topology = &config.Topology{Servers: 2, ClientPool: 4}
 		if err := sc.Validate(); err != nil {
 			t.Errorf("unexpected error: %v", err)
-		}
-	})
-	t.Run("legacy nfsds + topology nfsds", func(t *testing.T) {
-		sc := base()
-		sc.Base.NFSDs = 4
-		sc.Base.Topology = &config.Topology{NFSDs: 2}
-		if err := sc.Validate(); err == nil {
-			t.Error("expected both-forms rejection")
 		}
 	})
 	t.Run("topology inline and inside fs", func(t *testing.T) {

@@ -101,7 +101,8 @@ type analyzer struct {
 	sessions map[int]*sessionAgg
 	// byOp holds the known ops' summaries, indexed by Op; a summary with
 	// Count 0 has not been seen. otherOps holds any other Op value, which
-	// only Go code can build (DecodeJSONL rejects unknown names).
+	// only Go code can build (DecodeJSONL rejects unknown names and
+	// records with no op).
 	byOp     [OpMkdir + 1]OpSummary
 	otherOps map[Op]*OpSummary
 	a        *Analysis

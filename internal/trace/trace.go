@@ -476,7 +476,10 @@ func ReadJSONL(r io.Reader) (*Log, error) {
 // record to the sink as it is decoded — the streaming complement of
 // ReadJSONL for consumers (like the Summarizer) that never need the
 // materialized log. One decode buffer is reused across records, honouring
-// the Sink ownership contract. Returns the number of records decoded.
+// the Sink ownership contract. A record without an op is rejected: only
+// named ops decode, so every record delivered re-encodes. Errors name the
+// failing record's line, counting one record per line as WriteJSONL writes
+// them. Returns the number of records decoded.
 func DecodeJSONL(r io.Reader, sink Sink) (int, error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
 	n := 0
@@ -489,7 +492,10 @@ func DecodeJSONL(r io.Reader, sink Sink) (int, error) {
 			if err == io.EOF {
 				return n, nil
 			}
-			return n, fmt.Errorf("trace: decode record: %w", err)
+			return n, fmt.Errorf("trace: line %d: decode record: %w", n+1, err)
+		}
+		if rec.Op == 0 {
+			return n, fmt.Errorf("trace: line %d: record has no op", n+1)
 		}
 		sink.Emit(&rec)
 		n++

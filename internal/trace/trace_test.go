@@ -179,9 +179,18 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadJSONLBadInput: malformed JSON and a record with no op (which
+// would tabulate as an "op(0)" row and re-encode as a name no decoder
+// accepts) fail, naming the record's line.
 func TestReadJSONLBadInput(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{not json}\n")); err == nil {
-		t.Error("malformed JSONL should return an error")
+	for in, line := range map[string]string{
+		"{not json}\n": "line 1",
+		`{"session":0,"user":0,"op":"stat","start":1,"elapsed":1}` + "\n" +
+			`{"session":0,"user":0,"start":6,"elapsed":1}` + "\n": "line 2",
+	} {
+		if _, err := ReadJSONL(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), line) {
+			t.Errorf("%q: err = %v, want an error naming %s", in, err, line)
+		}
 	}
 }
 
