@@ -161,6 +161,11 @@ func TestSpecValidateRejects(t *testing.T) {
 		{"unknown fs", func(s *Spec) { s.FS.Kind = "ramdisk" }},
 		{"real without root", func(s *Spec) { s.FS = FSSpec{Kind: FSReal} }},
 		{"bad nfs server", func(s *Spec) { s.FS.Server.NFSDs = 0 }},
+		{"lifecycle on real fs", func(s *Spec) {
+			mttf := Exp(1e6)
+			s.UserTypes[0].Lifecycle = &Lifecycle{MTTF: &mttf}
+			s.FS = FSSpec{Kind: FSReal, RealRoot: "/tmp/sandbox"}
+		}},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {

@@ -234,7 +234,8 @@ type UserType struct {
 	Fraction float64 `json:"fraction"`
 	// Lifecycle makes this type's workstations dynamic: seeded arrival,
 	// departure, and crash/reboot times instead of the steady-state
-	// always-on population. Nil keeps the thesis's fixed fleet.
+	// always-on population. Nil keeps the thesis's fixed fleet. Simulated
+	// modes only (local or NFS): the lifecycle runs on the DES.
 	Lifecycle *Lifecycle `json:"lifecycle,omitempty"`
 }
 
@@ -598,8 +599,13 @@ func (s *Spec) Validate() error {
 	if err := s.Ext.Validate(); err != nil {
 		return err
 	}
-	if s.HasLifecycle() && s.Ext.Concurrency() > 1 {
-		return fmt.Errorf("%w: lifecycle and concurrent_sessions > 1 are mutually exclusive", ErrSpec)
+	if s.HasLifecycle() {
+		if s.FS.Kind == FSReal {
+			return fmt.Errorf("%w: lifecycle requires a simulated file system, not %q", ErrSpec, FSReal)
+		}
+		if s.Ext.Concurrency() > 1 {
+			return fmt.Errorf("%w: lifecycle and concurrent_sessions > 1 are mutually exclusive", ErrSpec)
+		}
 	}
 	if s.LazyUsers {
 		if s.FS.Kind == FSReal {

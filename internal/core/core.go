@@ -37,12 +37,10 @@ import (
 // Generator is one configured experiment, ready to run.
 type Generator struct {
 	spec      *config.Spec
-	tables    *gds.TableSet
 	env       *sim.Env // nil in real mode
 	fs        vfs.FileSystem
 	inventory *fsc.Inventory
 	simulator *usim.Simulator
-	sink      trace.Sink
 	log       *trace.Log        // the sink in log mode, nil when streaming
 	sum       *trace.Summarizer // the sink in streaming mode, nil otherwise
 	windows   *trace.Windows    // the windowed view, nil unless trace.window_us is set
@@ -87,26 +85,27 @@ func NewGenerator(spec *config.Spec) (*Generator, error) {
 		return nil, fmt.Errorf("core: GDS: %w", err)
 	}
 
-	g := &Generator{spec: spec, tables: tables}
+	g := &Generator{spec: spec}
 	// The trace sink: a full-record log by default, the O(sessions)
 	// streaming summarizer when the spec asks for it (the memory shape
 	// that makes 1000-user populations reachable; see trace.Summarizer).
+	var sink trace.Sink
 	if spec.Trace.Streaming() {
 		g.sum = trace.NewSummarizer()
-		g.sink = g.sum
+		sink = g.sum
 	} else {
 		g.log = &trace.Log{}
 		// Size the shard-table bound from the population so >4096-user
 		// runs keep one lock-free shard per user instead of wrapping.
 		g.log.Reserve(spec.Users)
-		g.sink = g.log
+		sink = g.log
 	}
 	// The windowed transient view tees off the primary sink: the primary
 	// sees every record first and unmodified, so analyses stay
 	// bit-identical with or without the windows.
 	if spec.Trace.WindowUS > 0 {
 		g.windows = trace.NewWindows(spec.Trace.WindowUS)
-		g.sink = trace.NewTee(g.sink, g.windows)
+		sink = trace.NewTee(sink, g.windows)
 	}
 	var setupFS vfs.FileSystem // FSC-only file system, when distinct from fs
 	switch spec.FS.Kind {
@@ -189,7 +188,7 @@ func NewGenerator(spec *config.Spec) (*Generator, error) {
 		measured = fault.NewFS(g.fs, g.faults)
 	}
 
-	s, err := usim.New(spec, tables, inv, measured, g.sink)
+	s, err := usim.New(spec, tables, inv, measured, sink)
 	if err != nil {
 		return nil, fmt.Errorf("core: USIM: %w", err)
 	}
@@ -426,9 +425,6 @@ func (g *Generator) setupCtx() vfs.Ctx {
 // Spec returns the experiment specification.
 func (g *Generator) Spec() *config.Spec { return g.spec }
 
-// Tables returns the compiled CDF tables.
-func (g *Generator) Tables() *gds.TableSet { return g.tables }
-
 // FS returns the file system under test, which the user simulator falls
 // back on for a user with no binding of its own. In NFS mode it is user
 // 0's mount, never a setup client: the FSC's setup clients do not outlive
@@ -437,9 +433,6 @@ func (g *Generator) FS() vfs.FileSystem { return g.fs }
 
 // Inventory returns the FSC's created file inventory.
 func (g *Generator) Inventory() *fsc.Inventory { return g.inventory }
-
-// Sink returns the trace sink operations are emitted to.
-func (g *Generator) Sink() trace.Sink { return g.sink }
 
 // Log returns the usage log (populated by Run), or nil when the spec
 // selected the streaming trace mode — streaming runs have an Analysis but

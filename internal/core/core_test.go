@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"reflect"
 	"testing"
 
@@ -32,6 +33,28 @@ func TestNewGeneratorRejectsBadSpec(t *testing.T) {
 	spec.FS = config.FSSpec{Kind: config.FSReal, RealRoot: "/does/not/exist"}
 	if _, err := NewGenerator(spec); err == nil {
 		t.Error("missing real root should fail")
+	}
+}
+
+// TestNewGeneratorRejectsLifecycleOnRealFS: a lifecycle needs the DES
+// runner, so a lifecycle spec on the real file system fails before the FSC
+// writes anything under real_root.
+func TestNewGeneratorRejectsLifecycleOnRealFS(t *testing.T) {
+	spec := smallSpec()
+	spec.Sessions = 4
+	mttf := config.Exp(1e6)
+	spec.UserTypes[0].Lifecycle = &config.Lifecycle{MTTF: &mttf}
+	root := t.TempDir()
+	spec.FS = config.FSSpec{Kind: config.FSReal, RealRoot: root}
+	if _, err := NewGenerator(spec); err == nil {
+		t.Error("lifecycle on the real file system should fail")
+	}
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("real_root holds %d entries after a rejected spec, want none", len(entries))
 	}
 }
 

@@ -128,7 +128,7 @@ type Rule struct {
 
 	// Sticky makes the rule permanent once it first fires: every later
 	// matching call fires too (ENOSPC that does not go away). Transient
-	// faults leave Sticky false.
+	// faults leave Sticky false; a sticky rule cannot set MaxFires.
 	Sticky bool `json:"sticky,omitempty"`
 	// MaxFires bounds the total number of firings (0 means unlimited); a
 	// bounded rule models a transient glitch that clears.
@@ -199,6 +199,11 @@ func (r *Rule) Validate() error {
 	}
 	if r.MaxFires < 0 {
 		return fmt.Errorf("fault: rule %q: negative max_fires %d", r.Name, r.MaxFires)
+	}
+	if r.MaxFires > 0 && r.Sticky {
+		// A tripped sticky rule fires on every later call, so no bound on
+		// its firings could hold.
+		return fmt.Errorf("fault: rule %q: sticky and max_fires are mutually exclusive", r.Name)
 	}
 	if r.Until != 0 && r.Until <= r.After {
 		return fmt.Errorf("fault: rule %q: window [%v, %v) is empty", r.Name, r.After, r.Until)

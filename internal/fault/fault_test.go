@@ -30,6 +30,9 @@ func TestPlanValidation(t *testing.T) {
 			{Name: "r", Ops: []string{"write"}, Prob: 0.5},
 		}},
 		{Name: "badwindow", Rules: []Rule{{Name: "r", Ops: []string{"read"}, Prob: 0.5, After: 10, Until: 10}}},
+		// A tripped sticky rule fires on every call, past any max_fires
+		// (found by FuzzPlan).
+		{Name: "stickymax", Rules: []Rule{{Name: "r", Ops: []string{"write"}, Prob: 1, Err: ENOSPC, Sticky: true, MaxFires: 1}}},
 	}
 	for _, p := range bad {
 		p := p

@@ -9,8 +9,6 @@ import (
 	"uswg/internal/dist"
 	"uswg/internal/gds"
 	"uswg/internal/rng"
-	"uswg/internal/sim"
-	"uswg/internal/trace"
 	"uswg/internal/vfs"
 )
 
@@ -28,20 +26,25 @@ import (
 // think-time hold is observed when the hold fires. The observable trace
 // therefore ends strictly before the crash deadline.
 //
+// RunUnderSim's session stream runs the lifecycle: it holds until its
+// user's arrival, arms the crash deadline at boot and ends at the
+// departure, and the session loop checks the deadlines.
+//
 // Determinism: each user's lifecycle draws come from a private stream
-// derived from (seed, "life.user<N>") in a fixed order — arrive, depart at
+// derived from (seed, "life.user<N>"), built once in initLifecycle for
+// eager and lazy populations alike, in a fixed order — arrive, depart at
 // construction; then MTTF at each boot and MTTR at each crash, which the
 // single-threaded DES schedule serializes identically every run. The
 // timeline is a pure function of the spec, byte-identical at any sweep
-// parallelism, and specs without lifecycle take none of these draws (and
-// none of these code paths), leaving existing runs bit-identical.
+// parallelism. Specs without lifecycle take none of these draws: their
+// users have no lifeState, so the runner and the session loop skip every
+// deadline check and existing runs stay bit-identical.
 
 // lifeState is one user's lifecycle: sampled arrival/departure times, the
 // crash deadline, and churn counters. One per user; nil samplers and
 // +Inf deadlines make a user inert (a static class inside a dynamic
 // population).
 type lifeState struct {
-	user       int
 	r          *rand.Rand
 	mttf, mttr dist.Distribution
 	arriveAt   float64
@@ -53,30 +56,6 @@ type lifeState struct {
 	reboots   int
 	truncated int
 	departed  bool
-
-	// Lazy-population deferral: the private stream's seed plus the
-	// arrival/departure distributions whose draws must be replayed (and
-	// discarded) when the rng is rebuilt at boot, so the MTTF/MTTR draws
-	// land at the same stream positions an eager run gives them. The rng
-	// itself (~5 KB of math/rand state, the dominant per-idle-user cost) is
-	// only alive while the user is.
-	seed                   uint64
-	burnArrive, burnDepart dist.Distribution
-}
-
-// materializeRNG rebuilds the user's lifecycle stream at boot (lazy
-// populations defer it) and advances past the construction-time draws.
-func (ls *lifeState) materializeRNG() {
-	if ls.r != nil || (ls.mttf == nil && ls.mttr == nil) {
-		return
-	}
-	ls.r = rng.New(ls.seed)
-	if ls.burnArrive != nil {
-		ls.burnArrive.Sample(ls.r)
-	}
-	if ls.burnDepart != nil {
-		ls.burnDepart.Sample(ls.r)
-	}
 }
 
 // crashed reports whether the crash deadline has passed.
@@ -199,33 +178,17 @@ func (s *Simulator) initLifecycle() error {
 		if lazy && shares[u] == 0 {
 			// Zero-session user of a lazy population: it never arrives, so
 			// it gets no lifecycle state at all (and no process — see
-			// runLifecycleSim). Its draws come from a private per-user
-			// stream, so skipping them perturbs nobody else's.
+			// RunUnderSim). Its draws come from a private per-user stream,
+			// so skipping them perturbs nobody else's.
 			continue
 		}
-		ls := &lifeState{user: u, departAt: inf, crashAt: inf}
+		ls := &lifeState{departAt: inf, crashAt: inf}
 		s.life[u] = ls
 		c := byType[types[u]]
 		if c == nil {
 			continue
 		}
 		ls.mttf, ls.mttr, ls.maxCrashes = c.mttf, c.mttr, c.maxCrashes
-		if lazy {
-			// Draw the deadlines now (the runner needs arriveAt to schedule
-			// the boot) but let the rng itself die: boot rebuilds it via
-			// materializeRNG, replaying these draws to reach the same
-			// stream position.
-			ls.seed = rng.DeriveSeed(s.spec.Seed, fmt.Sprintf("life.user%d", u))
-			ls.burnArrive, ls.burnDepart = c.arrive, c.depart
-			r := rng.New(ls.seed)
-			if c.arrive != nil {
-				ls.arriveAt = math.Max(0, c.arrive.Sample(r))
-			}
-			if c.depart != nil {
-				ls.departAt = math.Max(0, c.depart.Sample(r))
-			}
-			continue
-		}
 		ls.r = rng.Derive(s.spec.Seed, fmt.Sprintf("life.user%d", u))
 		if c.arrive != nil {
 			ls.arriveAt = math.Max(0, c.arrive.Sample(ls.r))
@@ -241,10 +204,16 @@ func (s *Simulator) initLifecycle() error {
 // boot with cold caches: cache warming (core's bindUser) skips it, so
 // its first session pays the cache-warming cost a rejoining machine pays.
 func (s *Simulator) ColdStart(user int) bool {
-	if s.life == nil || user >= len(s.life) || s.life[user] == nil {
-		return false
+	ls := s.lifeOf(user)
+	return ls != nil && ls.arriveAt > 0
+}
+
+// lifeOf returns the user's lifecycle state, nil for a static user.
+func (s *Simulator) lifeOf(user int) *lifeState {
+	if user < len(s.life) {
+		return s.life[user]
 	}
-	return s.life[user].arriveAt > 0
+	return nil
 }
 
 // ChurnStats summarizes a dynamic population's lifecycle events.
@@ -275,115 +244,4 @@ func (s *Simulator) Churn() ChurnStats {
 		}
 	}
 	return c
-}
-
-// runLifecycleSim is RunUnderSim for dynamic populations: one process per
-// user (the lifecycle excludes ConcurrentSessions), arriving at its drawn
-// boot time, running sessions until its share is done or its departure
-// time passes, crashing and rebooting per its deadlines. Returns the
-// number of sessions started (truncated ones included).
-func (s *Simulator) runLifecycleSim(env *sim.Env) (int, error) {
-	types := s.AssignTypes()
-	perStream := sessionShares(s.spec.Sessions, s.spec.Users)
-	lazy := s.spec.LazyUsers
-	next := 0
-	started := 0
-	for u := 0; u < s.spec.Users; u++ {
-		u := u
-		first := next
-		count := perStream[u]
-		next += count
-		if lazy && count == 0 {
-			// The user never arrives: no process, no lifecycle state, no
-			// arena — idle population costs nothing. (Eager populations
-			// keep the empty proc because its arrival hold extends virtual
-			// time, which existing runs' utilization figures depend on.)
-			continue
-		}
-		ls := s.life[u]
-		var emit func(*trace.Record)
-		var r *rand.Rand
-		var ar *arena
-		if !lazy {
-			emit = s.sink.Stream(u).Emit
-			r = rng.Derive(s.spec.Seed, fmt.Sprintf("user%d.%d", u, 0))
-			ar = newArena()
-		}
-		//wlint:allow hotalloc the stream body and its finish/nextSession/boot continuations are built once per user stream, amortized over all its sessions
-		env.Start(fmt.Sprintf("user%d.%d", u, 0), func(p *sim.Proc, done sim.K) {
-			i := 0
-			// finish ends the stream; for lazy populations it is also the
-			// reclaim point: the arena returns to the free list for the
-			// next arrival, the lifecycle rng is dropped, and the wiring
-			// layer releases the user's bindings.
-			//wlint:allow hotalloc built once per user stream
-			finish := func() {
-				if lazy {
-					if ar != nil {
-						s.putArena(ar)
-						ar = nil
-					}
-					ls.r = nil
-					if s.hooks.Release != nil {
-						s.hooks.Release(u)
-					}
-				}
-				done()
-			}
-			var nextSession func()
-			//wlint:allow hotalloc built once per user stream
-			nextSession = func() {
-				if i >= count {
-					finish()
-					return
-				}
-				if ls.departing(p.Now()) {
-					ls.departed = true
-					finish()
-					return
-				}
-				id := first + i
-				i++
-				started++
-				if err := s.runSessionK(p, ar, id, u, types[u], r, emit, nextSession); err != nil {
-					nextSession()
-				}
-			}
-			//wlint:allow hotalloc built once per user stream
-			boot := func() {
-				if lazy {
-					// The user exists as of now: build its file tree and
-					// bindings (the hook runs the zero-clock setup burst),
-					// then its session machinery from the free list.
-					if s.hooks.Materialize != nil {
-						if err := s.hooks.Materialize(u); err != nil {
-							if s.hookErr == nil {
-								s.hookErr = err
-							}
-							done()
-							return
-						}
-					}
-					emit = s.sink.Stream(u).Emit
-					r = rng.Derive(s.spec.Seed, fmt.Sprintf("user%d.%d", u, 0))
-					ar = s.getArena()
-					ls.materializeRNG()
-				}
-				ls.arm(p.Now())
-				nextSession()
-			}
-			if ls.arriveAt > 0 {
-				p.Hold(ls.arriveAt, boot)
-				return
-			}
-			boot()
-		})
-	}
-	if err := env.Run(sim.Forever); err != nil {
-		return started, fmt.Errorf("usim: %w", err)
-	}
-	if s.hookErr != nil {
-		return started, fmt.Errorf("usim: materialize user: %w", s.hookErr)
-	}
-	return started, nil
 }

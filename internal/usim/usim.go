@@ -67,10 +67,11 @@ type Simulator struct {
 	// hookErr records the first materialization failure; the run drains and
 	// the runner surfaces it.
 	hookErr error
-	// arenas is the free list lazy streams recycle session arenas through:
-	// a departed user's arena (with all its bound continuations and item
+	// arenas is the free list session streams recycle arenas through: an
+	// ended stream's arena (with all its bound continuations and item
 	// capacity) serves the next user to arrive, so arena count tracks peak
-	// concurrently-active users, not population size.
+	// concurrently-active streams, not population size. RunUnderSim drops
+	// the list when the calendar drains.
 	arenas []*arena
 }
 
@@ -133,9 +134,6 @@ func New(spec *config.Spec, tables *gds.TableSet, inv *fsc.Inventory, fs vfs.Fil
 	}
 	return s, nil
 }
-
-// Sink returns the trace sink operations are emitted to.
-func (s *Simulator) Sink() trace.Sink { return s.sink }
 
 // Log returns the usage log when the sink is a full-record *trace.Log (the
 // default), or nil for streaming sinks.
@@ -202,27 +200,19 @@ type workItem struct {
 // RunSession simulates one login session for the given user, synchronously.
 // The random stream r must be private to the calling process for
 // determinism. Valid only with a Ctx whose holds complete inline (manual or
-// wall clocks); simulated processes use RunSessionK.
+// wall clocks); simulated processes run under RunUnderSim. An unknown user
+// type is an error; operation failures are recorded in the log, not
+// returned — a session cannot fail in a way that stops the user.
 func (s *Simulator) RunSession(ctx vfs.Ctx, sessionID, user int, userType string, r *rand.Rand) error {
 	done := false
 	//wlint:allow hotalloc synchronous entry point for non-suspending clocks (setup, warming, wall-clock mode); never under the DES
-	if err := s.RunSessionK(ctx, sessionID, user, userType, r, func() { done = true }); err != nil {
+	if err := s.runSessionK(ctx, newArena(), sessionID, user, userType, r, s.sink.Emit, func() { done = true }); err != nil {
 		return err
 	}
 	if !done {
-		panic("usim: RunSession used with a suspending Ctx; use RunSessionK")
+		panic("usim: RunSession used with a suspending Ctx; use RunUnderSim")
 	}
 	return nil
-}
-
-// RunSessionK simulates one login session in continuation style: it returns
-// after validating the user type (reporting an unknown type as an error),
-// and runs k once the session's last operation has completed — possibly
-// after the calling process has suspended many times under the DES kernel.
-// Operation failures are recorded in the log, not returned; a session
-// cannot fail in a way that stops the user.
-func (s *Simulator) RunSessionK(ctx vfs.Ctx, sessionID, user int, userType string, r *rand.Rand, k func()) error {
-	return s.runSessionK(ctx, newArena(), sessionID, user, userType, r, s.sink.Emit, k)
 }
 
 // runSessionK initializes the arena's session and starts its operation
@@ -248,10 +238,7 @@ func (s *Simulator) runSessionK(ctx vfs.Ctx, ar *arena, sessionID, user int, use
 	ses.done = k
 	ses.maxOps = s.spec.MaxOps()
 	ses.ext = s.spec.Ext
-	ses.life = nil
-	if s.life != nil && user < len(s.life) {
-		ses.life = s.life[user]
-	}
+	ses.life = s.lifeOf(user)
 	ses.selectFiles(ar)
 	ses.drive()
 	return nil
@@ -954,97 +941,148 @@ func (ses *session) metaDone(err error) {
 }
 
 // RunUnderSim executes the spec's sessions on a DES environment: one
-// process per user (or several, with the ConcurrentSessions extension —
-// the window-system behaviour of §6.2), each running its share of login
-// sessions back to back on its own recycled arena. Each stream emits to
-// its user's sink stream without locking — the kernel is single-threaded,
-// so the per-record mutex the old global log took bought nothing. Returns
-// the number of sessions executed.
+// process per session stream — per user, or several per user with the
+// ConcurrentSessions extension (the window-system behaviour of §6.2) — each
+// running its share of login sessions back to back (see stream). Each
+// stream emits to its user's sink stream without locking: the kernel is
+// single-threaded, so a per-record mutex would buy nothing. Returns the
+// number of sessions started, truncated ones included.
 func (s *Simulator) RunUnderSim(env *sim.Env) (int, error) {
-	if s.life != nil {
-		return s.runLifecycleSim(env)
-	}
 	types := s.AssignTypes()
 	conc := s.spec.Ext.Concurrency()
 	perStream := sessionShares(s.spec.Sessions, s.spec.Users*conc)
-	lazy := s.spec.LazyUsers
-	next := 0
-	total := 0
+	next, started := 0, 0
 	for u := 0; u < s.spec.Users; u++ {
+		ls := s.lifeOf(u)
 		for w := 0; w < conc; w++ {
-			u, w := u, w
-			first := next
-			count := perStream[u*conc+w]
+			first, count := next, perStream[u*conc+w]
 			next += count
-			total += count
-			if count == 0 {
+			if count == 0 && ls == nil {
 				// An empty stream runs no sessions and emits nothing.
 				// Skipping its proc renumbers the calendar uniformly
 				// (relative event order is unchanged), so output bytes are
-				// identical — and an idle user stops paying for a stream
-				// handle, an rng, an arena, and a kernel process.
+				// identical — and an idle user costs no process. A user
+				// with a lifecycle keeps its empty stream, because the
+				// arrival hold extends virtual time; a lazy user that
+				// never arrives has no lifecycle state (initLifecycle).
 				continue
 			}
-			// One sink stream handle per session stream, not per user: a
-			// handle's sessions run back to back (contiguous ids), which is
-			// the contract that lets the Summarizer retire each session's
-			// accumulator the moment the handle starts the next one. With
-			// concurrent sessions, windows of one user interleave, so
-			// sharing a handle across them would break contiguity.
-			emit := s.sink.Stream(u).Emit
-			r := rng.Derive(s.spec.Seed, fmt.Sprintf("user%d.%d", u, w))
-			ar := newArena()
-			//wlint:allow hotalloc the stream body and its finish/nextSession continuations are built once per user stream, amortized over all its sessions
-			env.Start(fmt.Sprintf("user%d.%d", u, w), func(p *sim.Proc, done sim.K) {
-				i := 0
-				//wlint:allow hotalloc built once per user stream
-				finish := func() {
-					if lazy && s.hooks.Release != nil {
-						s.hooks.Release(u)
-					}
-					done()
-				}
-				var nextSession func()
-				//wlint:allow hotalloc built once per user stream
-				nextSession = func() {
-					if i >= count {
-						finish()
-						return
-					}
-					id := first + i
-					i++
-					// A validation error cannot happen here (types come
-					// from AssignTypes); operation failures are already
-					// recorded in the log — a session cannot fail in a
-					// way that stops the user.
-					if err := s.runSessionK(p, ar, id, u, types[u], r, emit, nextSession); err != nil {
-						nextSession()
-					}
-				}
-				if lazy && s.hooks.Materialize != nil {
-					// t=0, before the user's first session — the static-
-					// population analogue of the lifecycle arrival. Procs
-					// run in user order, so materialization replays the
-					// eager build's user order exactly.
-					if err := s.hooks.Materialize(u); err != nil {
-						if s.hookErr == nil {
-							s.hookErr = err
-						}
-						done()
-						return
-					}
-				}
-				nextSession()
-			})
+			st := &stream{sim: s, name: fmt.Sprintf("user%d.%d", u, w), user: u, utype: types[u],
+				life: ls, first: first, count: count, started: &started}
+			env.Start(st.name, st.run)
 		}
 	}
-	if err := env.Run(sim.Forever); err != nil {
-		return total, fmt.Errorf("usim: %w", err)
+	err := env.Run(sim.Forever)
+	// Every stream has ended and returned its arena: a finished run holds
+	// none.
+	s.arenas = nil
+	if err != nil {
+		return started, fmt.Errorf("usim: %w", err)
 	}
 	if s.hookErr != nil {
-		return total, fmt.Errorf("usim: materialize user: %w", s.hookErr)
+		return started, fmt.Errorf("usim: materialize user: %w", s.hookErr)
 	}
-	return total, nil
+	return started, nil
+}
+
+// stream is one session stream under the DES. It boots when its user
+// arrives (t=0 without a lifecycle): a lazy user is materialized, and the
+// stream takes its sink stream, its rng and an arena from the free list.
+// It then runs sessions [first, first+count) back to back — under the
+// user's departure and crash deadlines when it has a lifecycle — and at
+// its end returns the arena and releases a lazy user.
+type stream struct {
+	sim          *Simulator
+	name         string // process name and rng stream label
+	user         int
+	utype        string
+	life         *lifeState // nil for a static user
+	first, count int
+	i            int  // sessions started so far
+	started      *int // the run's sessions-started total
+
+	p      *sim.Proc
+	done   sim.K
+	emit   func(*trace.Record)
+	r      *rand.Rand
+	ar     *arena
+	nextFn func() // next, bound once at boot: every session's continuation
+}
+
+// run is the stream's process body: it holds until the user's arrival.
+func (st *stream) run(p *sim.Proc, done sim.K) {
+	st.p, st.done = p, done
+	if st.life != nil && st.life.arriveAt > 0 {
+		p.Hold(st.life.arriveAt, st.boot)
+		return
+	}
+	st.boot()
+}
+
+// boot runs at the user's arrival and starts the first session.
+func (st *stream) boot() {
+	s := st.sim
+	if s.spec.LazyUsers && s.hooks.Materialize != nil {
+		// The user exists as of now: the hook builds its file tree and
+		// bindings in a zero-clock setup burst. Streams booting at t=0 run
+		// in user order, so a static lazy population replays the eager
+		// build's user order exactly.
+		if err := s.hooks.Materialize(st.user); err != nil {
+			if s.hookErr == nil {
+				s.hookErr = err
+			}
+			st.done()
+			return
+		}
+	}
+	// One sink stream handle per session stream, not per user: a handle's
+	// sessions run back to back (contiguous ids), which is the contract
+	// that lets the Summarizer retire each session's accumulator the
+	// moment the handle starts the next one. With concurrent sessions,
+	// windows of one user interleave, so sharing a handle across them
+	// would break contiguity.
+	st.emit = s.sink.Stream(st.user).Emit
+	st.r = rng.Derive(s.spec.Seed, st.name)
+	st.ar = s.getArena()
+	st.nextFn = st.next
+	if st.life != nil {
+		st.life.arm(st.p.Now())
+	}
+	st.next()
+}
+
+// next starts the stream's next session, or ends the stream once its
+// share is done or its user has departed.
+func (st *stream) next() {
+	if st.i >= st.count {
+		st.end()
+		return
+	}
+	if st.life != nil && st.life.departing(st.p.Now()) {
+		st.life.departed = true
+		st.end()
+		return
+	}
+	id := st.first + st.i
+	st.i++
+	*st.started++
+	// A validation error cannot happen here (types come from AssignTypes);
+	// operation failures are already recorded in the log — a session
+	// cannot fail in a way that stops the user.
+	if err := st.sim.runSessionK(st.p, st.ar, id, st.user, st.utype, st.r, st.emit, st.nextFn); err != nil {
+		st.next()
+	}
+}
+
+// end returns the stream's arena for the next arrival, lets the wiring
+// layer release a lazy user's bindings, and ends the process.
+func (st *stream) end() {
+	s := st.sim
+	s.putArena(st.ar)
+	if s.spec.LazyUsers && s.hooks.Release != nil {
+		s.hooks.Release(st.user)
+	}
+	st.done()
 }
 
 // RunWallClock executes the sessions against a real file system with one
