@@ -12,10 +12,7 @@
 // noise), and writes the JSON snapshot. check compares two snapshots and
 // exits nonzero if any benchmark present in both regressed its ns/op OR
 // its allocs/op by more than the threshold, printing a per-benchmark table
-// with both columns either way. Unlike ns/op, allocs/op is deterministic
-// and hardware-independent, so the allocation gate never applies -anchor
-// normalization — a cross-hardware baseline still gates allocations
-// exactly.
+// with both columns either way.
 package main
 
 import (
@@ -62,7 +59,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: benchgate parse [-in file] [-out file] [-note text] | benchgate check -baseline file -current file [-max-regress-pct 20] [-require Name1,Name2] [-anchor Name1,Name2]")
+	fmt.Fprintln(os.Stderr, "usage: benchgate parse [-in file] [-out file] [-note text] | benchgate check -baseline file -current file [-max-regress-pct 20] [-require Name1,Name2]")
 	os.Exit(2)
 }
 
@@ -231,7 +228,7 @@ func load(path string) (*Snapshot, error) {
 }
 
 func checkCmd(args []string) {
-	baselinePath, currentPath, require, anchor := "", "", "", ""
+	baselinePath, currentPath, require := "", "", ""
 	maxRegressPct := 20.0
 	for i := 0; i < len(args); i++ {
 		if i+1 >= len(args) {
@@ -244,15 +241,6 @@ func checkCmd(args []string) {
 			currentPath = args[i+1]
 		case "-require":
 			require = args[i+1]
-		case "-anchor":
-			// Normalize every ratio by the mean ratio of these benchmarks
-			// before gating. Anchors should be stable reference code the
-			// change under test cannot touch (pure sampling kernels): a
-			// baseline recorded on different hardware shifts all ratios by
-			// a common factor, and the anchors measure exactly that factor
-			// without letting a real regression in the gated benchmarks
-			// shift the scale (which a median over the gated set would).
-			anchor = args[i+1]
 		case "-max-regress-pct":
 			v, err := strconv.ParseFloat(args[i+1], 64)
 			if err != nil {
@@ -316,39 +304,13 @@ func checkCmd(args []string) {
 	if len(rows) == 0 {
 		fatal(fmt.Errorf("no benchmarks in common between %s and %s", baselinePath, currentPath))
 	}
-	scale := 1.0
-	if anchor != "" {
-		var sum float64
-		var n int
-		for _, name := range strings.Split(anchor, ",") {
-			name = strings.TrimSpace(name)
-			found := false
-			for _, r := range rows {
-				if r.cur.Name == name {
-					sum += r.ratio
-					n++
-					found = true
-					break
-				}
-			}
-			if !found {
-				fatal(fmt.Errorf("anchor benchmark %s missing from the compared set", name))
-			}
-		}
-		scale = sum / float64(n)
-		if scale <= 0 {
-			scale = 1
-		}
-		fmt.Printf("normalizing by anchor ratio %.2fx (cross-hardware baseline)\n", scale)
-	}
 	failed := 0
 	fmt.Printf("%-45s %14s %14s %8s %14s %14s %8s\n",
 		"benchmark", "baseline ns/op", "current ns/op", "ratio",
 		"base allocs/op", "cur allocs/op", "ratio")
 	for _, r := range rows {
-		ratio := r.ratio / scale
 		mark := ""
-		if ratio > limit {
+		if r.ratio > limit {
 			mark = "  REGRESSION(ns/op)"
 			failed++
 		}
@@ -361,7 +323,7 @@ func checkCmd(args []string) {
 			}
 		}
 		fmt.Printf("%-45s %14.0f %14.0f %7.2fx %14.0f %14.0f %s%s\n",
-			r.cur.Name, r.base.Metrics["ns/op"], r.cur.Metrics["ns/op"], ratio,
+			r.cur.Name, r.base.Metrics["ns/op"], r.cur.Metrics["ns/op"], r.ratio,
 			r.base.Metrics["allocs/op"], r.cur.Metrics["allocs/op"], allocCol, mark)
 	}
 	compared := len(rows)

@@ -179,24 +179,24 @@ type Category struct {
 }
 
 // Name returns the canonical "TYPE/OWNER/USE" label.
-func (c Category) Name() string {
+func (c *Category) Name() string {
 	return c.FileType + "/" + c.Owner + "/" + c.Use
 }
 
 // RandomAccess reports whether the category uses the random-access
 // extension.
-func (c Category) RandomAccess() bool { return c.Access == AccessRandom }
+func (c *Category) RandomAccess() bool { return c.Access == AccessRandom }
 
 // IsDir reports whether the category holds directories.
-func (c Category) IsDir() bool { return c.FileType == FileDir }
+func (c *Category) IsDir() bool { return c.FileType == FileDir }
 
 // Writes reports whether the category's type of use involves writing.
-func (c Category) Writes() bool {
+func (c *Category) Writes() bool {
 	return c.Use == UseNew || c.Use == UseRdWrt || c.Use == UseTemp
 }
 
 // Validate checks the category.
-func (c Category) Validate() error {
+func (c *Category) Validate() error {
 	if c.FileType == "" || c.Owner == "" || c.Use == "" {
 		return fmt.Errorf("%w: category %q is missing a label", ErrSpec, c.Name())
 	}

@@ -6,8 +6,8 @@
 // millions of times.
 //
 // The package is performance-first: the hot path is CDFTable.Sample —
-// inverse-transform sampling by binary search over a precompiled table —
-// and it performs zero heap allocations per call. Analytic families also
+// inverse-transform sampling through a guide table over a precompiled
+// table — and it performs zero heap allocations per call. Analytic families also
 // sample allocation-free; everything that can be precomputed (stage weight
 // prefix sums, table means, normalization constants) is computed once at
 // construction.

@@ -3,7 +3,9 @@ package dist
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+	"testing/quick"
 
 	"uswg/internal/rng"
 )
@@ -214,6 +216,112 @@ func TestCDFTableRejectsBadInput(t *testing.T) {
 		if _, err := NewCDFTable(c.xs, c.ps); err == nil {
 			t.Errorf("bad table %d accepted", i)
 		}
+	}
+}
+
+// TestCDFTableClampsEveryPointAboveOne: NewCDFTable accepts points up to
+// 1+1e-9 as rounding, so every such point must clamp to 1, not only the
+// last; otherwise Ps decreases and CDF returns more than 1.
+func TestCDFTableClampsEveryPointAboveOne(t *testing.T) {
+	tab, err := NewCDFTable([]float64{0, 1, 2}, []float64{0, 1 + 5e-10, 1 + 5e-10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range tab.Ps {
+		if p > 1 || i > 0 && p < tab.Ps[i-1] {
+			t.Fatalf("Ps = %v, want non-decreasing in [0, 1]", tab.Ps)
+		}
+	}
+	if got := tab.CDF(1.5); got != 1 {
+		t.Errorf("CDF(1.5) = %v, want 1", got)
+	}
+	almost(t, tab.Mean(), 0.5, 1e-15, "clamped table mean")
+}
+
+// randomTable builds a valid CDF table of 2 to about 5,000 points, in
+// shapes that stress the guide table: an atom at Ps[0] > 0, a tail with
+// Ps[last] < 1, flat segments, and most points piled into one bucket.
+func randomTable(r *rand.Rand) (*CDFTable, error) {
+	n := 2 + r.Intn(5000)
+	top := 1.0
+	if r.Intn(3) == 0 {
+		top = 0.25 + 0.75*r.Float64() // tail mass beyond the last point
+	}
+	lo, width := 0.0, top // the band the interior points fall in
+	if r.Intn(3) == 0 {
+		lo = r.Float64() * top
+		width = math.Min(top-lo, r.Float64()/float64(n)) // narrower than a bucket
+	}
+	ps := make([]float64, n)
+	for i := range ps {
+		ps[i] = lo + r.Float64()*width
+		if i > 0 && r.Intn(8) == 0 {
+			ps[i] = ps[i-1] // a flat segment once sorted
+		}
+	}
+	sort.Float64s(ps)
+	if r.Intn(2) == 0 {
+		ps[0] = 0 // otherwise Ps[0] > 0 is an atom at Xs[0]
+	}
+	ps[n-1] = top
+	xs := make([]float64, n)
+	xs[0] = r.NormFloat64() * 100
+	for i := 1; i < n; i++ {
+		xs[i] = xs[i-1] + 0.01 + r.ExpFloat64()
+	}
+	return NewCDFTable(xs, ps)
+}
+
+// searchQuantile is the guide table's oracle: the endpoint clamps of
+// InverseCDF, and inside them the interpolation at the index the standard
+// library's binary search returns.
+func searchQuantile(t *CDFTable, u float64) float64 {
+	ps, xs := t.Ps, t.Xs
+	last := len(ps) - 1
+	if u <= ps[0] {
+		return xs[0]
+	}
+	if u >= ps[last] {
+		return xs[last]
+	}
+	i := sort.SearchFloat64s(ps, u)
+	return xs[i-1] + (u-ps[i-1])/(ps[i]-ps[i-1])*(xs[i]-xs[i-1])
+}
+
+// TestQuickInverseCDFMatchesSearch pins the guide table's exactness: on
+// random tables, InverseCDF equals the binary-search quantile bit for bit
+// at random draws, at every table point and its float neighbours, and at
+// every bucket edge k/K and its neighbours.
+func TestQuickInverseCDFMatchesSearch(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		tab, err := randomTable(r)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		us := []float64{0, 1}
+		for i := 0; i < 256; i++ {
+			us = append(us, r.Float64())
+		}
+		for _, p := range tab.Ps {
+			us = append(us, p, math.Nextafter(p, -1), math.Nextafter(p, 2))
+		}
+		k := len(tab.guide) - 1
+		for b := 0; b <= k; b++ {
+			e := float64(b) / float64(k)
+			us = append(us, e, math.Nextafter(e, -1), math.Nextafter(e, 2))
+		}
+		for _, u := range us {
+			if got, want := tab.InverseCDF(u), searchQuantile(tab, u); math.Float64bits(got) != math.Float64bits(want) {
+				t.Logf("seed %d, %d points: InverseCDF(%v) = %v, search gives %v", seed, len(tab.Ps), u, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 

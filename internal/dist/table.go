@@ -8,19 +8,28 @@ import (
 
 // CDFTable is a precompiled piecewise-linear CDF — the "Generate CDF
 // tables" output of the GDS and the generator's hottest sampling path.
-// Sampling is inverse-transform: one uniform draw, one binary search over
-// Ps, one linear interpolation. Zero heap allocations per call.
+// Sampling is inverse-transform: one uniform draw, a guide-table lookup
+// and a short forward scan over Ps (Chen & Asau 1974), one linear
+// interpolation. Zero heap allocations per call.
 //
 // Ps[0] may exceed 0 (an atom at Xs[0]) and Ps[len-1] may fall short of 1
 // (the residual tail mass collapses onto the last point); both arise when
 // tabulating analytic distributions over a finite window and are accounted
 // for by Mean and Sample.
+//
+// Xs and Ps are read-only after NewCDFTable: the guide is built from Ps.
 type CDFTable struct {
 	// Xs are the strictly increasing sample points.
 	Xs []float64
 	// Ps are the CDF values at Xs, non-decreasing in [0, 1].
 	Ps   []float64
 	mean float64
+	// guide[k] is the smallest i with int(Ps[i]*buckets) >= k, for k in
+	// [0, K] with K = buckets: the first index a draw in bucket k can
+	// land on. The K+1st entry keeps int(u*K) == K in range; a u below 1
+	// never rounds up to it, so it is a guard of one int32.
+	guide   []int32
+	buckets float64
 }
 
 // NewCDFTable builds a table from CDF values ps at points xs.
@@ -46,8 +55,12 @@ func NewCDFTable(xs, ps []float64) (*CDFTable, error) {
 		return nil, fmt.Errorf("%w: CDF table carries no mass", ErrDist)
 	}
 	t := &CDFTable{Xs: append([]float64(nil), xs...), Ps: append([]float64(nil), ps...)}
-	if last := len(t.Ps) - 1; t.Ps[last] > 1 {
-		t.Ps[last] = 1
+	// Points up to 1+1e-9 are accepted as rounding; every one of them
+	// clamps, so Ps stays non-decreasing and inside [0, 1].
+	for i, p := range t.Ps {
+		if p > 1 {
+			t.Ps[i] = 1
+		}
 	}
 	// Mean of the piecewise-linear law: each segment contributes
 	// (dP) * midpoint; boundary atoms contribute their point values.
@@ -57,7 +70,25 @@ func NewCDFTable(xs, ps []float64) (*CDFTable, error) {
 	}
 	m += (1 - t.Ps[len(t.Ps)-1]) * t.Xs[len(t.Xs)-1]
 	t.mean = m
+	t.buildGuide()
 	return t, nil
+}
+
+// buildGuide fills the guide table: K = max(1, len(Ps)/4) buckets, so a
+// 512-point table carries 129 entries (about 0.5 KB) and a draw scans
+// about (n+K)/K ≈ 5 points on average, whatever the table's shape.
+func (t *CDFTable) buildGuide() {
+	ps := t.Ps
+	k := max(1, len(ps)/4)
+	t.buckets = float64(k)
+	t.guide = make([]int32, k+1)
+	i, last := 0, len(ps)-1
+	for b := range t.guide {
+		for i < last && int(ps[i]*t.buckets) < b {
+			i++
+		}
+		t.guide[b] = int32(i)
+	}
 }
 
 // FromPDFTable builds a CDF table from tabulated density values by
@@ -155,6 +186,12 @@ func (t *CDFTable) Sample(r *rand.Rand) float64 { return t.InverseCDF(r.Float64(
 // InverseCDF returns the quantile at probability u, interpolating linearly
 // between table points. u outside the table's probability range clamps to
 // the corresponding endpoint.
+//
+// Inside the range the interpolation runs at the smallest i with
+// Ps[i] >= u, the index a binary search would find. The draw's bucket is
+// int(u*K), the expression buildGuide applies to Ps; multiplying by K and
+// truncating are both monotone, so that index's bucket is at least u's and
+// the guide never starts past it, and the forward scan stops on it.
 func (t *CDFTable) InverseCDF(u float64) float64 {
 	ps := t.Ps
 	if u <= ps[0] {
@@ -164,22 +201,13 @@ func (t *CDFTable) InverseCDF(u float64) float64 {
 	if u >= ps[last] {
 		return t.Xs[last]
 	}
-	// Binary search: smallest i with ps[i] >= u. Manual loop keeps the
-	// call allocation-free and inlinable-hot.
-	lo, hi := 0, last
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ps[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	i := int(t.guide[int(u*t.buckets)])
+	for ps[i] < u {
+		i++
 	}
-	dp := ps[lo] - ps[lo-1]
-	if dp <= 0 {
-		return t.Xs[lo]
-	}
-	return t.Xs[lo-1] + (u-ps[lo-1])/dp*(t.Xs[lo]-t.Xs[lo-1])
+	// Ps[i-1] < u <= Ps[i], so the segment carries mass: dp > 0.
+	dp := ps[i] - ps[i-1]
+	return t.Xs[i-1] + (u-ps[i-1])/dp*(t.Xs[i]-t.Xs[i-1])
 }
 
 // CDF evaluates the piecewise-linear CDF at x.

@@ -70,11 +70,12 @@ type fileAgg struct {
 
 type sessionAgg struct {
 	usage SessionUsage
-	files map[string]*fileAgg
-	// order lists files by first reference so the per-file float sums in
-	// finish accumulate in a deterministic order (map iteration would
-	// perturb the last ULP between identical runs).
-	order    []*fileAgg
+	// files maps a path to its accumulator's index in order.
+	files map[string]int
+	// order holds the per-file accumulators by first reference, so the
+	// per-file float sums in finish accumulate in a deterministic order
+	// (map iteration would perturb the last ULP between identical runs).
+	order    []fileAgg
 	dataResp float64
 }
 
@@ -99,6 +100,9 @@ func AnalyzeRecords(records []Record) *Analysis {
 // iteration (Each) and replayed slices share the reduction.
 type analyzer struct {
 	sessions map[int]*sessionAgg
+	// free holds retired accumulators, their files map and order slab
+	// emptied but keeping their capacity, for the next session to reuse.
+	free []*sessionAgg
 	// byOp holds the known ops' summaries, indexed by Op; a summary with
 	// Count 0 has not been seen. otherOps holds any other Op value, which
 	// only Go code can build (DecodeJSONL rejects unknown names and
@@ -118,14 +122,18 @@ func newAnalyzer() *analyzer {
 // add folds one record into its session's accumulator, found by id.
 func (acc *analyzer) add(r *Record) { acc.fold(acc.session(r), r) }
 
-// session returns the accumulator of r's session, starting one if needed.
+// session returns the accumulator of r's session, starting one if needed
+// on a retired accumulator when the free list has one.
 func (acc *analyzer) session(r *Record) *sessionAgg {
 	sa, ok := acc.sessions[r.Session]
 	if !ok {
-		sa = &sessionAgg{
-			usage: SessionUsage{Session: r.Session, User: r.User, UserType: r.UserType},
-			files: make(map[string]*fileAgg),
+		if n := len(acc.free); n > 0 {
+			sa = acc.free[n-1]
+			acc.free = acc.free[:n-1]
+		} else {
+			sa = &sessionAgg{files: make(map[string]int)}
 		}
+		sa.usage = SessionUsage{Session: r.Session, User: r.User, UserType: r.UserType}
 		acc.sessions[r.Session] = sa
 	}
 	return sa
@@ -163,12 +171,13 @@ func (acc *analyzer) fold(sa *sessionAgg, r *Record) {
 	os.Response.Add(r.Elapsed)
 
 	if r.Path != "" {
-		fa, ok := sa.files[r.Path]
+		i, ok := sa.files[r.Path]
 		if !ok {
-			fa = &fileAgg{}
-			sa.files[r.Path] = fa
-			sa.order = append(sa.order, fa)
+			i = len(sa.order)
+			sa.files[r.Path] = i
+			sa.order = append(sa.order, fileAgg{})
 		}
+		fa := &sa.order[i]
 		if r.FileSize > fa.size {
 			fa.size = r.FileSize
 		}
@@ -214,11 +223,12 @@ func finishSession(sa *sessionAgg) SessionUsage {
 	return u
 }
 
-// retire finalizes one session early and releases its per-file accumulators.
-// Callers must guarantee no further records for the session will arrive: a
-// retired session that reappears would start a fresh accumulator and
-// duplicate the row. The Summarizer's per-stream handles call this when a
-// stream moves on to its next session (sessions are contiguous per stream).
+// retire finalizes one session early and puts its accumulator, emptied, on
+// the free list for the next session to reuse. Callers must guarantee no
+// further records for the session will arrive: a retired session that
+// reappears would start a fresh accumulator and duplicate the row. The
+// Summarizer's per-stream handles call this when a stream moves on to its
+// next session (sessions are contiguous per stream).
 func (acc *analyzer) retire(session int) {
 	sa, ok := acc.sessions[session]
 	if !ok {
@@ -226,16 +236,22 @@ func (acc *analyzer) retire(session int) {
 	}
 	acc.a.Sessions = append(acc.a.Sessions, finishSession(sa))
 	delete(acc.sessions, session)
+	clear(sa.files)
+	sa.order = sa.order[:0]
+	sa.dataResp = 0
+	acc.free = append(acc.free, sa)
 }
 
 // finish folds the remaining per-session and per-op accumulators into the
-// sorted Analysis.
+// sorted Analysis and releases every accumulator: a finished analyzer
+// holds none.
 func (acc *analyzer) finish() *Analysis {
 	a := acc.a
 	//wlint:allow maprange append-then-sort: the slice is sorted by unique session id on the line after the loop
 	for _, sa := range acc.sessions {
 		a.Sessions = append(a.Sessions, finishSession(sa))
 	}
+	acc.sessions, acc.free = nil, nil
 	sort.Slice(a.Sessions, func(i, j int) bool { return a.Sessions[i].Session < a.Sessions[j].Session })
 
 	for op, os := range acc.byOp {

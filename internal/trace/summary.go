@@ -10,7 +10,8 @@ import "sync"
 // Stream), so even unbounded session counts hold only one live accumulator
 // per concurrent session stream — a full-record log of a 1000-user run
 // holds tens of millions of Records; the Summarizer holds about a thousand
-// small maps.
+// small maps. A retired accumulator, map and file slab included, serves
+// the next session to start, and Finish releases them all.
 //
 // Equivalence: the Summarizer reuses the exact analyzer that Analyze runs
 // over a finished Log. Under the DES kernel records are emitted in global
@@ -50,7 +51,7 @@ func (s *Summarizer) Emit(r *Record) {
 // runs one session stream per handle, sessions contiguous and globally
 // unique), so the moment a handle sees a new session id, the previous
 // session's last operation has completed and its per-file accumulators are
-// folded and released. Memory is O(active sessions) — one live accumulator
+// folded and recycled. Memory is O(active sessions) — one live accumulator
 // per held handle — instead of O(all sessions), the shape unbounded session
 // counts need. Producers that cannot guarantee contiguity (interleaved
 // streams, the locked Emit path) simply never trigger retirement and fall

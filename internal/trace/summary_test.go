@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -286,13 +287,55 @@ func TestSummarizerRetirementBoundsHeap(t *testing.T) {
 	}
 }
 
+// TestSummarizerRecyclesRetiredSessions pins accumulator recycling. On one
+// held Stream handle, once warm-up sessions have grown an accumulator to 16
+// files, folding another session over at most 16 files allocates nothing:
+// it reuses the retired session's files map and file slab. After Finish
+// the analyzer holds no accumulators and no free list.
+func TestSummarizerRecyclesRetiredSessions(t *testing.T) {
+	ops := []Op{OpOpen, OpRead, OpWrite, OpClose}
+	recs := make([]Record, 4*16)
+	for i := range recs {
+		recs[i] = Record{User: 0, Op: ops[i%4], Path: "/u0/f" + strconv.Itoa(i/4), FileSize: 8192, Elapsed: float64(1 + i%7)}
+		if recs[i].Op.IsData() {
+			recs[i].Bytes = 1024
+		}
+	}
+	s := NewSummarizer()
+	h := s.Stream(0)
+	session := 0
+	fold := func(files int) {
+		for i := range recs[:4*files] {
+			recs[i].Session = session
+			h.Emit(&recs[i])
+		}
+		session++
+	}
+	for i := 0; i < 8; i++ {
+		fold(16)
+	}
+	// The rows are the output and grow with the session count; size them
+	// up front so only the accumulators are measured.
+	s.acc.a.Sessions = slices.Grow(s.acc.a.Sessions, 256)
+	if allocs := testing.AllocsPerRun(100, func() { fold(1 + session%16) }); allocs != 0 {
+		t.Errorf("a session over at most 16 files allocates %v times, want 0", allocs)
+	}
+	a := s.Finish()
+	if s.acc.sessions != nil || s.acc.free != nil {
+		t.Errorf("finished analyzer holds %d sessions and %d free accumulators, want none", len(s.acc.sessions), len(s.acc.free))
+	}
+	if len(a.Sessions) != session {
+		t.Errorf("sessions = %d, want %d", len(a.Sessions), session)
+	}
+}
+
 // BenchmarkSummarizerFold times one record folded through a Summarizer
 // stream handle. Sessions of 256 records cycle open/read/write/close over
 // 16 files and follow one another on the handle, so every 256th record
-// retires a session and starts the next one's accumulators. Sixty-four
+// retires a session and the next one reuses its accumulators. Sixty-four
 // sessions are folded and their garbage collected before the timer starts,
 // so even a short fixed-count run such as 1000x times the steady state
-// rather than the first sessions' map growth.
+// rather than the first session's map growth.
 func BenchmarkSummarizerFold(b *testing.B) {
 	ops := []Op{OpOpen, OpRead, OpWrite, OpClose}
 	recs := make([]Record, 256)

@@ -181,7 +181,7 @@ func (s *Simulator) AssignTypes() []string {
 // workItem is one file the session will access, with its remaining work.
 type workItem struct {
 	set      *fsc.FileSet
-	cat      config.Category
+	cat      *config.Category // into spec.Categories
 	catIdx   int
 	path     string
 	isDir    bool
@@ -513,7 +513,8 @@ func (ses *session) bind() {
 // per file, how much of it to access (access-per-byte x file size).
 func (ses *session) selectFiles(ar *arena) {
 	s := ses.sim
-	for catIdx, cat := range s.spec.Categories {
+	for catIdx := range s.spec.Categories {
+		cat := &s.spec.Categories[catIdx]
 		if ses.r.Float64()*100 >= cat.PercentUsers {
 			continue
 		}
@@ -862,21 +863,9 @@ func (ses *session) dataDone(got int64, err error) {
 		return
 	}
 	item := ses.cur
-	ses.rec = trace.Record{
-		Session:  ses.id,
-		User:     ses.user,
-		UserType: ses.utype,
-		Op:       ses.dOp,
-		Path:     item.path,
-		Category: item.catIdx,
-		Bytes:    got,
-		FileSize: item.size,
-		Start:    ses.dStart,
-		Elapsed:  ses.ctx.Now() - ses.dStart,
-	}
-	if err != nil {
-		ses.rec.Err = err.Error()
-		ses.rec.Bytes = 0
+	ses.fillRec(ses.dOp, item, ses.dStart, err)
+	if err == nil {
+		ses.rec.Bytes = got
 	}
 	ses.emit(&ses.rec)
 	if err != nil {
@@ -921,23 +910,30 @@ func (ses *session) metaDone(err error) {
 		ses.life.drain(ses)
 		return
 	}
-	item := ses.mItem
-	ses.rec = trace.Record{
-		Session:  ses.id,
-		User:     ses.user,
-		UserType: ses.utype,
-		Op:       ses.mOp,
-		Path:     item.path,
-		Category: item.catIdx,
-		FileSize: item.size,
-		Start:    ses.mStart,
-		Elapsed:  ses.ctx.Now() - ses.mStart,
-	}
-	if err != nil {
-		ses.rec.Err = err.Error()
-	}
+	ses.fillRec(ses.mOp, ses.mItem, ses.mStart, err)
 	ses.emit(&ses.rec)
 	ses.mK(err)
+}
+
+// fillRec fills the pooled record in place for an op on item that started
+// at start and completes now, with no bytes moved: assigning a fresh
+// Record literal would copy the whole struct per op.
+func (ses *session) fillRec(op trace.Op, item *workItem, start float64, err error) {
+	rec := &ses.rec
+	rec.Session = ses.id
+	rec.User = ses.user
+	rec.UserType = ses.utype
+	rec.Op = op
+	rec.Path = item.path
+	rec.Category = item.catIdx
+	rec.Bytes = 0
+	rec.FileSize = item.size
+	rec.Start = start
+	rec.Elapsed = ses.ctx.Now() - start
+	rec.Err = ""
+	if err != nil {
+		rec.Err = err.Error()
+	}
 }
 
 // RunUnderSim executes the spec's sessions on a DES environment: one
