@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"uswg/internal/disk"
+	"uswg/internal/vfs"
 )
 
 func TestDefaultValidates(t *testing.T) {
@@ -161,6 +164,21 @@ func TestSpecValidateRejects(t *testing.T) {
 		{"unknown fs", func(s *Spec) { s.FS.Kind = "ramdisk" }},
 		{"real without root", func(s *Spec) { s.FS = FSSpec{Kind: FSReal} }},
 		{"bad nfs server", func(s *Spec) { s.FS.Server.NFSDs = 0 }},
+		// A partial local block must fail, not run the default block and
+		// drop the knob it set.
+		{"partial local block", func(s *Spec) {
+			s.FS = FSSpec{Kind: FSLocal, Local: vfs.LocalCostConfig{MetaTime: 50000}}
+		}},
+		{"negative local costs", func(s *Spec) {
+			s.FS = FSSpec{Kind: FSLocal, Local: vfs.LocalCostConfig{
+				Disk:     disk.Model{SeekTime: -1, HalfRotation: -1, TransferPerBlock: -1, BlockSize: 4096},
+				MetaTime: -1, HitPerBlock: -1,
+			}}
+		}},
+		{"negative local cache", func(s *Spec) {
+			s.FS = FSSpec{Kind: FSLocal, Local: vfs.DefaultLocalCostConfig()}
+			s.FS.Local.CacheBlocks = -1
+		}},
 		{"lifecycle on real fs", func(s *Spec) {
 			mttf := Exp(1e6)
 			s.UserTypes[0].Lifecycle = &Lifecycle{MTTF: &mttf}
@@ -183,6 +201,17 @@ func TestSpecValidateLocalAndReal(t *testing.T) {
 	s.FS = FSSpec{Kind: FSLocal}
 	if err := s.Validate(); err != nil {
 		t.Errorf("local fs: %v", err)
+	}
+	// The all-zero local block means the default, also beside the NFS
+	// blocks a patch over the default spec keeps.
+	s.FS = Default().FS
+	s.FS.Kind = FSLocal
+	if err := s.Validate(); err != nil {
+		t.Errorf("local fs over the default nfs blocks: %v", err)
+	}
+	s.FS = FSSpec{Kind: FSLocal, Local: vfs.DefaultLocalCostConfig()}
+	if err := s.Validate(); err != nil {
+		t.Errorf("local fs with the default block: %v", err)
 	}
 	s.FS = FSSpec{Kind: FSReal, RealRoot: "/tmp/sandbox"}
 	if err := s.Validate(); err != nil {

@@ -360,7 +360,8 @@ const (
 // FSSpec selects and parameterizes the file system under test.
 type FSSpec struct {
 	Kind string `json:"kind"`
-	// Local parameterizes the simulated local file system.
+	// Local parameterizes the simulated local file system; the all-zero
+	// block means vfs.DefaultLocalCostConfig().
 	Local vfs.LocalCostConfig `json:"local,omitempty"`
 	// Server and Client parameterize the simulated NFS: every island's
 	// server and every client (wire model included) is built from them.
@@ -381,7 +382,11 @@ func (f FSSpec) Validate() error {
 		if f.Topology != nil {
 			return fmt.Errorf("%w: topology requires fs kind %q, not %q", ErrSpec, FSNFS, f.Kind)
 		}
-		return nil
+		// An all-zero block means vfs.DefaultLocalCostConfig().
+		if f.Local == (vfs.LocalCostConfig{}) {
+			return nil
+		}
+		return f.Local.Validate()
 	case FSNFS:
 		if err := f.Topology.Validate(); err != nil {
 			return err

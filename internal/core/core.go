@@ -112,7 +112,7 @@ func NewGenerator(spec *config.Spec) (*Generator, error) {
 	case config.FSLocal:
 		g.env = sim.NewEnv()
 		cfg := spec.FS.Local
-		if cfg.Disk.BlockSize == 0 {
+		if cfg == (vfs.LocalCostConfig{}) {
 			cfg = vfs.DefaultLocalCostConfig()
 		}
 		g.local = vfs.NewLocalCost(g.env, cfg)

@@ -1,6 +1,8 @@
 package vfs
 
 import (
+	"fmt"
+
 	"uswg/internal/cache"
 	"uswg/internal/disk"
 	"uswg/internal/sim"
@@ -51,6 +53,14 @@ type LocalCostConfig struct {
 	// WriteThrough forces synchronous writes to disk. A local UNIX file
 	// system uses write-behind (false); NFSv2 servers write through (true).
 	WriteThrough bool
+}
+
+// Validate reports whether the configuration is usable.
+func (c LocalCostConfig) Validate() error {
+	if c.CacheBlocks < 0 || c.MetaTime < 0 || c.HitPerBlock < 0 {
+		return fmt.Errorf("vfs: negative local cost parameter in %+v", c)
+	}
+	return c.Disk.Validate()
 }
 
 // DefaultLocalCostConfig resembles a period workstation: 4 MB buffer cache
