@@ -3,34 +3,40 @@
 // and the session in flight), repairs for a constant MTTR, and rejoins
 // cold; the transient output renders the run minute by minute instead of
 // as one steady-state mean, plus churn summary lines. Lifecycle knobs are
-// part of each user type, so the same Scenario literal serializes to JSON
-// for `wlgen scenario run -file` (add -json/-csv for the machine view).
+// part of each user type in the workload's spec patch (JSON over the
+// default spec), so the same Scenario literal serializes to a file for
+// `wlgen scenario run -file` (add -json/-csv for the machine view).
 //
 //	go run ./examples/churn-scenario
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"log"
 
-	"uswg/internal/config"
 	"uswg/internal/scenario"
 )
 
 func main() {
-	pop := config.ExtremelyHeavyPopulation()
-	mttf, mttr := config.Exp(20e6), config.Const(2e6) // crash ~20 s, repair 2 s
-	pop[0].Lifecycle = &config.Lifecycle{MTTF: &mttf, MTTR: &mttr}
-
 	sc := &scenario.Scenario{
 		Name: "churny-office",
 		Base: scenario.Workload{
-			Users: 4, Sessions: 40, SessionsPerUser: true,
-			SystemFiles: 120, FilesPerUser: 60,
-			UserTypes:     pop,
-			Trace:         config.TraceStream,
-			TraceWindowUS: 10e6, // 10 s windows
+			Sessions: 40, SessionsPerUser: true,
+			// Crash ~20 s, repair 2 s; 10 s windows.
+			Spec: json.RawMessage(`{
+				"users": 4,
+				"user_types": [{
+					"name": "extremely-heavy", "think_time": {"kind": "constant"}, "fraction": 1,
+					"lifecycle": {
+						"mttf": {"kind": "exponential", "mean": 20e6},
+						"mttr": {"kind": "constant", "value": 2e6}
+					}
+				}],
+				"system_files": 120, "files_per_user": 60,
+				"trace": {"mode": "stream", "window_us": 10e6}
+			}`),
 		},
 		Output: scenario.Output{
 			Kind:  scenario.KindTransient,

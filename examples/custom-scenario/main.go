@@ -3,19 +3,21 @@
 // population, sweep axis, a correlated burst-loss wire (Gilbert-Elliott
 // good/bad episodes), streaming sink, output contract — and the scenario
 // engine runs it with per-point seeds, byte-identical at any parallelism.
-// The fields are the JSON schema: `sc.Encode(os.Stdout)` would print the
-// same scenario as a file for `wlgen scenario run -file`, and the built-ins
-// are such files (`wlgen scenario dump -name fig5.6`).
+// The workload is a JSON merge patch over the default spec, and the axis
+// binds by JSON pointer into it, so any spec knob sweeps the same way. The
+// fields are the JSON schema: `sc.Encode(os.Stdout)` would print the same
+// scenario as a file for `wlgen scenario run -file`, and the built-ins are
+// such files (`wlgen scenario dump -name fig5.6`).
 //
 //	go run ./examples/custom-scenario
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"log"
 
-	"uswg/internal/config"
 	"uswg/internal/fault"
 	"uswg/internal/scenario"
 )
@@ -25,9 +27,11 @@ func main() {
 		Name: "degraded-500",
 		Base: scenario.Workload{
 			SessionsFromUsers: true, // one login session per user at full scale
-			SystemFiles:       60, FilesPerUser: 12,
-			UserTypes: config.ExtremelyHeavyPopulation(),
-			Trace:     config.TraceStream,
+			Spec: json.RawMessage(`{
+				"user_types": [{"name": "extremely-heavy", "think_time": {"kind": "constant"}, "fraction": 1}],
+				"system_files": 60, "files_per_user": 12,
+				"trace": {"mode": "stream"}
+			}`),
 		},
 		Sweep: []scenario.Axis{{Name: "users", Values: []float64{100, 200, 300, 400, 500}, Bind: scenario.BindUsers}},
 		Fault: &scenario.FaultSpec{Plan: fault.Plan{

@@ -12,32 +12,32 @@ import (
 )
 
 // builtinPlans returns every fault plan the fault5.x built-in scenarios
-// carry — each object under a "plan" key, at the top level or in a sweep
-// case — read from the scenario files themselves, so the seed corpus
-// cannot drift from them.
+// carry — each fault template's "plan", and the "fault" of each spec
+// patch, such as a sweep case's — read from the scenario files themselves,
+// so the seed corpus cannot drift from them.
 func builtinPlans(f *testing.F) [][]byte {
 	files, err := filepath.Glob(filepath.Join("..", "scenario", "builtin", "fault5.*.json"))
 	if err != nil || len(files) == 0 {
 		f.Fatalf("no fault5.x built-ins found (%v)", err)
 	}
 	var plans [][]byte
-	var walk func(v any)
-	walk = func(v any) {
+	var walk func(v any, inSpec bool)
+	walk = func(v any, inSpec bool) {
 		switch v := v.(type) {
 		case map[string]any:
 			for k, x := range v {
-				if k == "plan" {
+				if k == "plan" || (inSpec && k == "fault") {
 					js, err := json.Marshal(x)
 					if err != nil {
 						f.Fatal(err)
 					}
 					plans = append(plans, js)
 				}
-				walk(x)
+				walk(x, k == "spec")
 			}
 		case []any:
 			for _, x := range v {
-				walk(x)
+				walk(x, false)
 			}
 		}
 	}
@@ -50,7 +50,7 @@ func builtinPlans(f *testing.F) [][]byte {
 		if err := json.Unmarshal(data, &v); err != nil {
 			f.Fatalf("%s: %v", name, err)
 		}
-		walk(v)
+		walk(v, false)
 	}
 	if len(plans) == 0 {
 		f.Fatal("the fault5.x built-ins carry no plan")

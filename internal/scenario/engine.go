@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -294,11 +295,7 @@ type pointSpec struct {
 func (sc *Scenario) gridSize() int {
 	n := 1
 	for i := range sc.Sweep {
-		if len(sc.Sweep[i].Cases) > 0 {
-			n *= len(sc.Sweep[i].Cases)
-		} else {
-			n *= len(sc.Sweep[i].Values)
-		}
+		n *= axisLen(&sc.Sweep[i])
 	}
 	return n
 }
@@ -322,74 +319,108 @@ func (sc *Scenario) coords(idx int) []int {
 	return out
 }
 
-// compilePoint builds the spec for one flat sweep index: base knobs over
-// config.Default(), axis bindings, the session formula, the seed salt, and
-// the (possibly dropped) fault plan.
+// checkedPoints returns the flat indices Validate compiles: point 0, then
+// for each axis every point that moves that axis alone off point 0.
+func (sc *Scenario) checkedPoints() []int {
+	points := []int{0}
+	stride := sc.gridSize()
+	for i := range sc.Sweep {
+		n := axisLen(&sc.Sweep[i])
+		stride /= n
+		for j := 1; j < n; j++ {
+			points = append(points, j*stride)
+		}
+	}
+	return points
+}
+
+// pointName names a checked point by the axis it moves off point 0.
+func (sc *Scenario) pointName(idx int) string {
+	for i, c := range sc.coords(idx) {
+		if c == 0 {
+			continue
+		}
+		ax := &sc.Sweep[i]
+		if len(ax.Cases) > 0 {
+			return fmt.Sprintf("axis %q case %q", ax.Name, ax.Cases[c].Label)
+		}
+		return fmt.Sprintf("axis %q value %v", ax.Name, ax.Values[c])
+	}
+	return "the first point"
+}
+
+// compilePoint builds the spec for one flat sweep index in one sequence:
+// config.Default(), the workload patch, then each axis in sweep order (a
+// case's patch, or a value at its JSON pointer), the session and file
+// formulas, the fault template with its axis-bound parameters (dropped
+// where drop_when_zero holds), and the seed salt. The scenario is only
+// read, so parallel points may share a registered one.
 func (sc *Scenario) compilePoint(opts Options, idx int) (*pointSpec, error) {
 	w := &sc.Base
 	spec := config.Default()
-	pt := sc.coords(idx)
-
-	users := spec.Users
-	if w.Users > 0 {
-		users = w.Users
+	if len(w.Spec) > 0 {
+		if err := applyPatch(spec, w.Spec); err != nil {
+			return nil, fmt.Errorf("%w: workload spec: %w", ErrScenario, err)
+		}
 	}
 
-	// Axis bindings.
-	type faultBind struct {
-		rule  string
-		bind  string
-		value float64
+	// The fault template is bound on a private copy: the registered
+	// scenario must stay immutable under parallel points.
+	var plan fault.Plan
+	if sc.Fault != nil {
+		plan = sc.Fault.Plan
+		plan.Rules = slices.Clone(plan.Rules)
 	}
 	var (
-		binds       []faultBind
-		casePlan    *fault.Plan
-		caseLabel   string
-		haveCase    bool
-		value       float64
-		haveValue   bool
-		accessMean  = w.AccessSizeMean
-		bindServers int
-		bindPool    int
+		caseLabel        string
+		value            float64
+		haveValue        bool
+		bound, boundZero = false, true
 	)
+	pt := sc.coords(idx)
 	for i := range sc.Sweep {
 		ax := &sc.Sweep[i]
 		if len(ax.Cases) > 0 {
 			c := &ax.Cases[pt[i]]
-			casePlan, caseLabel, haveCase = c.Plan, c.Label, true
+			caseLabel = c.Label
+			if len(c.Spec) > 0 {
+				if err := applyPatch(spec, c.Spec); err != nil {
+					return nil, fmt.Errorf("%w: axis %q case %q: %w", ErrScenario, ax.Name, c.Label, err)
+				}
+			}
 			continue
 		}
 		v := ax.Values[pt[i]]
-		switch ax.Bind {
-		case BindUsers:
-			users = int(v)
-		case BindAccessSize:
-			accessMean = v
-			if !haveValue {
-				value, haveValue = v, true
+		if ax.Bind != BindUsers && !haveValue {
+			value, haveValue = v, true
+		}
+		if ax.Bind == BindFaultProb || ax.Bind == BindFaultLatency {
+			bound, boundZero = true, boundZero && v == 0
+			for ri := range plan.Rules {
+				r := &plan.Rules[ri]
+				switch {
+				case r.Name != ax.Rule:
+				case ax.Bind == BindFaultProb:
+					r.Prob = v
+				default:
+					r.Latency = v
+				}
 			}
-		case BindFaultProb, BindFaultLatency:
-			binds = append(binds, faultBind{rule: ax.Rule, bind: ax.Bind, value: v})
-			if !haveValue {
-				value, haveValue = v, true
-			}
-		case BindServers:
-			bindServers = int(v)
-			if !haveValue {
-				value, haveValue = v, true
-			}
-		case BindClientPool:
-			bindPool = int(v)
-			if !haveValue {
-				value, haveValue = v, true
-			}
+			continue
+		}
+		patch, err := pointerPatch(ax.Bind, v)
+		if err == nil {
+			err = applyPatch(spec, patch)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: axis %q value %v: %w", ErrScenario, ax.Name, v, err)
 		}
 	}
 	if !haveValue && len(sc.Sweep) > 0 && len(sc.Sweep[0].Values) > 0 {
 		value = sc.Sweep[0].Values[pt[0]]
 	}
 
-	spec.Users = users
+	users := spec.Users
 	switch {
 	case w.SessionsFromUsers:
 		spec.Sessions = opts.sessions(users)
@@ -402,82 +433,13 @@ func (sc *Scenario) compilePoint(opts Options, idx int) (*pointSpec, error) {
 	}
 	if w.FileBudget > 0 {
 		spec.SystemFiles, spec.FilesPerUser = config.BalanceFiles(spec.Categories, w.FileBudget, users)
-	} else {
-		if w.SystemFiles > 0 {
-			spec.SystemFiles = w.SystemFiles
+	}
+	if sc.Fault != nil {
+		if spec.Fault != nil {
+			return nil, fmt.Errorf("%w: both the fault template and a spec patch set fault", ErrScenario)
 		}
-		if w.FilesPerUser > 0 {
-			spec.FilesPerUser = w.FilesPerUser
-		}
-	}
-	if len(w.UserTypes) > 0 {
-		spec.UserTypes = w.UserTypes
-	}
-	if accessMean > 0 {
-		spec.AccessSize = config.Exp(accessMean)
-	}
-	if w.Trace != "" {
-		spec.Trace.Mode = w.Trace
-	}
-	if w.TraceWindowUS > 0 {
-		spec.Trace.WindowUS = w.TraceWindowUS
-	}
-	if w.FS != nil {
-		spec.FS = *w.FS
-	}
-	if w.NFSDs > 0 {
-		spec.FS.Server.NFSDs = w.NFSDs
-	}
-	// The topology block is copied per point: axis binds mutate the copy,
-	// and the registered scenario must stay immutable under parallel points.
-	if w.Topology != nil {
-		t := *w.Topology
-		spec.FS.Topology = &t
-	}
-	if bindServers > 0 || bindPool > 0 {
-		if spec.FS.Topology == nil {
-			spec.FS.Topology = &config.Topology{}
-		}
-		if bindServers > 0 {
-			spec.FS.Topology.Servers = bindServers
-		}
-		if bindPool > 0 {
-			spec.FS.Topology.ClientPool = bindPool
-		}
-	}
-	if w.MaxOpsPerSession > 0 {
-		spec.MaxOpsPerSession = w.MaxOpsPerSession
-	}
-	spec.LazyUsers = w.LazyUsers
-
-	// Fault plan: a case axis selects whole plans; otherwise the template
-	// gets its axis-bound parameters substituted on a private copy (the
-	// registered scenario must stay immutable under parallel points).
-	switch {
-	case haveCase:
-		spec.Fault = casePlan
-	case sc.Fault != nil:
-		plan := sc.Fault.Plan
-		plan.Rules = append([]fault.Rule(nil), plan.Rules...)
-		allZero := true
-		for _, b := range binds {
-			if b.value != 0 {
-				allZero = false
-			}
-			for ri := range plan.Rules {
-				if plan.Rules[ri].Name != b.rule {
-					continue
-				}
-				if b.bind == BindFaultProb {
-					plan.Rules[ri].Prob = b.value
-				} else {
-					plan.Rules[ri].Latency = b.value
-				}
-			}
-		}
-		if sc.Fault.DropWhenZero && len(binds) > 0 && allZero {
-			spec.Fault = nil
-		} else {
+		// drop_when_zero: the healthy point of a fault sweep runs fault-free.
+		if !(sc.Fault.DropWhenZero && bound && boundZero) {
 			spec.Fault = &plan
 		}
 	}
@@ -518,14 +480,13 @@ func (sc *Scenario) runPoint(opts Options, idx int) (*pointRun, error) {
 // writeAvailability splits write/create availability at the onset of the
 // point's first failure (the outage-shape contract: a sticky fault's
 // post-onset write availability collapses, a transient one's recovers).
-func (p *pointRun) writeAvailability() ([2]float64, error) {
+// Validate has made every point of a scenario that asks for it keep full
+// records.
+func (p *pointRun) writeAvailability() [2]float64 {
 	if p.haveWriteSplit {
-		return p.writeSplit, nil
+		return p.writeSplit
 	}
 	log := p.gen.Log()
-	if log == nil {
-		return p.writeSplit, fmt.Errorf("%w: write availability needs trace \"log\" (streaming retains no records)", ErrScenario)
-	}
 	onset := -1.0
 	log.Each(func(rec *trace.Record) {
 		if rec.Err != "" && (onset < 0 || rec.Start < onset) {
@@ -557,7 +518,7 @@ func (p *pointRun) writeAvailability() ([2]float64, error) {
 		p.writeSplit[1] = float64(postOK) / float64(postAll)
 	}
 	p.haveWriteSplit = true
-	return p.writeSplit, nil
+	return p.writeSplit
 }
 
 // metric extracts one scalar measurement.
@@ -646,11 +607,9 @@ func (p *pointRun) metric(name string) (float64, error) {
 	case MetricBuildOps:
 		return float64(p.gen.BuildOps()), nil
 	case MetricWriteAvailPre:
-		ws, err := p.writeAvailability()
-		return ws[0], err
+		return p.writeAvailability()[0], nil
 	case MetricWriteAvailPos:
-		ws, err := p.writeAvailability()
-		return ws[1], err
+		return p.writeAvailability()[1], nil
 	default:
 		return 0, fmt.Errorf("%w: unknown metric %q", ErrScenario, name)
 	}
@@ -834,8 +793,9 @@ func runCharacterization(sc *Scenario, opts Options) (Result, error) {
 	}, nil
 }
 
-// runUsage runs the workload with a full-record log and reduces it to
-// per-category usage set against the spec inputs (Table 5.2).
+// runUsage runs the workload with a full-record log (Validate requires
+// it) and reduces it to per-category usage set against the spec inputs
+// (Table 5.2).
 func runUsage(sc *Scenario, opts Options) (Result, Stats, error) {
 	run, err := sc.runPoint(opts, 0)
 	if err != nil {
@@ -843,9 +803,6 @@ func runUsage(sc *Scenario, opts Options) (Result, Stats, error) {
 	}
 	spec, gen := run.spec, run.gen
 	stats := Stats{Points: 1, Counters: run.res.Analysis.Counters()}
-	if gen.Log() == nil {
-		return nil, Stats{}, fmt.Errorf("%w: usage characterization needs trace \"log\"", ErrScenario)
-	}
 
 	// Aggregate per (session, file): usage measures are per-login-session
 	// quantities, so bytes moved on a file must not accumulate across the
@@ -918,8 +875,12 @@ func runUsage(sc *Scenario, opts Options) (Result, Stats, error) {
 
 // renderUserTypes tabulates the scenario's population (Table 5.4).
 func renderUserTypes(sc *Scenario) (Result, error) {
-	rows := make([][]string, len(sc.Base.UserTypes))
-	for i, u := range sc.Base.UserTypes {
+	ps, err := sc.compilePoint(Options{}, 0)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]string, len(ps.spec.UserTypes))
+	for i, u := range ps.spec.UserTypes {
 		mean := u.ThinkTime.Mean
 		if u.ThinkTime.Kind == config.KindConstant {
 			mean = u.ThinkTime.Value

@@ -3,14 +3,18 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
-// FuzzDecode holds the scenario codec to three properties on any input: Decode
-// does not panic; what it accepts has nothing but whitespace after its one
-// JSON value; and its re-encoding y is a fixed point, Encode(Decode(y)) == y,
-// that stops decoding once a second scenario follows it. The seed corpus is
-// every embedded built-in, so plain `go test` runs the properties on each.
+// FuzzDecode holds the scenario codec to these properties on any input:
+// Decode does not panic; what it accepts has nothing but whitespace after
+// its one JSON value; its re-encoding y is a fixed point, Encode(Decode(y))
+// == y, that stops decoding once a second scenario follows it; each point
+// Validate compiles compiles twice to equal specs; and compiling leaves
+// the scenario's encoding unchanged, since parallel points share a
+// registered scenario. The seed corpus is every embedded built-in, so
+// plain `go test` runs the properties on each.
 func FuzzDecode(f *testing.F) {
 	for _, name := range builtinOrder {
 		data, err := builtinFiles.ReadFile("builtin/" + name + ".json")
@@ -49,6 +53,19 @@ func FuzzDecode(f *testing.F) {
 		}
 		if _, err := Decode(bytes.NewReader(append(y, x...))); err == nil {
 			t.Fatal("Decode accepted two scenarios concatenated")
+		}
+		for _, idx := range sc.checkedPoints() {
+			a, errA := sc.compilePoint(Options{}, idx)
+			b, errB := sc.compilePoint(Options{}, idx)
+			if errA != nil || errB != nil {
+				t.Fatalf("point %d of a decoded scenario does not compile: %v / %v", idx, errA, errB)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("point %d compiles to two specs:\n%+v\n%+v", idx, a.spec, b.spec)
+			}
+		}
+		if after, err := sc.JSON(); err != nil || !bytes.Equal(after, y) {
+			t.Fatalf("compiling points changed the scenario (err %v):\n%s\nvs\n%s", err, y, after)
 		}
 	})
 }

@@ -2,10 +2,10 @@ package scenario
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
-
-	"uswg/internal/config"
 )
 
 // lazyDetScenario is the lazy-materialization determinism fixture: a pooled
@@ -25,17 +25,20 @@ import (
 // sweep, columns — is identical, so the two renders must agree byte for
 // byte.
 func lazyDetScenario(name string, lazy bool) *Scenario {
-	fs := config.Default().FS
-	fs.Server.CacheBlocks = 1 << 20
-	fs.Client.CacheBlocks = 1 << 20
 	return &Scenario{
 		Name: name,
 		Base: Workload{
-			Sessions: 60, SystemFiles: 30, FilesPerUser: 4, Trace: config.TraceStream,
-			UserTypes: config.ExtremelyHeavyPopulation(),
-			FS:        &fs,
-			Topology:  &config.Topology{Servers: 2, ClientPool: 4},
-			LazyUsers: lazy,
+			Sessions: 60,
+			Spec: json.RawMessage(fmt.Sprintf(`{
+				"user_types": %s,
+				"system_files": 30, "files_per_user": 4,
+				"fs": {
+					"server": {"CacheBlocks": 1048576},
+					"client": {"CacheBlocks": 1048576},
+					"topology": {"servers": 2, "client_pool": 4}
+				},
+				"trace": {"mode": "stream"},
+				"lazy_users": %t}`, extremelyHeavy, lazy)),
 		},
 		Sweep: []Axis{{Name: "users", Values: []float64{32, 64, 128}, Bind: BindUsers}},
 		Seed:  Salt{From: SaltUsers, Mul: 29, Add: 7},
@@ -49,15 +52,6 @@ func lazyDetScenario(name string, lazy bool) *Scenario {
 			},
 		},
 	}
-}
-
-// lazyArrivalPopulation is scale5.3's population: zero-think-time users
-// whose workstations boot across a shared 30-second arrival window.
-func lazyArrivalPopulation() []config.UserType {
-	arrive := config.DistSpec{Kind: config.KindUniform, Lo: 0, Hi: 30e6}
-	pop := config.ExtremelyHeavyPopulation()
-	pop[0].Lifecycle = &config.Lifecycle{Arrive: &arrive}
-	return pop
 }
 
 // TestLazyScenarioMatchesEagerAcrossParallelism is the PR's byte-identity
@@ -90,10 +84,17 @@ func TestLazyScenarioMaterializesSubset(t *testing.T) {
 	sc := &Scenario{
 		Name: "lazy-subset-test",
 		Base: Workload{
-			Users: 256, Sessions: 40, SystemFiles: 30, FilesPerUser: 4, Trace: config.TraceStream,
-			UserTypes: lazyArrivalPopulation(),
-			Topology:  &config.Topology{Servers: 2, ClientPool: 4},
-			LazyUsers: true,
+			Sessions: 40,
+			// scale5.3's population: zero-think-time users whose
+			// workstations boot across a shared 30-second arrival window.
+			Spec: json.RawMessage(`{
+				"users": 256,
+				"user_types": [{"name": "extremely-heavy", "think_time": {"kind": "constant"}, "fraction": 1,
+					"lifecycle": {"arrive": {"kind": "uniform", "hi": 30e6}}}],
+				"system_files": 30, "files_per_user": 4,
+				"fs": {"topology": {"servers": 2, "client_pool": 4}},
+				"trace": {"mode": "stream"},
+				"lazy_users": true}`),
 		},
 		Seed: Salt{From: SaltIndex, Mul: 29, Add: 11},
 		Output: Output{Kind: KindTable, Title: "lazy subset", Columns: []Column{

@@ -10,14 +10,17 @@
 // is a JSON file in builtin/, embedded and decoded at init into the
 // read-only registry (Lookup, Names). A new workload is a JSON file too
 // (`wlgen scenario run -file`, or Decode), and a Go caller writes a
-// Scenario literal:
+// Scenario literal. The workload is a JSON merge patch over
+// config.Default(), and an axis binds by JSON pointer into each point's
+// spec:
 //
 //	sc := &scenario.Scenario{
 //		Name: "my-sweep",
 //		Base: scenario.Workload{
 //			Sessions: 50, SessionsPerUser: true,
-//			SystemFiles: 120, FilesPerUser: 60, Trace: config.TraceStream,
-//			UserTypes: config.ExtremelyHeavyPopulation(),
+//			Spec: json.RawMessage(`{
+//				"user_types": [{"name": "extremely-heavy", "think_time": {"kind": "constant"}, "fraction": 1}],
+//				"system_files": 120, "files_per_user": 60, "trace": {"mode": "stream"}}`),
 //		},
 //		Sweep: []scenario.Axis{{Name: "users", Values: []float64{1, 2, 4, 8}, Bind: scenario.BindUsers}},
 //		Seed:  scenario.Salt{From: scenario.SaltUsers, Mul: 17},
@@ -55,6 +58,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 
 	"uswg/internal/config"
@@ -98,20 +102,17 @@ const (
 	KindTransient = "transient"
 )
 
-// Axis bind targets: where a numeric axis value lands in each point's spec.
+// Named axis binds. Any other bind is a JSON pointer (RFC 6901) into the
+// point's spec, such as "/access_size/mean" or "/fs/topology/servers".
 const (
-	// BindUsers sets the point's simultaneous user count.
-	BindUsers = "users"
-	// BindAccessSize sets the mean of the exponential access-size spec.
-	BindAccessSize = "access-size-mean"
+	// BindUsers sets the point's simultaneous user count. It is the one
+	// pointer the engine knows: a grid's row axis must bind it, and it
+	// never supplies the point's primary axis value.
+	BindUsers = "/users"
 	// BindFaultProb sets the named fault rule's firing probability.
 	BindFaultProb = "fault-prob"
 	// BindFaultLatency sets the named fault rule's injected latency, µs.
 	BindFaultLatency = "fault-latency"
-	// BindServers sets the point's server island count (fs topology).
-	BindServers = "servers"
-	// BindClientPool sets the point's pooled-client count per island.
-	BindClientPool = "clients-per-server"
 )
 
 // Salt sources: what the per-point seed offset is computed from.
@@ -164,12 +165,10 @@ const (
 	MeasureFiles         = "files-referenced"
 )
 
-// Workload holds the spec knobs shared by every point of a scenario. Zero
-// fields keep config.Default()'s values; sweep axes override per point.
+// Workload is what every point of a scenario shares: a spec patch and the
+// formulas that derive a point's session count and file system size from
+// its user count and Options.Scale.
 type Workload struct {
-	// Users is the fixed simultaneous user count (a BindUsers axis
-	// overrides it per point).
-	Users int `json:"users,omitempty"`
 	// Sessions is the paper session count, multiplied by Options.Scale.
 	// 0 keeps the default spec's count.
 	Sessions int `json:"sessions,omitempty"`
@@ -179,64 +178,37 @@ type Workload struct {
 	// SessionsFromUsers uses the point's user count as the paper session
 	// count (one session per user at full scale — scale5.1).
 	SessionsFromUsers bool `json:"sessions_from_users,omitempty"`
-	// SystemFiles and FilesPerUser size the initial file system directly.
-	SystemFiles  int `json:"system_files,omitempty"`
-	FilesPerUser int `json:"files_per_user,omitempty"`
 	// FileBudget, when positive, splits a total file budget between system
 	// and user directories so the category ownership proportions hold
-	// (config.BalanceFiles), instead of the direct sizes above.
+	// (config.BalanceFiles), replacing system_files and files_per_user.
 	FileBudget int `json:"file_budget,omitempty"`
-	// UserTypes is the simulated population (think-time overrides live in
-	// each type's ThinkTime DistSpec). Empty keeps the default population.
-	UserTypes []config.UserType `json:"user_types,omitempty"`
-	// AccessSizeMean sets an exponential access-size distribution with this
-	// mean, bytes (a BindAccessSize axis overrides it per point).
-	AccessSizeMean float64 `json:"access_size_mean,omitempty"`
-	// Trace selects the sink: "log" (full records) or "stream" (the
-	// O(active sessions) Summarizer). Empty keeps the default ("log").
-	Trace string `json:"trace,omitempty"`
-	// TraceWindowUS, when positive, additionally tees every record into the
-	// windowed time-series collector with this window width, virtual µs
-	// (required by the transient output kind).
-	TraceWindowUS float64 `json:"trace_window_us,omitempty"`
-	// NFSDs overrides the simulated server's daemon count
-	// (FS.Server.NFSDs).
-	NFSDs int `json:"nfsds,omitempty"`
-	// FS replaces the whole file-system spec (kind, server/client/cache
-	// knobs). Applied before NFSDs and Topology.
-	FS *config.FSSpec `json:"fs,omitempty"`
-	// Topology is the fleet shape: island count, pooled clients and
-	// placement. Applied after FS; BindServers/BindClientPool axes
-	// override its counts per point.
-	Topology *config.Topology `json:"topology,omitempty"`
-	// MaxOpsPerSession bounds a session (0 keeps the default).
-	MaxOpsPerSession int `json:"max_ops_per_session,omitempty"`
-	// LazyUsers materializes each user (session engine, rng streams, private
-	// file tree, client binding) on first arrival instead of up front, making
-	// resident state and setup cost O(active users). Always deterministic;
-	// bit-identical to eager runs inside the boundary DESIGN.md documents
-	// (no cache eviction, simultaneous arrivals). Required for the 100k-user
-	// scale5.3 family.
-	LazyUsers bool `json:"lazy_users,omitempty"`
+	// Spec is a JSON merge patch (RFC 7396) over config.Default(): objects
+	// merge key by key, arrays and scalars replace, null clears a pointer
+	// or an array, and keys match as config.Decode matches them. It may not
+	// set seed or sessions, which the seed salt and the formulas above
+	// derive per point.
+	Spec json.RawMessage `json:"spec,omitempty"`
 }
 
-// Case is one named fault-plan variant on a case axis (outage shapes,
-// degraded wires). A nil plan is the healthy system.
+// Case is one named variant on a case axis (outage shapes, degraded wires,
+// candidate file systems): a spec patch applied over the workload's, like
+// Workload.Spec. An empty patch runs the workload as it is.
 type Case struct {
-	Label string      `json:"label"`
-	Plan  *fault.Plan `json:"plan,omitempty"`
+	Label string          `json:"label"`
+	Spec  json.RawMessage `json:"spec,omitempty"`
 }
 
 // Axis is one sweep dimension: either numeric Values bound into the spec
-// (Bind), or named Cases selecting whole fault plans. The sweep grid is the
-// cross product of all axes, first axis outermost in flat index order.
+// (Bind), or named Cases patching it. The sweep grid is the cross product
+// of all axes, first axis outermost in flat index order.
 type Axis struct {
 	Name string `json:"name"`
 	// Values are the numeric points (mutually exclusive with Cases).
 	Values []float64 `json:"values,omitempty"`
-	// Cases are named fault-plan variants (at most one case axis).
+	// Cases are named spec patches (at most one case axis).
 	Cases []Case `json:"cases,omitempty"`
-	// Bind names the spec knob each value lands in (Bind* constants).
+	// Bind is a JSON pointer into the spec or a fault bind (Bind*
+	// constants).
 	Bind string `json:"bind,omitempty"`
 	// Rule names the fault rule a BindFaultProb/BindFaultLatency axis
 	// parameterizes.
@@ -283,22 +255,6 @@ func (s Salt) offset(idx, users int, value float64) uint64 {
 		mul = 1
 	}
 	return mul*src + s.Add
-}
-
-// primaryAxisValues returns the values of the axis MetricValue and
-// SaltValue read from: the first non-users numeric axis, else the first
-// axis (matching the engine's per-point selection).
-func (sc *Scenario) primaryAxisValues() []float64 {
-	for i := range sc.Sweep {
-		ax := &sc.Sweep[i]
-		if len(ax.Values) > 0 && ax.Bind != BindUsers {
-			return ax.Values
-		}
-	}
-	if len(sc.Sweep) > 0 {
-		return sc.Sweep[0].Values
-	}
-	return nil
 }
 
 // Column maps one extracted metric to a rendered table column.
@@ -447,11 +403,13 @@ func checkFormatString(format, what string, arg any) error {
 	return nil
 }
 
-// validateSweep checks each axis: its values are in range for its bind
-// (a fault-bound value against a copy of its rule), and at most one axis
-// selects cases.
+// validateSweep checks the axes' shape: each has a name and either values
+// or cases, at most one selects cases and none sits beside a fault
+// template, a fault bind names a rule of the template, any other bind is a
+// JSON pointer, and the grid's point count fits an int. Whether a value or
+// a case fits the spec is for the compiled points to show.
 func (sc *Scenario) validateSweep() error {
-	cases := 0
+	cases, size := 0, 1
 	for i := range sc.Sweep {
 		ax := &sc.Sweep[i]
 		if ax.Name == "" {
@@ -468,107 +426,66 @@ func (sc *Scenario) validateSweep() error {
 			if ax.Bind != "" {
 				return fmt.Errorf("%w: case axis %q cannot bind", ErrScenario, ax.Name)
 			}
+			if sc.Fault != nil {
+				return fmt.Errorf("%w: case axis %q beside a fault template (a case patches fault itself)", ErrScenario, ax.Name)
+			}
 			for _, c := range ax.Cases {
 				if c.Label == "" {
 					return fmt.Errorf("%w: axis %q has a case with no label", ErrScenario, ax.Name)
 				}
-				if err := c.Plan.Validate(); err != nil {
-					return fmt.Errorf("scenario: axis %q case %q: %w", ax.Name, c.Label, err)
-				}
 			}
 		case len(ax.Values) > 0:
-			switch ax.Bind {
-			case BindUsers:
-				for _, v := range ax.Values {
-					if v < 1 || v != math.Trunc(v) {
-						return fmt.Errorf("%w: axis %q: users value %v must be a positive integer", ErrScenario, ax.Name, v)
-					}
-				}
-			case BindAccessSize:
-				for _, v := range ax.Values {
-					if v <= 0 {
-						return fmt.Errorf("%w: axis %q: access size %v must be positive", ErrScenario, ax.Name, v)
-					}
-				}
-			case BindServers, BindClientPool:
-				for _, v := range ax.Values {
-					if v < 1 || v != math.Trunc(v) {
-						return fmt.Errorf("%w: axis %q: %s value %v must be a positive integer", ErrScenario, ax.Name, ax.Bind, v)
-					}
-				}
-			case BindFaultProb, BindFaultLatency:
+			switch {
+			case ax.Bind == BindFaultProb || ax.Bind == BindFaultLatency:
 				if sc.Fault == nil {
 					return fmt.Errorf("%w: axis %q binds a fault parameter but the scenario has no fault template", ErrScenario, ax.Name)
 				}
-				var rule *fault.Rule
-				for ri := range sc.Fault.Plan.Rules {
-					if sc.Fault.Plan.Rules[ri].Name == ax.Rule {
-						rule = &sc.Fault.Plan.Rules[ri]
-					}
-				}
-				if rule == nil {
+				if !slices.ContainsFunc(sc.Fault.Plan.Rules, func(r fault.Rule) bool { return r.Name == ax.Rule }) {
 					return fmt.Errorf("%w: axis %q binds fault rule %q, not in the plan", ErrScenario, ax.Name, ax.Rule)
 				}
-				// Each value goes into a copy of the rule, as the engine
-				// binds it per point, and the rule checks its own ranges.
-				for _, v := range ax.Values {
-					r := *rule
-					if ax.Bind == BindFaultProb {
-						r.Prob = v
-					} else {
-						r.Latency = v
-					}
-					if err := r.Validate(); err != nil {
-						return fmt.Errorf("scenario: axis %q: %s value %v: %w", ax.Name, ax.Bind, v, err)
-					}
-				}
-			default:
-				return fmt.Errorf("%w: axis %q: unknown bind %q", ErrScenario, ax.Name, ax.Bind)
+			case !strings.HasPrefix(ax.Bind, "/"):
+				return fmt.Errorf("%w: axis %q: bind %q is neither a JSON pointer into the spec nor %q or %q", ErrScenario, ax.Name, ax.Bind, BindFaultProb, BindFaultLatency)
 			}
 		default:
 			return fmt.Errorf("%w: axis %q has neither values nor cases", ErrScenario, ax.Name)
 		}
+		n := axisLen(ax)
+		if size > math.MaxInt/n {
+			return fmt.Errorf("%w: the sweep grid has too many points", ErrScenario)
+		}
+		size *= n
 	}
 	return nil
 }
 
-// Validate checks the scenario's structural invariants. Workload-level
-// validation (population fractions, category sums) happens when a point's
-// spec is compiled at run time.
+// needsLog reports whether the output reads full records: the usage
+// characterization and the write-availability split do.
+func (sc *Scenario) needsLog() bool {
+	out := &sc.Output
+	if out.Kind == KindUsage {
+		return true
+	}
+	for _, c := range slices.Concat(out.Columns, out.Cells, []Column{{Metric: out.Y}}) {
+		if c.Metric == MetricWriteAvailPre || c.Metric == MetricWriteAvailPos {
+			return true
+		}
+	}
+	return false
+}
+
+// Validate checks the scenario's structure, then the specs it compiles:
+// point 0 and every point that moves one axis off it, so each axis value
+// and case compiles once — O(sum of axis lengths), never the grid. Each
+// compiled spec must pass config.Spec.Validate, except under the
+// render-only kinds (user-types, densities), which run nothing.
 func (sc *Scenario) Validate() error {
 	if sc.Name == "" {
 		return fmt.Errorf("%w: missing name", ErrScenario)
 	}
 	switch sc.Seed.From {
-	case "", SaltIndex, SaltUsers:
-	case SaltValue:
-		// The salt truncates the axis value to an integer; fractional
-		// values (probabilities, rates) would collapse to the same offset
-		// and silently correlate every point's seed — reject them.
-		for _, v := range sc.primaryAxisValues() {
-			if v != math.Trunc(v) {
-				return fmt.Errorf("%w: seed salt %q needs integer axis values; %v would truncate (salt from %q or %q instead)",
-					ErrScenario, SaltValue, v, SaltIndex, SaltUsers)
-			}
-		}
+	case "", SaltIndex, SaltUsers, SaltValue:
 	default:
 		return fmt.Errorf("%w: unknown seed salt source %q", ErrScenario, sc.Seed.From)
-	}
-	switch sc.Base.Trace {
-	case "", config.TraceLog, config.TraceStream:
-	default:
-		return fmt.Errorf("%w: unknown trace mode %q", ErrScenario, sc.Base.Trace)
-	}
-	if sc.Base.TraceWindowUS < 0 || math.IsNaN(sc.Base.TraceWindowUS) {
-		return fmt.Errorf("%w: trace_window_us %v must be positive", ErrScenario, sc.Base.TraceWindowUS)
-	}
-	if t := sc.Base.Topology; t != nil {
-		if err := t.Validate(); err != nil {
-			return fmt.Errorf("scenario: workload topology: %w", err)
-		}
-		if sc.Base.FS != nil && sc.Base.FS.Topology != nil {
-			return fmt.Errorf("%w: workload sets topology both inline and inside fs — use one form", ErrScenario)
-		}
 	}
 	if sc.Fault != nil {
 		// The template's rules may carry zero probabilities (an axis binds
@@ -582,6 +499,37 @@ func (sc *Scenario) Validate() error {
 	}
 
 	out := &sc.Output
+	renderOnly := out.Kind == KindUserTypes || out.Kind == KindDensities
+	needsLog := sc.needsLog()
+	var first *config.Spec
+	for _, idx := range sc.checkedPoints() {
+		ps, err := sc.compilePoint(Options{}, idx)
+		if err != nil {
+			return err
+		}
+		if !renderOnly {
+			if err := ps.spec.Validate(); err != nil {
+				return fmt.Errorf("scenario: %s: %w", sc.pointName(idx), err)
+			}
+		}
+		// The value salt converts the primary axis value, which the
+		// checked points take in full, to an unsigned integer. A
+		// fractional value (probabilities, rates) would collapse onto its
+		// neighbour's offset and silently correlate their seeds, and Go
+		// leaves the conversion of a negative or too-large value to the
+		// platform — reject them all.
+		if v := ps.value; sc.Seed.From == SaltValue && (!(v >= 0 && v < 1<<64) || v != math.Trunc(v)) {
+			return fmt.Errorf("%w: seed salt %q needs non-negative integer axis values; %v is not one (salt from %q or %q instead)",
+				ErrScenario, SaltValue, v, SaltIndex, SaltUsers)
+		}
+		if needsLog && ps.spec.Trace.Streaming() {
+			return fmt.Errorf("%w: output %q needs trace mode %q (full records), but %s streams", ErrScenario, out.Kind, config.TraceLog, sc.pointName(idx))
+		}
+		if first == nil {
+			first = ps.spec
+		}
+	}
+
 	switch out.Kind {
 	case KindTable:
 		return validateColumns(out.Columns, "table columns")
@@ -601,7 +549,7 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("%w: a grid needs exactly two numeric axes", ErrScenario)
 		}
 		if sc.Sweep[1].Bind != BindUsers {
-			return fmt.Errorf("%w: a grid's second (row) axis must bind users", ErrScenario)
+			return fmt.Errorf("%w: a grid's second (row) axis must bind %q", ErrScenario, BindUsers)
 		}
 		if out.RowHeader == "" {
 			return fmt.Errorf("%w: grid needs a row_header", ErrScenario)
@@ -616,15 +564,12 @@ func (sc *Scenario) Validate() error {
 		}
 		return nil
 	case KindCharacterization:
-		if sc.Base.FileBudget <= 0 && sc.Base.SystemFiles <= 0 {
-			return fmt.Errorf("%w: file characterization needs a file_budget or system_files", ErrScenario)
-		}
 		return nil
 	case KindUsage:
 		return checkFormatString(out.Title, "usage title", 1)
 	case KindUserTypes:
-		if len(sc.Base.UserTypes) == 0 {
-			return fmt.Errorf("%w: user-types output needs workload user_types", ErrScenario)
+		if len(first.UserTypes) == 0 {
+			return fmt.Errorf("%w: user-types output needs user_types", ErrScenario)
 		}
 		return nil
 	case KindDensities:
@@ -657,8 +602,8 @@ func (sc *Scenario) Validate() error {
 		}
 		return nil
 	case KindTransient:
-		if sc.Base.TraceWindowUS <= 0 {
-			return fmt.Errorf("%w: transient output needs a positive workload trace_window_us", ErrScenario)
+		if first.Trace.WindowUS <= 0 {
+			return fmt.Errorf("%w: transient output needs a positive trace window_us", ErrScenario)
 		}
 		if len(sc.Sweep) > 0 {
 			return fmt.Errorf("%w: transient output runs a single point; it cannot sweep", ErrScenario)

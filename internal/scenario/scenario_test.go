@@ -3,7 +3,9 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -90,6 +92,9 @@ func TestDumpedScenarioRunsIdentical(t *testing.T) {
 	}
 }
 
+// extremelyHeavy is config.ExtremelyHeavyPopulation() as a patch value.
+const extremelyHeavy = `[{"name": "extremely-heavy", "think_time": {"kind": "constant"}, "fraction": 1}]`
+
 // customJSON is a from-scratch scenario a user could write: a user sweep
 // over a bursty wire (fault plan with the Gilbert-Elliott knob), streaming
 // sink, curve output.
@@ -98,12 +103,14 @@ const customJSON = `{
   "workload": {
     "sessions": 10,
     "sessions_per_user": true,
-    "system_files": 60,
-    "files_per_user": 12,
-    "user_types": [{"name": "extremely-heavy", "think_time": {"kind": "constant"}, "fraction": 1}],
-    "trace": "stream"
+    "spec": {
+      "user_types": ` + extremelyHeavy + `,
+      "system_files": 60,
+      "files_per_user": 12,
+      "trace": {"mode": "stream"}
+    }
   },
-  "sweep": [{"name": "users", "values": [2, 4, 6], "bind": "users"}],
+  "sweep": [{"name": "users", "values": [2, 4, 6], "bind": "/users"}],
   "fault": {
     "plan": {
       "name": "bursty-wire",
@@ -204,6 +211,18 @@ func TestFault55BurstScenario(t *testing.T) {
 	}
 }
 
+// negativeMinAxis sweeps the access-size minimum over a negative and a zero
+// bound (the workload truncates at a maximum, so both are valid bounds),
+// salted by salt.
+func negativeMinAxis(salt string) func(*Scenario) {
+	return func(sc *Scenario) {
+		sc.Base.Spec = json.RawMessage(`{"access_size": {"kind": "exponential", "mean": 1024, "max": 65536}}`)
+		sc.Sweep[0] = Axis{Name: "min", Values: []float64{-3, 0}, Bind: "/access_size/min"}
+		sc.Seed = Salt{From: salt, Mul: 1}
+		sc.Output.X = MetricValue
+	}
+}
+
 // TestValidationErrors enumerates malformed scenarios the codec must
 // reject.
 func TestValidationErrors(t *testing.T) {
@@ -232,11 +251,13 @@ func TestValidationErrors(t *testing.T) {
 		{"bad salt source", func(sc *Scenario) { sc.Seed.From = "moon-phase" }},
 		{"mean(std) on a scalar metric", func(sc *Scenario) { sc.Output.Columns[0].Format = FormatMeanStd }},
 		{"fractional value salt", func(sc *Scenario) {
-			sc.Sweep[0] = Axis{Name: "rate", Values: []float64{0.01, 0.05}, Bind: BindAccessSize}
+			sc.Sweep[0] = Axis{Name: "rate", Values: []float64{0.01, 0.05}, Bind: "/access_size/mean"}
 			sc.Seed = Salt{From: SaltValue, Mul: 1}
 			sc.Output.X = MetricValue
 		}},
-		{"bad trace mode", func(sc *Scenario) { sc.Base.Trace = "ring-buffer" }},
+		{"negative value salt", negativeMinAxis(SaltValue)},
+		{"bad trace mode", func(sc *Scenario) { sc.Base.Spec = json.RawMessage(`{"trace": {"mode": "ring-buffer"}}`) }},
+		{"negative trace window", func(sc *Scenario) { sc.Base.Spec = json.RawMessage(`{"trace": {"window_us": -1}}`) }},
 		{"curve without axis", func(sc *Scenario) { sc.Sweep = nil }},
 		{"curve with bad x", func(sc *Scenario) { sc.Output.X = "ops" }},
 		{"fault bind without template", func(sc *Scenario) {
@@ -244,13 +265,21 @@ func TestValidationErrors(t *testing.T) {
 		}},
 		{"fault prob 1.5", withFaultAxis(BindFaultProb, 0, 0.01, 1.5)},
 		{"fault latency -5", withFaultAxis(BindFaultLatency, 0, 1000, -5)},
+		{"case axis beside a fault template", func(sc *Scenario) {
+			withFaultAxis(BindFaultProb, 0, 0.01)(sc)
+			sc.Sweep = append(sc.Sweep, Axis{Name: "variant", Cases: []Case{{Label: "a"}, {Label: "b"}}})
+		}},
+		{"fault template and a patch both set fault", func(sc *Scenario) {
+			withFaultAxis(BindFaultProb, 0, 0.01)(sc)
+			sc.Base.Spec = json.RawMessage(`{"fault": {"name": "q", "rules": [{"name": "r", "ops": ["read"], "prob": 0.1, "err": "eio"}]}}`)
+		}},
 	}
 	base := func() *Scenario {
 		return &Scenario{
 			Name: "valid",
 			Base: Workload{
-				Sessions: 10, SessionsPerUser: true, SystemFiles: 60, FilesPerUser: 12,
-				Trace: config.TraceStream,
+				Sessions: 10, SessionsPerUser: true,
+				Spec: json.RawMessage(`{"system_files": 60, "files_per_user": 12, "trace": {"mode": "stream"}}`),
 			},
 			Sweep: []Axis{{Name: "users", Values: []float64{1, 2}, Bind: BindUsers}},
 			Seed:  Salt{From: SaltUsers, Mul: 1},
@@ -266,6 +295,13 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if err := base().Validate(); err != nil {
 		t.Fatalf("base scenario rejected: %v", err)
+	}
+	// The negative axis values themselves are valid truncation bounds: only
+	// the value salt rejects them.
+	indexSalted := base()
+	negativeMinAxis(SaltIndex)(indexSalted)
+	if err := indexSalted.Validate(); err != nil {
+		t.Fatalf("negative access-size minimum under an index salt rejected: %v", err)
 	}
 	for _, tc := range cases {
 		sc := base()
@@ -344,10 +380,18 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := Decode(strings.NewReader(`{"name": "x", "sessionz": 5, "output": {"kind": "table"}}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
-	// The workload's topology block is the fleet shape only; the daemon
-	// count is the workload's nfsds, so topology.nfsds is unknown too.
+	// Old-form workload keys are unknown fields: spec knobs live in the
+	// workload's spec patch.
+	for _, key := range []string{`"users": 2`, `"trace": "stream"`, `"topology": {"servers": 2}`, `"nfsds": 1`} {
+		old := strings.Replace(string(js), `"sessions": 10,`, `"sessions": 10, `+key+`,`, 1)
+		if _, err := Decode(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("old-form workload key %s: err = %v, want unknown field", key, err)
+		}
+	}
+	// The topology block is the fleet shape only; the daemon count is
+	// fs.server's NFSDs, so topology.nfsds is unknown too.
 	topo := base()
-	topo.Base.Topology = &config.Topology{Servers: 2}
+	topo.Base.Spec = json.RawMessage(`{"fs": {"topology": {"servers": 2}}}`)
 	if js, err = topo.JSON(); err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +404,7 @@ func TestValidationErrors(t *testing.T) {
 		Name: "g",
 		Sweep: []Axis{
 			{Name: "rate", Values: []float64{0.1}, Bind: BindFaultProb, Rule: "r"},
-			{Name: "more", Values: []float64{256}, Bind: BindAccessSize},
+			{Name: "more", Values: []float64{256}, Bind: "/access_size/mean"},
 		},
 		Fault: &FaultSpec{Plan: fault.Plan{Name: "p", Rules: []fault.Rule{{Name: "r", Ops: []string{"read"}, Err: fault.EIO}}}},
 		Output: Output{
@@ -370,6 +414,83 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if err := grid.Validate(); err == nil {
 		t.Error("grid without a users row axis accepted")
+	}
+}
+
+// withTraceMode returns the spec patch with its trace block replaced by one
+// that selects mode.
+func withTraceMode(t *testing.T, patch json.RawMessage, mode string) json.RawMessage {
+	t.Helper()
+	m := map[string]any{}
+	if patch != nil {
+		if err := json.Unmarshal(patch, &m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m["trace"] = map[string]string{"mode": mode}
+	js, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return js
+}
+
+// builtinCopy decodes a private copy of a registered scenario.
+func builtinCopy(t *testing.T, name string) *Scenario {
+	t.Helper()
+	reg, _ := Lookup(name)
+	js, err := reg.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := Decode(bytes.NewReader(js))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// TestFullRecordOutputsRejectStreaming: an output that reads full records
+// fails at decode, not after its run, when a checked point streams —
+// whether the need comes from the output kind, a column, a curve axis or a
+// grid cell. The same scenario with the full-record log validates.
+func TestFullRecordOutputsRejectStreaming(t *testing.T) {
+	shapes := []struct {
+		label, name string
+		mut         func(*Scenario)
+	}{
+		{"usage output", "table5.2", nil},
+		{"write-avail column", "fault5.4", nil},
+		{"write-avail curve", "fault5.4", func(sc *Scenario) {
+			sc.Output = Output{Kind: KindCurve, Title: "t", X: MetricUsers, Y: MetricWriteAvailPos,
+				Columns: []Column{{Header: "ops", Metric: MetricOps, Format: FormatInt}}}
+		}},
+		{"write-avail grid cell", "fault5.1", func(sc *Scenario) {
+			sc.Output.Cells = append(sc.Output.Cells, Column{Header: "write avail @%s", Metric: MetricWriteAvailPre, Format: FormatPct})
+		}},
+	}
+	for _, tc := range shapes {
+		for _, mode := range []string{config.TraceLog, config.TraceStream} {
+			sc := builtinCopy(t, tc.name)
+			if tc.mut != nil {
+				tc.mut(sc)
+			}
+			sc.Base.Spec = withTraceMode(t, sc.Base.Spec, mode)
+			err := sc.Validate()
+			if mode == config.TraceLog && err != nil {
+				t.Errorf("%s under trace %q: %v", tc.label, mode, err)
+			}
+			if mode == config.TraceStream && !errors.Is(err, ErrScenario) {
+				t.Errorf("%s under trace %q: err = %v, want ErrScenario", tc.label, mode, err)
+			}
+		}
+	}
+	// One case that streams is enough.
+	sc := builtinCopy(t, "fault5.4")
+	sticky := &sc.Sweep[0].Cases[2]
+	sticky.Spec = withTraceMode(t, sticky.Spec, config.TraceStream)
+	if err := sc.Validate(); !errors.Is(err, ErrScenario) || !strings.Contains(err.Error(), `case "disk fills (sticky)"`) {
+		t.Errorf("a streaming case: err = %v, want ErrScenario naming the case", err)
 	}
 }
 
@@ -396,11 +517,7 @@ func TestDensityPanelsNeedPDF(t *testing.T) {
 // and a built-in file whose name field disagrees with its file name.
 func TestRegistryRejectsDuplicates(t *testing.T) {
 	mk := func(name string, alias ...string) *Scenario {
-		return &Scenario{
-			Name: name, Aliases: alias,
-			Base:   Workload{UserTypes: []config.UserType{{Name: "u", ThinkTime: config.Exp(1000), Fraction: 1}}},
-			Output: Output{Kind: KindUserTypes, Title: "t"},
-		}
+		return &Scenario{Name: name, Aliases: alias, Output: Output{Kind: KindUserTypes, Title: "t"}}
 	}
 	if err := register(mk("table5.1")); err == nil {
 		t.Error("duplicate name accepted")
@@ -430,7 +547,7 @@ func TestTransientValidation(t *testing.T) {
 	transient := func(window float64) *Scenario {
 		return &Scenario{
 			Name:   "t",
-			Base:   Workload{Users: 2, TraceWindowUS: window},
+			Base:   Workload{Spec: json.RawMessage(fmt.Sprintf(`{"users": 2, "trace": {"window_us": %v}}`, window))},
 			Output: Output{Kind: KindTransient, Title: "transient"},
 		}
 	}

@@ -2,11 +2,11 @@ package scenario
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 
-	"uswg/internal/config"
 	"uswg/internal/core"
 	"uswg/internal/fault"
 )
@@ -18,9 +18,12 @@ func TestFleetScenarioDeterministicAcrossParallelism(t *testing.T) {
 	sc := &Scenario{
 		Name: "fleet-det-test",
 		Base: Workload{
-			SessionsFromUsers: true, SystemFiles: 30, FilesPerUser: 6, Trace: config.TraceStream,
-			UserTypes: config.ExtremelyHeavyPopulation(),
-			Topology:  &config.Topology{Servers: 4, ClientPool: 4},
+			SessionsFromUsers: true,
+			Spec: json.RawMessage(`{
+				"user_types": ` + extremelyHeavy + `,
+				"system_files": 30, "files_per_user": 6,
+				"fs": {"topology": {"servers": 4, "client_pool": 4}},
+				"trace": {"mode": "stream"}}`),
 		},
 		Sweep: []Axis{{Name: "users", Values: []float64{8, 16, 32}, Bind: BindUsers}},
 		Seed:  Salt{From: SaltUsers, Mul: 31, Add: 2},
@@ -58,11 +61,15 @@ func TestSweepServersBind(t *testing.T) {
 	sc := &Scenario{
 		Name: "sweep-servers-test",
 		Base: Workload{
-			Users: 8, Sessions: 8, SystemFiles: 30, FilesPerUser: 6, Trace: config.TraceStream,
-			UserTypes: config.ExtremelyHeavyPopulation(),
-			Topology:  &config.Topology{ClientPool: 4},
+			Sessions: 8,
+			Spec: json.RawMessage(`{
+				"users": 8,
+				"user_types": ` + extremelyHeavy + `,
+				"system_files": 30, "files_per_user": 6,
+				"fs": {"topology": {"client_pool": 4}},
+				"trace": {"mode": "stream"}}`),
 		},
-		Sweep: []Axis{{Name: "servers", Values: []float64{1, 2, 4}, Bind: BindServers}},
+		Sweep: []Axis{{Name: "servers", Values: []float64{1, 2, 4}, Bind: "/fs/topology/servers"}},
 		Seed:  Salt{From: SaltValue, Mul: 3, Add: 1},
 		Output: Output{Kind: KindTable, Title: "servers sweep", Columns: []Column{
 			{Header: "servers", Metric: MetricValue, Format: FormatInt},
@@ -88,53 +95,53 @@ func TestSweepServersBind(t *testing.T) {
 	}
 }
 
-// TestTopologyWorkloadValidation covers the scenario layer's topology checks
-// and the sweep-axis integer requirements.
+// TestTopologyWorkloadValidation covers the topology checks a scenario's
+// compiled specs get and the integer requirement of the topology binds.
 func TestTopologyWorkloadValidation(t *testing.T) {
 	base := func() *Scenario {
 		return &Scenario{
 			Name: "topo-val",
-			Base: Workload{Users: 2, Sessions: 4},
+			Base: Workload{Sessions: 4, Spec: json.RawMessage(`{"users": 2}`)},
 			Output: Output{Kind: KindTable, Title: "t",
 				Columns: []Column{{Header: "ops", Metric: MetricOps, Format: FormatInt}}},
 		}
 	}
 	t.Run("valid topology", func(t *testing.T) {
 		sc := base()
-		sc.Base.Topology = &config.Topology{Servers: 2, ClientPool: 4}
+		sc.Base.Spec = json.RawMessage(`{"users": 2, "fs": {"topology": {"servers": 2, "client_pool": 4}}}`)
 		if err := sc.Validate(); err != nil {
 			t.Errorf("unexpected error: %v", err)
 		}
 	})
-	t.Run("topology inline and inside fs", func(t *testing.T) {
-		sc := base()
-		fs := config.Default().FS
-		fs.Topology = &config.Topology{Servers: 2}
-		sc.Base.FS = &fs
-		sc.Base.Topology = &config.Topology{Servers: 4}
-		if err := sc.Validate(); err == nil {
-			t.Error("expected double-topology rejection")
-		}
-	})
 	t.Run("invalid topology", func(t *testing.T) {
 		sc := base()
-		sc.Base.Topology = &config.Topology{Placement: "scatter"}
+		sc.Base.Spec = json.RawMessage(`{"users": 2, "fs": {"topology": {"placement": "scatter"}}}`)
 		if err := sc.Validate(); err == nil {
 			t.Error("expected placement rejection")
 		}
 	})
 	t.Run("fractional servers axis", func(t *testing.T) {
 		sc := base()
-		sc.Sweep = []Axis{{Name: "servers", Values: []float64{1.5}, Bind: BindServers}}
+		sc.Sweep = []Axis{{Name: "servers", Values: []float64{1.5}, Bind: "/fs/topology/servers"}}
 		if err := sc.Validate(); err == nil {
 			t.Error("expected integer-axis rejection")
 		}
 	})
+	// A pool of 0 is config.Topology's private clients; a negative or
+	// fractional pool has no meaning.
 	t.Run("zero pool axis", func(t *testing.T) {
-		sc := base()
-		sc.Sweep = []Axis{{Name: "pool", Values: []float64{0}, Bind: BindClientPool}}
-		if err := sc.Validate(); err == nil {
-			t.Error("expected positive-axis rejection")
+		pool := func(v float64) error {
+			sc := base()
+			sc.Sweep = []Axis{{Name: "pool", Values: []float64{v}, Bind: "/fs/topology/client_pool"}}
+			return sc.Validate()
+		}
+		if err := pool(0); err != nil {
+			t.Errorf("pool 0 rejected: %v", err)
+		}
+		for _, v := range []float64{-1, 1.5} {
+			if pool(v) == nil {
+				t.Errorf("pool %v accepted", v)
+			}
 		}
 	})
 }
@@ -146,10 +153,13 @@ func TestTransientFleetSumsLinks(t *testing.T) {
 	sc := &Scenario{
 		Name: "transient-fleet-test",
 		Base: Workload{
-			Users: 4, Sessions: 10, SessionsPerUser: true, SystemFiles: 30, FilesPerUser: 6,
-			Trace: config.TraceStream, TraceWindowUS: 5e6,
-			UserTypes: config.ExtremelyHeavyPopulation(),
-			Topology:  &config.Topology{Servers: 2, ClientPool: 2},
+			Sessions: 10, SessionsPerUser: true,
+			Spec: json.RawMessage(`{
+				"users": 4,
+				"user_types": ` + extremelyHeavy + `,
+				"system_files": 30, "files_per_user": 6,
+				"fs": {"topology": {"servers": 2, "client_pool": 2}},
+				"trace": {"mode": "stream", "window_us": 5e6}}`),
 		},
 		Fault: &FaultSpec{Plan: fault.Plan{
 			Name:       "lossy-fleet",
