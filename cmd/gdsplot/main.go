@@ -89,8 +89,9 @@ func plotSpec(label string, ds config.DistSpec, width, height int) {
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", label, err))
 		}
-		xs := t.Xs
-		fmt.Println(report.Series(xs, t.Ps, width, height, label+" (CDF)", "x", "F(x)"))
+		cdf := report.CurvePlot{Title: label + " (CDF)", XLabel: "x", YLabel: "F(x)",
+			Series: []report.PlotSeries{{Label: "F(x)", XS: t.Xs, YS: t.Ps}}}
+		fmt.Println(cdf.ASCII(width, height))
 		return
 	}
 	hi := 4 * d.Mean()

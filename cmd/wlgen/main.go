@@ -5,8 +5,7 @@
 //	wlgen spec  [-o spec.json]                 write the default spec
 //	wlgen mkfs  [-spec spec.json]              build the initial file system, print Table 5.1 stats
 //	wlgen run   [-spec spec.json] [-log f]     run the experiment, print a summary
-//	wlgen run   -stream                        same, streaming the trace (no log retained)
-//	wlgen analyze -log usage.jsonl [-stream]   analyze a usage log (the Usage Analyzer)
+//	wlgen analyze -log usage.jsonl             analyze a usage log (the Usage Analyzer)
 //	wlgen fit   [-family gamma] [-in f]        fit a distribution to samples, print its DistSpec
 //	wlgen validate -log usage.jsonl [-spec f]  check a usage log's statistical similarity to its spec
 //	wlgen replay -log usage.jsonl [-out f]     re-execute a usage log (the trace-data baseline)
@@ -15,11 +14,10 @@
 //	wlgen paper -out paper_runs/               regenerate every figure/table artifact (see paper.go)
 //	wlgen paper -diff A B                      compare two artifact folders cell by cell
 //
-// Without -spec, the thesis's §5.1 default configuration is used. -stream
-// selects the streaming Summarizer sink: memory stays O(sessions) instead
-// of O(records), which is what large populations need — but no usage log
-// exists afterwards, so run -stream refuses -log (JSONL serialization
-// requires the full records).
+// Without -spec, the thesis's §5.1 default configuration is used. Both run
+// and analyze fold records into the streaming Summarizer as they arrive.
+// run keeps the full records exactly when -log asks for them, whatever the
+// spec's trace mode; without -log its memory stays O(sessions).
 package main
 
 import (
@@ -132,17 +130,14 @@ func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	specPath := fs.String("spec", "", "experiment spec (default built-in)")
 	logPath := fs.String("log", "", "write the usage log as JSONL")
-	stream := fs.Bool("stream", false, "stream the trace through the Summarizer (O(sessions) memory, no log retained)")
 	_ = fs.Parse(args)
-	if *stream && *logPath != "" {
-		return fmt.Errorf("run: -stream retains no records, so -log (JSONL serialization) is impossible; drop one of the flags")
-	}
 	spec, err := loadSpec(*specPath)
 	if err != nil {
 		return err
 	}
-	if *stream {
-		spec.Trace.Mode = config.TraceStream
+	spec.Trace.Mode = config.TraceStream
+	if *logPath != "" {
+		spec.Trace.Mode = config.TraceLog
 	}
 	gen, err := core.NewGenerator(spec)
 	if err != nil {
@@ -197,7 +192,6 @@ func cmdAnalyze(args []string) error {
 	logPath := fs.String("log", "", "usage log (JSONL) to analyze")
 	bins := fs.Int("bins", 30, "histogram bins")
 	smooth := fs.Int("smooth", 5, "smoothing window (bins)")
-	stream := fs.Bool("stream", false, "fold records into the Summarizer while decoding (never materializes the log)")
 	_ = fs.Parse(args)
 	if *logPath == "" {
 		return fmt.Errorf("analyze: -log is required")
@@ -207,23 +201,13 @@ func cmdAnalyze(args []string) error {
 		return err
 	}
 	defer f.Close()
-	var a *trace.Analysis
-	if *stream {
-		// Streaming Usage Analyzer: each decoded record folds straight
-		// into the accumulators, so a log of any size analyzes in
-		// O(sessions) memory. Bit-identical to the materialized path.
-		sum := trace.NewSummarizer()
-		if _, err := trace.DecodeJSONL(f, sum); err != nil {
-			return err
-		}
-		a = sum.Finish()
-	} else {
-		log, err := trace.ReadJSONL(f)
-		if err != nil {
-			return err
-		}
-		a = trace.Analyze(log)
+	// Each decoded record folds straight into the Usage Analyzer's
+	// accumulators, so a log of any size analyzes in O(sessions) memory.
+	sum := trace.NewSummarizer()
+	if _, err := trace.DecodeJSONL(f, sum); err != nil {
+		return err
 	}
+	a := sum.Finish()
 
 	fmt.Printf("%d records, %d sessions, %d errors\n\n", a.Ops, len(a.Sessions), a.Errors)
 	rows := make([][]string, len(a.ByOp))

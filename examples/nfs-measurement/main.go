@@ -52,9 +52,12 @@ func main() {
 	fmt.Println(report.Table(
 		[]string{"users", "access size mean(std) B", "response mean(std) µs", "nfsd util"},
 		rows))
-	fmt.Println(report.Series(users, rpb, 60, 12,
-		"average response time per byte (cf. Figure 5.6)",
-		"users using the computer simultaneously", "µs/byte"))
+	curve := report.CurvePlot{
+		Title:  "average response time per byte (cf. Figure 5.6)",
+		XLabel: "users using the computer simultaneously", YLabel: "µs/byte",
+		Series: []report.PlotSeries{{Label: "µs/byte", XS: users, YS: rpb}},
+	}
+	fmt.Println(curve.ASCII(60, 12))
 	fmt.Println("With zero think time every user keeps an RPC in flight, so response time")
 	fmt.Println("grows nearly linearly with the number of users — the thesis's observation.")
 }

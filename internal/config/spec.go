@@ -310,15 +310,16 @@ func (l *Lifecycle) Validate() error {
 	return nil
 }
 
-// Trace sink modes.
+// Trace sink modes. Either way the run folds its Analysis online through a
+// trace.Summarizer, so both modes yield the same Analysis; the mode only
+// decides whether the records are also kept.
 const (
-	// TraceLog retains every record in a full trace.Log — required for
-	// JSONL serialization, replay, and statistical validation. The default.
+	// TraceLog also tees every record into a full trace.Log — required for
+	// JSONL serialization, replay, and the reductions that read records
+	// after the run. The default.
 	TraceLog = "log"
-	// TraceStream folds each record into the Usage Analyzer's accumulators
-	// as it is produced (trace.Summarizer): O(sessions) memory instead of
+	// TraceStream keeps no records: O(sessions) memory instead of
 	// O(records), which is what makes 1000-user populations reachable.
-	// The run yields an Analysis but no materialized log.
 	TraceStream = "stream"
 )
 
@@ -334,7 +335,7 @@ type TraceSpec struct {
 	WindowUS float64 `json:"window_us,omitempty"`
 }
 
-// Streaming reports whether the spec selects the streaming summarizer.
+// Streaming reports whether the spec keeps no records.
 func (t TraceSpec) Streaming() bool { return t.Mode == TraceStream }
 
 // Validate checks the trace spec.
@@ -443,8 +444,8 @@ type Spec struct {
 	// FS selects the file system under test.
 	FS FSSpec `json:"fs"`
 
-	// Trace selects the trace sink: the full-record log (default) or the
-	// streaming summarizer (see TraceSpec).
+	// Trace selects whether the run also keeps a full-record log (the
+	// default) or only streams (see TraceSpec).
 	Trace TraceSpec `json:"trace,omitempty"`
 
 	// LazyUsers defers every per-user construction cost — the FSC's private

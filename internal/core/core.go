@@ -6,8 +6,8 @@
 // programs, the command-line tools, and the benchmark harness — the one
 // place that assembles the whole DES→workload→trace→analysis pipeline:
 // DES substrate under the chosen file system, workload from the spec's
-// distributions, a trace sink per Spec.Trace.Mode, and the analysis
-// returned in Result.
+// distributions, and a Summarizer that folds the analysis returned in
+// Result as records are emitted. Trace mode log also keeps the records.
 //
 // A Generator owns one experiment:
 //
@@ -41,8 +41,8 @@ type Generator struct {
 	fs        vfs.FileSystem
 	inventory *fsc.Inventory
 	simulator *usim.Simulator
-	log       *trace.Log        // the sink in log mode, nil when streaming
-	sum       *trace.Summarizer // the sink in streaming mode, nil otherwise
+	log       *trace.Log        // the kept records in log mode, nil when streaming
+	sum       *trace.Summarizer // the primary sink, folding Result.Analysis
 	windows   *trace.Windows    // the windowed view, nil unless trace.window_us is set
 	fleet     *nfs.Fleet        // every NFS run's islands and clients, nil outside NFS mode
 	servers   []*nfs.Server     // every island's server in NFS mode
@@ -61,7 +61,8 @@ type Generator struct {
 
 // Result is a completed run.
 type Result struct {
-	// Analysis is the Usage Analyzer's reduction of the run's log.
+	// Analysis is the Usage Analyzer's reduction of the run's records,
+	// folded online as they were emitted.
 	Analysis *trace.Analysis
 	// Sessions is the number of login sessions executed.
 	Sessions int
@@ -85,24 +86,18 @@ func NewGenerator(spec *config.Spec) (*Generator, error) {
 		return nil, fmt.Errorf("core: GDS: %w", err)
 	}
 
-	g := &Generator{spec: spec}
-	// The trace sink: a full-record log by default, the O(sessions)
-	// streaming summarizer when the spec asks for it (the memory shape
-	// that makes 1000-user populations reachable; see trace.Summarizer).
-	var sink trace.Sink
-	if spec.Trace.Streaming() {
-		g.sum = trace.NewSummarizer()
-		sink = g.sum
-	} else {
+	// The Summarizer is always the primary sink: it folds the analysis as
+	// records are emitted, in O(sessions) memory. Trace mode log tees the
+	// same records into a full-record Log for the callers that need them
+	// (JSONL, Table 5.2, Fault 5.4's write-availability split). Tees see
+	// every record after the primary, unmodified, so the analysis is the
+	// same with or without them.
+	g := &Generator{spec: spec, sum: trace.NewSummarizer()}
+	var sink trace.Sink = g.sum
+	if !spec.Trace.Streaming() {
 		g.log = &trace.Log{}
-		// Size the shard-table bound from the population so >4096-user
-		// runs keep one lock-free shard per user instead of wrapping.
-		g.log.Reserve(spec.Users)
-		sink = g.log
+		sink = trace.NewTee(sink, g.log)
 	}
-	// The windowed transient view tees off the primary sink: the primary
-	// sees every record first and unmodified, so analyses stay
-	// bit-identical with or without the windows.
 	if spec.Trace.WindowUS > 0 {
 		g.windows = trace.NewWindows(spec.Trace.WindowUS)
 		sink = trace.NewTee(sink, g.windows)
@@ -435,8 +430,7 @@ func (g *Generator) FS() vfs.FileSystem { return g.fs }
 func (g *Generator) Inventory() *fsc.Inventory { return g.inventory }
 
 // Log returns the usage log (populated by Run), or nil when the spec
-// selected the streaming trace mode — streaming runs have an Analysis but
-// no materialized records.
+// selected the streaming trace mode, which keeps no records.
 func (g *Generator) Log() *trace.Log { return g.log }
 
 // Server returns island 0's simulated NFS server, or nil outside NFS mode.
@@ -542,12 +536,7 @@ func (g *Generator) Run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Sessions: sessions}
-	if g.sum != nil {
-		res.Analysis = g.sum.Finish()
-	} else {
-		res.Analysis = trace.Analyze(g.log)
-	}
+	res := &Result{Sessions: sessions, Analysis: g.sum.Finish()}
 	if g.env != nil {
 		res.VirtualDuration = g.env.Now()
 	}

@@ -250,6 +250,8 @@ func TestMoreUsersMoreContention(t *testing.T) {
 // same seeded spec run once with the full-record log and once with the
 // streaming Summarizer must produce a bit-identical Analysis — every
 // session row, every per-op summary, every ULP of every float reduction.
+// Both modes fold online, so the log-mode run's Analysis is also checked
+// against the after-the-run reduction of its kept records.
 func TestStreamingMatchesLogMode(t *testing.T) {
 	run := func(mode string) *Result {
 		spec := smallSpec()
@@ -266,8 +268,13 @@ func TestStreamingMatchesLogMode(t *testing.T) {
 		if mode == config.TraceStream && gen.Log() != nil {
 			t.Error("streaming run should not materialize a log")
 		}
-		if mode == config.TraceLog && gen.Log() == nil {
-			t.Error("log run lost its log")
+		if mode == config.TraceLog {
+			if gen.Log() == nil {
+				t.Fatal("log run lost its log")
+			}
+			if !reflect.DeepEqual(res.Analysis, trace.Analyze(gen.Log())) {
+				t.Error("online Analysis diverges from Analyze over the kept records")
+			}
 		}
 		return res
 	}
@@ -289,7 +296,8 @@ func TestStreamingMatchesLogMode(t *testing.T) {
 }
 
 // TestStreamingFaultRunMatchesLogMode extends the equivalence to a faulted
-// run: errored records (availability accounting) must fold identically.
+// run: errored records (availability accounting) must fold identically,
+// online and over the log-mode run's kept records.
 func TestStreamingFaultRunMatchesLogMode(t *testing.T) {
 	run := func(mode string) *Result {
 		spec := smallSpec()
@@ -309,6 +317,9 @@ func TestStreamingFaultRunMatchesLogMode(t *testing.T) {
 		res, err := gen.Run()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if mode == config.TraceLog && !reflect.DeepEqual(res.Analysis, trace.Analyze(gen.Log())) {
+			t.Error("faulted online Analysis diverges from Analyze over the kept records")
 		}
 		return res
 	}

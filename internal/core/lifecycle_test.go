@@ -34,7 +34,9 @@ func churnSpec() *config.Spec {
 // their records would have folded into the full log — every session row,
 // every ULP of every float reduction. This is the property that makes the
 // Summarizer's retirement contract safe under churn: a truncated session's
-// id range stays contiguous, so it retires like any finished session.
+// id range stays contiguous, so it retires like any finished session. The
+// log-mode run's online Analysis must also equal Analyze over its kept
+// records.
 func TestChurnStreamingMatchesLogMode(t *testing.T) {
 	run := func(mode string) (*Result, *Generator) {
 		spec := churnSpec()
@@ -53,6 +55,9 @@ func TestChurnStreamingMatchesLogMode(t *testing.T) {
 	streamed, sgen := run(config.TraceStream)
 	if lgen.Churn().TruncatedSessions == 0 {
 		t.Fatal("no sessions were truncated; churn equivalence check is vacuous")
+	}
+	if !reflect.DeepEqual(logged.Analysis, trace.Analyze(lgen.Log())) {
+		t.Error("churned online Analysis diverges from Analyze over the kept records")
 	}
 	if lgen.Churn() != sgen.Churn() {
 		t.Errorf("churn stats diverge across trace modes: %+v vs %+v", lgen.Churn(), sgen.Churn())

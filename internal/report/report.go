@@ -1,10 +1,10 @@
 // Package report is the presentation layer at the end of the
 // DES→workload→trace→analysis pipeline: every number the analysis layers
 // produce passes through here on its way to a human. It renders aligned
-// ASCII tables (Tables 5.1-5.4), ASCII plots of densities, histograms, and
-// series (Figures 5.1-5.12), and — for the artifact pipeline — the
-// CurvePlot type, a render-agnostic line plot with both ASCII and
-// deterministic SVG views. It replaces the thesis GDS's X11 display, which
+// ASCII tables (Tables 5.1-5.4), ASCII plots of densities and histograms
+// (Figures 5.1-5.5), and the CurvePlot type, a render-agnostic line plot
+// with both ASCII and deterministic SVG views that every curve (Figures
+// 5.6-5.12) draws through. It replaces the thesis GDS's X11 display, which
 // the thesis itself treats as optional.
 package report
 
@@ -178,16 +178,6 @@ func (p *Plot) String() string {
 		fmt.Fprintf(&b, "%s%s\n", strings.Repeat(" ", margin+2), p.xlabel)
 	}
 	return b.String()
-}
-
-// Series plots y against x as a line chart.
-func Series(xs, ys []float64, width, height int, title, xlabel, ylabel string) string {
-	p := NewPlot(width, height, title).Labels(xlabel, ylabel)
-	xmin, xmax := minMax(xs)
-	_, ymax := minMax(ys)
-	p.scale(xmin, xmax, 0, ymax*1.05)
-	p.Line(xs, ys, '.')
-	return p.String()
 }
 
 // HistogramPlot renders a histogram as vertical bars.

@@ -41,11 +41,9 @@ func TestTableRaggedRows(t *testing.T) {
 }
 
 func TestSeriesPlotContainsPoints(t *testing.T) {
-	out := Series(
-		[]float64{1, 2, 3, 4, 5, 6},
-		[]float64{1, 2, 3, 5, 8, 13},
-		40, 10, "response vs users", "users", "µs/B",
-	)
+	plot := CurvePlot{Title: "response vs users", XLabel: "users", YLabel: "µs/B",
+		Series: []PlotSeries{{Label: "µs/B", XS: []float64{1, 2, 3, 4, 5, 6}, YS: []float64{1, 2, 3, 5, 8, 13}}}}
+	out := plot.ASCII(40, 10)
 	if !strings.Contains(out, "response vs users") {
 		t.Error("missing title")
 	}

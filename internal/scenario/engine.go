@@ -126,8 +126,7 @@ type CurveResult struct {
 
 // Render plots the curve and tabulates the points.
 func (r *CurveResult) Render() string {
-	return report.Series(r.XS, r.YS, 60, 12, r.Title, r.XLabel, r.YLabel) +
-		"\n" + report.Table(r.Headers, r.Rows)
+	return r.Plot().ASCII(60, 12) + "\n" + report.Table(r.Headers, r.Rows)
 }
 
 // Table exports the curve's tabulated points.

@@ -14,12 +14,11 @@ import "sync"
 // the next session to start, and Finish releases them all.
 //
 // Equivalence: the Summarizer reuses the exact analyzer that Analyze runs
-// over a finished Log. Under the DES kernel records are emitted in global
-// insertion order — the same order Log.Each replays by sequence stamp — so
-// folding online visits records in the identical order and every float
-// reduction accumulates in the identical sequence: Finish is bit-identical
-// to Analyze(Log) on the same run, ULPs included (tested in
-// summary_test.go).
+// over a finished Log. A Log keeps records in emission order, so folding
+// online visits records in the identical order and every float reduction
+// accumulates in the identical sequence: Finish is bit-identical to
+// Analyze(Log) on the same run, ULPs included (tested in summary_test.go
+// and, over whole runs, in package core).
 //
 // Concurrency mirrors Log: Emit locks; Stream(user) returns a lock-free
 // single-writer appender for the single-threaded DES hot path. Because all

@@ -125,7 +125,7 @@ func TestSummarizerOpsAndRepeatedFinish(t *testing.T) {
 
 // TestDecodeJSONLStreams decodes a serialized log directly into a
 // Summarizer and checks the result matches analyzing the materialized log —
-// the `wlgen analyze -stream` path.
+// the `wlgen analyze` path.
 func TestDecodeJSONLStreams(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	var l Log

@@ -16,8 +16,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // Op identifies a file I/O system call.
@@ -156,115 +156,58 @@ type Record struct {
 	Err string `json:"err,omitempty"`
 }
 
-// Log collects records in per-user shards. The zero value is ready to use.
+// Log keeps every record in one list, in emission order. The zero value is
+// ready to use.
 //
 // Two append paths exist:
 //
-//   - Add locks the log and is safe for concurrent use from ordinary
-//     goroutines (the wall-clock runner, JSONL loading, tests).
-//   - Shard(user).Append is lock-free: it is the session hot path under the
-//     DES kernel, where the whole simulation runs on one goroutine and a
-//     mutex would be pure overhead. A shard must have at most one writer at
-//     a time, and lock-free appends must not race with readers.
-//
-// Every record is stamped with a global insertion sequence number, so
-// iteration (Each, Records, WriteJSONL) merges the shards back into exact
-// insertion order — analysis output is independent of how records were
-// sharded.
-type Log struct {
-	mu     sync.Mutex
-	shards []*Shard
-	seq    atomic.Int64
-	wrap   int // shard-table bound; 0 means defaultMaxShards
-}
-
-// Shard holds one user's records. Within a run exactly one simulated
-// process writes a given user's operations, so appends need no lock.
+//   - Emit and Add lock the log and are safe for concurrent use from
+//     ordinary goroutines (the wall-clock runner, JSONL loading, tests).
+//   - Stream(user) returns the log's one lock-free appender, whatever the
+//     user: it is the session hot path under the DES kernel, where the whole
+//     simulation runs on one goroutine and a mutex would be pure overhead.
+//     The Sink contract already forbids two streams, or a stream and Emit,
+//     from running at once, so every writer appends to the same list.
 //
 // Records live in a list of fixed-capacity chunks that never move once
 // allocated: an append writes into the last chunk's spare capacity, or into
 // a fresh chunk when it is full, so no record is ever copied again. Chunk
-// capacities double from minChunk up to maxChunk, which bounds a shard's
-// slack to one partly filled chunk — small for the many near-empty shards
-// of a large population, at most maxChunk-1 entries for a busy one.
-type Shard struct {
-	log    *Log
-	chunks [][]entry // every chunk but the last is full; none is empty
+// capacities double from minChunk up to maxChunk, which bounds the slack to
+// one partly filled chunk of at most maxChunk-1 entries.
+type Log struct {
+	mu sync.Mutex
+	w  Shard
 }
 
-// entry is one record with its global insertion stamp.
-type entry struct {
-	seq int64
-	rec Record
+// Shard is the log's one lock-free appender, the Stream every user gets.
+// The name stays only for bench/probes.go's append probe, which resolves
+// it per user through Log.Shard.
+type Shard struct {
+	chunks [][]Record // every chunk but the last is full; none is empty
 }
 
 // Chunk capacities run minChunk, 2·minChunk, ... up to maxChunk entries
-// (about 120 KB), reached after chunkDoublings chunks.
+// (about 112 KB), reached after chunkDoublings chunks.
 const (
 	minChunk       = 16
 	chunkDoublings = 6
 	maxChunk       = minChunk << chunkDoublings
 )
 
-// defaultMaxShards bounds the shard table when Reserve has not been called.
-// User indices above the bound wrap around and share shards — harmless for
-// correctness (the insertion stamps restore global order regardless of
-// sharding, and the DES runs one process at a time), and it keeps a corrupt
-// or hostile user index in a loaded JSONL log from driving unbounded
-// allocation. A run whose spec declares more users lifts the bound to its
-// actual population via Reserve; the table itself still grows on demand, so
-// a sparse population never allocates the full span.
-const defaultMaxShards = 1 << 12
+// Reserve does nothing: the log has no per-user table to size. It stays
+// only for bench/probes.go's append probe.
+func (l *Log) Reserve(int) {}
 
-// Reserve lifts the shard-table bound to at least n users, so populations
-// beyond defaultMaxShards get one shard per user instead of wrapping. Call
-// it before resolving streams for users past the default bound: a stream
-// handle resolved earlier stays valid but keeps its wrapped shard. Growth
-// stays on demand — Reserve sizes the bound, not the table.
-func (l *Log) Reserve(n int) {
-	l.mu.Lock()
-	if n > l.bound() {
-		l.wrap = n
-	}
-	l.mu.Unlock()
-}
+// Shard returns the log's one appender for any user. It stays only for
+// bench/probes.go's append probe; other callers use Stream.
+func (l *Log) Shard(int) *Shard { return &l.w }
 
-// bound returns the effective shard-table bound; l.mu must be held.
-func (l *Log) bound() int {
-	if l.wrap > 0 {
-		return l.wrap
-	}
-	return defaultMaxShards
-}
-
-// Shard returns the shard for a user index (negative indices share shard
-// zero; indices beyond the bound wrap), growing the shard table as needed.
-// The returned shard is stable: callers on the hot path resolve it once
-// and append without locking.
-func (l *Log) Shard(user int) *Shard {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.shardLocked(user)
-}
-
-// shardLocked resolves (and grows to) a user's shard; l.mu must be held.
-func (l *Log) shardLocked(user int) *Shard {
-	if user < 0 {
-		user = 0
-	}
-	user %= l.bound()
-	for user >= len(l.shards) {
-		l.shards = append(l.shards, &Shard{log: l})
-	}
-	return l.shards[user]
-}
-
-// Append adds a record to the shard without locking. The caller must be the
-// shard's only writer (the DES kernel guarantees this: one process runs at
-// a time and each user's sessions run on one process).
+// Append adds a record without locking, under the Stream contract. It
+// stays only for bench/probes.go's append probe.
 func (s *Shard) Append(r Record) { s.Emit(&r) }
 
-// Emit copies the record into the shard, making *Shard a trace.Stream.
+// Emit copies the record onto the end of the list, making *Shard a
+// trace.Stream.
 func (s *Shard) Emit(r *Record) {
 	last := len(s.chunks) - 1
 	if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
@@ -272,181 +215,85 @@ func (s *Shard) Emit(r *Record) {
 		if last+1 < chunkDoublings {
 			size = minChunk << (last + 1)
 		}
-		s.chunks = append(s.chunks, make([]entry, 0, size))
+		s.chunks = append(s.chunks, make([]Record, 0, size))
 		last++
 	}
-	c := s.chunks[last]
-	c = c[:len(c)+1]
-	e := &c[len(c)-1]
-	e.seq = s.log.seq.Add(1)
-	e.rec = *r
-	s.chunks[last] = c
+	s.chunks[last] = append(s.chunks[last], *r)
 }
 
-// Len returns the number of records in the shard.
-func (s *Shard) Len() int {
+// Add appends a record under the log's lock. Safe for concurrent use.
+func (l *Log) Add(r Record) { l.Emit(&r) }
+
+// Emit copies the record into the log under its lock, making *Log a Sink.
+func (l *Log) Emit(r *Record) {
+	l.mu.Lock()
+	l.w.Emit(r)
+	l.mu.Unlock()
+}
+
+// Stream returns the log's one lock-free appender.
+func (l *Log) Stream(int) Stream { return &l.w }
+
+var _ Sink = (*Log)(nil)
+
+// snapshot copies the chunk headers under the log's lock. Later locked
+// appends extend the last chunk past the captured length or add chunks, so
+// they cannot race with a reader walking the copy, which sees exactly the
+// prefix that existed when it was taken. Entries below the captured
+// lengths never mutate.
+func (l *Log) snapshot() [][]Record {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.w.chunks)
+}
+
+// Len returns the number of records.
+func (l *Log) Len() int {
 	n := 0
-	for _, c := range s.chunks {
+	for _, c := range l.snapshot() {
 		n += len(c)
 	}
 	return n
 }
 
-// Add appends a record under the log's lock, routing it to the record's
-// user shard. Safe for concurrent use; slower than Shard(...).Append.
-func (l *Log) Add(r Record) {
-	l.mu.Lock()
-	l.shardLocked(r.User).Append(r)
-	l.mu.Unlock()
-}
-
-// Emit copies the record into the log under its lock, making *Log a Sink.
-func (l *Log) Emit(r *Record) { l.Add(*r) }
-
-// Stream returns the user's shard as a lock-free single-writer appender.
-func (l *Log) Stream(user int) Stream { return l.Shard(user) }
-
-var _ Sink = (*Log)(nil)
-
-// view is a point-in-time snapshot of the shard contents: each shard's
-// chunk headers are copied under the log's lock, so later locked appends —
-// which extend the last chunk's length or add chunks — cannot race with a
-// reader walking the snapshot, which sees exactly the prefix that existed
-// when it was taken. Entries below the captured lengths never mutate.
-type view [][][]entry
-
-func (l *Log) snapshot() view {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, s := range l.shards {
-		n += len(s.chunks)
-	}
-	headers := make([][]entry, 0, n) // one allocation backs every shard's copy
-	v := make(view, len(l.shards))
-	for i, s := range l.shards {
-		start := len(headers)
-		headers = append(headers, s.chunks...)
-		v[i] = headers[start:len(headers):len(headers)]
-	}
-	return v
-}
-
-// mergeCursor is one shard's position in the k-way merge.
-type mergeCursor struct {
-	shard, chunk, idx int
-	seq               int64
-}
-
-// each merges the snapshot's shards in global insertion order with a
-// cursor min-heap: O(n log s) over n records and s shards, so iteration
-// cost stays flat as user counts (and therefore shard counts) grow.
-func (v view) each(fn func(*Record)) {
-	heap := make([]mergeCursor, 0, len(v))
-	push := func(c mergeCursor) {
-		heap = append(heap, c)
-		i := len(heap) - 1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if heap[parent].seq <= heap[i].seq {
-				break
-			}
-			heap[i], heap[parent] = heap[parent], heap[i]
-			i = parent
-		}
-	}
-	siftDown := func() {
-		n := len(heap)
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			smallest := i
-			if l < n && heap[l].seq < heap[smallest].seq {
-				smallest = l
-			}
-			if r < n && heap[r].seq < heap[smallest].seq {
-				smallest = r
-			}
-			if smallest == i {
-				return
-			}
-			heap[i], heap[smallest] = heap[smallest], heap[i]
-			i = smallest
-		}
-	}
-	for si, chunks := range v {
-		if len(chunks) > 0 {
-			push(mergeCursor{shard: si, seq: chunks[0][0].seq})
-		}
-	}
-	for len(heap) > 0 {
-		top := &heap[0]
-		chunks := v[top.shard]
-		fn(&chunks[top.chunk][top.idx].rec)
-		top.idx++
-		if top.idx == len(chunks[top.chunk]) {
-			top.chunk, top.idx = top.chunk+1, 0
-		}
-		if top.chunk < len(chunks) {
-			top.seq = chunks[top.chunk][top.idx].seq
-			siftDown()
-			continue
-		}
-		heap[0] = heap[len(heap)-1]
-		heap = heap[:len(heap)-1]
-		siftDown()
-	}
-}
-
-// Len returns the number of records.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, s := range l.shards {
-		n += s.Len()
-	}
-	return n
-}
-
-// Records returns a copy of the log in insertion order.
-//
-// Deprecated-adjacent: the copy is O(n) and exists for callers that need a
-// stable slice (replay input, test golden comparisons). Analysis and
-// serialization loops should use Each, which iterates the shards in place
-// under a snapshot without copying.
+// Records returns a copy of the log in emission order. The copy is O(n)
+// and exists for callers that need a stable slice (replay input, test
+// comparisons); analysis and serialization loops use Each.
 func (l *Log) Records() []Record {
 	out := make([]Record, 0, l.Len())
 	l.Each(func(r *Record) { out = append(out, *r) })
 	return out
 }
 
-// Each calls fn on every record in insertion order, merging the per-user
-// shards in place — no O(n) copy, and the log's lock is held only for a
-// brief snapshot, not across fn. fn must not retain the pointer past the
-// call. Lock-free shard appends must not run concurrently with Each.
+// Each calls fn on every record in emission order, in place: no O(n) copy,
+// and the log's lock is held only for a brief snapshot, not across fn. fn
+// must not retain the pointer past the call. Lock-free appends must not
+// run concurrently with Each.
 func (l *Log) Each(fn func(*Record)) {
-	l.snapshot().each(fn)
+	for _, c := range l.snapshot() {
+		for i := range c {
+			fn(&c[i])
+		}
+	}
 }
 
 // Reset discards all records.
 func (l *Log) Reset() {
 	l.mu.Lock()
-	l.shards = nil
-	l.seq.Store(0)
+	l.w.chunks = nil
 	l.mu.Unlock()
 }
 
-// WriteJSONL writes the log as one JSON object per line, in insertion
-// order. It iterates a shard snapshot (the Each path) rather than a
-// Records copy: serialization is slow, and neither the O(n) copy nor
-// holding the log lock across the whole encode is needed — concurrent
-// locked appends proceed while encoding runs.
+// WriteJSONL writes the log as one JSON object per line, in emission order.
+// It walks a snapshot (the Each path) rather than a Records copy:
+// serialization is slow, and neither the O(n) copy nor holding the log lock
+// across the whole encode is needed — concurrent locked appends proceed
+// while encoding runs.
 func (l *Log) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	var encErr error
-	l.snapshot().each(func(r *Record) {
+	l.Each(func(r *Record) {
 		if encErr != nil {
 			return
 		}
