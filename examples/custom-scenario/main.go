@@ -3,11 +3,12 @@
 // population, sweep axis, a correlated burst-loss wire (Gilbert-Elliott
 // good/bad episodes), streaming sink, output contract — and the scenario
 // engine runs it with per-point seeds, byte-identical at any parallelism.
-// The workload is a JSON merge patch over the default spec, and the axis
-// binds by JSON pointer into it, so any spec knob sweeps the same way. The
-// fields are the JSON schema: `sc.Encode(os.Stdout)` would print the same
-// scenario as a file for `wlgen scenario run -file`, and the built-ins are
-// such files (`wlgen scenario dump -name fig5.6`).
+// The workload, the wire's fault plan included, is a JSON merge patch over
+// the default spec, and the axis binds by JSON pointer into it, so any
+// spec knob sweeps the same way (/fault/rules/0/burst/p_enter would sweep
+// the burst rate). The fields are the JSON schema: `sc.Encode(os.Stdout)`
+// would print the same scenario as a file for `wlgen scenario run -file`,
+// and the built-ins are such files (`wlgen scenario dump -name fig5.6`).
 //
 //	go run ./examples/custom-scenario
 package main
@@ -18,7 +19,6 @@ import (
 	"fmt"
 	"log"
 
-	"uswg/internal/fault"
 	"uswg/internal/scenario"
 )
 
@@ -30,19 +30,17 @@ func main() {
 			Spec: json.RawMessage(`{
 				"user_types": [{"name": "extremely-heavy", "think_time": {"kind": "constant"}, "fraction": 1}],
 				"system_files": 60, "files_per_user": 12,
-				"trace": {"mode": "stream"}
+				"trace": {"mode": "stream"},
+				"fault": {
+					"name": "bursty-wire",
+					"rules": [{"name": "burst", "ops": ["net"], "drop": true,
+					           "burst": {"p_enter": 0.0005, "p_exit": 0.05}}],
+					"net_timeout_us": 50000, "net_retries": 3
+				}
 			}`),
 		},
 		Sweep: []scenario.Axis{{Name: "users", Values: []float64{100, 200, 300, 400, 500}, Bind: scenario.BindUsers}},
-		Fault: &scenario.FaultSpec{Plan: fault.Plan{
-			Name: "bursty-wire",
-			Rules: []fault.Rule{{
-				Name: "burst", Ops: []string{fault.OpNet}, Drop: true,
-				Burst: &fault.Burst{PEnter: 0.0005, PExit: 0.05},
-			}},
-			NetTimeout: 50_000, NetRetries: 3,
-		}},
-		Seed: scenario.Salt{From: scenario.SaltUsers, Mul: 11, Add: 3},
+		Seed:  scenario.Salt{From: scenario.SaltUsers, Mul: 11, Add: 3},
 		Output: scenario.Output{
 			Kind:  scenario.KindCurve,
 			Title: "Response per byte, 100-500 users on a bursty wire",

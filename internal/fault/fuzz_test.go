@@ -12,9 +12,9 @@ import (
 )
 
 // builtinPlans returns every fault plan the fault5.x built-in scenarios
-// carry — each fault template's "plan", and the "fault" of each spec
-// patch, such as a sweep case's — read from the scenario files themselves,
-// so the seed corpus cannot drift from them.
+// carry — the "fault" of each spec patch, the workload's or a sweep
+// case's — read from the scenario files themselves, so the seed corpus
+// cannot drift from them.
 func builtinPlans(f *testing.F) [][]byte {
 	files, err := filepath.Glob(filepath.Join("..", "scenario", "builtin", "fault5.*.json"))
 	if err != nil || len(files) == 0 {
@@ -26,7 +26,7 @@ func builtinPlans(f *testing.F) [][]byte {
 		switch v := v.(type) {
 		case map[string]any:
 			for k, x := range v {
-				if k == "plan" || (inSpec && k == "fault") {
+				if inSpec && k == "fault" {
 					js, err := json.Marshal(x)
 					if err != nil {
 						f.Fatal(err)

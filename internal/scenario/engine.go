@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"uswg/internal/config"
 	"uswg/internal/core"
-	"uswg/internal/fault"
 	"uswg/internal/fsc"
 	"uswg/internal/gds"
 	"uswg/internal/report"
@@ -57,17 +55,19 @@ func (o Options) seed() uint64 {
 // metadata.
 func (o Options) EffectiveSeed() uint64 { return o.seed() }
 
-// sessions scales a paper session count, keeping a sane minimum.
-func (o Options) sessions(paper int) int {
+// sessions scales a paper session count, keeping a sane minimum, and
+// multiplies it by perUser. It fails when the count does not fit an int:
+// Go leaves that conversion to the platform.
+func (o Options) sessions(paper, perUser int) (int, error) {
 	s := o.Scale
 	if s == 0 {
 		s = 1
 	}
-	n := int(math.Round(float64(paper) * s))
-	if n < 4 {
-		n = 4
+	n := math.Max(math.Round(float64(paper)*s), 4) * float64(perUser)
+	if !(n < math.MaxInt) {
+		return 0, fmt.Errorf("%w: scale %v gives %v sessions, more than an int holds", ErrScenario, o.Scale, n)
 	}
-	return n
+	return int(n), nil
 }
 
 func (o Options) parallelism() int {
@@ -351,9 +351,9 @@ func (sc *Scenario) pointName(idx int) string {
 // compilePoint builds the spec for one flat sweep index in one sequence:
 // config.Default(), the workload patch, then each axis in sweep order (a
 // case's patch, or a value at its JSON pointer), the session and file
-// formulas, the fault template with its axis-bound parameters (dropped
-// where drop_when_zero holds), and the seed salt. The scenario is only
-// read, so parallel points may share a registered one.
+// formulas, and the seed salt. A fault plan comes from the patches like
+// any other spec field. The scenario is only read, so parallel points may
+// share a registered one.
 func (sc *Scenario) compilePoint(opts Options, idx int) (*pointSpec, error) {
 	w := &sc.Base
 	spec := config.Default()
@@ -363,18 +363,10 @@ func (sc *Scenario) compilePoint(opts Options, idx int) (*pointSpec, error) {
 		}
 	}
 
-	// The fault template is bound on a private copy: the registered
-	// scenario must stay immutable under parallel points.
-	var plan fault.Plan
-	if sc.Fault != nil {
-		plan = sc.Fault.Plan
-		plan.Rules = slices.Clone(plan.Rules)
-	}
 	var (
-		caseLabel        string
-		value            float64
-		haveValue        bool
-		bound, boundZero = false, true
+		caseLabel string
+		value     float64
+		haveValue bool
 	)
 	pt := sc.coords(idx)
 	for i := range sc.Sweep {
@@ -393,25 +385,7 @@ func (sc *Scenario) compilePoint(opts Options, idx int) (*pointSpec, error) {
 		if ax.Bind != BindUsers && !haveValue {
 			value, haveValue = v, true
 		}
-		if ax.Bind == BindFaultProb || ax.Bind == BindFaultLatency {
-			bound, boundZero = true, boundZero && v == 0
-			for ri := range plan.Rules {
-				r := &plan.Rules[ri]
-				switch {
-				case r.Name != ax.Rule:
-				case ax.Bind == BindFaultProb:
-					r.Prob = v
-				default:
-					r.Latency = v
-				}
-			}
-			continue
-		}
-		patch, err := pointerPatch(ax.Bind, v)
-		if err == nil {
-			err = applyPatch(spec, patch)
-		}
-		if err != nil {
+		if err := setPointer(spec, ax.Bind, v); err != nil {
 			return nil, fmt.Errorf("%w: axis %q value %v: %w", ErrScenario, ax.Name, v, err)
 		}
 	}
@@ -419,28 +393,22 @@ func (sc *Scenario) compilePoint(opts Options, idx int) (*pointSpec, error) {
 		value = sc.Sweep[0].Values[pt[0]]
 	}
 
-	users := spec.Users
+	users, perUser := spec.Users, 1
+	if w.SessionsPerUser {
+		perUser = users
+	}
+	var err error
 	switch {
 	case w.SessionsFromUsers:
-		spec.Sessions = opts.sessions(users)
+		spec.Sessions, err = opts.sessions(users, 1)
 	case w.Sessions > 0:
-		n := opts.sessions(w.Sessions)
-		if w.SessionsPerUser {
-			n *= users
-		}
-		spec.Sessions = n
+		spec.Sessions, err = opts.sessions(w.Sessions, perUser)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if w.FileBudget > 0 {
 		spec.SystemFiles, spec.FilesPerUser = config.BalanceFiles(spec.Categories, w.FileBudget, users)
-	}
-	if sc.Fault != nil {
-		if spec.Fault != nil {
-			return nil, fmt.Errorf("%w: both the fault template and a spec patch set fault", ErrScenario)
-		}
-		// drop_when_zero: the healthy point of a fault sweep runs fault-free.
-		if !(sc.Fault.DropWhenZero && bound && boundZero) {
-			spec.Fault = &plan
-		}
 	}
 
 	spec.Seed = opts.seed() + sc.Seed.offset(idx, users, value)

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 
 	"uswg/internal/config"
@@ -89,14 +91,67 @@ func decodeStrict(data []byte, spec *config.Spec) error {
 // pointerUnescape decodes a JSON pointer reference token (RFC 6901).
 var pointerUnescape = strings.NewReplacer("~1", "/", "~0", "~")
 
-// pointerPatch returns the merge patch that sets the spec field at a JSON
-// pointer to v. encoding/json prints an integral v without an exponent
-// below 1e21, so an int field takes it; a fractional v fails there.
-func pointerPatch(pointer string, v float64) ([]byte, error) {
-	var patch any = v
-	toks := strings.Split(pointer, "/")
-	for i := len(toks) - 1; i > 0; i-- {
-		patch = map[string]any{pointerUnescape.Replace(toks[i]): patch}
+// setPointer sets the number at a JSON pointer (RFC 6901) in spec to v. A
+// token names an exported field by its JSON name, case-insensitively as
+// config.Decode matches keys, or indexes an existing array element by its
+// canonical decimal index, and a nil pointer on the way is allocated. The
+// leaf takes v as encoding/json decodes a number: it must be a number
+// field, and an integer field takes only an integral v that fits it. The
+// pointer may not set seed or sessions, which every point derives.
+func setPointer(spec *config.Spec, pointer string, v float64) error {
+	rest, ok := strings.CutPrefix(pointer, "/")
+	if !ok {
+		return fmt.Errorf("bind %q is not a JSON pointer", pointer)
 	}
-	return json.Marshal(patch)
+	f := reflect.ValueOf(spec).Elem()
+	var tok string
+	for i, raw := range strings.Split(rest, "/") {
+		tok = pointerUnescape.Replace(raw)
+		if i == 0 && (strings.EqualFold(tok, "seed") || strings.EqualFold(tok, "sessions")) {
+			return fmt.Errorf("pointer %q cannot set %q: the seed salt and the sessions formula derive it per point", pointer, tok)
+		}
+		for f.Kind() == reflect.Pointer {
+			if f.IsNil() {
+				f.Set(reflect.New(f.Type().Elem()))
+			}
+			f = f.Elem()
+		}
+		switch f.Kind() {
+		case reflect.Struct:
+			if f = fieldByJSONName(f, tok); !f.IsValid() {
+				return fmt.Errorf("pointer %q: token %q names no field", pointer, tok)
+			}
+		case reflect.Slice, reflect.Array:
+			n, err := strconv.Atoi(tok)
+			if err != nil || n < 0 || n >= f.Len() || strconv.Itoa(n) != tok {
+				return fmt.Errorf("pointer %q: token %q is not an index into an array of %d elements", pointer, tok, f.Len())
+			}
+			f = f.Index(n)
+		default:
+			return fmt.Errorf("pointer %q: token %q: type %s has no fields or elements", pointer, tok, f.Type())
+		}
+	}
+	num := strconv.FormatFloat(v, 'f', -1, 64)
+	if err := json.Unmarshal([]byte(num), f.Addr().Interface()); err != nil {
+		return fmt.Errorf("pointer %q: token %q: %w", pointer, tok, err)
+	}
+	return nil
+}
+
+// fieldByJSONName returns the exported field of struct s whose JSON name,
+// its tag's or else its Go name, equals name case-insensitively, or the
+// zero Value.
+func fieldByJSONName(s reflect.Value, name string) reflect.Value {
+	for i := range s.NumField() {
+		sf := s.Type().Field(i)
+		tag := sf.Tag.Get("json")
+		key, _, _ := strings.Cut(tag, ",")
+		if key == "" {
+			key = sf.Name
+		}
+		if sf.IsExported() && tag != "-" && strings.EqualFold(key, name) {
+			return s.Field(i)
+		}
+	}
+	return reflect.Value{}
 }

@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"uswg/internal/config"
@@ -56,6 +58,24 @@ func TestSpecPatchSemantics(t *testing.T) {
 			func(s *config.Spec) bool { return *s.FS.Topology == config.Topology{Servers: 2, ClientPool: 4} }},
 		{"an integral value reaches an int field", patchScenario("", "", "/fs/server/CacheBlocks", 1e6),
 			func(s *config.Spec) bool { return s.FS.Server.CacheBlocks == 1_000_000 }},
+		{"a nil pointer on the way is allocated", patchScenario("", "", "/fs/topology/servers", 2),
+			func(s *config.Spec) bool { return *s.FS.Topology == config.Topology{Servers: 2} }},
+		{"pointer through an array", patchScenario(`{"user_types": [{"name": "heavy", "think_time": {"kind": "exponential", "mean": 5000}, "fraction": 0.5}]}`, "", "/user_types/0/fraction", 1),
+			func(s *config.Spec) bool { return len(s.UserTypes) == 1 && s.UserTypes[0].Fraction == 1 }},
+		{"pointer into a category", patchScenario("", "", "/categories/2/access_per_byte/mean", 4),
+			func(s *config.Spec) bool {
+				want := config.DefaultCategories()
+				want[2].AccessPerByte.Mean = 4
+				return reflect.DeepEqual(s.Categories, want)
+			}},
+		{"pointer into a fault rule from a patch", patchScenario(`{"fault": {"name": "p", "rules": [{"name": "eio", "ops": ["read"], "prob": 0, "err": "eio"}]}}`, "", "/fault/rules/0/prob", 0.25),
+			func(s *config.Spec) bool {
+				return s.Fault != nil && len(s.Fault.Rules) == 1 && s.Fault.Rules[0].Prob == 0.25
+			}},
+		{"pointer into a fault rule from a case", patchScenario("", `{"fault": {"name": "p", "rules": [{"name": "stall", "ops": ["rpc"], "prob": 0.5}]}}`, "/fault/rules/0/latency_us", 300),
+			func(s *config.Spec) bool {
+				return s.Fault != nil && s.Fault.Rules[0].Latency == 300 && s.Fault.Rules[0].Prob == 0.5
+			}},
 	}
 	for _, tc := range ok {
 		js, err := tc.sc.JSON()
@@ -93,12 +113,20 @@ func TestSpecPatchSemantics(t *testing.T) {
 		{"case sets sessions", patchScenario("", `{"sessions": 5}`, "", 0)},
 		{"pointer sets seed", patchScenario("", "", "/seed", 5)},
 		{"pointer sets sessions", patchScenario("", "", "/sessions", 5)},
-		{"pointer through an array", patchScenario("", "", "/user_types/0/fraction", 1)},
+		{"pointer into a fault rule with no plan", patchScenario("", "", "/fault/rules/0/prob", 0.1)},
+		{"index past the end", patchScenario("", "", "/user_types/1/fraction", 1)},
+		{"append index", patchScenario("", "", "/user_types/-/fraction", 1)},
+		{"index with a leading zero", patchScenario("", "", "/user_types/01/fraction", 1)},
+		{"signed index", patchScenario("", "", "/user_types/+0/fraction", 1)},
+		{"pointer to an array", patchScenario("", "", "/user_types", 1)},
+		{"pointer to a string in an array", patchScenario("", "", "/user_types/0/name", 1)},
 		{"pointer through a scalar", patchScenario("", "", "/users/x", 1)},
 		{"pointer to a struct", patchScenario("", "", "/fs", 1)},
 		{"pointer to a string", patchScenario("", "", "/name", 1)},
 		{"pointer to an unknown key", patchScenario("", "", "/access_size/average", 1)},
 		{"fractional value to an int field", patchScenario("", "", "/fs/server/NFSDs", 1.5)},
+		{"value past an int field", patchScenario("", "", "/fs/server/NFSDs", 1e19)},
+		{"pointer without a leading slash", patchScenario("", "", "users", 1)},
 	}
 	for _, tc := range bad {
 		js, err := tc.sc.JSON()
@@ -108,6 +136,35 @@ func TestSpecPatchSemantics(t *testing.T) {
 		if _, err := Decode(bytes.NewReader(js)); !errors.Is(err, ErrScenario) {
 			t.Errorf("%s: Decode err = %v, want ErrScenario", tc.label, err)
 		}
+	}
+
+	// A pointer error names the axis, the value and the failing token.
+	err := patchScenario("", "", "/user_types/3/think_time/mean", 7).Validate()
+	for _, want := range []string{`axis "knob"`, "value 7", `token "3"`} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("index past the end: err = %v, want one naming %s", err, want)
+		}
+	}
+}
+
+// TestArrayPointerSweepRuns: a pointer into an array element reaches the
+// run, not only the compiled spec. Both points of a think-time sweep share
+// one seed, so only the bound mean tells them apart.
+func TestArrayPointerSweepRuns(t *testing.T) {
+	sc := patchScenario(`{"users": 4, "system_files": 60, "files_per_user": 12, "trace": {"mode": "stream"}}`, "", "", 0)
+	sc.Base.Sessions = 8
+	sc.Sweep = []Axis{{Name: "think", Values: []float64{100, 100_000}, Bind: "/user_types/0/think_time/mean"}}
+	sc.Output.Columns = []Column{
+		{Header: "think (µs)", Metric: MetricValue, Format: FormatF},
+		{Header: "response", Metric: MetricResponse},
+	}
+	res, err := Run(context.Background(), sc, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := res.(*TableResult).Rows
+	if len(rows) != 2 || rows[0][1] == rows[1][1] {
+		t.Errorf("the two think-time points respond alike:\n%s", res.Render())
 	}
 }
 

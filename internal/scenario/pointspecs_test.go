@@ -4,7 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"testing"
+
+	"uswg/internal/core"
 )
 
 // TestBuiltinPointSpecs pins every built-in grid point's compiled spec. For
@@ -29,9 +34,9 @@ func TestBuiltinPointSpecs(t *testing.T) {
 		"fig5.10":       "baed186ab497847a69bfcce95f11c1c29b8b9460f866b2ab30c0456f15678b3b",
 		"fig5.11":       "ec56fa4f88e1252ebb68041c0633c52d3b0840a299961c47f3b16fe52e6a9347",
 		"fig5.12":       "b391a5a6c8c184126688c15769f138ebceaa2d47c2d9c2244f224c4967ba65e7",
-		"fault5.1":      "61bb2dd4a68782d7111c27161b7c7cda185ed8e583943a1ff418e868670fb436",
-		"fault5.2":      "97838d575dc85f2d02ce02a384e76e6916fb3b88eb5dc9ffdb5c17a698ae0933",
-		"fault5.3":      "268c2a47aeb14b548abaae7852f41bb892a9bd7d287fe164716e9feb73fe87b2",
+		"fault5.1":      "a643f282cfb4a7cdaf62484df7dec2f1b6c1ac67a108fc03c13a26f067b169f0",
+		"fault5.2":      "508731ada2b23697c4dd8b0ef0b56aedb981a51c6d1775f21461a7cb52b86fd2",
+		"fault5.3":      "00d75a1a47e0acd4e67fb2222ea29480a7d0b417efbe6b0c284abf0b28804160",
 		"fault5.4":      "6585f5c12aec4dcec91ad6d37e8f4e9b54c986933e4d4e740bac3a9e52239d65",
 		"fault5.5":      "4744b515fd20039e272061b856bf1d84fe24858416e54573e24c2cda7784db4f",
 		"fault5.6":      "77ac2e0c65e5ad47bfdb9b89cbe6d8b775df7309f80580b05ed66e99cd9345fa",
@@ -69,5 +74,59 @@ func TestBuiltinPointSpecs(t *testing.T) {
 	}
 	if points != 236 {
 		t.Errorf("compiled %d points, want 236", points)
+	}
+}
+
+// TestZeroFaultPointsRunAsHealthy: a fault sweep's zero-valued point keeps
+// its plan, a rule that never fires (prob 0) or injects 0 µs (latency 0),
+// and runs exactly as it would with no plan at all. That is why a zero
+// point needs no special case. Each zero point of fault5.1, fault5.2 and
+// fault5.3 at Scale 0.2 runs twice, with its compiled plan and with none;
+// the Results and every metric the scenario renders must match.
+func TestZeroFaultPointsRunAsHealthy(t *testing.T) {
+	opts := Options{Scale: 0.2}
+	points := 0
+	for _, name := range []string{"fault5.1", "fault5.2", "fault5.3"} {
+		sc, _ := Lookup(name)
+		for i := 0; i < sc.gridSize(); i++ {
+			ps, err := sc.compilePoint(opts, i)
+			if err != nil {
+				t.Fatalf("%s point %d: %v", name, i, err)
+			}
+			if ps.value != 0 {
+				continue
+			}
+			if ps.spec.Fault == nil {
+				t.Fatalf("%s point %d: the zero point carries no plan", name, i)
+			}
+			points++
+			withPlan, err := sc.runPoint(opts, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps.spec.Fault = nil
+			gen, err := core.NewGenerator(ps.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := gen.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			healthy := &pointRun{pointSpec: ps, res: res, gen: gen}
+			if !reflect.DeepEqual(withPlan.res, healthy.res) {
+				t.Errorf("%s point %d: the zero-valued plan changes the run's Result", name, i)
+			}
+			for _, c := range slices.Concat(sc.Output.Columns, sc.Output.Cells) {
+				a, errA := withPlan.metric(c.Metric)
+				b, errB := healthy.metric(c.Metric)
+				if errA != nil || errB != nil || math.Float64bits(a) != math.Float64bits(b) {
+					t.Errorf("%s point %d: %s is %v with the zero plan and %v without (%v, %v)", name, i, c.Metric, a, b, errA, errB)
+				}
+			}
+		}
+	}
+	if points != 8 {
+		t.Errorf("ran %d zero-valued points, want 8", points)
 	}
 }

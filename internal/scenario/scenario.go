@@ -1,9 +1,8 @@
 // Package scenario is the declarative experiment API: a scenario is a typed,
 // serializable description of a whole experiment — workload knobs, a sweep
-// grid with per-point derived seeds, an optional fault plan with axis-bound
-// parameters, and an output contract (table, curve, grid, histograms, ...) —
-// that the engine (Run) executes with per-point parallelism and byte-for-byte
-// determinism.
+// grid with per-point derived seeds, and an output contract (table, curve,
+// grid, histograms, ...) — that the engine (Run) executes with per-point
+// parallelism and byte-for-byte determinism.
 //
 // Experiments are data, not code: every table and figure of the thesis's
 // evaluation, the fault5.x resilience family, and the scale5.x extension
@@ -11,8 +10,9 @@
 // read-only registry (Lookup, Names). A new workload is a JSON file too
 // (`wlgen scenario run -file`, or Decode), and a Go caller writes a
 // Scenario literal. The workload is a JSON merge patch over
-// config.Default(), and an axis binds by JSON pointer into each point's
-// spec:
+// config.Default(), a fault plan included, and a numeric axis binds by
+// JSON pointer into each point's spec, through objects and array elements
+// alike (/users, /fault/rules/0/prob, /categories/2/access_per_byte/mean):
 //
 //	sc := &scenario.Scenario{
 //		Name: "my-sweep",
@@ -63,7 +63,6 @@ import (
 
 	"uswg/internal/config"
 	"uswg/internal/dist"
-	"uswg/internal/fault"
 	"uswg/internal/gds"
 )
 
@@ -102,18 +101,10 @@ const (
 	KindTransient = "transient"
 )
 
-// Named axis binds. Any other bind is a JSON pointer (RFC 6901) into the
-// point's spec, such as "/access_size/mean" or "/fs/topology/servers".
-const (
-	// BindUsers sets the point's simultaneous user count. It is the one
-	// pointer the engine knows: a grid's row axis must bind it, and it
-	// never supplies the point's primary axis value.
-	BindUsers = "/users"
-	// BindFaultProb sets the named fault rule's firing probability.
-	BindFaultProb = "fault-prob"
-	// BindFaultLatency sets the named fault rule's injected latency, µs.
-	BindFaultLatency = "fault-latency"
-)
+// BindUsers is the JSON pointer to the point's simultaneous user count,
+// the one bind the engine knows: a grid's row axis must bind it, and it
+// never supplies the point's primary axis value.
+const BindUsers = "/users"
 
 // Salt sources: what the per-point seed offset is computed from.
 const (
@@ -184,9 +175,9 @@ type Workload struct {
 	FileBudget int `json:"file_budget,omitempty"`
 	// Spec is a JSON merge patch (RFC 7396) over config.Default(): objects
 	// merge key by key, arrays and scalars replace, null clears a pointer
-	// or an array, and keys match as config.Decode matches them. It may not
-	// set seed or sessions, which the seed salt and the formulas above
-	// derive per point.
+	// or an array, and keys match as config.Decode matches them. A fault
+	// plan is its "fault" key. It may not set seed or sessions, which the
+	// seed salt and the formulas above derive per point.
 	Spec json.RawMessage `json:"spec,omitempty"`
 }
 
@@ -207,21 +198,11 @@ type Axis struct {
 	Values []float64 `json:"values,omitempty"`
 	// Cases are named spec patches (at most one case axis).
 	Cases []Case `json:"cases,omitempty"`
-	// Bind is a JSON pointer into the spec or a fault bind (Bind*
-	// constants).
+	// Bind is the JSON pointer (RFC 6901) each value is set at. A token
+	// names a field as a spec patch's key does, or indexes an existing
+	// array element (/fault/rules/0/prob, /user_types/1/fraction); the
+	// leaf must be a number field.
 	Bind string `json:"bind,omitempty"`
-	// Rule names the fault rule a BindFaultProb/BindFaultLatency axis
-	// parameterizes.
-	Rule string `json:"rule,omitempty"`
-}
-
-// FaultSpec is a fault-plan template whose parameters sweep axes may bind.
-type FaultSpec struct {
-	Plan fault.Plan `json:"plan"`
-	// DropWhenZero omits the plan entirely at points where every
-	// axis-bound parameter is zero — the healthy point of a fault sweep
-	// runs genuinely fault-free (no engine, no counters).
-	DropWhenZero bool `json:"drop_when_zero,omitempty"`
 }
 
 // Salt computes the per-point seed offset: seed(point) = Options seed +
@@ -332,8 +313,6 @@ type Scenario struct {
 	Base Workload `json:"workload"`
 	// Sweep lists the axes; empty runs a single point.
 	Sweep []Axis `json:"sweep,omitempty"`
-	// Fault is the axis-parameterized fault-plan template.
-	Fault *FaultSpec `json:"fault,omitempty"`
 	// Seed derives each point's seed offset.
 	Seed Salt `json:"seed_salt,omitempty"`
 	// Output is the measurement and rendering contract.
@@ -404,10 +383,9 @@ func checkFormatString(format, what string, arg any) error {
 }
 
 // validateSweep checks the axes' shape: each has a name and either values
-// or cases, at most one selects cases and none sits beside a fault
-// template, a fault bind names a rule of the template, any other bind is a
-// JSON pointer, and the grid's point count fits an int. Whether a value or
-// a case fits the spec is for the compiled points to show.
+// or cases, at most one selects cases, and the grid's point count fits an
+// int. Whether a bind, a value or a case fits the spec is for the compiled
+// points to show.
 func (sc *Scenario) validateSweep() error {
 	cases, size := 0, 1
 	for i := range sc.Sweep {
@@ -426,27 +404,12 @@ func (sc *Scenario) validateSweep() error {
 			if ax.Bind != "" {
 				return fmt.Errorf("%w: case axis %q cannot bind", ErrScenario, ax.Name)
 			}
-			if sc.Fault != nil {
-				return fmt.Errorf("%w: case axis %q beside a fault template (a case patches fault itself)", ErrScenario, ax.Name)
-			}
 			for _, c := range ax.Cases {
 				if c.Label == "" {
 					return fmt.Errorf("%w: axis %q has a case with no label", ErrScenario, ax.Name)
 				}
 			}
-		case len(ax.Values) > 0:
-			switch {
-			case ax.Bind == BindFaultProb || ax.Bind == BindFaultLatency:
-				if sc.Fault == nil {
-					return fmt.Errorf("%w: axis %q binds a fault parameter but the scenario has no fault template", ErrScenario, ax.Name)
-				}
-				if !slices.ContainsFunc(sc.Fault.Plan.Rules, func(r fault.Rule) bool { return r.Name == ax.Rule }) {
-					return fmt.Errorf("%w: axis %q binds fault rule %q, not in the plan", ErrScenario, ax.Name, ax.Rule)
-				}
-			case !strings.HasPrefix(ax.Bind, "/"):
-				return fmt.Errorf("%w: axis %q: bind %q is neither a JSON pointer into the spec nor %q or %q", ErrScenario, ax.Name, ax.Bind, BindFaultProb, BindFaultLatency)
-			}
-		default:
+		case len(ax.Values) == 0:
 			return fmt.Errorf("%w: axis %q has neither values nor cases", ErrScenario, ax.Name)
 		}
 		n := axisLen(ax)
@@ -486,13 +449,6 @@ func (sc *Scenario) Validate() error {
 	case "", SaltIndex, SaltUsers, SaltValue:
 	default:
 		return fmt.Errorf("%w: unknown seed salt source %q", ErrScenario, sc.Seed.From)
-	}
-	if sc.Fault != nil {
-		// The template's rules may carry zero probabilities (an axis binds
-		// them per point); fault.Plan.Validate accepts that.
-		if err := sc.Fault.Plan.Validate(); err != nil {
-			return fmt.Errorf("scenario: fault template: %w", err)
-		}
 	}
 	if err := sc.validateSweep(); err != nil {
 		return err

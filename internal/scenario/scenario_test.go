@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"uswg/internal/config"
-	"uswg/internal/fault"
 )
 
 // small runs sweeps at a fraction of the paper session counts.
@@ -96,8 +95,8 @@ func TestDumpedScenarioRunsIdentical(t *testing.T) {
 const extremelyHeavy = `[{"name": "extremely-heavy", "think_time": {"kind": "constant"}, "fraction": 1}]`
 
 // customJSON is a from-scratch scenario a user could write: a user sweep
-// over a bursty wire (fault plan with the Gilbert-Elliott knob), streaming
-// sink, curve output.
+// over a bursty wire (a fault plan with the Gilbert-Elliott knob in the
+// spec patch), streaming sink, curve output.
 const customJSON = `{
   "name": "degraded-sweep",
   "workload": {
@@ -107,19 +106,17 @@ const customJSON = `{
       "user_types": ` + extremelyHeavy + `,
       "system_files": 60,
       "files_per_user": 12,
-      "trace": {"mode": "stream"}
+      "trace": {"mode": "stream"},
+      "fault": {
+        "name": "bursty-wire",
+        "rules": [{"name": "burst", "ops": ["net"], "drop": true,
+                   "burst": {"p_enter": 0.002, "p_exit": 0.1}}],
+        "net_timeout_us": 50000,
+        "net_retries": 3
+      }
     }
   },
   "sweep": [{"name": "users", "values": [2, 4, 6], "bind": "/users"}],
-  "fault": {
-    "plan": {
-      "name": "bursty-wire",
-      "rules": [{"name": "burst", "ops": ["net"], "drop": true,
-                 "burst": {"p_enter": 0.002, "p_exit": 0.1}}],
-      "net_timeout_us": 50000,
-      "net_retries": 3
-    }
-  },
   "seed_salt": {"from": "users", "mul": 7, "add": 1},
   "output": {
     "kind": "curve",
@@ -135,7 +132,7 @@ const customJSON = `{
 }`
 
 // TestCustomJSONScenarioDeterministicAcrossParallelism decodes a scenario
-// from JSON — sweep axis plus fault plan — and requires end-to-end output to
+// from JSON — sweep axis plus a fault plan in the spec patch — and requires end-to-end output to
 // be byte-identical at any parallelism (the acceptance bar for the data
 // path).
 func TestCustomJSONScenarioDeterministicAcrossParallelism(t *testing.T) {
@@ -226,14 +223,13 @@ func negativeMinAxis(salt string) func(*Scenario) {
 // TestValidationErrors enumerates malformed scenarios the codec must
 // reject.
 func TestValidationErrors(t *testing.T) {
-	// withFaultAxis adds an "eio" fault template and an axis binding the
-	// given values into it.
-	withFaultAxis := func(bind string, values ...float64) func(*Scenario) {
+	// withFaultAxis adds an "eio" fault plan to the workload patch and an
+	// axis binding the given values at /fault/rules/0/<field>.
+	withFaultAxis := func(field string, values ...float64) func(*Scenario) {
 		return func(sc *Scenario) {
-			sc.Fault = &FaultSpec{Plan: fault.Plan{Name: "p", Rules: []fault.Rule{{
-				Name: "eio", Ops: []string{"read", "write"}, Err: fault.EIO,
-			}}}}
-			sc.Sweep = append(sc.Sweep, Axis{Name: "knob", Values: values, Bind: bind, Rule: "eio"})
+			sc.Base.Spec = json.RawMessage(`{"system_files": 60, "files_per_user": 12, "trace": {"mode": "stream"},
+				"fault": {"name": "p", "rules": [{"name": "eio", "ops": ["read", "write"], "prob": 0, "err": "eio"}]}}`)
+			sc.Sweep = append(sc.Sweep, Axis{Name: "knob", Values: values, Bind: "/fault/rules/0/" + field})
 		}
 	}
 	cases := []struct {
@@ -260,19 +256,8 @@ func TestValidationErrors(t *testing.T) {
 		{"negative trace window", func(sc *Scenario) { sc.Base.Spec = json.RawMessage(`{"trace": {"window_us": -1}}`) }},
 		{"curve without axis", func(sc *Scenario) { sc.Sweep = nil }},
 		{"curve with bad x", func(sc *Scenario) { sc.Output.X = "ops" }},
-		{"fault bind without template", func(sc *Scenario) {
-			sc.Sweep[0] = Axis{Name: "rate", Values: []float64{0.1}, Bind: BindFaultProb, Rule: "r"}
-		}},
-		{"fault prob 1.5", withFaultAxis(BindFaultProb, 0, 0.01, 1.5)},
-		{"fault latency -5", withFaultAxis(BindFaultLatency, 0, 1000, -5)},
-		{"case axis beside a fault template", func(sc *Scenario) {
-			withFaultAxis(BindFaultProb, 0, 0.01)(sc)
-			sc.Sweep = append(sc.Sweep, Axis{Name: "variant", Cases: []Case{{Label: "a"}, {Label: "b"}}})
-		}},
-		{"fault template and a patch both set fault", func(sc *Scenario) {
-			withFaultAxis(BindFaultProb, 0, 0.01)(sc)
-			sc.Base.Spec = json.RawMessage(`{"fault": {"name": "q", "rules": [{"name": "r", "ops": ["read"], "prob": 0.1, "err": "eio"}]}}`)
-		}},
+		{"fault prob 1.5", withFaultAxis("prob", 0, 0.01, 1.5)},
+		{"fault latency -5", withFaultAxis("latency_us", 0, 1000, -5)},
 	}
 	base := func() *Scenario {
 		return &Scenario{
@@ -332,13 +317,13 @@ func TestValidationErrors(t *testing.T) {
 	// A fault-bound value out of its rule's range fails at decode, naming
 	// the axis and the value; in-range values pass.
 	bad := base()
-	withFaultAxis(BindFaultProb, 0, 1.5)(bad)
+	withFaultAxis("prob", 0, 1.5)(bad)
 	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), `axis "knob"`) || !strings.Contains(err.Error(), "1.5") {
 		t.Errorf("fault prob 1.5: err = %v, want one naming axis \"knob\" and 1.5", err)
 	}
 	for _, mut := range []func(*Scenario){
-		withFaultAxis(BindFaultProb, 0, 0.01, 1),
-		withFaultAxis(BindFaultLatency, 0, 1000),
+		withFaultAxis("prob", 0, 0.01, 1),
+		withFaultAxis("latency_us", 0, 1000),
 	} {
 		sc := base()
 		mut(sc)
@@ -402,11 +387,11 @@ func TestValidationErrors(t *testing.T) {
 	// A grid whose row axis does not bind users is rejected.
 	grid := &Scenario{
 		Name: "g",
+		Base: Workload{Spec: json.RawMessage(`{"fault": {"name": "p", "rules": [{"name": "r", "ops": ["read"], "prob": 0, "err": "eio"}]}}`)},
 		Sweep: []Axis{
-			{Name: "rate", Values: []float64{0.1}, Bind: BindFaultProb, Rule: "r"},
+			{Name: "rate", Values: []float64{0.1}, Bind: "/fault/rules/0/prob"},
 			{Name: "more", Values: []float64{256}, Bind: "/access_size/mean"},
 		},
-		Fault: &FaultSpec{Plan: fault.Plan{Name: "p", Rules: []fault.Rule{{Name: "r", Ops: []string{"read"}, Err: fault.EIO}}}},
 		Output: Output{
 			Kind: KindGrid, Title: "t", RowHeader: "users", ColFormat: FormatPct,
 			Cells: []Column{{Header: "µs/B @%s", Metric: MetricRPB, Format: FormatF}},
@@ -414,6 +399,32 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if err := grid.Validate(); err == nil {
 		t.Error("grid without a users row axis accepted")
+	}
+}
+
+// TestHugeScaleFails: a scale whose session count does not fit an int
+// fails naming the scale instead of wrapping to a tiny run. At Scale 1e19
+// every fig5.6 point fails to compile, so Run executes none; at 1e17 the
+// per-user count fits but the product with 2 users does not.
+func TestHugeScaleFails(t *testing.T) {
+	sc, _ := Lookup("fig5.6")
+	huge := Options{Scale: 1e19}
+	for i := 0; i < sc.gridSize(); i++ {
+		if _, err := sc.compilePoint(huge, i); !errors.Is(err, ErrScenario) {
+			t.Errorf("fig5.6 point %d at scale 1e19: err = %v, want ErrScenario", i, err)
+		}
+	}
+	if _, err := Run(context.Background(), sc, huge); !errors.Is(err, ErrScenario) || !strings.Contains(err.Error(), "scale 1e+19") {
+		t.Errorf("Run at scale 1e19: err = %v, want ErrScenario naming the scale", err)
+	}
+	if _, err := sc.compilePoint(Options{Scale: 1e17}, 1); !errors.Is(err, ErrScenario) || !strings.Contains(err.Error(), "scale 1e+17") {
+		t.Errorf("2 users at scale 1e17: err = %v, want ErrScenario naming the scale", err)
+	}
+	for _, name := range []string{"table5.3", "scale5.1"} {
+		sc, _ := Lookup(name)
+		if _, err := sc.compilePoint(Options{Scale: 1e300}, 0); !errors.Is(err, ErrScenario) {
+			t.Errorf("%s at scale 1e300: err = %v, want ErrScenario", name, err)
+		}
 	}
 }
 

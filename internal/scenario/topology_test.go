@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"uswg/internal/core"
-	"uswg/internal/fault"
 )
 
 // TestFleetScenarioDeterministicAcrossParallelism is the scale-out
@@ -159,13 +158,10 @@ func TestTransientFleetSumsLinks(t *testing.T) {
 				"user_types": ` + extremelyHeavy + `,
 				"system_files": 30, "files_per_user": 6,
 				"fs": {"topology": {"servers": 2, "client_pool": 2}},
-				"trace": {"mode": "stream", "window_us": 5e6}}`),
+				"trace": {"mode": "stream", "window_us": 5e6},
+				"fault": {"name": "lossy-fleet", "rules": [{"name": "drop", "ops": ["net"], "prob": 0.01, "drop": true}],
+				          "net_timeout_us": 100000}}`),
 		},
-		Fault: &FaultSpec{Plan: fault.Plan{
-			Name:       "lossy-fleet",
-			Rules:      []fault.Rule{{Name: "drop", Ops: []string{fault.OpNet}, Prob: 0.01, Drop: true}},
-			NetTimeout: 100_000,
-		}},
 		Output: Output{Kind: KindTransient, Title: "transient fleet"},
 	}
 	opts := Options{Parallelism: 1}
