@@ -599,6 +599,45 @@ func TestTransientChurnDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestTransientSummaryPinned pins every summary line of the three transient
+// built-ins to recorded text. No golden file holds these lines, because the
+// artifact diff skips logs/. fault5.7 runs at full scale, the smallest at
+// which its outage starts; the other two run at 0.2.
+func TestTransientSummaryPinned(t *testing.T) {
+	cases := []struct {
+		name  string
+		scale float64
+		want  []string
+	}{
+		{"fault5.6", 0.2, []string{
+			"run: 40 sessions, 24996 ops, 100.00% available, 51 s virtual",
+			"churn: 3 workstation crashes, 3 cold reboots, 3 truncated sessions, 0 departed users",
+		}},
+		{"fault5.7", 1, []string{
+			"run: 200 sessions, 137236 ops, 100.00% available, 361 s virtual",
+			"network: 56 drops, 56 retransmits, 0 give-ups, 127.6 s blocked in retry holds",
+			"outage: 56 calls swallowed by the dead server",
+			"server: 1 restarts (block cache dropped)",
+			"outage window: 60-90 s",
+			"baseline response: 7930 µs (pre-outage mean)",
+			"time to recover: 40 s (response back to baseline by t=130 s)",
+		}},
+		{"fault5.8", 0.2, []string{
+			"run: 60 sessions, 45798 ops, 100.00% available, 97 s virtual",
+		}},
+	}
+	for _, tc := range cases {
+		sc, _ := Lookup(tc.name)
+		res, err := Run(context.Background(), sc, Options{Scale: tc.scale, Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := res.(*TransientResult).Summary; !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s summary:\n got %q\nwant %q", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestTransientResultIsTabular: the machine view carries the same windows
 // the rendered table shows.
 func TestTransientResultIsTabular(t *testing.T) {
