@@ -24,8 +24,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
+	"strconv"
 
+	"uswg/internal/artifact"
 	"uswg/internal/config"
 	"uswg/internal/core"
 	"uswg/internal/fsc"
@@ -148,12 +152,7 @@ func cmdRun(args []string) error {
 		return err
 	}
 	if *logPath != "" {
-		f, err := os.Create(*logPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := gen.Log().WriteJSONL(f); err != nil {
+		if err := artifact.WriteFile(*logPath, gen.Log().WriteJSONL); err != nil {
 			return err
 		}
 		fmt.Printf("usage log: %s (%d records)\n", *logPath, gen.Log().Len())
@@ -162,8 +161,8 @@ func cmdRun(args []string) error {
 	return nil
 }
 
-// printSummary writes the run summary. A fleet of more than one island
-// gets one pair of server lines per island, labeled by island index.
+// printSummary writes the run summary: six headline lines, then a "name
+// value" line per key of the run's snapshot (per-island too), in name order.
 func printSummary(w io.Writer, spec *config.Spec, res *core.Result, gen *core.Generator) {
 	a := res.Analysis
 	fmt.Fprintf(w, "experiment %q: %d sessions, %d users, fs=%s\n",
@@ -175,15 +174,9 @@ func printSummary(w io.Writer, spec *config.Spec, res *core.Result, gen *core.Ge
 	fmt.Fprintf(w, "access size:   mean %s B (std %s)\n", report.F(a.AccessSize.Mean()), report.F(a.AccessSize.Std()))
 	fmt.Fprintf(w, "response time: mean %s µs (std %s)\n", report.F(a.Response.Mean()), report.F(a.Response.Std()))
 	fmt.Fprintf(w, "response/byte: %s µs/B\n", report.F(a.MeanResponsePerByte()))
-	servers := gen.Servers()
-	for i, srv := range servers {
-		name := "server"
-		if len(servers) > 1 {
-			name = fmt.Sprintf("server %d", i)
-		}
-		fmt.Fprintf(w, "nfs %s: %d RPCs, nfsd utilization %.1f%%, mean daemon wait %s µs\n",
-			name, srv.Calls(), 100*srv.NFSDUtilization(), report.F(srv.MeanNFSDWait()))
-		fmt.Fprintf(w, "%s cache hit rate: %.1f%%\n", name, 100*srv.Cache().HitRate())
+	m := gen.Metrics()
+	for _, name := range slices.Sorted(maps.Keys(m)) {
+		fmt.Fprintln(w, name, strconv.FormatFloat(m[name], 'f', -1, 64))
 	}
 }
 

@@ -2,9 +2,9 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -52,8 +52,8 @@ func TestRunLogOnStreamingSpec(t *testing.T) {
 }
 
 // TestPrintSummaryReportsEveryIsland: on a two-island fleet the summary
-// prints one server line per island, and their RPC counts add up to the
-// whole fleet's, not island 0's alone.
+// lists each island's RPC count beside the fleet's, and the islands' counts
+// add up to the whole fleet's, not island 0's alone.
 func TestPrintSummaryReportsEveryIsland(t *testing.T) {
 	spec := config.Default()
 	spec.Users, spec.Sessions = 4, 40
@@ -73,27 +73,23 @@ func TestPrintSummaryReportsEveryIsland(t *testing.T) {
 	var out bytes.Buffer
 	printSummary(&out, spec, res, gen)
 
-	var got int64
-	islands := 0
+	calls := map[string]int64{}
 	for _, line := range strings.Split(out.String(), "\n") {
-		if !strings.HasPrefix(line, "nfs server") {
+		name, value, _ := strings.Cut(line, " ")
+		if !strings.HasPrefix(name, "nfs.server_calls") {
 			continue
 		}
-		var island int
-		var calls int64
-		if _, err := fmt.Sscanf(line, "nfs server %d: %d RPCs", &island, &calls); err != nil {
-			t.Fatalf("server line %q: %v", line, err)
+		n, err := strconv.ParseInt(value, 10, 64)
+		if err != nil {
+			t.Fatalf("counter line %q: %v", line, err)
 		}
-		if island != islands {
-			t.Errorf("server line %q out of island order", line)
-		}
-		got += calls
-		islands++
+		calls[name] = n
 	}
-	if islands != 2 {
-		t.Errorf("%d server lines, want 2:\n%s", islands, out.String())
+	if len(calls) != 3 {
+		t.Fatalf("%d nfs.server_calls lines, want the fleet's and 2 islands':\n%s", len(calls), out.String())
 	}
-	if got != want || gen.Servers()[1].Calls() == 0 {
-		t.Errorf("server lines sum to %d RPCs, the fleet served %d (island 1: %d)", got, want, gen.Servers()[1].Calls())
+	total, one := calls["nfs.server_calls"], calls["nfs.server_calls.1"]
+	if total != want || calls["nfs.server_calls.0"]+one != total || one == 0 {
+		t.Errorf("fleet line reads %d RPCs, islands %d + %d, the fleet served %d", total, calls["nfs.server_calls.0"], one, want)
 	}
 }

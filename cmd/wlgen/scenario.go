@@ -13,7 +13,7 @@ package main
 // text for the result's table (scenario.Tabular) in machine form. dump → edit → run is the
 // no-compile workflow for new workloads: every knob of the built-ins —
 // population and think times, sweep axes, fault plans (burst loss
-// included), trace sink, output contract — is data in the dumped JSON.
+// included), windows, output contract — is data in the dumped JSON.
 
 import (
 	"context"
@@ -60,20 +60,7 @@ func cmdScenarioDump(args []string) error {
 	if *out == "" {
 		return sc.Encode(os.Stdout)
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	if err := sc.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	// A buffered write error can surface only at Close; reporting success
-	// on a truncated dump would hand the user a file that fails to parse.
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("scenario dump: %s: %w", *out, err)
-	}
-	return nil
+	return artifact.WriteFile(*out, sc.Encode)
 }
 
 func cmdScenarioRun(args []string) error {

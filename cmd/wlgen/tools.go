@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"uswg/internal/artifact"
 	"uswg/internal/baseline"
 	"uswg/internal/config"
 	"uswg/internal/dist"
@@ -148,12 +149,7 @@ func cmdReplay(args []string) error {
 	}
 	fmt.Printf("replayed %d of %d operations in %.0f µs of virtual time\n", n, log.Len(), ctx.Now())
 	if *out != "" {
-		g, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer g.Close()
-		return replayLog.WriteJSONL(g)
+		return artifact.WriteFile(*out, replayLog.WriteJSONL)
 	}
 	return nil
 }
@@ -183,12 +179,7 @@ func cmdScript(args []string) error {
 	}
 	fmt.Println(report.Table([]string{"op", "count", "mean resp (µs)"}, rows))
 	if *out != "" {
-		g, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer g.Close()
-		return log.WriteJSONL(g)
+		return artifact.WriteFile(*out, log.WriteJSONL)
 	}
 	return nil
 }

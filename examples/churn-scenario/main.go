@@ -35,7 +35,7 @@ func main() {
 					}
 				}],
 				"system_files": 120, "files_per_user": 60,
-				"trace": {"mode": "stream", "window_us": 10e6}
+				"trace": {"window_us": 10e6}
 			}`),
 		},
 		Output: scenario.Output{

@@ -1,8 +1,9 @@
 // Custom scenario: a degraded-network 500-user sweep composed as data, no
 // experiment driver. One Scenario literal describes the whole experiment —
 // population, sweep axis, a correlated burst-loss wire (Gilbert-Elliott
-// good/bad episodes), streaming sink, output contract — and the scenario
-// engine runs it with per-point seeds, byte-identical at any parallelism.
+// good/bad episodes), output contract — and the scenario engine runs it
+// with per-point seeds, byte-identical at any parallelism. A column may
+// name any counter of the run's snapshot (core.MetricNames), as drops do.
 // The workload, the wire's fault plan included, is a JSON merge patch over
 // the default spec, and the axis binds by JSON pointer into it, so any
 // spec knob sweeps the same way (/fault/rules/0/burst/p_enter would sweep
@@ -30,7 +31,6 @@ func main() {
 			Spec: json.RawMessage(`{
 				"user_types": [{"name": "extremely-heavy", "think_time": {"kind": "constant"}, "fraction": 1}],
 				"system_files": 60, "files_per_user": 12,
-				"trace": {"mode": "stream"},
 				"fault": {
 					"name": "bursty-wire",
 					"rules": [{"name": "burst", "ops": ["net"], "drop": true,
@@ -48,8 +48,8 @@ func main() {
 			Y: scenario.MetricRPB, YLabel: "µs/byte",
 			Columns: []scenario.Column{
 				{Header: "users", Metric: scenario.MetricUsers, Format: scenario.FormatInt},
-				{Header: "drops", Metric: scenario.MetricDrops, Format: scenario.FormatInt},
-				{Header: "retransmits", Metric: scenario.MetricRetransmits, Format: scenario.FormatInt},
+				{Header: "drops", Metric: "netsim.drops", Format: scenario.FormatInt},
+				{Header: "retransmits", Metric: "netsim.retransmits", Format: scenario.FormatInt},
 				{Header: "µs/byte", Metric: scenario.MetricRPB, Format: scenario.FormatF},
 			},
 		},

@@ -64,7 +64,7 @@ func main() {
 		rows = append(rows, []string{
 			v.name,
 			report.F(sameFileRate(gen.Log().Records())),
-			report.F(100 * gen.Server().Cache().HitRate()),
+			report.F(100 * gen.Metrics()["cache.server_hit_ratio"]),
 			report.F(a.MeanResponsePerByte()),
 			report.F(res.VirtualDuration / 1e6),
 		})

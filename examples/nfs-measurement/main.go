@@ -45,7 +45,7 @@ func main() {
 			fmt.Sprint(n),
 			fmt.Sprintf("%s(%s)", report.F(a.AccessSize.Mean()), report.F(a.AccessSize.Std())),
 			fmt.Sprintf("%s(%s)", report.F(a.Response.Mean()), report.F(a.Response.Std())),
-			fmt.Sprintf("%.0f%%", 100*gen.Server().NFSDUtilization()),
+			fmt.Sprintf("%.0f%%", 100*gen.Metrics()["nfs.nfsd_util"]),
 		})
 	}
 

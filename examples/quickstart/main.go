@@ -48,7 +48,7 @@ func main() {
 
 	fmt.Printf("overall: access size %s B, response %s µs/call, %s µs/byte\n",
 		report.F(a.AccessSize.Mean()), report.F(a.Response.Mean()), report.F(a.MeanResponsePerByte()))
-	srv := gen.Server()
-	fmt.Printf("server:  %d RPCs, %.0f%% cache hits, nfsd utilization %.0f%%\n",
-		srv.Calls(), 100*srv.Cache().HitRate(), 100*srv.NFSDUtilization())
+	m := gen.Metrics()
+	fmt.Printf("server:  %.0f RPCs, %.0f%% cache hits, nfsd utilization %.0f%%\n",
+		m["nfs.server_calls"], 100*m["cache.server_hit_ratio"], 100*m["nfs.nfsd_util"])
 }

@@ -216,16 +216,7 @@ func generateOne(dir string, sc *scenario.Scenario, run scenario.Options) (*Scen
 	entry := &ScenarioEntry{Name: sc.Name, Kind: sc.Output.Kind, Title: sc.Output.Title}
 
 	write := func(rel string, emit func(io.Writer) error) error {
-		path := filepath.Join(dir, filepath.FromSlash(rel))
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := WriteFile(filepath.Join(dir, filepath.FromSlash(rel)), emit); err != nil {
 			return err
 		}
 		entry.Files = append(entry.Files, rel)
@@ -297,19 +288,28 @@ func generateOne(dir string, sc *scenario.Scenario, run scenario.Options) (*Scen
 	return entry, nil
 }
 
+// WriteFile creates path and writes it with emit, reporting emit's error or
+// else Close's, so a truncated file never reads as success.
+func WriteFile(path string, emit func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err == nil {
+		err = emit(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
 // writeRunLog writes the human timing summary.
 func writeRunLog(path string, m *Manifest) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "generated %s  git %s  %s  seed %d  scale %g\n",
+	var b strings.Builder
+	fmt.Fprintf(&b, "generated %s  git %s  %s  seed %d  scale %g\n",
 		m.Generated, m.GitSHA, m.GoVersion, m.Seed, m.Scale)
 	for _, e := range m.Scenarios {
-		fmt.Fprintf(f, "%-12s %-22s %5d points %9d sessions %10d ops %8d errors %9.0f ms\n",
+		fmt.Fprintf(&b, "%-12s %-22s %5d points %9d sessions %10d ops %8d errors %9.0f ms\n",
 			e.Name, e.Kind, e.Stats.Points, e.Stats.Sessions, e.Stats.Ops, e.Stats.Errors, e.WallMS)
 	}
-	fmt.Fprintf(f, "total %.0f ms\n", m.WallMS)
-	return nil
+	fmt.Fprintf(&b, "total %.0f ms\n", m.WallMS)
+	return os.WriteFile(path, []byte(b.String()), 0o666)
 }

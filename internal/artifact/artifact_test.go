@@ -286,3 +286,14 @@ func TestResolveNames(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteRunLogReportsWriteErrors: a run log that cannot be written fails
+// generation instead of reporting success.
+func TestWriteRunLogReportsWriteErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full here")
+	}
+	if err := writeRunLog("/dev/full", &Manifest{}); err == nil {
+		t.Error("writeRunLog on a full device returned nil")
+	}
+}

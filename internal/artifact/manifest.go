@@ -3,6 +3,7 @@ package artifact
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -73,17 +74,12 @@ func (m *Manifest) snapshotBench(paths []string) error {
 
 // Write stores the manifest as indented JSON.
 func (m *Manifest) Write(path string) error {
-	f, err := os.Create(path)
+	err := WriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(m)
+	})
 	if err != nil {
-		return fmt.Errorf("artifact: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(m); err != nil {
-		f.Close()
-		return fmt.Errorf("artifact: manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
 		return fmt.Errorf("artifact: manifest: %w", err)
 	}
 	return nil

@@ -7,13 +7,15 @@
 // place that assembles the whole DES→workload→trace→analysis pipeline:
 // DES substrate under the chosen file system, workload from the spec's
 // distributions, and a Summarizer that folds the analysis returned in
-// Result as records are emitted. Trace mode log also keeps the records.
+// Result as records are emitted. Trace mode log also keeps the records, and
+// Metrics snapshots what the simulated components counted.
 //
 // A Generator owns one experiment:
 //
 //	gen, err := core.NewGenerator(config.Default())
 //	result, err := gen.Run()
 //	fmt.Println(result.Analysis.AccessSize.Mean())
+//	fmt.Println(gen.Metrics()["nfs.server_calls"])
 package core
 
 import (
@@ -417,37 +419,15 @@ func (g *Generator) setupCtx() vfs.Ctx {
 	return &vfs.ManualClock{}
 }
 
-// Spec returns the experiment specification.
-func (g *Generator) Spec() *config.Spec { return g.spec }
-
 // FS returns the file system under test, which the user simulator falls
 // back on for a user with no binding of its own. In NFS mode it is user
 // 0's mount, never a setup client: the FSC's setup clients do not outlive
 // construction.
 func (g *Generator) FS() vfs.FileSystem { return g.fs }
 
-// Inventory returns the FSC's created file inventory.
-func (g *Generator) Inventory() *fsc.Inventory { return g.inventory }
-
 // Log returns the usage log (populated by Run), or nil when the spec
 // selected the streaming trace mode, which keeps no records.
 func (g *Generator) Log() *trace.Log { return g.log }
-
-// Server returns island 0's simulated NFS server, or nil outside NFS mode.
-func (g *Generator) Server() *nfs.Server {
-	if len(g.servers) == 0 {
-		return nil
-	}
-	return g.servers[0]
-}
-
-// Link returns island 0's simulated network link, or nil outside NFS mode.
-func (g *Generator) Link() *netsim.Link {
-	if len(g.links) == 0 {
-		return nil
-	}
-	return g.links[0]
-}
 
 // Servers returns every island's server (length 1 on the one-island
 // testbed, nil outside NFS mode).
@@ -486,16 +466,9 @@ func (g *Generator) MaterializedUsers() int { return g.inventory.UsersBuilt }
 // LocalCost returns the local cost model, or nil outside local mode.
 func (g *Generator) LocalCost() *vfs.LocalCost { return g.local }
 
-// Faults returns the fault engine, or nil for a healthy run.
-func (g *Generator) Faults() *fault.Engine { return g.faults }
-
 // Windows returns the windowed transient-response collector, or nil unless
 // the spec set trace.window_us.
 func (g *Generator) Windows() *trace.Windows { return g.windows }
-
-// Churn returns the run's lifecycle event counts (all zero for the static
-// populations of the original model).
-func (g *Generator) Churn() usim.ChurnStats { return g.simulator.Churn() }
 
 // Run executes every login session and returns the analyzed results. A
 // generator runs once; construct a new one (same spec, same seed) to repeat

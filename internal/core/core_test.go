@@ -63,7 +63,7 @@ func TestRunNFSMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen.Server() == nil || gen.Link() == nil {
+	if len(gen.Servers()) != 1 || len(gen.Links()) != 1 {
 		t.Fatal("NFS mode must expose server and link")
 	}
 	res, err := gen.Run()
@@ -82,10 +82,11 @@ func TestRunNFSMode(t *testing.T) {
 	if res.Analysis.Response.N() == 0 || res.Analysis.Response.Mean() <= 0 {
 		t.Error("data ops should have positive response times")
 	}
-	if gen.Server().Calls() == 0 {
+	m := gen.Metrics()
+	if m["nfs.server_calls"] == 0 {
 		t.Error("server saw no RPCs")
 	}
-	if gen.Link().Messages() == 0 {
+	if m["netsim.messages"] == 0 {
 		t.Error("link carried no messages")
 	}
 }
@@ -100,7 +101,7 @@ func TestRunLocalMode(t *testing.T) {
 	if gen.LocalCost() == nil {
 		t.Fatal("local mode must expose the cost model")
 	}
-	if gen.Server() != nil {
+	if gen.Servers() != nil {
 		t.Error("local mode should not expose an NFS server")
 	}
 	res, err := gen.Run()

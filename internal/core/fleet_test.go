@@ -85,8 +85,7 @@ func TestFleetRunsAreReproducible(t *testing.T) {
 // TestFleetLegacySpecUnchanged pins the accessors of the thesis testbed: a
 // spec with no topology block runs on a one-island fleet of private
 // clients, which Fleet does not expose as scale-out, while Servers/Links
-// hold its one server and link and Server/Link alias them. Fleet does
-// expose every scale-out shape.
+// hold its one server and link. Fleet does expose every scale-out shape.
 func TestFleetLegacySpecUnchanged(t *testing.T) {
 	gen, err := NewGenerator(smallSpec())
 	if err != nil {
@@ -98,9 +97,6 @@ func TestFleetLegacySpecUnchanged(t *testing.T) {
 	if len(gen.Servers()) != 1 || len(gen.Links()) != 1 {
 		t.Errorf("legacy spec exposes %d servers / %d links, want 1/1",
 			len(gen.Servers()), len(gen.Links()))
-	}
-	if gen.Servers()[0] != gen.Server() || gen.Links()[0] != gen.Link() {
-		t.Error("fleet accessors must alias the legacy singletons")
 	}
 	// A pool, even on one island, or a second island makes it scale-out.
 	for _, topo := range []*config.Topology{{Servers: 1, ClientPool: 2}, {Servers: 2}} {
@@ -157,7 +153,7 @@ func TestPooledWarmingCost(t *testing.T) {
 	// island under shard, both islands under replicate — and each user
 	// reads only its own.
 	paths := func(gen *Generator) (shared, own int64) {
-		spec, inv := gen.Spec(), gen.Inventory()
+		spec, inv := gen.spec, gen.inventory
 		for cat := range spec.Categories {
 			if spec.Categories[cat].Owner != config.OwnerUser {
 				shared += int64(len(inv.ForUser(0, cat).Paths))
@@ -217,7 +213,7 @@ func TestRunEndsWithoutLeaks(t *testing.T) {
 					if _, err := gen.Run(); err != nil {
 						t.Fatal(err)
 					}
-					if crash && gen.Churn().Crashes == 0 {
+					if crash && gen.Metrics()["usim.crashes"] == 0 {
 						t.Fatal("no workstation crashed; the crash case is vacuous")
 					}
 					if n := gen.fleet.Backing().OpenFDs(); n != 0 {

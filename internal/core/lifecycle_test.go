@@ -7,7 +7,6 @@ import (
 	"uswg/internal/config"
 	"uswg/internal/fault"
 	"uswg/internal/trace"
-	"uswg/internal/usim"
 )
 
 // churnSpec returns a small NFS spec whose whole population crashes and
@@ -53,14 +52,14 @@ func TestChurnStreamingMatchesLogMode(t *testing.T) {
 	}
 	logged, lgen := run(config.TraceLog)
 	streamed, sgen := run(config.TraceStream)
-	if lgen.Churn().TruncatedSessions == 0 {
+	if lgen.Metrics()["usim.truncated_sessions"] == 0 {
 		t.Fatal("no sessions were truncated; churn equivalence check is vacuous")
 	}
 	if !reflect.DeepEqual(logged.Analysis, trace.Analyze(lgen.Log())) {
 		t.Error("churned online Analysis diverges from Analyze over the kept records")
 	}
-	if lgen.Churn() != sgen.Churn() {
-		t.Errorf("churn stats diverge across trace modes: %+v vs %+v", lgen.Churn(), sgen.Churn())
+	if lm, sm := lgen.Metrics(), sgen.Metrics(); !reflect.DeepEqual(lm, sm) {
+		t.Errorf("counters diverge across trace modes: %v vs %v", lm, sm)
 	}
 	if logged.VirtualDuration != streamed.VirtualDuration {
 		t.Errorf("virtual durations differ: %v vs %v", logged.VirtualDuration, streamed.VirtualDuration)
@@ -72,10 +71,10 @@ func TestChurnStreamingMatchesLogMode(t *testing.T) {
 }
 
 // TestChurnRunIsDeterministic: the lifecycle timeline is a pure function of
-// the spec — two runs of the same churn spec agree on every churn counter
-// and every float of the Analysis.
+// the spec — two runs of the same churn spec agree on every counter of the
+// snapshot and every float of the Analysis.
 func TestChurnRunIsDeterministic(t *testing.T) {
-	run := func() (*Result, usim.ChurnStats) {
+	run := func() (*Result, Metrics) {
 		gen, err := NewGenerator(churnSpec())
 		if err != nil {
 			t.Fatal(err)
@@ -84,12 +83,15 @@ func TestChurnRunIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, gen.Churn()
+		return res, gen.Metrics()
 	}
 	a, ca := run()
 	b, cb := run()
-	if ca != cb {
-		t.Errorf("churn stats diverge across identical runs: %+v vs %+v", ca, cb)
+	if ca["usim.crashes"] == 0 {
+		t.Fatal("no workstation crashed; the churn check is vacuous")
+	}
+	if !reflect.DeepEqual(ca, cb) {
+		t.Errorf("counters diverge across identical runs: %v vs %v", ca, cb)
 	}
 	if !reflect.DeepEqual(a.Analysis, b.Analysis) {
 		t.Error("analysis diverges across identical runs")
@@ -165,20 +167,20 @@ func TestServerOutageHardMountRidesOut(t *testing.T) {
 	if res.VirtualDuration <= 10e6 {
 		t.Fatalf("run ended at %v µs, inside the outage window; outage check is vacuous", res.VirtualDuration)
 	}
-	link := gen.Link()
-	if link.Retransmits() == 0 {
+	m := gen.Metrics()
+	if m["netsim.retransmits"] == 0 {
 		t.Error("outage produced no retransmissions")
 	}
-	if link.GiveUps() != 0 {
-		t.Errorf("hard mount gave up %d times; must be 0 by construction", link.GiveUps())
+	if n := m["netsim.give_ups"]; n != 0 {
+		t.Errorf("hard mount gave up %v times; must be 0 by construction", n)
 	}
-	if link.BlockedTime() <= 0 {
+	if m["netsim.blocked_us"] <= 0 {
 		t.Error("retry holds accumulated no blocked time")
 	}
-	if got := gen.Server().Restarts(); got != 1 {
-		t.Errorf("server restarts = %d, want 1", got)
+	if got := m["nfs.restarts"]; got != 1 {
+		t.Errorf("server restarts = %v, want 1", got)
 	}
-	if fe := gen.Faults(); fe.OutageDrops() == 0 {
+	if m["fault.outage_drops"] == 0 {
 		t.Error("no calls were swallowed by the dead server")
 	}
 	if res.Analysis.Errors != 0 {

@@ -93,7 +93,12 @@ func TestFullRecordLogDigest(t *testing.T) {
 			if res.Sessions != tc.sessions {
 				t.Errorf("%d sessions started, want %d", res.Sessions, tc.sessions)
 			}
-			if got := gen.Churn(); got != tc.churn {
+			m := gen.Metrics()
+			got := usim.ChurnStats{
+				Crashes: int(m["usim.crashes"]), Reboots: int(m["usim.reboots"]),
+				TruncatedSessions: int(m["usim.truncated_sessions"]), Departed: int(m["usim.departed"]),
+			}
+			if got != tc.churn {
 				t.Errorf("churn %+v, want %+v", got, tc.churn)
 			}
 		})

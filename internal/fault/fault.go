@@ -429,8 +429,12 @@ type Engine struct {
 }
 
 // OutageDrops returns the number of messages lost inside server outage
-// windows (separate from rule-driven drops).
+// windows (separate from rule-driven drops): 0 for a nil engine, a healthy
+// run's.
 func (e *Engine) OutageDrops() int64 {
+	if e == nil {
+		return 0
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.outageDrops

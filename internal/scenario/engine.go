@@ -351,9 +351,9 @@ func (sc *Scenario) pointName(idx int) string {
 // compilePoint builds the spec for one flat sweep index in one sequence:
 // config.Default(), the workload patch, then each axis in sweep order (a
 // case's patch, or a value at its JSON pointer), the session and file
-// formulas, and the seed salt. A fault plan comes from the patches like
-// any other spec field. The scenario is only read, so parallel points may
-// share a registered one.
+// formulas, the trace mode the output needs, and the seed salt. A fault
+// plan comes from the patches like any other spec field. The scenario is
+// only read, so parallel points may share a registered one.
 func (sc *Scenario) compilePoint(opts Options, idx int) (*pointSpec, error) {
 	w := &sc.Base
 	spec := config.Default()
@@ -410,6 +410,10 @@ func (sc *Scenario) compilePoint(opts Options, idx int) (*pointSpec, error) {
 	if w.FileBudget > 0 {
 		spec.SystemFiles, spec.FilesPerUser = config.BalanceFiles(spec.Categories, w.FileBudget, users)
 	}
+	spec.Trace.Mode = config.TraceStream
+	if sc.needsLog() {
+		spec.Trace.Mode = config.TraceLog
+	}
 
 	spec.Seed = opts.seed() + sc.Seed.offset(idx, users, value)
 	return &pointSpec{spec: spec, users: users, value: value, caseLabel: caseLabel}, nil
@@ -420,8 +424,9 @@ func (sc *Scenario) compilePoint(opts Options, idx int) (*pointSpec, error) {
 // pointRun is one executed sweep point plus its measurement context.
 type pointRun struct {
 	*pointSpec
-	res *core.Result
-	gen *core.Generator
+	res     *core.Result
+	gen     *core.Generator
+	metrics core.Metrics // the run's component counters, read once after Run
 
 	writeSplit     [2]float64 // pre/post write availability, lazily computed
 	haveWriteSplit bool
@@ -441,14 +446,13 @@ func (sc *Scenario) runPoint(opts Options, idx int) (*pointRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &pointRun{pointSpec: ps, res: res, gen: gen}, nil
+	return &pointRun{pointSpec: ps, res: res, gen: gen, metrics: gen.Metrics()}, nil
 }
 
 // writeAvailability splits write/create availability at the onset of the
 // point's first failure (the outage-shape contract: a sticky fault's
 // post-onset write availability collapses, a transient one's recovers).
-// Validate has made every point of a scenario that asks for it keep full
-// records.
+// Every point of a scenario that asks for it compiles trace mode log.
 func (p *pointRun) writeAvailability() [2]float64 {
 	if p.haveWriteSplit {
 		return p.writeSplit
@@ -488,7 +492,7 @@ func (p *pointRun) writeAvailability() [2]float64 {
 	return p.writeSplit
 }
 
-// metric extracts one scalar measurement.
+// metric extracts one scalar: a point metric, else a snapshot counter.
 func (p *pointRun) metric(name string) (float64, error) {
 	a := p.res.Analysis
 	switch name {
@@ -506,80 +510,16 @@ func (p *pointRun) metric(name string) (float64, error) {
 		return a.MeanResponsePerByte(), nil
 	case MetricAvailability:
 		return a.Availability(), nil
-	case MetricStalls:
-		srvs := p.gen.Servers()
-		if len(srvs) == 0 {
-			return 0, fmt.Errorf("%w: metric %q needs the NFS file system", ErrScenario, name)
-		}
-		var n int64
-		for _, s := range srvs {
-			n += s.Stalls()
-		}
-		return float64(n), nil
-	case MetricNFSDWait:
-		srvs := p.gen.Servers()
-		if len(srvs) == 0 {
-			return 0, fmt.Errorf("%w: metric %q needs the NFS file system", ErrScenario, name)
-		}
-		if len(srvs) == 1 {
-			return srvs[0].MeanNFSDWait(), nil
-		}
-		// Fleet: calls-weighted mean, so an idle island does not dilute the
-		// wait the workload actually experienced.
-		var wait float64
-		var calls int64
-		for _, s := range srvs {
-			wait += s.MeanNFSDWait() * float64(s.Calls())
-			calls += s.Calls()
-		}
-		if calls == 0 {
-			return 0, nil
-		}
-		return wait / float64(calls), nil
-	case MetricNFSDUtil:
-		srvs := p.gen.Servers()
-		if len(srvs) == 0 {
-			return 0, fmt.Errorf("%w: metric %q needs the NFS file system", ErrScenario, name)
-		}
-		if len(srvs) == 1 {
-			return srvs[0].NFSDUtilization(), nil
-		}
-		var util float64
-		for _, s := range srvs {
-			util += s.NFSDUtilization()
-		}
-		return util / float64(len(srvs)), nil
-	case MetricDrops:
-		links := p.gen.Links()
-		if len(links) == 0 {
-			return 0, fmt.Errorf("%w: metric %q needs the NFS file system", ErrScenario, name)
-		}
-		var n int64
-		for _, l := range links {
-			n += l.Drops()
-		}
-		return float64(n), nil
-	case MetricRetransmits:
-		links := p.gen.Links()
-		if len(links) == 0 {
-			return 0, fmt.Errorf("%w: metric %q needs the NFS file system", ErrScenario, name)
-		}
-		var n int64
-		for _, l := range links {
-			n += l.Retransmits()
-		}
-		return float64(n), nil
-	case MetricMaterialized:
-		return float64(p.gen.MaterializedUsers()), nil
-	case MetricBuildOps:
-		return float64(p.gen.BuildOps()), nil
 	case MetricWriteAvailPre:
 		return p.writeAvailability()[0], nil
 	case MetricWriteAvailPos:
 		return p.writeAvailability()[1], nil
-	default:
-		return 0, fmt.Errorf("%w: unknown metric %q", ErrScenario, name)
 	}
+	v, ok := p.metrics[name]
+	if !ok {
+		return 0, fmt.Errorf("%w: metric %q: the %s file system does not count it", ErrScenario, name, p.spec.FS.Kind)
+	}
+	return v, nil
 }
 
 // formatValue renders one scalar with a cell format.
@@ -760,9 +700,9 @@ func runCharacterization(sc *Scenario, opts Options) (Result, error) {
 	}, nil
 }
 
-// runUsage runs the workload with a full-record log (Validate requires
-// it) and reduces it to per-category usage set against the spec inputs
-// (Table 5.2).
+// runUsage runs the workload with a full-record log (its points compile
+// trace mode log) and reduces it to per-category usage set against the
+// spec inputs (Table 5.2).
 func runUsage(sc *Scenario, opts Options) (Result, Stats, error) {
 	run, err := sc.runPoint(opts, 0)
 	if err != nil {
@@ -928,8 +868,8 @@ func runTransient(sc *Scenario, opts Options) (Result, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	gen, res := run.gen, run.res
-	wins := gen.Windows().Finish()
+	res, m := run.res, run.metrics
+	wins := run.gen.Windows().Finish()
 
 	out := &TransientResult{
 		Title:   sc.Output.Title,
@@ -942,28 +882,19 @@ func runTransient(sc *Scenario, opts Options) (Result, Stats, error) {
 	a := res.Analysis
 	line("run: %d sessions, %d ops, %.2f%% available, %.0f s virtual",
 		res.Sessions, a.Ops, 100*a.Availability(), res.VirtualDuration/1e6)
-	if churn := gen.Churn(); churn.Crashes > 0 || churn.Reboots > 0 || churn.Departed > 0 {
-		line("churn: %d workstation crashes, %d cold reboots, %d truncated sessions, %d departed users",
-			churn.Crashes, churn.Reboots, churn.TruncatedSessions, churn.Departed)
+	if m["usim.crashes"] > 0 || m["usim.reboots"] > 0 || m["usim.departed"] > 0 {
+		line("churn: %.0f workstation crashes, %.0f cold reboots, %.0f truncated sessions, %.0f departed users",
+			m["usim.crashes"], m["usim.reboots"], m["usim.truncated_sessions"], m["usim.departed"])
 	}
-	if links := gen.Links(); len(links) > 0 && run.spec.Fault != nil {
-		// A fleet's wire is every island's link.
-		var drops, retransmits, giveUps int64
-		var blocked float64
-		for _, l := range links {
-			drops += l.Drops()
-			retransmits += l.Retransmits()
-			giveUps += l.GiveUps()
-			blocked += l.BlockedTime()
-		}
-		line("network: %d drops, %d retransmits, %d give-ups, %.1f s blocked in retry holds",
-			drops, retransmits, giveUps, blocked/1e6)
+	if _, nfs := m["netsim.drops"]; nfs && run.spec.Fault != nil {
+		line("network: %.0f drops, %.0f retransmits, %.0f give-ups, %.1f s blocked in retry holds",
+			m["netsim.drops"], m["netsim.retransmits"], m["netsim.give_ups"], m["netsim.blocked_us"]/1e6)
 	}
-	if fe := gen.Faults(); fe != nil && fe.OutageDrops() > 0 {
-		line("outage: %d calls swallowed by the dead server", fe.OutageDrops())
+	if n := m["fault.outage_drops"]; n > 0 {
+		line("outage: %.0f calls swallowed by the dead server", n)
 	}
-	if srv := gen.Server(); srv != nil && srv.Restarts() > 0 {
-		line("server: %d restarts (block cache dropped)", srv.Restarts())
+	if n := m["nfs.restarts"]; n > 0 {
+		line("server: %.0f restarts (block cache dropped)", n)
 	}
 
 	// Time to recover: from the moment the last server outage clears to the

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -65,6 +67,19 @@ func TestFileSystemCaseAxis(t *testing.T) {
 	t.Run("scenario untouched", func(t *testing.T) {
 		if after, err := sc.JSON(); err != nil || !bytes.Equal(before, after) {
 			t.Errorf("Run changed the scenario (err %v)", err)
+		}
+	})
+	// A counter the local candidate's file system does not build fails its
+	// point, naming the metric and the kind.
+	t.Run("metric the kind lacks", func(t *testing.T) {
+		sc, err := Load("../../examples/compare-filesystems/filesystems.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Output.Columns = append(sc.Output.Columns, Column{Header: "RPCs", Metric: "nfs.server_calls", Format: FormatInt})
+		_, err = Run(context.Background(), sc, Options{Scale: 0.05, Parallelism: 1})
+		if !errors.Is(err, ErrScenario) || !strings.Contains(err.Error(), `"nfs.server_calls"`) || !strings.Contains(err.Error(), "local") {
+			t.Errorf("err = %v, want ErrScenario naming the metric and the local kind", err)
 		}
 	})
 	// A candidate the spec cannot run fails at decode, not after the

@@ -37,7 +37,6 @@ func lazyDetScenario(name string, lazy bool) *Scenario {
 					"client": {"CacheBlocks": 1048576},
 					"topology": {"servers": 2, "client_pool": 4}
 				},
-				"trace": {"mode": "stream"},
 				"lazy_users": %t}`, extremelyHeavy, lazy)),
 		},
 		Sweep: []Axis{{Name: "users", Values: []float64{32, 64, 128}, Bind: BindUsers}},
@@ -93,13 +92,12 @@ func TestLazyScenarioMaterializesSubset(t *testing.T) {
 					"lifecycle": {"arrive": {"kind": "uniform", "hi": 30e6}}}],
 				"system_files": 30, "files_per_user": 4,
 				"fs": {"topology": {"servers": 2, "client_pool": 4}},
-				"trace": {"mode": "stream"},
 				"lazy_users": true}`),
 		},
 		Seed: Salt{From: SaltIndex, Mul: 29, Add: 11},
 		Output: Output{Kind: KindTable, Title: "lazy subset", Columns: []Column{
 			{Header: "users", Metric: MetricUsers, Format: FormatInt},
-			{Header: "materialized", Metric: MetricMaterialized, Format: FormatInt},
+			{Header: "materialized", Metric: "fsc.users_built", Format: FormatInt},
 		}},
 	}
 	res, err := Run(context.Background(), sc, Options{Parallelism: 1})

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -15,9 +16,9 @@ import (
 // applyPatch merges a JSON merge patch (RFC 7396) into spec: objects merge
 // key by key, arrays and scalars replace, and null clears a pointer or an
 // array. Keys match as config.Decode matches them, and an unknown key
-// fails. The patch may not set seed or sessions, which every point derives.
+// fails. The patch may not set a derived key.
 func applyPatch(spec *config.Spec, patch []byte) error {
-	nulls, err := arrayNulls(patch, true)
+	nulls, err := arrayNulls(patch, nil)
 	if err != nil {
 		return err
 	}
@@ -36,10 +37,22 @@ func applyPatch(spec *config.Spec, patch []byte) error {
 	return decodeStrict(patch, spec)
 }
 
-// arrayNulls walks an object patch and returns the patch that sets to null
-// every array it sets, or nil when it sets none. At the top level it also
-// rejects the keys a scenario derives per point.
-func arrayNulls(patch []byte, top bool) (map[string]any, error) {
+// checkDerived fails when a key path, matched as config.Decode matches
+// keys, names a key the scenario derives: the seed salt and the sessions
+// formula derive seed and sessions per point, and the output the trace mode.
+func checkDerived(path []string) error {
+	for _, d := range [][]string{{"seed"}, {"sessions"}, {"trace", "mode"}} {
+		if slices.EqualFunc(d, path, strings.EqualFold) {
+			return fmt.Errorf("cannot set %q: the scenario derives it", strings.Join(path, "."))
+		}
+	}
+	return nil
+}
+
+// arrayNulls walks the object patch at key path path under the spec (nil
+// at the top) and returns the patch that sets to null every array it sets,
+// or nil when it sets none. It rejects the derived keys.
+func arrayNulls(patch []byte, path []string) (map[string]any, error) {
 	dec := json.NewDecoder(bytes.NewReader(patch))
 	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
 		return nil, errors.New("a spec patch must be a JSON object")
@@ -51,8 +64,9 @@ func arrayNulls(patch []byte, top bool) (map[string]any, error) {
 			return nil, err
 		}
 		key := tok.(string)
-		if top && (strings.EqualFold(key, "seed") || strings.EqualFold(key, "sessions")) {
-			return nil, fmt.Errorf("a spec patch cannot set %q: the seed salt and the sessions formula derive it per point", key)
+		keyPath := append(path[:len(path):len(path)], key)
+		if err := checkDerived(keyPath); err != nil {
+			return nil, fmt.Errorf("a spec patch %w", err)
 		}
 		var v json.RawMessage
 		if err := dec.Decode(&v); err != nil {
@@ -62,7 +76,7 @@ func arrayNulls(patch []byte, top bool) (map[string]any, error) {
 		switch v[0] {
 		case '[':
 		case '{':
-			sub, err := arrayNulls(v, false)
+			sub, err := arrayNulls(v, keyPath)
 			if err != nil {
 				return nil, err
 			}
@@ -97,19 +111,20 @@ var pointerUnescape = strings.NewReplacer("~1", "/", "~0", "~")
 // canonical decimal index, and a nil pointer on the way is allocated. The
 // leaf takes v as encoding/json decodes a number: it must be a number
 // field, and an integer field takes only an integral v that fits it. The
-// pointer may not set seed or sessions, which every point derives.
+// pointer may not set a derived key, which no escape can spell.
 func setPointer(spec *config.Spec, pointer string, v float64) error {
 	rest, ok := strings.CutPrefix(pointer, "/")
 	if !ok {
 		return fmt.Errorf("bind %q is not a JSON pointer", pointer)
 	}
+	toks := strings.Split(rest, "/")
+	if err := checkDerived(toks); err != nil {
+		return fmt.Errorf("pointer %q %w", pointer, err)
+	}
 	f := reflect.ValueOf(spec).Elem()
 	var tok string
-	for i, raw := range strings.Split(rest, "/") {
+	for _, raw := range toks {
 		tok = pointerUnescape.Replace(raw)
-		if i == 0 && (strings.EqualFold(tok, "seed") || strings.EqualFold(tok, "sessions")) {
-			return fmt.Errorf("pointer %q cannot set %q: the seed salt and the sessions formula derive it per point", pointer, tok)
-		}
 		for f.Kind() == reflect.Pointer {
 			if f.IsNil() {
 				f.Set(reflect.New(f.Type().Elem()))

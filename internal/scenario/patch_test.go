@@ -151,7 +151,7 @@ func TestSpecPatchSemantics(t *testing.T) {
 // run, not only the compiled spec. Both points of a think-time sweep share
 // one seed, so only the bound mean tells them apart.
 func TestArrayPointerSweepRuns(t *testing.T) {
-	sc := patchScenario(`{"users": 4, "system_files": 60, "files_per_user": 12, "trace": {"mode": "stream"}}`, "", "", 0)
+	sc := patchScenario(`{"users": 4, "system_files": 60, "files_per_user": 12}`, "", "", 0)
 	sc.Base.Sessions = 8
 	sc.Sweep = []Axis{{Name: "think", Values: []float64{100, 100_000}, Bind: "/user_types/0/think_time/mean"}}
 	sc.Output.Columns = []Column{

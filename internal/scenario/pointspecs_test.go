@@ -20,12 +20,12 @@ import (
 // even where no scale-0.2 number moves.
 func TestBuiltinPointSpecs(t *testing.T) {
 	want := map[string]string{
-		"table5.1":      "d14d3171424bcff607a254a742081d1c546d749ace231d4b2c1b3df03117f35c",
-		"table5.2":      "1ca14c4eadc3a9add3027c69c6eba581072f840df8391c011a2089e5f810b23f",
+		"table5.1":      "7cb85c2e93241242450ea535caadcc8f96d839e59738d732381b2f491fdb519b",
+		"table5.2":      "5f2a0088fd9d85519a3c0a4c2578618b8ebda923de49a5701188b2bc2569edcb",
 		"table5.3":      "7f1942dcf529f67ed6ba0a3951415489bdd0b8094f7a1171618775c63d815b25",
-		"table5.4":      "c39cd534c7040f2f233573b78a61351c63da17fff53b9f4c83bf06e8a7196e70",
-		"fig5.1":        "e241e89843b24cbb179958b74ed3e2d8bfdaf07e2d7f620e382e18828fe25ffc",
-		"fig5.2":        "e241e89843b24cbb179958b74ed3e2d8bfdaf07e2d7f620e382e18828fe25ffc",
+		"table5.4":      "6ae4e814a971daac8cf212f0b71703e14fecc95272de2cac63a09c3d054d9fa8",
+		"fig5.1":        "e97660e459078cb37514479949ae04773754be3b8e6115183d244b91626c4b99",
+		"fig5.2":        "e97660e459078cb37514479949ae04773754be3b8e6115183d244b91626c4b99",
 		"fig5.3":        "08945d4f3fa7706b9fb98c5dbc607b99661956545b21f901dac96a927092d99b",
 		"fig5.6":        "af7cdac014c0efea8ae847365b0d347637e47220e4b707e2222ae3c2df9d533c",
 		"fig5.7":        "0b6238c106df52b51cf8dbdfbffc592745b3b5e6f8cf60f8340695f32bf9a88e",
@@ -82,7 +82,8 @@ func TestBuiltinPointSpecs(t *testing.T) {
 // and runs exactly as it would with no plan at all. That is why a zero
 // point needs no special case. Each zero point of fault5.1, fault5.2 and
 // fault5.3 at Scale 0.2 runs twice, with its compiled plan and with none;
-// the Results and every metric the scenario renders must match.
+// the Results, every counter of the snapshots and every metric the scenario
+// renders must match.
 func TestZeroFaultPointsRunAsHealthy(t *testing.T) {
 	opts := Options{Scale: 0.2}
 	points := 0
@@ -113,9 +114,12 @@ func TestZeroFaultPointsRunAsHealthy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			healthy := &pointRun{pointSpec: ps, res: res, gen: gen}
+			healthy := &pointRun{pointSpec: ps, res: res, gen: gen, metrics: gen.Metrics()}
 			if !reflect.DeepEqual(withPlan.res, healthy.res) {
 				t.Errorf("%s point %d: the zero-valued plan changes the run's Result", name, i)
+			}
+			if !reflect.DeepEqual(withPlan.metrics, healthy.metrics) {
+				t.Errorf("%s point %d: the zero-valued plan changes the run's counters:\n%v\n%v", name, i, withPlan.metrics, healthy.metrics)
 			}
 			for _, c := range slices.Concat(sc.Output.Columns, sc.Output.Cells) {
 				a, errA := withPlan.metric(c.Metric)

@@ -12,7 +12,10 @@
 // Scenario literal. The workload is a JSON merge patch over
 // config.Default(), a fault plan included, and a numeric axis binds by
 // JSON pointer into each point's spec, through objects and array elements
-// alike (/users, /fault/rules/0/prob, /categories/2/access_per_byte/mean):
+// alike (/users, /fault/rules/0/prob, /categories/2/access_per_byte/mean).
+// A column names a point metric or a total of the point's core.Metrics
+// snapshot (nfs.nfsd_util, netsim.drops). The output sets each point's
+// trace mode: full records only where it reads them.
 //
 //	sc := &scenario.Scenario{
 //		Name: "my-sweep",
@@ -20,7 +23,7 @@
 //			Sessions: 50, SessionsPerUser: true,
 //			Spec: json.RawMessage(`{
 //				"user_types": [{"name": "extremely-heavy", "think_time": {"kind": "constant"}, "fraction": 1}],
-//				"system_files": 120, "files_per_user": 60, "trace": {"mode": "stream"}}`),
+//				"system_files": 120, "files_per_user": 60}`),
 //		},
 //		Sweep: []scenario.Axis{{Name: "users", Values: []float64{1, 2, 4, 8}, Bind: scenario.BindUsers}},
 //		Seed:  scenario.Salt{From: scenario.SaltUsers, Mul: 17},
@@ -62,6 +65,7 @@ import (
 	"strings"
 
 	"uswg/internal/config"
+	"uswg/internal/core"
 	"uswg/internal/dist"
 	"uswg/internal/gds"
 )
@@ -117,27 +121,21 @@ const (
 	SaltValue = "value"
 )
 
-// Point metrics extractable into columns and curves.
+// Point metrics extractable into columns and curves; any other names a
+// core.Metrics total.
 const (
-	MetricUsers         = "users"              // the point's user count
-	MetricValue         = "value"              // the point's primary axis value
-	MetricCase          = "case"               // the point's case label
-	MetricSessions      = "sessions"           // login sessions executed
-	MetricOps           = "ops"                // operations executed
-	MetricErrors        = "errors"             // failed operations
-	MetricRPB           = "response-per-byte"  // byte-weighted µs per byte
-	MetricAvailability  = "availability"       // fraction of ops without error
-	MetricAccess        = "access-size"        // access size mean(std), B
-	MetricResponse      = "response-time"      // response time mean(std), µs
-	MetricStalls        = "server-stalls"      // injected nfsd stalls
-	MetricNFSDWait      = "nfsd-wait"          // mean µs an RPC queued for a daemon
-	MetricNFSDUtil      = "nfsd-utilization"   // time-averaged daemon utilization
-	MetricDrops         = "drops"              // messages lost on the wire
-	MetricRetransmits   = "retransmits"        // retransmissions performed
-	MetricWriteAvailPre = "write-avail-pre"    // write availability before first failure
-	MetricWriteAvailPos = "write-avail-post"   // and at/after it (needs trace "log")
-	MetricMaterialized  = "materialized-users" // user slots actually built
-	MetricBuildOps      = "build-ops"          // file-system setup operations
+	MetricUsers         = "users"             // the point's user count
+	MetricValue         = "value"             // the point's primary axis value
+	MetricCase          = "case"              // the point's case label
+	MetricSessions      = "sessions"          // login sessions executed
+	MetricOps           = "ops"               // operations executed
+	MetricErrors        = "errors"            // failed operations
+	MetricRPB           = "response-per-byte" // byte-weighted µs per byte
+	MetricAvailability  = "availability"      // fraction of ops without error
+	MetricAccess        = "access-size"       // access size mean(std), B
+	MetricResponse      = "response-time"     // response time mean(std), µs
+	MetricWriteAvailPre = "write-avail-pre"   // write availability before first failure
+	MetricWriteAvailPos = "write-avail-post"  // and at/after it
 )
 
 // Cell formats.
@@ -176,8 +174,8 @@ type Workload struct {
 	// Spec is a JSON merge patch (RFC 7396) over config.Default(): objects
 	// merge key by key, arrays and scalars replace, null clears a pointer
 	// or an array, and keys match as config.Decode matches them. A fault
-	// plan is its "fault" key. It may not set seed or sessions, which the
-	// seed salt and the formulas above derive per point.
+	// plan is its "fault" key. It may not set seed, sessions or trace.mode,
+	// which the seed salt, the formulas above and the output derive.
 	Spec json.RawMessage `json:"spec,omitempty"`
 }
 
@@ -319,15 +317,17 @@ type Scenario struct {
 	Output Output `json:"output"`
 }
 
-var validMetrics = map[string]bool{
+var pointMetrics = map[string]bool{
 	MetricUsers: true, MetricValue: true, MetricCase: true,
 	MetricSessions: true, MetricOps: true, MetricErrors: true,
 	MetricRPB: true, MetricAvailability: true,
 	MetricAccess: true, MetricResponse: true,
-	MetricStalls: true, MetricNFSDWait: true, MetricNFSDUtil: true,
-	MetricDrops: true, MetricRetransmits: true,
 	MetricWriteAvailPre: true, MetricWriteAvailPos: true,
-	MetricMaterialized: true, MetricBuildOps: true,
+}
+
+// validMetric reports whether name is a point metric or a snapshot total.
+func validMetric(name string) bool {
+	return pointMetrics[name] || slices.Contains(core.MetricNames(), name)
 }
 
 var validFormats = map[string]bool{
@@ -344,7 +344,7 @@ func validateColumns(cols []Column, what string) error {
 		return fmt.Errorf("%w: %s need at least one column", ErrScenario, what)
 	}
 	for _, c := range cols {
-		if !validMetrics[c.Metric] {
+		if !validMetric(c.Metric) {
 			return fmt.Errorf("%w: %s: unknown metric %q", ErrScenario, what, c.Metric)
 		}
 		if !validFormats[c.Format] {
@@ -456,7 +456,6 @@ func (sc *Scenario) Validate() error {
 
 	out := &sc.Output
 	renderOnly := out.Kind == KindUserTypes || out.Kind == KindDensities
-	needsLog := sc.needsLog()
 	var first *config.Spec
 	for _, idx := range sc.checkedPoints() {
 		ps, err := sc.compilePoint(Options{}, idx)
@@ -478,9 +477,6 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("%w: seed salt %q needs non-negative integer axis values; %v is not one (salt from %q or %q instead)",
 				ErrScenario, SaltValue, v, SaltIndex, SaltUsers)
 		}
-		if needsLog && ps.spec.Trace.Streaming() {
-			return fmt.Errorf("%w: output %q needs trace mode %q (full records), but %s streams", ErrScenario, out.Kind, config.TraceLog, sc.pointName(idx))
-		}
 		if first == nil {
 			first = ps.spec
 		}
@@ -493,7 +489,7 @@ func (sc *Scenario) Validate() error {
 		if out.X != MetricUsers && out.X != MetricValue {
 			return fmt.Errorf("%w: curve x must be %q or %q, got %q", ErrScenario, MetricUsers, MetricValue, out.X)
 		}
-		if !validMetrics[out.Y] || out.Y == MetricCase {
+		if !validMetric(out.Y) || out.Y == MetricCase {
 			return fmt.Errorf("%w: curve y: bad metric %q", ErrScenario, out.Y)
 		}
 		if len(sc.Sweep) == 0 {

@@ -106,7 +106,6 @@ const customJSON = `{
       "user_types": ` + extremelyHeavy + `,
       "system_files": 60,
       "files_per_user": 12,
-      "trace": {"mode": "stream"},
       "fault": {
         "name": "bursty-wire",
         "rules": [{"name": "burst", "ops": ["net"], "drop": true,
@@ -125,7 +124,7 @@ const customJSON = `{
     "xlabel": "users", "ylabel": "µs/byte",
     "columns": [
       {"header": "users", "metric": "users", "format": "int"},
-      {"header": "drops", "metric": "drops", "format": "int"},
+      {"header": "drops", "metric": "netsim.drops", "format": "int"},
       {"header": "µs/byte", "metric": "response-per-byte", "format": "f"}
     ]
   }
@@ -227,7 +226,7 @@ func TestValidationErrors(t *testing.T) {
 	// axis binding the given values at /fault/rules/0/<field>.
 	withFaultAxis := func(field string, values ...float64) func(*Scenario) {
 		return func(sc *Scenario) {
-			sc.Base.Spec = json.RawMessage(`{"system_files": 60, "files_per_user": 12, "trace": {"mode": "stream"},
+			sc.Base.Spec = json.RawMessage(`{"system_files": 60, "files_per_user": 12,
 				"fault": {"name": "p", "rules": [{"name": "eio", "ops": ["read", "write"], "prob": 0, "err": "eio"}]}}`)
 			sc.Sweep = append(sc.Sweep, Axis{Name: "knob", Values: values, Bind: "/fault/rules/0/" + field})
 		}
@@ -252,7 +251,7 @@ func TestValidationErrors(t *testing.T) {
 			sc.Output.X = MetricValue
 		}},
 		{"negative value salt", negativeMinAxis(SaltValue)},
-		{"bad trace mode", func(sc *Scenario) { sc.Base.Spec = json.RawMessage(`{"trace": {"mode": "ring-buffer"}}`) }},
+		{"patched trace mode", func(sc *Scenario) { sc.Base.Spec = json.RawMessage(`{"trace": {"mode": "log"}}`) }},
 		{"negative trace window", func(sc *Scenario) { sc.Base.Spec = json.RawMessage(`{"trace": {"window_us": -1}}`) }},
 		{"curve without axis", func(sc *Scenario) { sc.Sweep = nil }},
 		{"curve with bad x", func(sc *Scenario) { sc.Output.X = "ops" }},
@@ -264,7 +263,7 @@ func TestValidationErrors(t *testing.T) {
 			Name: "valid",
 			Base: Workload{
 				Sessions: 10, SessionsPerUser: true,
-				Spec: json.RawMessage(`{"system_files": 60, "files_per_user": 12, "trace": {"mode": "stream"}}`),
+				Spec: json.RawMessage(`{"system_files": 60, "files_per_user": 12}`),
 			},
 			Sweep: []Axis{{Name: "users", Values: []float64{1, 2}, Bind: BindUsers}},
 			Seed:  Salt{From: SaltUsers, Mul: 1},
@@ -462,46 +461,66 @@ func builtinCopy(t *testing.T, name string) *Scenario {
 }
 
 // TestFullRecordOutputsRejectStreaming: an output that reads full records
-// fails at decode, not after its run, when a checked point streams —
-// whether the need comes from the output kind, a column, a curve axis or a
-// grid cell. The same scenario with the full-record log validates.
+// compiles every checked point to trace mode log, whether the need comes
+// from the output kind, a column, a curve axis or a grid cell, and an
+// output that does not (fig5.6) compiles to stream. No patch can make a
+// point stream instead: a workload or case patch that sets the mode fails
+// Decode, naming the workload or the case.
 func TestFullRecordOutputsRejectStreaming(t *testing.T) {
 	shapes := []struct {
-		label, name string
-		mut         func(*Scenario)
+		label, name, mode string
+		mut               func(*Scenario)
 	}{
-		{"usage output", "table5.2", nil},
-		{"write-avail column", "fault5.4", nil},
-		{"write-avail curve", "fault5.4", func(sc *Scenario) {
+		{"usage output", "table5.2", config.TraceLog, nil},
+		{"write-avail column", "fault5.4", config.TraceLog, nil},
+		{"write-avail curve", "fault5.4", config.TraceLog, func(sc *Scenario) {
 			sc.Output = Output{Kind: KindCurve, Title: "t", X: MetricUsers, Y: MetricWriteAvailPos,
 				Columns: []Column{{Header: "ops", Metric: MetricOps, Format: FormatInt}}}
 		}},
-		{"write-avail grid cell", "fault5.1", func(sc *Scenario) {
+		{"write-avail grid cell", "fault5.1", config.TraceLog, func(sc *Scenario) {
 			sc.Output.Cells = append(sc.Output.Cells, Column{Header: "write avail @%s", Metric: MetricWriteAvailPre, Format: FormatPct})
 		}},
+		{"no full records", "fig5.6", config.TraceStream, nil},
 	}
 	for _, tc := range shapes {
-		for _, mode := range []string{config.TraceLog, config.TraceStream} {
-			sc := builtinCopy(t, tc.name)
-			if tc.mut != nil {
-				tc.mut(sc)
+		sc := builtinCopy(t, tc.name)
+		if tc.mut != nil {
+			tc.mut(sc)
+		}
+		if err := sc.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		for _, idx := range sc.checkedPoints() {
+			ps, err := sc.compilePoint(Options{}, idx)
+			if err != nil {
+				t.Fatal(err)
 			}
-			sc.Base.Spec = withTraceMode(t, sc.Base.Spec, mode)
-			err := sc.Validate()
-			if mode == config.TraceLog && err != nil {
-				t.Errorf("%s under trace %q: %v", tc.label, mode, err)
-			}
-			if mode == config.TraceStream && !errors.Is(err, ErrScenario) {
-				t.Errorf("%s under trace %q: err = %v, want ErrScenario", tc.label, mode, err)
+			if ps.spec.Trace.Mode != tc.mode {
+				t.Errorf("%s: %s compiles trace mode %q, want %q", tc.label, sc.pointName(idx), ps.spec.Trace.Mode, tc.mode)
 			}
 		}
 	}
-	// One case that streams is enough.
-	sc := builtinCopy(t, "fault5.4")
-	sticky := &sc.Sweep[0].Cases[2]
-	sticky.Spec = withTraceMode(t, sticky.Spec, config.TraceStream)
-	if err := sc.Validate(); !errors.Is(err, ErrScenario) || !strings.Contains(err.Error(), `case "disk fills (sticky)"`) {
-		t.Errorf("a streaming case: err = %v, want ErrScenario naming the case", err)
+
+	decode := func(sc *Scenario) error {
+		js, err := sc.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Decode(bytes.NewReader(js))
+		return err
+	}
+	for _, mode := range []string{config.TraceLog, config.TraceStream} {
+		sc := builtinCopy(t, "fault5.4")
+		sc.Base.Spec = withTraceMode(t, sc.Base.Spec, mode)
+		if err := decode(sc); !errors.Is(err, ErrScenario) || !strings.Contains(err.Error(), "workload spec") {
+			t.Errorf("a workload patching trace mode %q: err = %v, want ErrScenario naming the workload", mode, err)
+		}
+		sc = builtinCopy(t, "fault5.4")
+		sticky := &sc.Sweep[0].Cases[2]
+		sticky.Spec = withTraceMode(t, sticky.Spec, mode)
+		if err := decode(sc); !errors.Is(err, ErrScenario) || !strings.Contains(err.Error(), `case "disk fills (sticky)"`) {
+			t.Errorf("a case patching trace mode %q: err = %v, want ErrScenario naming the case", mode, err)
+		}
 	}
 }
 

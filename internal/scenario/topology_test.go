@@ -21,8 +21,7 @@ func TestFleetScenarioDeterministicAcrossParallelism(t *testing.T) {
 			Spec: json.RawMessage(`{
 				"user_types": ` + extremelyHeavy + `,
 				"system_files": 30, "files_per_user": 6,
-				"fs": {"topology": {"servers": 4, "client_pool": 4}},
-				"trace": {"mode": "stream"}}`),
+				"fs": {"topology": {"servers": 4, "client_pool": 4}}}`),
 		},
 		Sweep: []Axis{{Name: "users", Values: []float64{8, 16, 32}, Bind: BindUsers}},
 		Seed:  Salt{From: SaltUsers, Mul: 31, Add: 2},
@@ -32,7 +31,7 @@ func TestFleetScenarioDeterministicAcrossParallelism(t *testing.T) {
 			Columns: []Column{
 				{Header: "users", Metric: MetricUsers, Format: FormatInt},
 				{Header: "µs/byte", Metric: MetricRPB, Format: FormatF},
-				{Header: "nfsd util", Metric: MetricNFSDUtil, Format: FormatPct1},
+				{Header: "nfsd util", Metric: "nfs.nfsd_util", Format: FormatPct1},
 			},
 		},
 	}
@@ -65,8 +64,7 @@ func TestSweepServersBind(t *testing.T) {
 				"users": 8,
 				"user_types": ` + extremelyHeavy + `,
 				"system_files": 30, "files_per_user": 6,
-				"fs": {"topology": {"client_pool": 4}},
-				"trace": {"mode": "stream"}}`),
+				"fs": {"topology": {"client_pool": 4}}}`),
 		},
 		Sweep: []Axis{{Name: "servers", Values: []float64{1, 2, 4}, Bind: "/fs/topology/servers"}},
 		Seed:  Salt{From: SaltValue, Mul: 3, Add: 1},
@@ -158,7 +156,7 @@ func TestTransientFleetSumsLinks(t *testing.T) {
 				"user_types": ` + extremelyHeavy + `,
 				"system_files": 30, "files_per_user": 6,
 				"fs": {"topology": {"servers": 2, "client_pool": 2}},
-				"trace": {"mode": "stream", "window_us": 5e6},
+				"trace": {"window_us": 5e6},
 				"fault": {"name": "lossy-fleet", "rules": [{"name": "drop", "ops": ["net"], "prob": 0.01, "drop": true}],
 				          "net_timeout_us": 100000}}`),
 		},
