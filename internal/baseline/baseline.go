@@ -258,14 +258,20 @@ func (s *scriptRun) make(root string) error {
 // nil).
 //
 // The records must be sorted by Start time; Replay processes them in order.
-// Like Script, Replay drives the file system synchronously and requires a
+// A descriptor belongs to the session that opened it, so sessions that
+// interleave on one file each replay through their own. Like Script,
+// Replay drives the file system synchronously and requires a
 // non-suspending Ctx.
 func Replay(ctx vfs.Ctx, fsys vfs.FileSystem, records []trace.Record, out *trace.Log) (replayed int, err error) {
 	fs := vfs.Sync{FS: fsys}
 	if out == nil {
 		out = &trace.Log{}
 	}
-	fds := make(map[string]vfs.FD)
+	type fdKey struct {
+		session int
+		path    string
+	}
+	fds := make(map[fdKey]vfs.FD)
 	sizes := make(map[string]int64)
 	var prevStart float64
 	first := true
@@ -280,6 +286,7 @@ func Replay(ctx vfs.Ctx, fsys vfs.FileSystem, records []trace.Record, out *trace
 		first = false
 
 		start := ctx.Now()
+		key := fdKey{r.Session, r.Path}
 		var opErr error
 		var bytes int64
 		switch r.Op {
@@ -292,7 +299,7 @@ func Replay(ctx vfs.Ctx, fsys vfs.FileSystem, records []trace.Record, out *trace
 			var fd vfs.FD
 			fd, opErr = fs.Create(ctx, r.Path)
 			if opErr == nil {
-				fds[r.Path] = fd
+				fds[key] = fd
 				sizes[r.Path] = 0
 			}
 		case trace.OpOpen:
@@ -301,16 +308,16 @@ func Replay(ctx vfs.Ctx, fsys vfs.FileSystem, records []trace.Record, out *trace
 			var fd vfs.FD
 			fd, opErr = fs.Open(ctx, r.Path, vfs.ReadWrite)
 			if opErr == nil {
-				fds[r.Path] = fd
+				fds[key] = fd
 			}
 		case trace.OpRead:
-			fd, ok := fds[r.Path]
+			fd, ok := fds[key]
 			if !ok {
 				continue
 			}
 			bytes, opErr = fs.Read(ctx, fd, r.Bytes)
 		case trace.OpWrite:
-			fd, ok := fds[r.Path]
+			fd, ok := fds[key]
 			if !ok {
 				continue
 			}
@@ -319,18 +326,18 @@ func Replay(ctx vfs.Ctx, fsys vfs.FileSystem, records []trace.Record, out *trace
 				sizes[r.Path] += bytes
 			}
 		case trace.OpSeek:
-			fd, ok := fds[r.Path]
+			fd, ok := fds[key]
 			if !ok {
 				continue
 			}
 			_, opErr = fs.Seek(ctx, fd, 0, vfs.SeekStart)
 		case trace.OpClose:
-			fd, ok := fds[r.Path]
+			fd, ok := fds[key]
 			if !ok {
 				continue
 			}
 			opErr = fs.Close(ctx, fd)
-			delete(fds, r.Path)
+			delete(fds, key)
 		case trace.OpUnlink:
 			opErr = fs.Unlink(ctx, r.Path)
 		case trace.OpStat:

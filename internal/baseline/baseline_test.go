@@ -190,3 +190,52 @@ func TestReplayClosesLeakedFDs(t *testing.T) {
 		t.Errorf("replay leaked %d descriptors", fs.OpenFDs())
 	}
 }
+
+// TestReplayInterleavedSessions replays two sessions that open one file
+// and read it in interleaved order: each read goes through its own
+// session's descriptor, both closes replay, and no descriptor stays open.
+func TestReplayInterleavedSessions(t *testing.T) {
+	fs := vfs.NewMemFS()
+	ctx := &vfs.ManualClock{}
+	sfs := vfs.Sync{FS: fs}
+	if err := sfs.Mkdir(ctx, "/sys"); err != nil {
+		t.Fatal(err)
+	}
+	fd, err := sfs.Create(ctx, "/sys/f")
+	if err == nil {
+		_, err = sfs.Write(ctx, fd, 100)
+	}
+	if err == nil {
+		err = sfs.Close(ctx, fd)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := []trace.Record{
+		{Session: 1, Op: trace.OpOpen, Path: "/sys/f", Start: 0},
+		{Session: 2, Op: trace.OpOpen, Path: "/sys/f", Start: 1},
+		{Session: 1, Op: trace.OpRead, Path: "/sys/f", Bytes: 60, Start: 2},
+		{Session: 2, Op: trace.OpRead, Path: "/sys/f", Bytes: 60, Start: 3},
+		{Session: 1, Op: trace.OpClose, Path: "/sys/f", Start: 4},
+		{Session: 2, Op: trace.OpClose, Path: "/sys/f", Start: 5},
+	}
+	var out trace.Log
+	n, err := Replay(ctx, fs, records, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(records) {
+		t.Errorf("replayed %d of %d records", n, len(records))
+	}
+	for _, r := range out.Records() {
+		if r.Err != "" {
+			t.Errorf("session %d %s failed: %s", r.Session, r.Op, r.Err)
+		}
+		if r.Op == trace.OpRead && r.Bytes != 60 {
+			t.Errorf("session %d read %d bytes, want 60", r.Session, r.Bytes)
+		}
+	}
+	if fs.OpenFDs() != 0 {
+		t.Errorf("replay left %d descriptors open", fs.OpenFDs())
+	}
+}

@@ -30,16 +30,26 @@ type slot struct {
 // for concurrent use; in the DES only one process runs at a time, which is
 // the synchronization the simulated server relies on.
 //
-// Blocks are indexed per file: files maps a file to the head of its chain,
-// and a lookup walks that chain. A file holds a handful of blocks, so the
-// walk is short, and dropping a whole file (InvalidateFile, on every
-// truncate and unlink) costs its own blocks rather than a scan of the cache.
+// Blocks are indexed per file: the file index maps a file to the head of
+// its chain, and a lookup walks that chain. A file holds a handful of
+// blocks, so the walk is short, and dropping a whole file (InvalidateFile,
+// on every truncate and unlink) costs its own blocks rather than a scan of
+// the cache.
+//
+// The file index is an open-addressing table of chain heads, sized by the
+// capacity rather than by the file-identity space: a power of two at least
+// twice the capacity, so it is never more than half full (each cached file
+// holds at least one block). A file's home bucket is its Fibonacci hash,
+// collisions probe linearly, and a bucket's key is read from its head
+// slot's id, so the table holds only slot indexes. A deletion shifts the
+// later entries of its probe run back, leaving no tombstones.
 type LRU struct {
 	capacity   int
 	slots      []slot
 	free       []int32
 	head, tail int32
-	files      map[uint64]int32
+	index      []int32 // chain head per bucket, nilIdx when empty
+	shift      uint    // 64 - log2(len(index)): a hash's top bits pick the bucket
 
 	hits   int64
 	misses int64
@@ -48,16 +58,54 @@ type LRU struct {
 // NewLRU returns a cache holding up to capacity blocks. A capacity of zero
 // or less disables caching (every access misses).
 func NewLRU(capacity int) *LRU {
-	return &LRU{
-		capacity: capacity,
-		head:     nilIdx,
-		tail:     nilIdx,
-		files:    make(map[uint64]int32),
+	c := &LRU{capacity: capacity, head: nilIdx, tail: nilIdx, shift: 64}
+	n := 1
+	for n < 2*capacity {
+		n *= 2
+		c.shift--
+	}
+	c.index = make([]int32, n)
+	c.clearIndex()
+	return c
+}
+
+func (c *LRU) clearIndex() {
+	for b := range c.index {
+		c.index[b] = nilIdx
 	}
 }
 
-// Capacity returns the configured capacity in blocks.
-func (c *LRU) Capacity() int { return c.capacity }
+// home returns the bucket a file's probe run starts at (Knuth's
+// multiplicative hash by 2^64/φ).
+func (c *LRU) home(file uint64) int {
+	return int((file * 0x9e3779b97f4a7c15) >> c.shift)
+}
+
+// bucket returns the bucket holding file's chain head and that head, or the
+// empty bucket where its probe run ends and nilIdx.
+func (c *LRU) bucket(file uint64) (int, int32) {
+	mask := len(c.index) - 1
+	for b := c.home(file); ; b = (b + 1) & mask {
+		if h := c.index[b]; h == nilIdx || c.slots[h].id.File == file {
+			return b, h
+		}
+	}
+}
+
+// deleteBucket empties bucket b, moving each later entry of its probe run
+// back into the hole when the hole lies between the entry's home and its
+// bucket (cyclically), so every entry stays reachable from its home.
+func (c *LRU) deleteBucket(b int) {
+	mask := len(c.index) - 1
+	for j := (b + 1) & mask; c.index[j] != nilIdx; j = (j + 1) & mask {
+		h := c.index[j]
+		if (j-c.home(c.slots[h].id.File))&mask >= (j-b)&mask {
+			c.index[b] = h
+			b = j
+		}
+	}
+	c.index[b] = nilIdx
+}
 
 // Len returns the number of blocks currently cached: every slot not on the
 // free list holds one.
@@ -95,23 +143,20 @@ func (c *LRU) Invalidate(id BlockID) {
 
 // InvalidateFile removes every cached block of the given file.
 func (c *LRU) InvalidateFile(file uint64) {
-	h, ok := c.files[file]
-	if !ok {
+	b, h := c.bucket(file)
+	if h == nilIdx {
 		return
 	}
 	for i := h; i != nilIdx; i = c.slots[i].fnext {
 		c.unlink(i)
 		c.free = append(c.free, i)
 	}
-	delete(c.files, file)
+	c.deleteBucket(b)
 }
 
 // find returns the slot caching id, or nilIdx.
 func (c *LRU) find(id BlockID) int32 {
-	i, ok := c.files[id.File]
-	if !ok {
-		return nilIdx
-	}
+	_, i := c.bucket(id.File)
 	for ; i != nilIdx; i = c.slots[i].fnext {
 		if c.slots[i].id.Block == id.Block {
 			return i
@@ -126,10 +171,15 @@ func (c *LRU) remove(i int32) {
 	s := &c.slots[i]
 	if s.fprev != nilIdx {
 		c.slots[s.fprev].fnext = s.fnext
-	} else if s.fnext != nilIdx {
-		c.files[s.id.File] = s.fnext
 	} else {
-		delete(c.files, s.id.File)
+		// i heads its file's chain: the next block takes its bucket, or
+		// the file leaves the index.
+		b, _ := c.bucket(s.id.File)
+		if s.fnext != nilIdx {
+			c.index[b] = s.fnext
+		} else {
+			c.deleteBucket(b)
+		}
 	}
 	if s.fnext != nilIdx {
 		c.slots[s.fnext].fprev = s.fprev
@@ -189,12 +239,12 @@ func (c *LRU) insert(id BlockID) {
 	s := &c.slots[i]
 	s.id = id
 	c.pushFront(i)
-	s.fprev, s.fnext = nilIdx, nilIdx
-	if h, ok := c.files[id.File]; ok {
-		s.fnext = h
+	b, h := c.bucket(id.File)
+	s.fprev, s.fnext = nilIdx, h
+	if h != nilIdx {
 		c.slots[h].fprev = i
 	}
-	c.files[id.File] = i
+	c.index[b] = i
 }
 
 // Reset empties the cache: every cached block is discarded and all slots
@@ -205,7 +255,7 @@ func (c *LRU) Reset() {
 	for i := c.head; i != nilIdx; i = c.slots[i].next {
 		c.free = append(c.free, i)
 	}
-	clear(c.files)
+	c.clearIndex()
 	c.head, c.tail = nilIdx, nilIdx
 }
 

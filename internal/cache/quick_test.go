@@ -117,15 +117,23 @@ func (m *lruModel) invalidate(keep func(BlockID) bool) {
 // TestQuickLRUMatchesModel drives random Access/Invalidate/InvalidateFile/
 // Reset streams over several files through the cache and the reference
 // model side by side. After every step the hit/miss result, Len, Contains
-// for every key and the eviction victim must agree. Half the cases give
-// one file most of the traffic and a block range near the capacity, so
-// its chain holds most of the cache.
+// for every key and the eviction victim must agree. A third of the cases
+// give one file most of the traffic and a block range near the capacity,
+// so its chain holds most of the cache. Another third run a capacity-4
+// cache, whose file index has 8 buckets, over 64 files of up to 2 blocks:
+// nearly every insert collides, probe runs wrap past the table's end, and
+// evictions and invalidations delete files from the middle of runs, after
+// which every cached file must still be found.
 func TestQuickLRUMatchesModel(t *testing.T) {
-	const files = 4
-	f := func(seed int64, capRaw, opsRaw uint8, big bool) bool {
+	f := func(seed int64, capRaw, opsRaw, shape uint8) bool {
 		r := rand.New(rand.NewSource(seed))
+		big, many := shape%3 == 1, shape%3 == 2
 		capacity := int(capRaw % 33)
-		blocks := 8
+		files, perFile := 4, 8
+		if many {
+			capacity, files, perFile = 4, 64, 2
+		}
+		blocks := perFile
 		if big {
 			blocks = capacity + 4
 		}
@@ -135,7 +143,7 @@ func TestQuickLRUMatchesModel(t *testing.T) {
 			if big && r.Intn(5) != 0 {
 				return BlockID{File: 0, Block: int64(r.Intn(blocks))}
 			}
-			return BlockID{File: uint64(r.Intn(files)), Block: int64(r.Intn(8))}
+			return BlockID{File: uint64(r.Intn(files)), Block: int64(r.Intn(perFile))}
 		}
 		for step := 0; step < 4*int(opsRaw)+1; step++ {
 			switch k := r.Intn(20); {
@@ -166,8 +174,8 @@ func TestQuickLRUMatchesModel(t *testing.T) {
 				t.Logf("step %d: Len %d, model %d", step, c.Len(), len(m.order))
 				return false
 			}
-			for file := uint64(0); file < files; file++ {
-				for b := 0; b < max(blocks, 8); b++ {
+			for file := uint64(0); file < uint64(files); file++ {
+				for b := 0; b < max(blocks, perFile); b++ {
 					id := BlockID{File: file, Block: int64(b)}
 					if c.Contains(id) != (m.index(id) >= 0) {
 						t.Logf("step %d: Contains(%v) = %v, model disagrees", step, id, c.Contains(id))

@@ -127,11 +127,8 @@ func (inv *Inventory) ForUser(u, cat int) *FileSet {
 	return inv.System[cat]
 }
 
-// Lazy reports whether this inventory defers user trees to MaterializeUser.
-func (inv *Inventory) Lazy() bool { return inv.lazy != nil }
-
 // slug converts a category name into a directory-friendly label.
-func slug(c config.Category) string {
+func slug(c *config.Category) string {
 	s := strings.ToLower(c.Name())
 	s = strings.ReplaceAll(s, "/", "-")
 	return s
@@ -273,8 +270,8 @@ func Build(ctx vfs.Ctx, fsys vfs.FileSystem, spec *config.Spec, tables *gds.Tabl
 	// the continuation-passing file system folds back to call-and-return.
 	b := newBuilder(fsys)
 	b.slugs = make([]string, len(spec.Categories))
-	for i, c := range spec.Categories {
-		b.slugs[i] = slug(c)
+	for i := range spec.Categories {
+		b.slugs[i] = slug(&spec.Categories[i])
 	}
 	inv := &Inventory{
 		System: make([]*FileSet, len(spec.Categories)),
@@ -283,8 +280,8 @@ func Build(ctx vfs.Ctx, fsys vfs.FileSystem, spec *config.Spec, tables *gds.Tabl
 
 	// Partition the file budget within each ownership class.
 	var userPct, otherPct float64
-	for _, c := range spec.Categories {
-		if c.Owner == config.OwnerUser {
+	for i := range spec.Categories {
+		if c := &spec.Categories[i]; c.Owner == config.OwnerUser {
 			userPct += c.PercentFiles
 		} else {
 			otherPct += c.PercentFiles
@@ -300,7 +297,8 @@ func Build(ctx vfs.Ctx, fsys vfs.FileSystem, spec *config.Spec, tables *gds.Tabl
 	if err := b.mkdir(ctx, "/sys"); err != nil && !vfs.IsExist(err) {
 		return nil, fmt.Errorf("fsc: mkdir /sys: %w", err)
 	}
-	for i, c := range spec.Categories {
+	for i := range spec.Categories {
+		c := &spec.Categories[i]
 		if c.Owner == config.OwnerUser {
 			continue
 		}
@@ -316,23 +314,22 @@ func Build(ctx vfs.Ctx, fsys vfs.FileSystem, spec *config.Spec, tables *gds.Tabl
 		// Defer the user trees: pre-draw every user's sizes from the same
 		// stream, in the exact order the eager loop below would have, so a
 		// later MaterializeUser replays creation bit-equally no matter when
-		// (or whether) each user arrives.
+		// (or whether) each user arrives. Every user draws counts[i] sizes
+		// for category i.
+		counts := make([]int, len(spec.Categories))
 		perUser := 0
-		for _, c := range spec.Categories {
+		for i := range spec.Categories {
+			c := &spec.Categories[i]
 			if c.Owner != config.OwnerUser || c.IsDir() ||
 				c.Use == config.UseNew || c.Use == config.UseTemp {
 				continue
 			}
-			perUser += share(spec.FilesPerUser, c.PercentFiles, userPct)
+			counts[i] = share(spec.FilesPerUser, c.PercentFiles, userPct)
+			perUser += counts[i]
 		}
 		sizes := make([]int64, 0, perUser*spec.Users)
 		for u := 0; u < spec.Users; u++ {
-			for i, c := range spec.Categories {
-				if c.Owner != config.OwnerUser || c.IsDir() ||
-					c.Use == config.UseNew || c.Use == config.UseTemp {
-					continue
-				}
-				count := share(spec.FilesPerUser, c.PercentFiles, userPct)
+			for i, count := range counts {
 				for j := 0; j < count; j++ {
 					sizes = append(sizes, sample(i))
 				}
@@ -393,7 +390,8 @@ func buildUser(ctx vfs.Ctx, b *builder, spec *config.Spec, u int, userPct float6
 		return nil, fmt.Errorf("fsc: mkdir %s: %w", userDir, err)
 	}
 	sets := b.newTable(len(spec.Categories))
-	for i, c := range spec.Categories {
+	for i := range spec.Categories {
+		c := &spec.Categories[i]
 		if c.Owner != config.OwnerUser {
 			continue
 		}
@@ -420,7 +418,7 @@ func share(total int, pct, pctSum float64) int {
 	return n
 }
 
-func buildSet(ctx vfs.Ctx, b *builder, dir string, catIdx int, c config.Category,
+func buildSet(ctx vfs.Ctx, b *builder, dir string, catIdx int, c *config.Category,
 	count int, sample func(catIdx int) int64, inv *Inventory) (*FileSet, error) {
 	if err := b.mkdir(ctx, dir); err != nil && !vfs.IsExist(err) {
 		return nil, fmt.Errorf("fsc: mkdir %s: %w", dir, err)

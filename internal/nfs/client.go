@@ -2,7 +2,6 @@ package nfs
 
 import (
 	"fmt"
-	"sync"
 
 	"uswg/internal/cache"
 	"uswg/internal/netsim"
@@ -93,25 +92,27 @@ func (c ClientConfig) maxDirty() int {
 // client CPU, the shared wire, and the server. The shadow's descriptor table
 // is also the client's: every descriptor the client opens is tagged with the
 // client as its owner, and reads and writes resolve it there in one lookup.
+//
+// A Client is not safe for concurrent use: like its MemFS shadow, it runs
+// on one goroutine, the DES kernel's or a synchronous setup clock's, where
+// exactly one simulated process runs at a time.
 type Client struct {
 	cfg     ClientConfig
 	backing *vfs.MemFS
 	server  *Server
 	link    *netsim.Link // nil outside a DES
 
-	mu    sync.Mutex
 	attrs map[string]float64 // path -> expiry time, µs
 
-	// Client page cache (nil when CacheBlocks is 0). Guarded by the DES
-	// scheduler: exactly one simulated process runs at a time.
+	// Client page cache (nil when CacheBlocks is 0).
 	pages       *cache.LRU
 	dirty       map[uint64]dirtySpan // unflushed write-behind data by inode
 	dirtyBlocks int64                // sum of the dirty spans' blocks
 
-	// ops is the per-client free list of pooled data-op states (guarded by
-	// the DES scheduler, like the page cache). Steady state keeps every
-	// read's page walk and every fetch/push loop allocation-free: the
-	// continuation closures are built once per opState and reused.
+	// ops is the per-client free list of pooled data-op states. Steady
+	// state keeps every read's page walk and every fetch/push loop
+	// allocation-free: the continuation closures are built once per
+	// opState and reused.
 	ops []*opState
 
 	rpcs    int64
@@ -456,8 +457,6 @@ func (c *Client) attrFresh(ctx vfs.Ctx, path string) bool {
 	if c.cfg.AttrCacheTimeout <= 0 {
 		return false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	expiry, ok := c.attrs[path]
 	return ok && ctx.Now() < expiry
 }
@@ -466,16 +465,10 @@ func (c *Client) setAttr(ctx vfs.Ctx, path string) {
 	if c.cfg.AttrCacheTimeout <= 0 {
 		return
 	}
-	c.mu.Lock()
 	c.attrs[path] = ctx.Now() + c.cfg.AttrCacheTimeout
-	c.mu.Unlock()
 }
 
-func (c *Client) dropAttr(path string) {
-	c.mu.Lock()
-	delete(c.attrs, path)
-	c.mu.Unlock()
-}
+func (c *Client) dropAttr(path string) { delete(c.attrs, path) }
 
 // inoOf resolves a path's inode in the shadow namespace without charging.
 func (c *Client) inoOf(path string) (uint64, error) {
@@ -738,9 +731,7 @@ func (c *Client) discardDirty(ino uint64) {
 // cache keeps its hit/miss statistics but empties, so the rebooted user
 // re-misses everything — the cold-cache rejoin cost. Implements vfs.Crasher.
 func (c *Client) Crash() {
-	c.mu.Lock()
 	c.attrs = make(map[string]float64)
-	c.mu.Unlock()
 	c.shadow().CloseOwned(c)
 	c.dirty = make(map[uint64]dirtySpan)
 	c.dirtyBlocks = 0

@@ -15,8 +15,14 @@
 // The event calendar is a concrete binary heap of event values (no
 // container/heap interface boxing), ordered by time with a sequence-number
 // tie-break, so whole simulations are reproducible bit-for-bit given a
-// seeded random source. The schedule points — one event per Hold, one per
-// Start, one per Resource hand-off — are exactly those of the previous
+// seeded random source. The most recently scheduled event waits in a front
+// slot outside the heap: a continuation usually schedules the very event
+// that runs next (a Hold's wake-up, a hand-off at the current instant), and
+// the slot lets that event skip the heap's push and pop. The front always
+// carries the largest sequence number pending, so it runs only when its
+// time is strictly earlier than the heap's top, and order stays (time,
+// sequence) by construction. The schedule points — one event per Hold, one
+// per Start, one per Resource hand-off — are exactly those of the previous
 // goroutine kernel, so event order is bit-identical to it.
 //
 // In the DES→workload→trace→analysis pipeline this kernel is the first
@@ -58,10 +64,14 @@ func eventLess(a, b event) bool {
 // event loop and every continuation it calls execute on one goroutine — and
 // is not safe for use from any other goroutine while Run is in progress.
 type Env struct {
-	now    Time
-	events []event // binary min-heap ordered by eventLess
-	seq    int64
-	live   int // started but unfinished processes
+	now Time
+	// front is the most recently scheduled event, held outside the heap
+	// while hasFront; it has the largest seq of any pending event.
+	front    event
+	hasFront bool
+	events   []event // binary min-heap ordered by eventLess
+	seq      int64
+	live     int // started but unfinished processes
 }
 
 // NewEnv returns an environment with the clock at zero.
@@ -117,11 +127,20 @@ func (e *Env) Start(name string, fn func(p *Proc, done K)) {
 	e.schedule(e.now, func() { fn(p, done) }) //wlint:allow hotalloc one closure per process launch, amortized over the process's whole event stream
 }
 
-// schedule pushes an event onto the calendar heap (sift-up on a concrete
-// slice; no interface boxing).
+// schedule makes k the front event at time at, pushing the front it
+// displaces onto the heap (sift-up on a concrete slice; no interface
+// boxing).
 func (e *Env) schedule(at Time, k K) {
 	e.seq++
-	h := append(e.events, event{at: at, seq: e.seq, k: k})
+	if e.hasFront {
+		e.push(e.front)
+	}
+	e.front, e.hasFront = event{at: at, seq: e.seq, k: k}, true
+}
+
+// push adds an event to the heap.
+func (e *Env) push(ev event) {
+	h := append(e.events, ev)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -167,14 +186,25 @@ func (e *Env) pop() event {
 // processes remain but no events are pending. Run may be called again to
 // continue a partially-run simulation.
 func (e *Env) Run(until Time) error {
-	for len(e.events) > 0 && e.events[0].at <= until {
-		ev := e.pop()
+	for {
+		var ev event
+		if e.hasFront && (len(e.events) == 0 || e.front.at < e.events[0].at) {
+			if e.front.at > until {
+				break
+			}
+			ev = e.front
+			e.front, e.hasFront = event{}, false
+		} else if len(e.events) > 0 && e.events[0].at <= until {
+			ev = e.pop()
+		} else {
+			break
+		}
 		if ev.at > e.now {
 			e.now = ev.at
 		}
 		ev.k()
 	}
-	if len(e.events) == 0 && e.live > 0 {
+	if !e.hasFront && len(e.events) == 0 && e.live > 0 {
 		return fmt.Errorf("%w: %d live processes", ErrStalled, e.live)
 	}
 	return nil

@@ -4,17 +4,22 @@ import (
 	"testing"
 
 	"uswg/internal/config"
+	"uswg/internal/realfs"
 	"uswg/internal/trace"
 	"uswg/internal/vfs"
 )
 
+// TestRunWallClock runs sessions on the wall-clock runner. The runner drives
+// one file system from a goroutine per user stream, and in production that
+// file system is always the real one (fs.kind real), so the tests drive it
+// too.
 func TestRunWallClock(t *testing.T) {
 	spec := config.Default()
 	spec.Users = 2
 	spec.Sessions = 4
 	spec.SystemFiles = 20
 	spec.FilesPerUser = 15
-	spec.FS = config.FSSpec{Kind: config.FSLocal}
+	spec.FS = config.FSSpec{Kind: config.FSReal, RealRoot: t.TempDir()}
 	// Zero think time so the wall-clock run does not sleep.
 	spec.UserTypes = config.ExtremelyHeavyPopulation()
 
@@ -22,7 +27,10 @@ func TestRunWallClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys := vfs.NewMemFS(vfs.WithMaxFDs(1 << 20))
+	fsys, err := realfs.New(spec.FS.RealRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inv, err := fscBuild(fsys, spec, tables)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +65,7 @@ func TestRunWallClockConcurrentStreams(t *testing.T) {
 	spec.Sessions = 6
 	spec.SystemFiles = 20
 	spec.FilesPerUser = 15
-	spec.FS = config.FSSpec{Kind: config.FSLocal}
+	spec.FS = config.FSSpec{Kind: config.FSReal, RealRoot: t.TempDir()}
 	spec.UserTypes = config.ExtremelyHeavyPopulation()
 	spec.Ext.ConcurrentSessions = 3
 
@@ -65,7 +73,10 @@ func TestRunWallClockConcurrentStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys := vfs.NewMemFS(vfs.WithMaxFDs(1 << 20))
+	fsys, err := realfs.New(spec.FS.RealRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inv, err := fscBuild(fsys, spec, tables)
 	if err != nil {
 		t.Fatal(err)

@@ -6,27 +6,30 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // MemFS is an in-memory inode-based file system. File content is represented
 // by size only — the workload generator measures operation streams and
 // timing, not data — which keeps multi-gigabyte synthetic file systems cheap.
 //
-// A MemFS without a cost model is safe for concurrent use: the internal
-// mutex covers direct use from ordinary goroutines (the wall-clock runner).
-// A charging cost model confines it to one goroutine at a time — the DES
-// kernel, or a synchronous setup clock — because the model's own state
-// (LocalCost's cache and op pool) and MemFS's op pool are unguarded. Cost
-// charges (which may park a DES process via Ctx.Hold) are always made
-// OUTSIDE the mutex — a parked process must never hold it, or every other
-// simulated process would deadlock behind a lock whose owner cannot run.
+// A MemFS is not safe for concurrent use. Every caller drives it from one
+// goroutine: the DES kernel, a synchronous setup clock, or a tool. The
+// wall-clock runner, the one path with a goroutine per user stream, drives
+// the real file system instead.
+//
+// Descriptors number upward from 3 and are never reused. The table is a
+// window over them, fds[i] being descriptor fdBase+i (nil once closed), so
+// a lookup indexes instead of hashing. The window ends at the next
+// descriptor to be issued; its closed prefix is dropped once it is half the
+// window, and an empty window restarts at the front of its array, so a
+// steady open/close stream reuses one array.
 type MemFS struct {
-	mu        sync.Mutex
 	root      *inode
 	nextIno   uint64
-	fds       map[FD]*openFile
-	nextFD    FD
+	fds       []*openFile
+	fdBase    FD  // descriptor number of fds[0]
+	fdLo      int // fds[:fdLo] are all closed
+	openFDs   int // non-nil entries of fds
 	maxFDs    int
 	cost      CostModel
 	uncharged bool        // cost is NoCost: ops run inline, bypassing the op pool
@@ -77,8 +80,7 @@ func NewMemFS(opts ...Option) *MemFS {
 	fs := &MemFS{
 		root:    &inode{ino: 1, dir: true, children: make(map[string]*inode)},
 		nextIno: 1,
-		fds:     make(map[FD]*openFile),
-		nextFD:  3, // 0-2 are traditionally stdio
+		fdBase:  3, // 0-2 are traditionally stdio
 		maxFDs:  1024,
 		cost:    NoCost{},
 	}
@@ -287,8 +289,6 @@ func (fs *MemFS) Mkdir(ctx Ctx, path string, k func(error)) {
 
 // mkdir is Mkdir's namespace mutation, after the cost charge.
 func (fs *MemFS) mkdir(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	parent, name, node, err := fs.lookup(path)
 	if err != nil {
 		return err
@@ -347,20 +347,16 @@ func (fs *MemFS) Create(ctx Ctx, path string, k func(FD, error)) {
 // create is Create's namespace mutation, after the cost charge. It also
 // returns the file's inode.
 func (fs *MemFS) create(ctx Ctx, path string, owner any) (FD, uint64, error) {
-	fs.mu.Lock()
 	parent, name, node, err := fs.lookup(path)
 	if err != nil {
-		fs.mu.Unlock()
 		return 0, 0, err
 	}
 	if parent == nil {
-		fs.mu.Unlock()
 		return 0, 0, fmt.Errorf("%w: %q", ErrIsDir, path)
 	}
 	truncatedIno := uint64(0)
 	if node != nil {
 		if node.dir {
-			fs.mu.Unlock()
 			return 0, 0, fmt.Errorf("%w: %q", ErrIsDir, path)
 		}
 		node.size = 0
@@ -375,7 +371,6 @@ func (fs *MemFS) create(ctx Ctx, path string, owner any) (FD, uint64, error) {
 		parent.children[name] = node
 	}
 	fd, err := fs.allocFD(node, WriteOnly, path, owner)
-	fs.mu.Unlock()
 	if truncatedIno != 0 {
 		fs.cost.Truncate(ctx, truncatedIno)
 	}
@@ -395,8 +390,6 @@ func (fs *MemFS) Open(ctx Ctx, path string, mode OpenMode, k func(FD, error)) {
 
 // open is Open's descriptor allocation, after the cost charge.
 func (fs *MemFS) open(path string, mode OpenMode, owner any) (FD, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if mode != ReadOnly && mode != WriteOnly && mode != ReadWrite {
 		return 0, fmt.Errorf("%w: open mode %d", ErrInvalid, mode)
 	}
@@ -414,15 +407,22 @@ func (fs *MemFS) open(path string, mode OpenMode, owner any) (FD, error) {
 }
 
 func (fs *MemFS) allocFD(node *inode, mode OpenMode, path string, owner any) (FD, error) {
-	if len(fs.fds) >= fs.maxFDs {
+	if fs.openFDs >= fs.maxFDs {
 		return 0, ErrTooManyFD
 	}
-	fd := fs.nextFD
-	fs.nextFD++
 	of := fs.getOpenFile()
 	of.node, of.off, of.mode, of.path, of.owner = node, 0, mode, path, owner
-	fs.fds[fd] = of
-	return fd, nil
+	fs.fds = append(fs.fds, of)
+	fs.openFDs++
+	return fs.fdBase + FD(len(fs.fds)-1), nil
+}
+
+// file returns descriptor fd's state, or nil if fd is not open.
+func (fs *MemFS) file(fd FD) *openFile {
+	if i := uint(fd - fs.fdBase); i < uint(len(fs.fds)) {
+		return fs.fds[i]
+	}
+	return nil
 }
 
 // advance moves owner's descriptor over a read of up to n bytes, or a write
@@ -432,10 +432,8 @@ func (fs *MemFS) allocFD(node *inode, mode OpenMode, path string, owner any) (FD
 // ErrBadFD; then the open mode and a negative size are checked, in that
 // order.
 func (fs *MemFS) advance(fd FD, n int64, write bool, owner any) (ino uint64, path string, off, m int64, err error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	of, ok := fs.fds[fd]
-	if !ok || of.owner != owner {
+	of := fs.file(fd)
+	if of == nil || of.owner != owner {
 		return 0, "", 0, 0, fmt.Errorf("%w: %d", ErrBadFD, fd)
 	}
 	verb, allowed := "read", of.mode.CanRead()
@@ -498,10 +496,8 @@ func (fs *MemFS) Seek(ctx Ctx, fd FD, offset int64, whence int, k func(int64, er
 }
 
 func (fs *MemFS) seek(fd FD, offset int64, whence int) (int64, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	of, ok := fs.fds[fd]
-	if !ok {
+	of := fs.file(fd)
+	if of == nil {
 		return 0, fmt.Errorf("%w: %d", ErrBadFD, fd)
 	}
 	var base int64
@@ -535,21 +531,33 @@ func (fs *MemFS) Close(ctx Ctx, fd FD, k func(error)) {
 }
 
 func (fs *MemFS) close(fd FD) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	of, ok := fs.fds[fd]
-	if !ok {
+	if fs.file(fd) == nil {
 		return fmt.Errorf("%w: %d", ErrBadFD, fd)
 	}
-	fs.release(fd, of)
+	fs.release(fd)
 	return nil
 }
 
-// release drops an open descriptor and recycles its state. fs.mu is held.
-func (fs *MemFS) release(fd FD, of *openFile) {
-	delete(fs.fds, fd)
+// release drops open descriptor fd and recycles its state. Once the closed
+// prefix of the window is at least half of it, the prefix is dropped by
+// moving the rest down, which moves no more entries than it drops, so a
+// release costs amortized O(1); a window with nothing open restarts at the
+// front of its array.
+func (fs *MemFS) release(fd FD) {
+	i := int(fd - fs.fdBase)
+	of := fs.fds[i]
+	fs.fds[i] = nil
+	fs.openFDs--
 	*of = openFile{}
 	fs.ofree = append(fs.ofree, of)
+	for fs.fdLo < len(fs.fds) && fs.fds[fs.fdLo] == nil {
+		fs.fdLo++
+	}
+	if 2*fs.fdLo >= len(fs.fds) {
+		fs.fdBase += FD(fs.fdLo)
+		fs.fds = slices.Delete(fs.fds, 0, fs.fdLo)
+		fs.fdLo = 0
+	}
 }
 
 // Unlink removes a file name. Data reachable through open descriptors
@@ -565,24 +573,18 @@ func (fs *MemFS) Unlink(ctx Ctx, path string, k func(error)) {
 }
 
 func (fs *MemFS) unlink(ctx Ctx, path string) error {
-	fs.mu.Lock()
 	parent, name, node, err := fs.lookup(path)
 	if err != nil {
-		fs.mu.Unlock()
 		return err
 	}
 	if node == nil {
-		fs.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotExist, path)
 	}
 	if node.dir {
-		fs.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrIsDir, path)
 	}
 	delete(parent.children, name)
-	ino := node.ino
-	fs.mu.Unlock()
-	fs.cost.Truncate(ctx, ino)
+	fs.cost.Truncate(ctx, node.ino)
 	return nil
 }
 
@@ -598,8 +600,6 @@ func (fs *MemFS) Stat(ctx Ctx, path string, k func(FileInfo, error)) {
 }
 
 func (fs *MemFS) stat(path string) (FileInfo, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	_, _, node, err := fs.lookup(path)
 	if err != nil {
 		return FileInfo{}, err
@@ -622,8 +622,6 @@ func (fs *MemFS) ReadDir(ctx Ctx, path string, k func([]string, error)) {
 }
 
 func (fs *MemFS) readDir(path string) ([]string, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	_, _, node, err := fs.lookup(path)
 	if err != nil {
 		return nil, err
@@ -643,19 +641,11 @@ func (fs *MemFS) readDir(path string) ([]string, error) {
 }
 
 // OpenFDs returns the number of descriptors currently open.
-func (fs *MemFS) OpenFDs() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return len(fs.fds)
-}
+func (fs *MemFS) OpenFDs() int { return fs.openFDs }
 
 // TotalBytes returns the sum of all regular file sizes (used by tests and
 // the FSC to report the synthetic file system's footprint).
-func (fs *MemFS) TotalBytes() int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return sumSizes(fs.root)
-}
+func (fs *MemFS) TotalBytes() int64 { return sumSizes(fs.root) }
 
 func sumSizes(n *inode) int64 {
 	if !n.dir {
@@ -713,31 +703,22 @@ func (b Bare) Advance(fd FD, n int64, write bool, owner any) (ino uint64, path s
 // Owned reports whether fd is open for owner, with the file's inode and
 // path.
 func (b Bare) Owned(fd FD, owner any) (ino uint64, path string, ok bool) {
-	b.FS.mu.Lock()
-	defer b.FS.mu.Unlock()
-	of, ok := b.FS.fds[fd]
-	if !ok || of.owner != owner {
+	of := b.FS.file(fd)
+	if of == nil || of.owner != owner {
 		return 0, "", false
 	}
 	return of.node.ino, of.path, true
 }
 
 // CloseOwned closes every descriptor open for owner, in ascending order.
-// It scans the whole descriptor table, so a call costs O(descriptors open
-// on the backing), whoever opened them.
+// It walks the whole descriptor window, so a call costs O(window), whoever
+// opened the descriptors in it.
 func (b Bare) CloseOwned(owner any) {
 	fs := b.FS
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var fds []FD
-	for fd, of := range fs.fds {
-		if of.owner == owner {
-			fds = append(fds, fd)
+	for fd, next := fs.fdBase+FD(fs.fdLo), fs.fdBase+FD(len(fs.fds)); fd < next; fd++ {
+		if of := fs.file(fd); of != nil && of.owner == owner {
+			fs.release(fd)
 		}
-	}
-	slices.Sort(fds)
-	for _, fd := range fds {
-		fs.release(fd, fs.fds[fd])
 	}
 }
 

@@ -142,10 +142,14 @@ func TestQuickSplitPath(t *testing.T) {
 // TestQuickAdvanceMatchesSeekAndTransfer checks Bare.Advance against a model
 // of the sequence it replaces in the NFS client: a Seek(fd, 0, SeekCurrent)
 // for the offset, then a Read or Write. Random create/open/advance/seek/
-// close/unlink sequences by three owners must agree with the model in FD
-// numbers, offsets, byte counts and file sizes. Advance on a never-issued,
+// close/CloseOwned/unlink sequences by three owners, under a small
+// descriptor limit, must agree with the model in FD numbers, offsets, byte
+// counts, file sizes, OpenFDs and ErrTooManyFD. Advance on a never-issued,
 // closed or other owner's FD must fail with ErrBadFD, and the mode and
 // negative-size errors must come in that order, all with their usual text.
+// The model's descriptor table is a map, the form the MemFS table had
+// before it became a window; the window must keep its closed prefix under
+// half its length and be empty once every descriptor closes.
 func TestQuickAdvanceMatchesSeekAndTransfer(t *testing.T) {
 	type file struct{ size int64 }
 	type desc struct {
@@ -159,36 +163,71 @@ func TestQuickAdvanceMatchesSeekAndTransfer(t *testing.T) {
 	paths := []string{"/a", "/b", "/d/c"}
 	f := func(seed int64, opsRaw uint16) bool {
 		r := rand.New(rand.NewSource(seed))
-		m := NewMemFS()
+		maxFDs := 2 + r.Intn(12)
+		m := NewMemFS(WithMaxFDs(maxFDs))
 		b := m.Bare()
 		if err := b.Mkdir("/d"); err != nil {
 			t.Fatal(err)
 		}
 		files := map[string]*file{}
 		fds := map[FD]*desc{}
-		issued := []FD{999} // 999 is never issued
+		issued := []FD{0, 999} // never issued: below the first FD, and past the last
 		next := FD(3)
+		const tooMany = "vfs: too many open files"
 		// fail reports the step and stops the case.
 		ok := true
 		fail := func(step int, format string, args ...any) {
 			t.Errorf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
 			ok = false
 		}
-		for step := 0; ok && step < 50+int(opsRaw%300); step++ {
+		// checkWindow checks the descriptor window against the model: it
+		// ends at the next FD to be issued and holds exactly the open
+		// descriptors; its closed prefix is shorter than half of it, so it
+		// is shorter than twice nextFD minus the oldest open FD; and it is
+		// empty when nothing is open.
+		checkWindow := func(step int) {
+			if end := m.fdBase + FD(len(m.fds)); end != next {
+				fail(step, "window ends at %d, next FD is %d", end, next)
+			}
+			oldest := next
+			for i, of := range m.fds {
+				fd := m.fdBase + FD(i)
+				if (fds[fd] != nil) != (of != nil) {
+					fail(step, "window entry for fd %d is %v, model has %v", fd, of, fds[fd])
+				}
+				if of != nil {
+					oldest = min(oldest, fd)
+				}
+			}
+			if len(fds) == 0 && len(m.fds) != 0 {
+				fail(step, "window holds %d entries with nothing open", len(m.fds))
+			}
+			if prefix := oldest - m.fdBase; len(fds) > 0 && 2*prefix >= FD(len(m.fds)) {
+				fail(step, "closed prefix of %d in a %d-entry window", prefix, len(m.fds))
+			}
+		}
+		steps := 50 + int(opsRaw%300)
+		for step := 0; ok && step < steps; step++ {
 			p := paths[r.Intn(len(paths))]
 			who := r.Intn(len(owners))
-			switch r.Intn(8) {
-			case 0: // create (truncates an existing file)
+			switch r.Intn(9) {
+			case 0: // create (truncates an existing file, even with the table full)
 				fd, _, err := b.Create(p, owners[who])
+				if files[p] == nil {
+					files[p] = &file{}
+				}
+				files[p].size = 0
+				if len(fds) >= maxFDs {
+					if err == nil || err.Error() != tooMany {
+						fail(step, "create %s with %d open = %d, %v; want %q", p, len(fds), fd, err, tooMany)
+					}
+					break
+				}
 				if err != nil || fd != next {
 					fail(step, "create %s = %d, %v; want fd %d", p, fd, err, next)
 					break
 				}
 				next++
-				if files[p] == nil {
-					files[p] = &file{}
-				}
-				files[p].size = 0
 				fds[fd] = &desc{f: files[p], mode: WriteOnly, owner: who}
 				issued = append(issued, fd)
 			case 1: // open
@@ -197,6 +236,12 @@ func TestQuickAdvanceMatchesSeekAndTransfer(t *testing.T) {
 				if files[p] == nil {
 					if !errors.Is(err, ErrNotExist) {
 						fail(step, "open missing %s = %v", p, err)
+					}
+					break
+				}
+				if len(fds) >= maxFDs {
+					if err == nil || err.Error() != tooMany {
+						fail(step, "open %s with %d open = %d, %v; want %q", p, len(fds), fd, err, tooMany)
 					}
 					break
 				}
@@ -257,17 +302,25 @@ func TestQuickAdvanceMatchesSeekAndTransfer(t *testing.T) {
 					if err != nil || pos != to {
 						fail(step, "seek fd %d to %d = %d, %v", fd, to, pos, err)
 					}
-				} else if !errors.Is(err, ErrBadFD) {
+				} else if err == nil || err.Error() != fmt.Sprintf("vfs: bad file descriptor: %d", fd) {
 					fail(step, "seek closed fd %d = %v", fd, err)
 				}
 			case 6: // close serves any owner
 				fd := issued[r.Intn(len(issued))]
 				err := b.Close(fd)
-				if (fds[fd] != nil) != (err == nil) {
+				if fds[fd] != nil && err != nil ||
+					fds[fd] == nil && (err == nil || err.Error() != fmt.Sprintf("vfs: bad file descriptor: %d", fd)) {
 					fail(step, "close fd %d = %v", fd, err)
 				}
 				delete(fds, fd)
-			case 7: // unlink: open descriptors keep the file
+			case 7: // CloseOwned closes the owner's descriptors only
+				b.CloseOwned(owners[who])
+				for fd, d := range fds {
+					if d.owner == who {
+						delete(fds, fd)
+					}
+				}
+			case 8: // unlink: open descriptors keep the file
 				if err := b.Unlink(p); (files[p] != nil) != (err == nil) {
 					fail(step, "unlink %s = %v", p, err)
 				}
@@ -278,7 +331,19 @@ func TestQuickAdvanceMatchesSeekAndTransfer(t *testing.T) {
 					fail(step, "stat %s = %+v, %v; want size %d", path, info, err, f.size)
 				}
 			}
+			if m.OpenFDs() != len(fds) {
+				fail(step, "OpenFDs = %d, model has %d open", m.OpenFDs(), len(fds))
+			}
+			checkWindow(step)
 		}
+		for _, o := range owners {
+			b.CloseOwned(o)
+		}
+		clear(fds)
+		if m.OpenFDs() != 0 {
+			fail(steps, "OpenFDs = %d after every owner closed", m.OpenFDs())
+		}
+		checkWindow(steps)
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
