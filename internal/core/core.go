@@ -91,7 +91,7 @@ func NewGenerator(spec *config.Spec) (*Generator, error) {
 	// The Summarizer is always the primary sink: it folds the analysis as
 	// records are emitted, in O(sessions) memory. Trace mode log tees the
 	// same records into a full-record Log for the callers that need them
-	// (JSONL, Table 5.2, Fault 5.4's write-availability split). Tees see
+	// (JSONL, Fault 5.4's write-availability split). Tees see
 	// every record after the primary, unmodified, so the analysis is the
 	// same with or without them.
 	g := &Generator{spec: spec, sum: trace.NewSummarizer()}

@@ -247,6 +247,33 @@ func TestMoreUsersMoreContention(t *testing.T) {
 	}
 }
 
+// TestCategoryFilesMatchSessionFiles: on a default run every record carries
+// a category, so the per-category fold sees every file a session
+// referenced, and the categories' Files total equals the sessions'
+// FilesReferenced total.
+func TestCategoryFilesMatchSessionFiles(t *testing.T) {
+	spec := config.Default()
+	spec.Trace.Mode = config.TraceStream
+	gen, err := NewGenerator(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := gen.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files, referenced int
+	for _, c := range res.Analysis.Categories {
+		files += c.Files
+	}
+	for _, u := range res.Analysis.Sessions {
+		referenced += u.FilesReferenced
+	}
+	if files != referenced || files == 0 {
+		t.Errorf("the categories hold %d files, the sessions reference %d", files, referenced)
+	}
+}
+
 // TestStreamingMatchesLogMode is the whole-stack equivalence check: the
 // same seeded spec run once with the full-record log and once with the
 // streaming Summarizer must produce a bit-identical Analysis — every

@@ -462,9 +462,6 @@ func NewEngine(plan *Plan, seed uint64) (*Engine, error) {
 	return e, nil
 }
 
-// Plan returns the engine's plan.
-func (e *Engine) Plan() *Plan { return e.plan }
-
 // errFor maps an error kind to its shared errno-style error.
 func errFor(kind string) error {
 	switch kind {

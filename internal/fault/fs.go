@@ -28,9 +28,6 @@ func NewFS(inner vfs.FileSystem, eng *Engine) *FS {
 	return &FS{inner: inner, eng: eng}
 }
 
-// Engine returns the engine deciding this wrapper's faults.
-func (f *FS) Engine() *Engine { return f.eng }
-
 // Crash forwards a workstation crash to the wrapped file system when it
 // models one (vfs.Crasher), so the lifecycle engine can cold-boot a client
 // through the fault wrapper. A crash is not a call: no rule evaluates.

@@ -153,9 +153,6 @@ func NewLink(env *sim.Env, cfg Config) *Link {
 	return &Link{cfg: cfg, wire: sim.NewResource(env, 1)}
 }
 
-// Config returns the link configuration.
-func (l *Link) Config() Config { return l.cfg }
-
 // SetFaulter attaches a fault source to the link. Call before the measured
 // run; a nil Faulter restores the reliable link.
 func (l *Link) SetFaulter(f Faulter, cfg FaultConfig) {

@@ -116,9 +116,6 @@ func NewServer(env *sim.Env, cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// Config returns the server configuration.
-func (s *Server) Config() ServerConfig { return s.cfg }
-
 // SetStaller attaches a stall source. Call before the measured run.
 func (s *Server) SetStaller(st Staller) { s.staller = st }
 

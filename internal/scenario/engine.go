@@ -700,76 +700,32 @@ func runCharacterization(sc *Scenario, opts Options) (Result, error) {
 	}, nil
 }
 
-// runUsage runs the workload with a full-record log (its points compile
-// trace mode log) and reduces it to per-category usage set against the
-// spec inputs (Table 5.2).
+// runUsage runs the workload and sets its per-category usage, folded by the
+// Usage Analyzer, against the spec inputs (Table 5.2).
 func runUsage(sc *Scenario, opts Options) (Result, Stats, error) {
 	run, err := sc.runPoint(opts, 0)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	spec, gen := run.spec, run.gen
-	stats := Stats{Points: 1, Counters: run.res.Analysis.Counters()}
-
-	// Aggregate per (session, file): usage measures are per-login-session
-	// quantities, so bytes moved on a file must not accumulate across the
-	// sessions that share it. First-reference order keeps the float sums
-	// deterministic.
-	type sessFile struct {
-		session int
-		path    string
-	}
-	type fileUse struct {
-		bytes int64
-		size  int64
-	}
-	perCat := make([]map[sessFile]*fileUse, len(spec.Categories))
-	perCatOrder := make([][]*fileUse, len(spec.Categories))
-	sessions := make([]map[int]bool, len(spec.Categories))
-	for i := range perCat {
-		perCat[i] = make(map[sessFile]*fileUse)
-		sessions[i] = make(map[int]bool)
-	}
-	gen.Log().Each(func(rec *trace.Record) {
-		if rec.Category < 0 || rec.Category >= len(perCat) || rec.Err != "" {
-			return
+	spec, a := run.spec, run.res.Analysis
+	obs := make([]trace.CategoryUsage, len(spec.Categories))
+	for _, u := range a.Categories {
+		if u.Category < len(obs) {
+			obs[u.Category] = u
 		}
-		sessions[rec.Category][rec.Session] = true
-		key := sessFile{session: rec.Session, path: rec.Path}
-		fu, ok := perCat[rec.Category][key]
-		if !ok {
-			fu = &fileUse{}
-			perCat[rec.Category][key] = fu
-			perCatOrder[rec.Category] = append(perCatOrder[rec.Category], fu)
-		}
-		fu.bytes += rec.Bytes
-		if rec.FileSize > fu.size {
-			fu.size = rec.FileSize
-		}
-	})
-
+	}
 	rows := make([][]string, len(spec.Categories))
 	for i, c := range spec.Categories {
-		var obsAccPerByte, obsFiles, obsPct float64
-		obsPct = 100 * float64(len(sessions[i])) / float64(spec.Sessions)
-		if n := len(sessions[i]); n > 0 {
-			obsFiles = float64(len(perCat[i])) / float64(n)
+		o := obs[i]
+		var files float64
+		if o.Sessions > 0 {
+			files = float64(o.Files) / float64(o.Sessions)
 		}
-		var apbSum float64
-		var apbN int
-		for _, fu := range perCatOrder[i] {
-			if fu.size > 0 && fu.bytes > 0 {
-				apbSum += float64(fu.bytes) / float64(fu.size)
-				apbN++
-			}
-		}
-		if apbN > 0 {
-			obsAccPerByte = apbSum / float64(apbN)
-		}
+		pct := 100 * float64(o.Sessions) / float64(spec.Sessions)
 		rows[i] = []string{
 			c.Name(),
 			report.F(c.AccessPerByte.Mean), report.F(c.FilesAccessed.Mean), report.F(c.PercentUsers),
-			report.F(obsAccPerByte), report.F(obsFiles), report.F(obsPct),
+			report.F(o.AccessPerByte), report.F(files), report.F(pct),
 		}
 	}
 	return &TableResult{
@@ -777,7 +733,7 @@ func runUsage(sc *Scenario, opts Options) (Result, Stats, error) {
 		Headers: []string{"category", "spec a/B", "spec files", "spec %users",
 			"obs a/B", "obs files", "obs %sessions"},
 		Rows: rows,
-	}, stats, nil
+	}, Stats{Points: 1, Counters: a.Counters()}, nil
 }
 
 // renderUserTypes tabulates the scenario's population (Table 5.4).

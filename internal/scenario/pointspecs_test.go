@@ -21,7 +21,7 @@ import (
 func TestBuiltinPointSpecs(t *testing.T) {
 	want := map[string]string{
 		"table5.1":      "7cb85c2e93241242450ea535caadcc8f96d839e59738d732381b2f491fdb519b",
-		"table5.2":      "5f2a0088fd9d85519a3c0a4c2578618b8ebda923de49a5701188b2bc2569edcb",
+		"table5.2":      "d2a8cbc1cc225211b459d8b7273294e52ecd11165cb60650093f1e256d76da3e",
 		"table5.3":      "7f1942dcf529f67ed6ba0a3951415489bdd0b8094f7a1171618775c63d815b25",
 		"table5.4":      "6ae4e814a971daac8cf212f0b71703e14fecc95272de2cac63a09c3d054d9fa8",
 		"fig5.1":        "e97660e459078cb37514479949ae04773754be3b8e6115183d244b91626c4b99",

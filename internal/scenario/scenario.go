@@ -15,7 +15,9 @@
 // alike (/users, /fault/rules/0/prob, /categories/2/access_per_byte/mean).
 // A column names a point metric or a total of the point's core.Metrics
 // snapshot (nfs.nfsd_util, netsim.drops). The output sets each point's
-// trace mode: full records only where it reads them.
+// trace mode: full records only for the write-availability split, which
+// reads every write's start; every other output reads the Analysis that
+// the run folds as it goes.
 //
 //	sc := &scenario.Scenario{
 //		Name: "my-sweep",
@@ -86,8 +88,8 @@ const (
 	// the created files with the spec's category characterization
 	// (Table 5.1). No sessions run.
 	KindCharacterization = "file-characterization"
-	// KindUsage runs the workload with a full-record log and reduces it to
-	// per-category usage set against the spec inputs (Table 5.2).
+	// KindUsage runs the workload and sets the Analysis's per-category
+	// usage against the spec inputs (Table 5.2).
 	KindUsage = "usage-characterization"
 	// KindUserTypes renders the scenario's population as a table
 	// (Table 5.4). Nothing runs.
@@ -421,13 +423,10 @@ func (sc *Scenario) validateSweep() error {
 	return nil
 }
 
-// needsLog reports whether the output reads full records: the usage
-// characterization and the write-availability split do.
+// needsLog reports whether the output reads full records: only the
+// write-availability split does.
 func (sc *Scenario) needsLog() bool {
 	out := &sc.Output
-	if out.Kind == KindUsage {
-		return true
-	}
 	for _, c := range slices.Concat(out.Columns, out.Cells, []Column{{Metric: out.Y}}) {
 		if c.Metric == MetricWriteAvailPre || c.Metric == MetricWriteAvailPos {
 			return true

@@ -462,16 +462,15 @@ func builtinCopy(t *testing.T, name string) *Scenario {
 
 // TestFullRecordOutputsRejectStreaming: an output that reads full records
 // compiles every checked point to trace mode log, whether the need comes
-// from the output kind, a column, a curve axis or a grid cell, and an
-// output that does not (fig5.6) compiles to stream. No patch can make a
-// point stream instead: a workload or case patch that sets the mode fails
-// Decode, naming the workload or the case.
+// from a column, a curve axis or a grid cell, and an output that does not
+// (fig5.6, and table5.2, whose usage the Analysis folds) compiles to
+// stream. No patch can make a point stream instead: a workload or case
+// patch that sets the mode fails Decode, naming the workload or the case.
 func TestFullRecordOutputsRejectStreaming(t *testing.T) {
 	shapes := []struct {
 		label, name, mode string
 		mut               func(*Scenario)
 	}{
-		{"usage output", "table5.2", config.TraceLog, nil},
 		{"write-avail column", "fault5.4", config.TraceLog, nil},
 		{"write-avail curve", "fault5.4", config.TraceLog, func(sc *Scenario) {
 			sc.Output = Output{Kind: KindCurve, Title: "t", X: MetricUsers, Y: MetricWriteAvailPos,
@@ -481,6 +480,7 @@ func TestFullRecordOutputsRejectStreaming(t *testing.T) {
 			sc.Output.Cells = append(sc.Output.Cells, Column{Header: "write avail @%s", Metric: MetricWriteAvailPre, Format: FormatPct})
 		}},
 		{"no full records", "fig5.6", config.TraceStream, nil},
+		{"usage output", "table5.2", config.TraceStream, nil},
 	}
 	for _, tc := range shapes {
 		sc := builtinCopy(t, tc.name)
@@ -654,6 +654,35 @@ func TestTransientSummaryPinned(t *testing.T) {
 		if got := res.(*TransientResult).Summary; !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s summary:\n got %q\nwant %q", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestUsageTablePinnedAtPaperScale pins table5.2 at Scale 1, the thesis's
+// 200 sessions, to the rows recorded when a scan of the full-record log
+// made them. The golden folder covers only Scale 0.2.
+func TestUsageTablePinnedAtPaperScale(t *testing.T) {
+	sc, _ := Lookup("table5.2")
+	res, err := Run(context.Background(), sc, Options{Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res.(*TableResult)
+	if want := "Table 5.2 — user characterization by file category (200 sessions)"; tr.Title != want {
+		t.Errorf("title %q, want %q", tr.Title, want)
+	}
+	want := [][]string{
+		{"DIR/USER/RDONLY", "3.13", "2.90", "69.00", "0", "2.56", "73.00"},
+		{"DIR/OTHER/RDONLY", "2.28", "2.50", "70.00", "0", "2.57", "77.00"},
+		{"REG/USER/RDONLY", "1.42", "6.00", "100", "1.45", "6.05", "100"},
+		{"REG/USER/NEW", "2.36", "4.00", "40.00", "2.82", "3.31", "42.00"},
+		{"REG/USER/RD-WRT", "3.50", "2.20", "46.00", "3.66", "1.75", "44.00"},
+		{"REG/USER/TEMP", "2.00", "9.70", "59.00", "2.24", "9.32", "64.00"},
+		{"NOTES/OTHER/RDONLY", "0.7500", "11.30", "53.00", "0.8036", "10.49", "50.00"},
+		{"NOTES/OTHER/RD-WRT", "1.77", "5.70", "38.00", "1.85", "5.75", "36.50"},
+		{"OTHER/OTHER/RDONLY", "2.11", "3.10", "55.00", "1.96", "3.34", "54.50"},
+	}
+	if !reflect.DeepEqual(tr.Rows, want) {
+		t.Errorf("rows:\n got %q\nwant %q", tr.Rows, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math/big"
 	"sort"
 
 	"uswg/internal/stats"
@@ -47,12 +48,32 @@ type OpSummary struct {
 	Response stats.Summary // µs per call
 }
 
+// CategoryUsage is the Usage Analyzer's reduction of one file category over
+// every session, the observed columns of Table 5.2. A file belongs to the
+// category of the first record that references it in a session.
+type CategoryUsage struct {
+	// Category is the file category index in the spec.
+	Category int
+	// Sessions counts the sessions that referenced a file of the category.
+	Sessions int
+	// Files counts (session, file) pairs: a file referenced in two sessions
+	// counts twice, as the per-session FilesReferenced does.
+	Files int
+	// AccessPerByte is the mean of bytes transferred / file size over the
+	// pairs that moved bytes on a file of known size.
+	AccessPerByte float64
+}
+
 // Analysis is the Usage Analyzer's full reduction of a log.
 type Analysis struct {
 	// Sessions holds one entry per session, ordered by session index.
 	Sessions []SessionUsage
 	// ByOp summarizes each op type present in the log, ordered by op.
 	ByOp []OpSummary
+	// Categories holds one entry per category referenced, ordered by
+	// category. A file whose category is negative is uncategorized and in
+	// no entry.
+	Categories []CategoryUsage
 	// AccessSize summarizes bytes per data op across the whole log.
 	AccessSize stats.Summary
 	// Response summarizes response time per data op across the whole log.
@@ -66,6 +87,7 @@ type Analysis struct {
 type fileAgg struct {
 	bytes int64
 	size  int64
+	cat   int // the category of the file's first record
 }
 
 type sessionAgg struct {
@@ -79,25 +101,43 @@ type sessionAgg struct {
 	dataResp float64
 }
 
-// Analyze reduces a log to per-session and per-op aggregates, iterating the
-// log in place (no record copy).
+// catAgg accumulates one category's files over the sessions finished so
+// far. The access-per-byte terms sum exactly (see addTerm), so the row does
+// not depend on the order sessions finish in: the Summarizer retires them
+// in emission order, Analyze finishes them in map order.
+type catAgg struct {
+	usage CategoryUsage
+	// seen is the analyzer's gen when a session last counted here, so a
+	// session counts once however many of its files the category holds.
+	seen       int
+	sum, spare *big.Float
+	terms      int
+}
+
+// termPrec holds any sum of access-per-byte terms exactly. A term is a
+// float64 quotient of two positive int64s, so it lies in [2^-63, 2^63] and
+// has no bit below 2^-115; fewer than 2^63 terms sum below 2^126. Every
+// bit of every partial sum fits in 241 bits, so no addition rounds.
+const termPrec = 256
+
+// addTerm adds x to the exact sum. It adds into the spare and swaps: an
+// add in place makes big.Float allocate a shifted temporary.
+func (c *catAgg) addTerm(x float64, t *big.Float) {
+	c.spare.Add(c.sum, t.SetFloat64(x))
+	c.sum, c.spare = c.spare, c.sum
+	c.terms++
+}
+
+// Analyze reduces a log to per-session, per-op and per-category aggregates,
+// iterating the log in place (no record copy).
 func Analyze(l *Log) *Analysis {
 	acc := newAnalyzer()
 	l.Each(acc.add)
 	return acc.finish()
 }
 
-// AnalyzeRecords reduces a record slice to per-session and per-op aggregates.
-func AnalyzeRecords(records []Record) *Analysis {
-	acc := newAnalyzer()
-	for i := range records {
-		acc.add(&records[i])
-	}
-	return acc.finish()
-}
-
 // analyzer accumulates records one at a time, so both in-place log
-// iteration (Each) and replayed slices share the reduction.
+// iteration (Each) and the Summarizer's streams share the reduction.
 type analyzer struct {
 	sessions map[int]*sessionAgg
 	// free holds retired accumulators, their files map and order slab
@@ -109,12 +149,18 @@ type analyzer struct {
 	// records with no op).
 	byOp     [OpMkdir + 1]OpSummary
 	otherOps map[Op]*OpSummary
-	a        *Analysis
+	// cats holds each category's accumulator, keyed by value: a category
+	// read from JSONL may be any int. gen numbers the sessions finished.
+	cats map[int]*catAgg
+	gen  int
+	term big.Float
+	a    *Analysis
 }
 
 func newAnalyzer() *analyzer {
 	return &analyzer{
 		sessions: make(map[int]*sessionAgg),
+		cats:     make(map[int]*catAgg),
 		a:        &Analysis{},
 	}
 }
@@ -175,7 +221,7 @@ func (acc *analyzer) fold(sa *sessionAgg, r *Record) {
 		if !ok {
 			i = len(sa.order)
 			sa.files[r.Path] = i
-			sa.order = append(sa.order, fileAgg{})
+			sa.order = append(sa.order, fileAgg{cat: r.Category})
 		}
 		fa := &sa.order[i]
 		if r.FileSize > fa.size {
@@ -194,13 +240,15 @@ func (acc *analyzer) fold(sa *sessionAgg, r *Record) {
 	}
 }
 
-// finishSession folds one session's accumulator into its final usage row.
-// The per-file float sums accumulate in first-reference order (sa.order),
-// so the result is identical whether the session is folded at Finish or
-// retired early — the same operations in the same sequence.
-func finishSession(sa *sessionAgg) SessionUsage {
+// finishSession folds one session's accumulator into its final usage row,
+// and its files into their categories. The per-file float sums accumulate
+// in first-reference order (sa.order), so the result is identical whether
+// the session is folded at Finish or retired early — the same operations
+// in the same sequence.
+func (acc *analyzer) finishSession(sa *sessionAgg) SessionUsage {
 	u := sa.usage
 	u.FilesReferenced = len(sa.files)
+	acc.gen++
 	var sizeSum float64
 	var apbSum float64
 	var apbN int
@@ -209,6 +257,9 @@ func finishSession(sa *sessionAgg) SessionUsage {
 		if fa.size > 0 {
 			apbSum += float64(fa.bytes) / float64(fa.size)
 			apbN++
+		}
+		if fa.cat >= 0 {
+			acc.foldFile(fa)
 		}
 	}
 	if u.FilesReferenced > 0 {
@@ -223,6 +274,27 @@ func finishSession(sa *sessionAgg) SessionUsage {
 	return u
 }
 
+// foldFile adds one of the finishing session's files to its category.
+func (acc *analyzer) foldFile(fa fileAgg) {
+	c, ok := acc.cats[fa.cat]
+	if !ok {
+		c = &catAgg{
+			usage: CategoryUsage{Category: fa.cat},
+			sum:   new(big.Float).SetPrec(termPrec),
+			spare: new(big.Float).SetPrec(termPrec),
+		}
+		acc.cats[fa.cat] = c
+	}
+	if c.seen != acc.gen {
+		c.seen = acc.gen
+		c.usage.Sessions++
+	}
+	c.usage.Files++
+	if fa.bytes > 0 && fa.size > 0 {
+		c.addTerm(float64(fa.bytes)/float64(fa.size), &acc.term)
+	}
+}
+
 // retire finalizes one session early and puts its accumulator, emptied, on
 // the free list for the next session to reuse. Callers must guarantee no
 // further records for the session will arrive: a retired session that
@@ -234,7 +306,7 @@ func (acc *analyzer) retire(session int) {
 	if !ok {
 		return
 	}
-	acc.a.Sessions = append(acc.a.Sessions, finishSession(sa))
+	acc.a.Sessions = append(acc.a.Sessions, acc.finishSession(sa))
 	delete(acc.sessions, session)
 	clear(sa.files)
 	sa.order = sa.order[:0]
@@ -242,17 +314,29 @@ func (acc *analyzer) retire(session int) {
 	acc.free = append(acc.free, sa)
 }
 
-// finish folds the remaining per-session and per-op accumulators into the
-// sorted Analysis and releases every accumulator: a finished analyzer
-// holds none.
+// finish folds the remaining per-session, per-op and per-category
+// accumulators into the sorted Analysis and releases every accumulator: a
+// finished analyzer holds none.
 func (acc *analyzer) finish() *Analysis {
 	a := acc.a
-	//wlint:allow maprange append-then-sort: the slice is sorted by unique session id on the line after the loop
+	//wlint:allow maprange append-then-sort: the slice is sorted by unique session id on the line after the loop; the category sums are exact, so the visit order cannot move them
 	for _, sa := range acc.sessions {
-		a.Sessions = append(a.Sessions, finishSession(sa))
+		a.Sessions = append(a.Sessions, acc.finishSession(sa))
 	}
 	acc.sessions, acc.free = nil, nil
 	sort.Slice(a.Sessions, func(i, j int) bool { return a.Sessions[i].Session < a.Sessions[j].Session })
+
+	a.Categories = make([]CategoryUsage, 0, len(acc.cats))
+	//wlint:allow maprange append-then-sort: the slice is sorted by unique category on the line after the loop
+	for _, c := range acc.cats {
+		if c.terms > 0 {
+			sum, _ := c.sum.Float64()
+			c.usage.AccessPerByte = sum / float64(c.terms)
+		}
+		a.Categories = append(a.Categories, c.usage)
+	}
+	acc.cats = nil
+	sort.Slice(a.Categories, func(i, j int) bool { return a.Categories[i].Category < a.Categories[j].Category })
 
 	for op, os := range acc.byOp {
 		if os.Count > 0 {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -120,8 +121,8 @@ func TestAnalyzeGlobals(t *testing.T) {
 }
 
 func TestAnalyzeEmpty(t *testing.T) {
-	a := AnalyzeRecords(nil)
-	if len(a.Sessions) != 0 || len(a.ByOp) != 0 || a.Errors != 0 {
+	a := Analyze(&Log{})
+	if len(a.Sessions) != 0 || len(a.ByOp) != 0 || len(a.Categories) != 0 || a.Errors != 0 {
 		t.Errorf("empty analysis not empty: %+v", a)
 	}
 	if a.MeanResponsePerByte() != 0 {
@@ -148,5 +149,61 @@ func TestAnalyzeZeroByteSession(t *testing.T) {
 	s := a.Sessions[0]
 	if s.ResponsePerByte != 0 || s.AccessPerByte != 0 {
 		t.Errorf("no-data session should have zero per-byte measures: %+v", s)
+	}
+}
+
+// TestCategoryFoldIgnoresSessionOrder: one category, three sessions of one
+// file each. The access-per-byte terms are 1 (1 B of a 1-byte file) and
+// twice 2^-53 (1 B of a 2^53-byte file). Added in that order, a float64 sum
+// reads 1; the other way round it reads 1+2^-52. The Summarizer retires
+// sessions in stream order and Analyze finishes them in map order, so the
+// row must come out the same from both retirement orders and from Analyze.
+func TestCategoryFoldIgnoresSessionOrder(t *testing.T) {
+	rec := func(session int, size int64) Record {
+		return Record{Session: session, Op: OpRead, Path: "/f", Category: 4, Bytes: 1, FileSize: size, Elapsed: 1}
+	}
+	recs := []Record{rec(0, 1), rec(1, 1<<53), rec(2, 1<<53)}
+	stream := func(order ...int) *Analysis {
+		s := NewSummarizer()
+		h := s.Stream(0)
+		for _, i := range order {
+			h.Emit(&recs[i])
+		}
+		return s.Finish()
+	}
+	var l Log
+	for _, r := range recs {
+		l.Add(r)
+	}
+	largeFirst, smallFirst, logged := stream(0, 1, 2), stream(1, 2, 0), Analyze(&l)
+	want := []CategoryUsage{{Category: 4, Sessions: 3, Files: 3, AccessPerByte: (1 + 0x1p-52) / 3}}
+	if want[0].AccessPerByte == 1.0/3 {
+		t.Fatal("the terms do not tell the summation orders apart")
+	}
+	if !reflect.DeepEqual(largeFirst.Categories, want) {
+		t.Errorf("largest term first: %+v, want %+v", largeFirst.Categories, want)
+	}
+	if !reflect.DeepEqual(largeFirst, smallFirst) || !reflect.DeepEqual(largeFirst, logged) {
+		t.Errorf("analyses diverge:\nlargest first %+v\nsmallest first %+v\nAnalyze %+v", largeFirst, smallFirst, logged)
+	}
+}
+
+// TestCategoryFoldCountsFailedReferences: a file referenced only by a failed
+// open still counts, in its category's row as in the session's
+// FilesReferenced, and adds no access-per-byte term. A file of negative
+// category is uncategorized: its session counts it, but no row does.
+func TestCategoryFoldCountsFailedReferences(t *testing.T) {
+	var l Log
+	l.Add(Record{Session: 1, Op: OpOpen, Path: "/gone", Category: 2, Err: "vfs: no such file or directory"})
+	l.Add(Record{Session: 2, Op: OpRead, Path: "/tmp", Category: -7, Bytes: 10, FileSize: 10})
+	a := Analyze(&l)
+	want := []CategoryUsage{{Category: 2, Sessions: 1, Files: 1}}
+	if !reflect.DeepEqual(a.Categories, want) {
+		t.Errorf("categories = %+v, want %+v", a.Categories, want)
+	}
+	for _, u := range a.Sessions {
+		if u.FilesReferenced != 1 {
+			t.Errorf("session %d references %d files, want 1", u.Session, u.FilesReferenced)
+		}
 	}
 }

@@ -78,13 +78,6 @@ func (st *summarizerStream) Emit(r *Record) {
 	acc.fold(st.sa, r)
 }
 
-// Ops returns the number of records folded so far.
-func (s *Summarizer) Ops() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.acc.a.Ops
-}
-
 // Finish completes the reduction and returns the Analysis. The result is
 // cached: further Emits are not allowed after Finish, and repeated calls
 // return the same Analysis.

@@ -2,8 +2,10 @@
 // executes (the "usage log file" in the thesis's Figure 4.1 block diagram)
 // and implements the Usage Analyzer that reduces a log to the per-session
 // measures the thesis plots: average access-per-byte, average file size, and
-// average number of files referenced (Figures 5.3-5.5), and per-call access
-// size and response time summaries (Table 5.3).
+// average number of files referenced (Figures 5.3-5.5), the per-category
+// usage of Table 5.2, and per-call access size and response time summaries
+// (Table 5.3). One fold makes all of them, online as records are emitted
+// (Summarizer) or over a kept log (Analyze).
 //
 // In the DES→workload→trace→analysis pipeline this package is both the
 // trace stage (Sink, Log, Summarizer — what the workload emits) and the

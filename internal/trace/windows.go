@@ -67,9 +67,6 @@ func NewWindows(width float64) *Windows {
 	return &Windows{width: width}
 }
 
-// Width returns the window width, µs.
-func (w *Windows) Width() float64 { return w.width }
-
 // add folds one record into its completion-time window.
 func (w *Windows) add(r *Record) {
 	t := r.Start + r.Elapsed

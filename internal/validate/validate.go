@@ -2,7 +2,8 @@
 // specification — the thesis's criterion that a good workload generator "be
 // amenable to statistical tests of similarity to the real workload" (§2.2).
 // It applies Kolmogorov-Smirnov tests to continuous usage measures and a
-// chi-square test to the category mix.
+// chi-square test to the category mix. The mix is the Usage Analyzer's
+// per-category fold (trace.Analysis.Categories), the one Table 5.2 reads.
 //
 // A failed check is not automatically a bug: access sizes, for example, are
 // clipped by end-of-file and remaining byte budgets, so the observed
@@ -17,7 +18,6 @@ package validate
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"uswg/internal/config"
 	"uswg/internal/dist"
@@ -66,17 +66,6 @@ func (r *Report) Failed(alpha float64) []Check {
 	return out
 }
 
-// Rejected returns every check rejected at level alpha, advisory included.
-func (r *Report) Rejected(alpha float64) []Check {
-	var out []Check
-	for _, c := range r.Checks {
-		if !c.Passed(alpha) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // String renders the report.
 func (r *Report) String() string {
 	var b strings.Builder
@@ -97,116 +86,46 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Observer accumulates, in one pass, everything the statistical checks
-// consume: unclipped data-op sizes, inter-operation gaps per session, and
-// the per-category session-touch sets. It implements trace.Sink, so it can
-// tap a live run's record stream — validation composes with the streaming
-// trace mode, where no materialized log ever exists — or replay a loaded
-// log (Workload). Collection is spec-independent; the checks interpret the
-// collected state against a spec afterwards.
-type Observer struct {
-	mu    sync.Mutex
-	sizes []float64
-	gaps  []float64
-	prev  map[int]prevOp
-	// sessions is every session seen; touched[cat] is the set of sessions
-	// that touched the category.
-	sessions map[int]bool
-	touched  map[int]map[int]bool
-}
-
-// prevOp is the last operation seen in a session, for gap computation.
-type prevOp struct {
-	end float64
-	ok  bool
-}
-
-// NewObserver returns an empty collector.
-func NewObserver() *Observer {
-	return &Observer{
-		prev:     make(map[int]prevOp),
-		sessions: make(map[int]bool),
-		touched:  make(map[int]map[int]bool),
-	}
-}
-
-// Emit folds one record under the lock (the trace.Sink contract).
-func (o *Observer) Emit(r *trace.Record) {
-	o.mu.Lock()
-	o.observe(r)
-	o.mu.Unlock()
-}
-
-// Stream returns the lock-free folder for single-threaded producers (the
-// DES hot path); all users share the one accumulator, as in the Summarizer.
-func (o *Observer) Stream(int) trace.Stream { return observerStream{o} }
-
-type observerStream struct{ o *Observer }
-
-func (s observerStream) Emit(r *trace.Record) { s.o.observe(r) }
-
-var _ trace.Sink = (*Observer)(nil)
-
-// observe folds one record without locking.
-func (o *Observer) observe(r *trace.Record) {
-	if r.Op.IsData() && r.Err == "" && r.Bytes > 0 {
-		o.sizes = append(o.sizes, float64(r.Bytes))
-	}
-	// Gap = next op start - (this op start + elapsed), within a session.
-	// Compound steps (e.g. a close immediately followed by a reopen) log
-	// several records with no think between them; exact-zero gaps are
-	// those artifacts, not samples.
-	p := o.prev[r.Session]
-	if p.ok {
-		if g := r.Start - p.end; g > 0 {
-			o.gaps = append(o.gaps, g)
-		}
-	}
-	o.prev[r.Session] = prevOp{end: r.Start + r.Elapsed, ok: true}
-	o.sessions[r.Session] = true
-	if r.Category >= 0 {
-		t, ok := o.touched[r.Category]
-		if !ok {
-			t = make(map[int]bool)
-			o.touched[r.Category] = t
-		}
-		t[r.Session] = true
-	}
-}
-
-// Workload runs all checks of a usage log against its spec: one pass over
-// the log into an Observer, then the checks.
+// Workload runs all checks of a usage log against its spec. One pass over
+// the log collects the KS samples, which are O(ops) by nature: unclipped
+// data-op sizes and the gaps between consecutive operations of each
+// session. The category mix comes from the Usage Analyzer's per-category
+// fold.
 func Workload(spec *config.Spec, log *trace.Log) (*Report, error) {
-	obs := NewObserver()
-	log.Each(obs.observe)
-	return WorkloadFrom(spec, obs)
-}
-
-// WorkloadFrom runs all checks over an Observer's collected state — the
-// entry point for streaming runs, where the Observer tapped the record
-// stream directly.
-func WorkloadFrom(spec *config.Spec, obs *Observer) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	rep := &Report{}
+	var sizes, gaps []float64
+	end := make(map[int]float64) // each session's last op end
+	log.Each(func(r *trace.Record) {
+		if r.Op.IsData() && r.Err == "" && r.Bytes > 0 {
+			sizes = append(sizes, float64(r.Bytes))
+		}
+		// Gap = next op start - (this op start + elapsed), within a
+		// session. Compound steps (e.g. a close immediately followed by a
+		// reopen) log several records with no think between them;
+		// exact-zero gaps are those artifacts, not samples.
+		if e, ok := end[r.Session]; ok {
+			if g := r.Start - e; g > 0 {
+				gaps = append(gaps, g)
+			}
+		}
+		end[r.Session] = r.Start + r.Elapsed
+	})
 
-	if c, err := accessSizeCheck(spec, obs); err == nil {
-		rep.Checks = append(rep.Checks, c)
-	} else {
+	size, err := accessSizeCheck(spec, sizes)
+	if err != nil {
 		return nil, err
 	}
-	if c, err := thinkTimeCheck(spec, obs); err == nil {
-		rep.Checks = append(rep.Checks, c)
-	} else {
+	think, err := thinkTimeCheck(spec, gaps)
+	if err != nil {
 		return nil, err
 	}
-	if c, err := categoryMixCheck(spec, obs); err == nil {
-		rep.Checks = append(rep.Checks, c)
-	} else {
+	mix, err := categoryMixCheck(spec, trace.Analyze(log))
+	if err != nil {
 		return nil, err
 	}
-	return rep, nil
+	return &Report{Checks: []Check{size, think, mix}}, nil
 }
 
 // accessSizeCheck KS-tests unclipped data-op sizes against the spec's
@@ -214,7 +133,7 @@ func WorkloadFrom(spec *config.Spec, obs *Observer) (*Report, error) {
 // boundaries or budgets can be expected to follow the spec, so transfers
 // equal to the request are approximated by excluding exact-EOF short reads;
 // here we simply test all sizes and annotate.
-func accessSizeCheck(spec *config.Spec, obs *Observer) (Check, error) {
+func accessSizeCheck(spec *config.Spec, sizes []float64) (Check, error) {
 	d, err := gds.Compile(spec.AccessSize)
 	if err != nil {
 		return Check{}, err
@@ -227,7 +146,6 @@ func accessSizeCheck(spec *config.Spec, obs *Observer) (Check, error) {
 		}
 		cum = t
 	}
-	sizes := obs.sizes
 	c := Check{Name: "access size vs spec", Test: "ks", N: len(sizes), Advisory: true,
 		Note: "observed sizes are clipped by EOF and byte budgets"}
 	if len(sizes) < 8 {
@@ -245,7 +163,7 @@ func accessSizeCheck(spec *config.Spec, obs *Observer) (Check, error) {
 // session against the (single-type) think-time distribution. Gaps include
 // the preceding op's service time, so the test is annotated; it is most
 // meaningful on cost-free file systems.
-func thinkTimeCheck(spec *config.Spec, obs *Observer) (Check, error) {
+func thinkTimeCheck(spec *config.Spec, gaps []float64) (Check, error) {
 	c := Check{Name: "think time vs spec", Test: "ks", Advisory: true,
 		Note: "gaps include service time; strict only on cost-free runs"}
 	if len(spec.UserTypes) != 1 {
@@ -260,7 +178,6 @@ func thinkTimeCheck(spec *config.Spec, obs *Observer) (Check, error) {
 	if !ok {
 		return c, nil
 	}
-	gaps := obs.gaps
 	c.N = len(gaps)
 	if len(gaps) < 8 {
 		return c, nil
@@ -273,21 +190,27 @@ func thinkTimeCheck(spec *config.Spec, obs *Observer) (Check, error) {
 	return c, nil
 }
 
-// categoryMixCheck chi-square-tests how many sessions touched each category
-// against the spec's PercentUsers.
-func categoryMixCheck(spec *config.Spec, obs *Observer) (Check, error) {
-	sessions := obs.sessions
-	c := Check{Name: "category mix vs percent_users", Test: "chi2", N: len(sessions)}
-	if len(sessions) < 8 {
+// categoryMixCheck chi-square-tests how many sessions referenced each
+// category against the spec's PercentUsers.
+func categoryMixCheck(spec *config.Spec, a *trace.Analysis) (Check, error) {
+	sessions := len(a.Sessions)
+	c := Check{Name: "category mix vs percent_users", Test: "chi2", N: sessions}
+	if sessions < 8 {
 		return c, nil
+	}
+	touched := make([]int, len(spec.Categories))
+	for _, u := range a.Categories {
+		if u.Category < len(touched) {
+			touched[u.Category] = u.Sessions
+		}
 	}
 	var observed, expected []float64
 	for i, cat := range spec.Categories {
-		exp := float64(len(sessions)) * cat.PercentUsers / 100
+		exp := float64(sessions) * cat.PercentUsers / 100
 		if exp < 1 {
 			continue // too rare to test
 		}
-		observed = append(observed, float64(len(obs.touched[i])))
+		observed = append(observed, float64(touched[i]))
 		expected = append(expected, exp)
 	}
 	if len(observed) < 2 {

@@ -141,9 +141,6 @@ func TestDetectsWrongThinkTime(t *testing.T) {
 	if think.Passed(0.001) {
 		t.Errorf("KS failed to reject a 4x think-time lie: %+v", *think)
 	}
-	if len(rep.Rejected(0.001)) == 0 {
-		t.Error("Rejected should list the failing advisory check")
-	}
 	if len(rep.Failed(0.001)) != 0 {
 		t.Error("advisory checks must not appear in Failed")
 	}
@@ -183,26 +180,5 @@ func TestWorkloadRejectsInvalidSpec(t *testing.T) {
 	spec.Users = 0
 	if _, err := Workload(spec, &trace.Log{}); err == nil {
 		t.Error("invalid spec should fail")
-	}
-}
-
-// TestObserverSinkMatchesLogValidation taps a run's record stream with an
-// Observer (the streaming-mode path) and checks the report is identical to
-// validating the materialized log after the fact.
-func TestObserverSinkMatchesLogValidation(t *testing.T) {
-	spec, log := runWorkload(t, nil, 40)
-
-	obs := NewObserver()
-	log.Each(func(r *trace.Record) { obs.Stream(r.User).Emit(r) })
-	fromStream, err := WorkloadFrom(spec, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromLog, err := Workload(spec, log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromStream.String() != fromLog.String() {
-		t.Errorf("observer-tapped report diverges:\nstream:\n%slog:\n%s", fromStream.String(), fromLog.String())
 	}
 }

@@ -351,14 +351,16 @@ func (fs *MemFS) create(ctx Ctx, path string, owner any) (FD, uint64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if parent == nil {
+	if parent == nil || node != nil && node.dir {
 		return 0, 0, fmt.Errorf("%w: %q", ErrIsDir, path)
+	}
+	// Refuse the descriptor before touching the namespace, as EMFILE
+	// does: a refused create neither truncates nor links a file.
+	if fs.openFDs >= fs.maxFDs {
+		return 0, 0, ErrTooManyFD
 	}
 	truncatedIno := uint64(0)
 	if node != nil {
-		if node.dir {
-			return 0, 0, fmt.Errorf("%w: %q", ErrIsDir, path)
-		}
 		node.size = 0
 		truncatedIno = node.ino
 	} else {

@@ -380,6 +380,61 @@ func TestFDLimit(t *testing.T) {
 	}
 }
 
+// truncCounter is a cost-free model that counts Truncate charges.
+type truncCounter struct {
+	NoCost
+	n int
+}
+
+func (c *truncCounter) Truncate(Ctx, uint64) { c.n++ }
+
+// TestRefusedCreateLeavesNamespace: a Create refused for want of a
+// descriptor changes nothing. It keeps an existing file's size, charges no
+// Truncate, and links no new file. The lookup and directory errors still
+// come first.
+func TestRefusedCreateLeavesNamespace(t *testing.T) {
+	cost := &truncCounter{}
+	fs := wrapFS(NewMemFS(WithMaxFDs(1), WithCostModel(cost)))
+	ctx := &ManualClock{}
+	fd, err := fs.Create(ctx, "/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Write(ctx, fd, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Mkdir(ctx, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Create(ctx, "/a"); !errors.Is(err, ErrTooManyFD) {
+		t.Errorf("create of an existing file with the table full = %v, want ErrTooManyFD", err)
+	}
+	if info, err := fs.Stat(ctx, "/a"); err != nil || info.Size != 100 {
+		t.Errorf("after the refused create, /a = %+v, %v; want size 100", info, err)
+	}
+	if cost.n != 0 {
+		t.Errorf("the refused create charged %d truncates, want 0", cost.n)
+	}
+	if _, err := fs.Create(ctx, "/b"); !errors.Is(err, ErrTooManyFD) {
+		t.Errorf("create of a new file with the table full = %v, want ErrTooManyFD", err)
+	}
+	if _, err := fs.Stat(ctx, "/b"); !errors.Is(err, ErrNotExist) {
+		t.Errorf("after the refused create, stat /b = %v, want ErrNotExist", err)
+	}
+	if _, err := fs.Create(ctx, "/no/b"); !errors.Is(err, ErrNotExist) {
+		t.Errorf("create under a missing directory with the table full = %v, want ErrNotExist", err)
+	}
+	if _, err := fs.Create(ctx, "/d"); !errors.Is(err, ErrIsDir) {
+		t.Errorf("create of a directory with the table full = %v, want ErrIsDir", err)
+	}
+	if err := fs.Close(ctx, fd); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Create(ctx, "/a"); err != nil || cost.n != 1 {
+		t.Errorf("create after close = %v with %d truncates, want nil and 1", err, cost.n)
+	}
+}
+
 func TestSequentialReadInvariant(t *testing.T) {
 	// Property: a sequence of sequential reads never returns more total
 	// bytes than the file size, and the sum of full reads equals the size.

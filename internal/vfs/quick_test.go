@@ -211,18 +211,18 @@ func TestQuickAdvanceMatchesSeekAndTransfer(t *testing.T) {
 			p := paths[r.Intn(len(paths))]
 			who := r.Intn(len(owners))
 			switch r.Intn(9) {
-			case 0: // create (truncates an existing file, even with the table full)
+			case 0: // create (refused with the table full, before it touches the file)
 				fd, _, err := b.Create(p, owners[who])
-				if files[p] == nil {
-					files[p] = &file{}
-				}
-				files[p].size = 0
 				if len(fds) >= maxFDs {
 					if err == nil || err.Error() != tooMany {
 						fail(step, "create %s with %d open = %d, %v; want %q", p, len(fds), fd, err, tooMany)
 					}
 					break
 				}
+				if files[p] == nil {
+					files[p] = &file{}
+				}
+				files[p].size = 0
 				if err != nil || fd != next {
 					fail(step, "create %s = %d, %v; want fd %d", p, fd, err, next)
 					break
