@@ -184,6 +184,11 @@ func TestSpecValidateRejects(t *testing.T) {
 			s.UserTypes[0].Lifecycle = &Lifecycle{MTTF: &mttf}
 			s.FS = FSSpec{Kind: FSReal, RealRoot: "/tmp/sandbox"}
 		}},
+		// A trace window narrower than the 1 µs resolution of record
+		// times, or infinite, would index windows no collector can hold.
+		{"trace window 1e-300", func(s *Spec) { s.Trace.WindowUS = 1e-300 }},
+		{"trace window 0.5", func(s *Spec) { s.Trace.WindowUS = 0.5 }},
+		{"trace window +Inf", func(s *Spec) { s.Trace.WindowUS = math.Inf(1) }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
@@ -193,6 +198,16 @@ func TestSpecValidateRejects(t *testing.T) {
 				t.Error("expected validation error")
 			}
 		})
+	}
+}
+
+func TestSpecValidateTraceWindow(t *testing.T) {
+	for _, w := range []float64{0, 1, 1e7} {
+		s := Default()
+		s.Trace.WindowUS = w
+		if err := s.Validate(); err != nil {
+			t.Errorf("window_us %v: %v", w, err)
+		}
 	}
 }
 

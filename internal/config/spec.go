@@ -332,6 +332,7 @@ type TraceSpec struct {
 	// width in virtual µs — the transient-response view: per-window
 	// response percentiles, throughput, and availability. Composes with
 	// either mode via a tee; it never changes the primary sink's records.
+	// A width is finite and at least 1 µs, the resolution of record times.
 	WindowUS float64 `json:"window_us,omitempty"`
 }
 
@@ -340,8 +341,8 @@ func (t TraceSpec) Streaming() bool { return t.Mode == TraceStream }
 
 // Validate checks the trace spec.
 func (t TraceSpec) Validate() error {
-	if t.WindowUS < 0 || math.IsNaN(t.WindowUS) {
-		return fmt.Errorf("%w: trace window_us %v negative", ErrSpec, t.WindowUS)
+	if t.WindowUS != 0 && !(t.WindowUS >= 1 && !math.IsInf(t.WindowUS, 1)) {
+		return fmt.Errorf("%w: trace window_us %v must be 0 (off) or a finite width of at least 1 µs", ErrSpec, t.WindowUS)
 	}
 	switch t.Mode {
 	case "", TraceLog, TraceStream:

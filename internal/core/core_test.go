@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"reflect"
 	"testing"
@@ -320,6 +321,49 @@ func TestStreamingMatchesLogMode(t *testing.T) {
 	apb := func(u trace.SessionUsage) float64 { return u.AccessPerByte }
 	if !reflect.DeepEqual(logged.Analysis.SessionValues(apb), streamed.Analysis.SessionValues(apb)) {
 		t.Error("session values diverge")
+	}
+}
+
+// TestSlotFoldMatchesPathFold runs the default spec in log mode, cut to 60
+// sessions so that the JSONL round trip stays quick under the race
+// detector. Its records carry the simulator's file slots, and the Usage
+// Analyzer indexes its per-file accumulators by them; the log's JSONL round
+// trip drops the slots, so Analyze over it hashes paths instead. The
+// online Analysis, the one over the kept records and the one over the
+// round trip must agree bit for bit.
+func TestSlotFoldMatchesPathFold(t *testing.T) {
+	spec := config.Default()
+	spec.Sessions = 60
+	gen, err := NewGenerator(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := gen.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unslotted := 0
+	gen.Log().Each(func(r *trace.Record) {
+		if r.Slot <= 0 {
+			unslotted++
+		}
+	})
+	if unslotted > 0 {
+		t.Fatalf("%d of %d records carry no file slot", unslotted, gen.Log().Len())
+	}
+	var buf bytes.Buffer
+	if err := gen.Log().WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := trace.ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Analysis, trace.Analyze(gen.Log())) {
+		t.Error("online Analysis diverges from Analyze over the kept records")
+	}
+	if !reflect.DeepEqual(res.Analysis, trace.Analyze(back)) {
+		t.Error("the fold by file slot diverges from the fold by path over the JSONL round trip")
 	}
 }
 

@@ -186,7 +186,10 @@ func TestServerOutageHardMountRidesOut(t *testing.T) {
 	if res.Analysis.Errors != 0 {
 		t.Errorf("hard-mounted outage run recorded %d errors, want 0", res.Analysis.Errors)
 	}
-	wins := gen.Windows().Finish()
+	wins, err := gen.Windows().Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(wins) == 0 {
 		t.Fatal("windowed collector produced no windows")
 	}

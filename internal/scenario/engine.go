@@ -825,7 +825,10 @@ func runTransient(sc *Scenario, opts Options) (Result, Stats, error) {
 		return nil, Stats{}, err
 	}
 	res, m := run.res, run.metrics
-	wins := run.gen.Windows().Finish()
+	wins, err := run.gen.Windows().Finish()
+	if err != nil {
+		return nil, Stats{}, fmt.Errorf("%w: %w", ErrScenario, err)
+	}
 
 	out := &TransientResult{
 		Title:   sc.Output.Title,

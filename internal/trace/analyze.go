@@ -92,13 +92,43 @@ type fileAgg struct {
 
 type sessionAgg struct {
 	usage SessionUsage
-	// files maps a path to its accumulator's index in order.
+	// slots maps a record's Slot to its file's accumulator index in order,
+	// plus one; 0 marks a slot not yet referenced. files maps a slot-less
+	// record's path to its accumulator's index in order: records decoded
+	// from JSONL or built by hand carry no slot.
+	slots []int32
 	files map[string]int
 	// order holds the per-file accumulators by first reference, so the
 	// per-file float sums in finish accumulate in a deterministic order
 	// (map iteration would perturb the last ULP between identical runs).
 	order    []fileAgg
 	dataResp float64
+}
+
+// file returns the accumulator of r's file, starting one at its first
+// reference. A record with a slot indexes slots; one without hashes its
+// path. Either way a session's files enter order in the same sequence.
+func (sa *sessionAgg) file(r *Record) *fileAgg {
+	if s := int(r.Slot); s > 0 {
+		if s >= len(sa.slots) {
+			sa.slots = append(sa.slots, make([]int32, s+1-len(sa.slots))...)
+		}
+		if sa.slots[s] == 0 {
+			sa.order = append(sa.order, fileAgg{cat: r.Category})
+			sa.slots[s] = int32(len(sa.order))
+		}
+		return &sa.order[sa.slots[s]-1]
+	}
+	i, ok := sa.files[r.Path]
+	if !ok {
+		if sa.files == nil {
+			sa.files = make(map[string]int)
+		}
+		i = len(sa.order)
+		sa.files[r.Path] = i
+		sa.order = append(sa.order, fileAgg{cat: r.Category})
+	}
+	return &sa.order[i]
 }
 
 // catAgg accumulates one category's files over the sessions finished so
@@ -140,8 +170,9 @@ func Analyze(l *Log) *Analysis {
 // iteration (Each) and the Summarizer's streams share the reduction.
 type analyzer struct {
 	sessions map[int]*sessionAgg
-	// free holds retired accumulators, their files map and order slab
-	// emptied but keeping their capacity, for the next session to reuse.
+	// free holds retired accumulators, their slot table, files map and
+	// order slab emptied but keeping their capacity, for the next session
+	// to reuse.
 	free []*sessionAgg
 	// byOp holds the known ops' summaries, indexed by Op; a summary with
 	// Count 0 has not been seen. otherOps holds any other Op value, which
@@ -177,7 +208,7 @@ func (acc *analyzer) session(r *Record) *sessionAgg {
 			sa = acc.free[n-1]
 			acc.free = acc.free[:n-1]
 		} else {
-			sa = &sessionAgg{files: make(map[string]int)}
+			sa = &sessionAgg{}
 		}
 		sa.usage = SessionUsage{Session: r.Session, User: r.User, UserType: r.UserType}
 		acc.sessions[r.Session] = sa
@@ -217,13 +248,7 @@ func (acc *analyzer) fold(sa *sessionAgg, r *Record) {
 	os.Response.Add(r.Elapsed)
 
 	if r.Path != "" {
-		i, ok := sa.files[r.Path]
-		if !ok {
-			i = len(sa.order)
-			sa.files[r.Path] = i
-			sa.order = append(sa.order, fileAgg{cat: r.Category})
-		}
-		fa := &sa.order[i]
+		fa := sa.file(r)
 		if r.FileSize > fa.size {
 			fa.size = r.FileSize
 		}
@@ -247,7 +272,7 @@ func (acc *analyzer) fold(sa *sessionAgg, r *Record) {
 // in the same sequence.
 func (acc *analyzer) finishSession(sa *sessionAgg) SessionUsage {
 	u := sa.usage
-	u.FilesReferenced = len(sa.files)
+	u.FilesReferenced = len(sa.order)
 	acc.gen++
 	var sizeSum float64
 	var apbSum float64
@@ -308,6 +333,7 @@ func (acc *analyzer) retire(session int) {
 	}
 	acc.a.Sessions = append(acc.a.Sessions, acc.finishSession(sa))
 	delete(acc.sessions, session)
+	clear(sa.slots)
 	clear(sa.files)
 	sa.order = sa.order[:0]
 	sa.dataResp = 0

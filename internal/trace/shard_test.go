@@ -31,8 +31,9 @@ func chunkCounts() []int {
 // TestChunkedShardsMatchFlatLog appends through many Shard(u) handles in a
 // pseudo-random interleaving and checks every reader against a flat
 // reference slice in emission order. Every handle is the log's one
-// appender, and a snapshot taken at each chunk boundary and halfway must
-// see exactly its prefix while appends continue.
+// appender, and a packed snapshot taken at each chunk boundary and halfway
+// must unpack to exactly its prefix while appends continue, its string
+// table included.
 func TestChunkedShardsMatchFlatLog(t *testing.T) {
 	counts := chunkCounts()
 	var order []int // handle of each append, shuffled below
@@ -62,16 +63,34 @@ func TestChunkedShardsMatchFlatLog(t *testing.T) {
 	}
 	type snap struct {
 		n      int
-		chunks [][]Record
+		chunks [][]entry
+		strs   []string
 	}
-	snaps := []snap{{0, l.snapshot()}}
+	take := func(n int) snap {
+		chunks, strs := l.snapshot()
+		return snap{n, chunks, strs}
+	}
+	snaps := []snap{take(0)}
 	var flat []Record
 	for i, s := range order {
-		r := Record{Session: i, User: s, Op: OpRead, Path: fmt.Sprintf("/f%d", i), Bytes: int64(i), Start: float64(i)}
+		// Sessions, slots and error strings repeat with coprime periods,
+		// so the string table both adds and reuses entries. Most records
+		// name their slot's path, so the path hints hit; every third names
+		// another, so a (session, slot) pair also meets a path other than
+		// its hint's.
+		path := fmt.Sprintf("/f%d", i%7)
+		if i%3 == 0 {
+			path = fmt.Sprintf("/g%d", i%11)
+		}
+		r := Record{Session: i % 5, User: s, UserType: fmt.Sprintf("t%d", s%3), Op: OpRead,
+			Path: path, Bytes: int64(i), Start: float64(i), Slot: int32(i % 7)}
+		if i%5 == 0 {
+			r.Err = fmt.Sprintf("e%d", i%3)
+		}
 		shards[s].Append(r)
 		flat = append(flat, r)
 		if at[i+1] {
-			snaps = append(snaps, snap{i + 1, l.snapshot()})
+			snaps = append(snaps, take(i+1))
 		}
 	}
 
@@ -89,7 +108,11 @@ func TestChunkedShardsMatchFlatLog(t *testing.T) {
 	for _, s := range snaps {
 		var prefix []Record
 		for _, c := range s.chunks {
-			prefix = append(prefix, c...)
+			for i := range c {
+				var r Record
+				c[i].unpack(&r, s.strs)
+				prefix = append(prefix, r)
+			}
 		}
 		if !slices.Equal(prefix, flat[:s.n]) {
 			t.Errorf("snapshot saw %d records, want exactly the %d-record prefix", len(prefix), s.n)
@@ -108,6 +131,27 @@ func TestChunkedShardsMatchFlatLog(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Error("WriteJSONL differs from the flat reference encoding")
+	}
+}
+
+// TestLogEntriesHoldNoPointers keeps the log's packed entry free of
+// pointers: every field a fixed-size scalar, the whole at most 80 bytes.
+// A string or slice field added later would make the collector scan every
+// chunk of the log again, and the append pay write barriers.
+func TestLogEntriesHoldNoPointers(t *testing.T) {
+	typ := reflect.TypeFor[entry]()
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("entry.%s is a %s, not a fixed-size scalar", f.Name, f.Type)
+		}
+	}
+	if size := typ.Size(); size > 80 {
+		t.Errorf("entry is %d bytes, want at most 80", size)
 	}
 }
 

@@ -10,8 +10,8 @@ import "sync"
 // Stream), so even unbounded session counts hold only one live accumulator
 // per concurrent session stream — a full-record log of a 1000-user run
 // holds tens of millions of Records; the Summarizer holds about a thousand
-// small maps. A retired accumulator, map and file slab included, serves
-// the next session to start, and Finish releases them all.
+// small per-file tables. A retired accumulator, tables and file slab
+// included, serves the next session to start, and Finish releases them all.
 //
 // Equivalence: the Summarizer reuses the exact analyzer that Analyze runs
 // over a finished Log. A Log keeps records in emission order, so folding

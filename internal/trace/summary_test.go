@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -21,11 +22,51 @@ func feed(recs []Record, l *Log, s *Summarizer) {
 	}
 }
 
+// slotSessions gives a random subset of the records' sessions file slots,
+// as the simulator does, and returns the records with every slot cleared.
+// A slot here is the path's first-reference index in its session, plus
+// one; a record without a path gets one too, which the fold must ignore.
+func slotSessions(r *rand.Rand, recs []Record) []Record {
+	slotted := map[int]map[string]int32{}
+	for i := range recs {
+		m, ok := slotted[recs[i].Session]
+		if !ok {
+			if r.Intn(2) == 0 {
+				m = map[string]int32{}
+			}
+			slotted[recs[i].Session] = m
+		}
+		if m == nil {
+			continue
+		}
+		if _, ok := m[recs[i].Path]; !ok {
+			m[recs[i].Path] = int32(len(m) + 1)
+		}
+		recs[i].Slot = m[recs[i].Path]
+	}
+	bare := slices.Clone(recs)
+	for i := range bare {
+		bare[i].Slot = 0
+	}
+	return bare
+}
+
+// analyzeRecords folds records through Analyze over a locked Log.
+func analyzeRecords(recs []Record) *Analysis {
+	var l Log
+	for _, rec := range recs {
+		l.Add(rec)
+	}
+	return Analyze(&l)
+}
+
 // TestQuickSummarizerMatchesAnalyze is the tentpole equivalence property:
 // for any record stream, folding records as they are emitted (Summarizer)
 // produces a bit-identical Analysis to materializing the full Log and
 // analyzing it afterwards — every float, every ULP, including session rows,
-// per-op summaries, and derived measures.
+// per-op summaries, and derived measures. Some sessions carry file slots,
+// and the fold by slot must equal the fold by path over the same records
+// with no slots.
 func TestQuickSummarizerMatchesAnalyze(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -34,6 +75,7 @@ func TestQuickSummarizerMatchesAnalyze(t *testing.T) {
 		for i := range recs {
 			recs[i] = randomRecord(r)
 		}
+		bare := slotSessions(r, recs)
 		var l Log
 		s := NewSummarizer()
 		feed(recs, &l, s)
@@ -43,6 +85,11 @@ func TestQuickSummarizerMatchesAnalyze(t *testing.T) {
 		if !reflect.DeepEqual(logged, streamed) {
 			t.Logf("log  = %+v", logged)
 			t.Logf("stream = %+v", streamed)
+			return false
+		}
+		if byPath := analyzeRecords(bare); !reflect.DeepEqual(byPath, streamed) {
+			t.Logf("by path = %+v", byPath)
+			t.Logf("by slot = %+v", streamed)
 			return false
 		}
 		// Derived measures agree exactly too.
@@ -186,6 +233,8 @@ func TestQuickSummarizerRetirementMatchesAnalyze(t *testing.T) {
 			}
 			return recs[i].Session < recs[j].Session
 		})
+		// Slotted and slot-less sessions share the recycled accumulators.
+		bare := slotSessions(r, recs)
 
 		var l Log
 		s := NewSummarizer()
@@ -217,7 +266,7 @@ func TestQuickSummarizerRetirementMatchesAnalyze(t *testing.T) {
 			t.Logf("%d ByOp rows for %d distinct ops", len(got.ByOp), len(counts))
 			return false
 		}
-		return reflect.DeepEqual(Analyze(&l), got)
+		return reflect.DeepEqual(Analyze(&l), got) && reflect.DeepEqual(analyzeRecords(bare), got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -290,15 +339,24 @@ func TestSummarizerRetirementBoundsHeap(t *testing.T) {
 // TestSummarizerRecyclesRetiredSessions pins accumulator recycling. On one
 // held Stream handle, once warm-up sessions have grown an accumulator to 16
 // files, folding another session over at most 16 files allocates nothing:
-// it reuses the retired session's files map and file slab. After Finish
-// the analyzer holds no accumulators and no free list.
+// it reuses the retired session's slot table or files map, and its file
+// slab. After Finish the analyzer holds no accumulators and no free list.
 func TestSummarizerRecyclesRetiredSessions(t *testing.T) {
+	for _, slotted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("slotted=%v", slotted), func(t *testing.T) { recycles(t, slotted) })
+	}
+}
+
+func recycles(t *testing.T, slotted bool) {
 	ops := []Op{OpOpen, OpRead, OpWrite, OpClose}
 	recs := make([]Record, 4*16)
 	for i := range recs {
 		recs[i] = Record{User: 0, Op: ops[i%4], Path: "/u0/f" + strconv.Itoa(i/4), FileSize: 8192, Elapsed: float64(1 + i%7)}
 		if recs[i].Op.IsData() {
 			recs[i].Bytes = 1024
+		}
+		if slotted {
+			recs[i].Slot = int32(i/4 + 1)
 		}
 	}
 	s := NewSummarizer()

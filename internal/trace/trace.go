@@ -5,7 +5,13 @@
 // average number of files referenced (Figures 5.3-5.5), the per-category
 // usage of Table 5.2, and per-call access size and response time summaries
 // (Table 5.3). One fold makes all of them, online as records are emitted
-// (Summarizer) or over a kept log (Analyze).
+// (Summarizer) or over a kept log (Analyze). The fold finds a session's
+// per-file accumulator by the record's file slot when the producer set
+// one, and by its path otherwise.
+//
+// A kept log (Log) stores each record packed, without pointers, and its
+// strings once in a per-log table, so the collector does not scan it;
+// readers get the records back unpacked, one reused Record per walk.
 //
 // In the DES→workload→trace→analysis pipeline this package is both the
 // trace stage (Sink, Log, Summarizer — what the workload emits) and the
@@ -156,6 +162,14 @@ type Record struct {
 	Elapsed float64 `json:"elapsed"`
 	// Err is the errno-style failure, empty on success.
 	Err string `json:"err,omitempty"`
+	// Slot is the producer's index of the file within its session, plus
+	// one, so the Usage Analyzer indexes its per-file accumulators instead
+	// of hashing Path. 0 means the record carries no slot: it was decoded
+	// from JSONL, which does not carry the field, or built by hand. A
+	// producer sets Slot on every record of a session or on none, and
+	// within a session slots and paths correspond one to one. Slots are
+	// small: the analyzer sizes a per-session table by the largest.
+	Slot int32 `json:"-"`
 }
 
 // Log keeps every record in one list, in emission order. The zero value is
@@ -171,9 +185,17 @@ type Record struct {
 //     The Sink contract already forbids two streams, or a stream and Emit,
 //     from running at once, so every writer appends to the same list.
 //
-// Records live in a list of fixed-capacity chunks that never move once
+// A record is kept packed, as an 80-byte entry that holds no pointer: its
+// scalars, and UserType, Path and Err as indexes into the log's string
+// table, which keeps each distinct string once. Chunks of pointer-free
+// entries are allocated noscan, so the collector never walks the growing
+// log, and an append that adds no string to the table stores no pointer,
+// so it pays no write barrier while a collection runs. Readers get the
+// records back unpacked (Each).
+//
+// Entries live in a list of fixed-capacity chunks that never move once
 // allocated: an append writes into the last chunk's spare capacity, or into
-// a fresh chunk when it is full, so no record is ever copied again. Chunk
+// a fresh chunk when it is full, so no entry is ever copied again. Chunk
 // capacities double from minChunk up to maxChunk, which bounds the slack to
 // one partly filled chunk of at most maxChunk-1 entries.
 type Log struct {
@@ -185,11 +207,43 @@ type Log struct {
 // The name stays only for bench/probes.go's append probe, which resolves
 // it per user through Log.Shard.
 type Shard struct {
-	chunks [][]Record // every chunk but the last is full; none is empty
+	chunks [][]entry // every chunk but the last is full; none is empty
+	// strs is the string table the entries index; strs[0] is "" once the
+	// first chunk exists. ids inverts it, "" excluded.
+	strs []string
+	ids  map[string]uint32
+	// lastType and lastTypeID cache the last UserType interned: a session
+	// stream repeats its user's type on every record.
+	lastType   string
+	lastTypeID uint32
+	// hints caches the path id last interned for recent (session, slot)
+	// pairs, direct mapped. A session works through its files one at a
+	// time, but the sessions of concurrent users interleave their records,
+	// so a one-entry cache would rarely hit. A record without a slot uses
+	// slot 0, whose entry holds the session's last path.
+	hints [64]pathHint
+}
+
+// pathHint is one hints entry.
+type pathHint struct {
+	session int
+	slot    int32
+	id      uint32
+}
+
+// entry is one Record packed without pointers (see Log); a test holds it
+// to fixed-size scalars and 80 bytes.
+type entry struct {
+	session, user, category int
+	op                      Op
+	bytes, fileSize         int64
+	start, elapsed          float64
+	userType, path, err     uint32 // indexes into the log's string table
+	slot                    int32
 }
 
 // Chunk capacities run minChunk, 2·minChunk, ... up to maxChunk entries
-// (about 112 KB), reached after chunkDoublings chunks.
+// (80 KB), reached after chunkDoublings chunks.
 const (
 	minChunk       = 16
 	chunkDoublings = 6
@@ -208,7 +262,7 @@ func (l *Log) Shard(int) *Shard { return &l.w }
 // stays only for bench/probes.go's append probe.
 func (s *Shard) Append(r Record) { s.Emit(&r) }
 
-// Emit copies the record onto the end of the list, making *Shard a
+// Emit packs the record onto the end of the list, making *Shard a
 // trace.Stream.
 func (s *Shard) Emit(r *Record) {
 	last := len(s.chunks) - 1
@@ -217,16 +271,64 @@ func (s *Shard) Emit(r *Record) {
 		if last+1 < chunkDoublings {
 			size = minChunk << (last + 1)
 		}
-		s.chunks = append(s.chunks, make([]Record, 0, size))
+		if last < 0 {
+			s.strs, s.ids = []string{""}, make(map[string]uint32)
+		}
+		s.chunks = append(s.chunks, make([]entry, 0, size))
 		last++
 	}
-	s.chunks[last] = append(s.chunks[last], *r)
+	if r.UserType != s.lastType {
+		s.lastType, s.lastTypeID = r.UserType, s.intern(r.UserType)
+	}
+	path, errID := s.pathID(r), s.intern(r.Err)
+	// Extend the chunk and fill the new entry in place: appending an entry
+	// literal builds it on the stack and copies it in.
+	n := len(s.chunks[last])
+	s.chunks[last] = s.chunks[last][:n+1]
+	e := &s.chunks[last][n]
+	e.session, e.user, e.category, e.op = r.Session, r.User, r.Category, r.Op
+	e.bytes, e.fileSize, e.start, e.elapsed = r.Bytes, r.FileSize, r.Start, r.Elapsed
+	e.userType, e.path, e.err, e.slot = s.lastTypeID, path, errID, r.Slot
+}
+
+// pathID returns the id of r's path, from hints when they hold its session
+// and slot. A hint is checked against the path itself, so a record that
+// breaks the Slot contract is still logged with its own path.
+func (s *Shard) pathID(r *Record) uint32 {
+	h := &s.hints[uint(r.Session*31+int(r.Slot))%uint(len(s.hints))]
+	if h.session != r.Session || h.slot != r.Slot || s.strs[h.id] != r.Path {
+		*h = pathHint{session: r.Session, slot: r.Slot, id: s.intern(r.Path)}
+	}
+	return h.id
+}
+
+// intern returns v's index in the string table, adding v on first use.
+func (s *Shard) intern(v string) uint32 {
+	if v == "" {
+		return 0
+	}
+	id, ok := s.ids[v]
+	if !ok {
+		id = uint32(len(s.strs))
+		s.strs = append(s.strs, v)
+		s.ids[v] = id
+	}
+	return id
+}
+
+// unpack writes the entry's record into r, its strings looked up in strs.
+func (e *entry) unpack(r *Record, strs []string) {
+	*r = Record{
+		Session: e.session, User: e.user, UserType: strs[e.userType], Op: e.op,
+		Path: strs[e.path], Category: e.category, Bytes: e.bytes, FileSize: e.fileSize,
+		Start: e.start, Elapsed: e.elapsed, Err: strs[e.err], Slot: e.slot,
+	}
 }
 
 // Add appends a record under the log's lock. Safe for concurrent use.
 func (l *Log) Add(r Record) { l.Emit(&r) }
 
-// Emit copies the record into the log under its lock, making *Log a Sink.
+// Emit packs the record into the log under its lock, making *Log a Sink.
 func (l *Log) Emit(r *Record) {
 	l.mu.Lock()
 	l.w.Emit(r)
@@ -238,21 +340,23 @@ func (l *Log) Stream(int) Stream { return &l.w }
 
 var _ Sink = (*Log)(nil)
 
-// snapshot copies the chunk headers under the log's lock. Later locked
-// appends extend the last chunk past the captured length or add chunks, so
-// they cannot race with a reader walking the copy, which sees exactly the
-// prefix that existed when it was taken. Entries below the captured
-// lengths never mutate.
-func (l *Log) snapshot() [][]Record {
+// snapshot copies the chunk headers and the string table's header under
+// the log's lock. Later locked appends extend the last chunk or the table
+// past the captured lengths, or add chunks, so they cannot race with a
+// reader walking the copy, which sees exactly the prefix that existed when
+// it was taken. Entries and strings below the captured lengths never
+// mutate, and every captured entry indexes a captured string.
+func (l *Log) snapshot() ([][]entry, []string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return slices.Clone(l.w.chunks)
+	return slices.Clone(l.w.chunks), l.w.strs
 }
 
 // Len returns the number of records.
 func (l *Log) Len() int {
+	chunks, _ := l.snapshot()
 	n := 0
-	for _, c := range l.snapshot() {
+	for _, c := range chunks {
 		n += len(c)
 	}
 	return n
@@ -267,22 +371,27 @@ func (l *Log) Records() []Record {
 	return out
 }
 
-// Each calls fn on every record in emission order, in place: no O(n) copy,
-// and the log's lock is held only for a brief snapshot, not across fn. fn
-// must not retain the pointer past the call. Lock-free appends must not
-// run concurrently with Each.
+// Each calls fn on every record in emission order, with no O(n) copy: it
+// unpacks each entry into one Record that it reuses for the whole walk, so
+// fn must not retain the pointer past the call, as the Sink contract asks
+// of every record reader. The log's lock is held only for a brief
+// snapshot, not across fn. Lock-free appends must not run concurrently
+// with Each.
 func (l *Log) Each(fn func(*Record)) {
-	for _, c := range l.snapshot() {
+	chunks, strs := l.snapshot()
+	var r Record
+	for _, c := range chunks {
 		for i := range c {
-			fn(&c[i])
+			c[i].unpack(&r, strs)
+			fn(&r)
 		}
 	}
 }
 
-// Reset discards all records.
+// Reset discards all records and the string table.
 func (l *Log) Reset() {
 	l.mu.Lock()
-	l.w.chunks = nil
+	l.w = Shard{}
 	l.mu.Unlock()
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -91,17 +92,21 @@ func TestLogAddAndRecords(t *testing.T) {
 
 // TestLogConcurrentAdd runs locked Adds from several goroutines while
 // readers iterate: each Each must see a prefix of every writer's stream,
-// in order, and the final count must be exact.
+// in order, with the strings each record was added with, and the final
+// count must be exact. Every writer adds strings of its own and strings
+// the others share, so the string table grows under the readers.
 func TestLogConcurrentAdd(t *testing.T) {
 	var l Log
 	var wg sync.WaitGroup
 	const workers, per, readers = 8, 100, 2
+	path := func(w, i int) string { return fmt.Sprintf("/u%d/f%d", w*(i%2), i%10) }
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				l.Add(Record{Session: w, User: w, Op: OpRead, Bytes: int64(i)})
+				l.Add(Record{Session: w, User: w, UserType: fmt.Sprintf("t%d", w%3), Op: OpRead,
+					Path: path(w, i), Bytes: int64(i), Err: fmt.Sprintf("e%d", i%4)})
 			}
 		}(w)
 	}
@@ -112,10 +117,14 @@ func TestLogConcurrentAdd(t *testing.T) {
 			for pass := 0; pass < 20; pass++ {
 				var next [workers]int64
 				l.Each(func(rec *Record) {
-					if rec.Bytes != next[rec.Session] {
-						t.Errorf("worker %d: saw record %d, want %d", rec.Session, rec.Bytes, next[rec.Session])
+					w, i := rec.Session, int(rec.Bytes)
+					if rec.Bytes != next[w] {
+						t.Errorf("worker %d: saw record %d, want %d", w, i, next[w])
 					}
-					next[rec.Session] = rec.Bytes + 1
+					if rec.UserType != fmt.Sprintf("t%d", w%3) || rec.Path != path(w, i) || rec.Err != fmt.Sprintf("e%d", i%4) {
+						t.Errorf("worker %d record %d: strings %q %q %q", w, i, rec.UserType, rec.Path, rec.Err)
+					}
+					next[w] = rec.Bytes + 1
 				})
 			}
 		}()

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -20,13 +21,25 @@ import (
 // the Summarizer as their primary sink and attach Windows through Tee only
 // when the windowed view is wanted.
 //
+// The windows are a dense slice indexed by completion time over width, so
+// a collector holds at most maxWindows of them: a record completing past
+// the last is counted, not kept, and makes Finish fail.
+//
 // Concurrency mirrors Summarizer: Emit locks; Stream returns a lock-free
 // folder for the single-threaded DES hot path.
 type Windows struct {
 	mu    sync.Mutex
 	width float64
 	wins  []windowAcc
+	// past counts the records completing at or after maxWindows·width,
+	// and last is the latest such completion, µs.
+	past int64
+	last float64
 }
+
+// maxWindows bounds a collector's windows. At a 10 s width they cover 121
+// days of virtual time; the transient figures use tens of windows.
+const maxWindows = 1 << 20
 
 // windowAcc accumulates one window.
 type windowAcc struct {
@@ -73,7 +86,15 @@ func (w *Windows) add(r *Record) {
 	if t < 0 || math.IsNaN(t) {
 		t = 0
 	}
-	i := int(t / w.width)
+	// Compare in floats before converting: t/width may be beyond any int,
+	// +Inf, or NaN (+Inf over an infinite width).
+	q := t / w.width
+	if !(q < maxWindows) {
+		w.past++
+		w.last = max(w.last, t)
+		return
+	}
+	i := int(q)
 	for i >= len(w.wins) {
 		w.wins = append(w.wins, windowAcc{})
 	}
@@ -119,11 +140,17 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[rank-1]
 }
 
-// Finish reduces the windows, trailing empty windows trimmed. Safe to call
-// repeatedly; further Emits after Finish fold into later calls' results.
-func (w *Windows) Finish() []WindowStats {
+// Finish reduces the windows, trailing empty windows trimmed. It fails when
+// a record completed past the last window the collector holds. Safe to
+// call repeatedly; further Emits after Finish fold into later calls'
+// results.
+func (w *Windows) Finish() ([]WindowStats, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.past > 0 {
+		return nil, fmt.Errorf("trace: %d records complete past the %d windows of trace.window_us %v, the last at %v µs; widen the window",
+			w.past, maxWindows, w.width, w.last)
+	}
 	last := len(w.wins)
 	for last > 0 && w.wins[last-1].ops == 0 {
 		last--
@@ -149,7 +176,7 @@ func (w *Windows) Finish() []WindowStats {
 		}
 		out = append(out, st)
 	}
-	return out
+	return out, nil
 }
 
 // Tee fans every record out to two sinks in order (primary first), so a run

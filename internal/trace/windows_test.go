@@ -1,9 +1,21 @@
 package trace
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
+
+// finish reduces w, failing the test on an error.
+func finish(t *testing.T, w *Windows) []WindowStats {
+	t.Helper()
+	wins, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wins
+}
 
 func TestWindowsBucketsByCompletionTime(t *testing.T) {
 	w := NewWindows(100)
@@ -12,7 +24,7 @@ func TestWindowsBucketsByCompletionTime(t *testing.T) {
 	emit(&Record{Start: 40, Elapsed: 80, Bytes: 10})
 	emit(&Record{Start: 10, Elapsed: 20, Bytes: 5})              // window 0
 	emit(&Record{Start: 150, Elapsed: 30, Err: "EIO", Bytes: 0}) // window 1, errored
-	wins := w.Finish()
+	wins := finish(t, w)
 	if len(wins) != 2 {
 		t.Fatalf("windows = %d, want 2", len(wins))
 	}
@@ -30,11 +42,30 @@ func TestWindowsBucketsByCompletionTime(t *testing.T) {
 	}
 }
 
+// TestWindowsBoundsRecordsPastTheLastWindow feeds records completing far
+// past the collector's last window, one at 1e300 µs, whose window index no
+// int holds, and one at +Inf. Neither may panic or grow the windows; Finish
+// must report them, naming the spec knob to change.
+func TestWindowsBoundsRecordsPastTheLastWindow(t *testing.T) {
+	w := NewWindows(1e6)
+	w.Emit(&Record{Start: 10, Elapsed: 10})
+	w.Emit(&Record{Start: 1e300, Elapsed: 10})
+	w.Stream(0).Emit(&Record{Start: maxWindows * 1e6, Elapsed: 0})
+	w.Emit(&Record{Start: math.Inf(1), Elapsed: 10})
+	if len(w.wins) != 1 {
+		t.Errorf("collector grew %d windows, want 1", len(w.wins))
+	}
+	wins, err := w.Finish()
+	if err == nil || !strings.Contains(err.Error(), "trace.window_us") || !strings.Contains(err.Error(), "3 records") {
+		t.Errorf("Finish = %d windows, err %v; want an error naming trace.window_us and 3 records", len(wins), err)
+	}
+}
+
 func TestWindowsEmptyWindowIsUnavailable(t *testing.T) {
 	w := NewWindows(100)
 	w.Emit(&Record{Start: 10, Elapsed: 10})
 	w.Emit(&Record{Start: 350, Elapsed: 10}) // window 3; 1 and 2 stay empty
-	wins := w.Finish()
+	wins := finish(t, w)
 	if len(wins) != 4 {
 		t.Fatalf("windows = %d, want 4 (interior gaps kept)", len(wins))
 	}
@@ -50,7 +81,7 @@ func TestWindowsTrimsTrailingEmpties(t *testing.T) {
 	w.Emit(&Record{Start: 10, Elapsed: 10})
 	// A record far out, then none after: Finish up to the last non-empty.
 	w.Emit(&Record{Start: 910, Elapsed: 10})
-	wins := w.Finish()
+	wins := finish(t, w)
 	if len(wins) != 10 {
 		t.Fatalf("windows = %d, want 10", len(wins))
 	}
@@ -64,7 +95,7 @@ func TestWindowsPercentiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		w.Emit(&Record{Start: 0, Elapsed: float64(i)})
 	}
-	wins := w.Finish()
+	wins := finish(t, w)
 	if len(wins) != 1 {
 		t.Fatalf("windows = %d, want 1", len(wins))
 	}
@@ -100,7 +131,7 @@ func TestTeePrimaryUnchanged(t *testing.T) {
 	if !reflect.DeepEqual(plain.Finish(), teedSummary.Finish()) {
 		t.Error("tee changed the primary sink's analysis")
 	}
-	ws := wins.Finish()
+	ws := finish(t, wins)
 	var ops int64
 	for _, w := range ws {
 		ops += w.Ops

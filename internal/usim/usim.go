@@ -195,6 +195,7 @@ type workItem struct {
 	remain   int64 // bytes still to transfer (or ops for directories)
 	writeRem int64 // bytes still to write before reads begin (NEW/TEMP)
 	seekNext bool  // random-access extension: seek before the next read
+	slot     int32 // index in the session's items plus one: the records' trace.Record.Slot
 }
 
 // RunSession simulates one login session for the given user, synchronously.
@@ -571,6 +572,7 @@ func (ses *session) selectFiles(ar *arena) {
 					item.writeRem = item.remain / 2 // RD-WRT: half the budget written
 				}
 			}
+			item.slot = int32(len(ses.items) + 1)
 			ses.items = append(ses.items, item)
 		}
 	}
@@ -934,6 +936,7 @@ func (ses *session) fillRec(op trace.Op, item *workItem, start float64, err erro
 	if err != nil {
 		rec.Err = err.Error()
 	}
+	rec.Slot = item.slot
 }
 
 // RunUnderSim executes the spec's sessions on a DES environment: one
