@@ -36,6 +36,7 @@ import (
 	"uswg/internal/gds"
 	"uswg/internal/report"
 	"uswg/internal/rng"
+	"uswg/internal/scenario"
 	"uswg/internal/stats"
 	"uswg/internal/trace"
 	"uswg/internal/vfs"
@@ -158,6 +159,27 @@ func cmdRun(args []string) error {
 		fmt.Printf("usage log: %s (%d records)\n", *logPath, gen.Log().Len())
 	}
 	printSummary(os.Stdout, spec, res, gen)
+	return printWindows(os.Stdout, spec, gen)
+}
+
+// printWindows writes, after the summary, the windowed response series of a
+// spec that sets trace.window_us, in the transient scenarios' columns. A
+// run that completes operations past the collector's last window fails.
+func printWindows(w io.Writer, spec *config.Spec, gen *core.Generator) error {
+	win := gen.Windows()
+	if win == nil {
+		return nil
+	}
+	wins, err := win.Finish()
+	if err != nil {
+		return err
+	}
+	series := scenario.TransientResult{
+		Title:   fmt.Sprintf("response in %g s windows:", spec.Trace.WindowUS/1e6),
+		WidthUS: spec.Trace.WindowUS,
+		Windows: wins,
+	}
+	fmt.Fprint(w, "\n"+series.Render())
 	return nil
 }
 

@@ -93,3 +93,51 @@ func TestPrintSummaryReportsEveryIsland(t *testing.T) {
 		t.Errorf("fleet line reads %d RPCs, islands %d + %d, the fleet served %d", total, calls["nfs.server_calls.0"], one, want)
 	}
 }
+
+// TestPrintWindowsSumsToRun: a spec that sets trace.window_us gets its
+// windowed series printed, one row per window in time order, and the rows'
+// operation counts add up to the run's.
+func TestPrintWindowsSumsToRun(t *testing.T) {
+	spec := config.Default()
+	spec.Users, spec.Sessions = 3, 12
+	spec.Trace.WindowUS = 1e6
+	gen, err := core.NewGenerator(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := gen.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := printWindows(&out, spec, gen); err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(out.String(), "\n---")
+	if !ok {
+		t.Fatalf("no windowed table in:\n%s", out.String())
+	}
+	rows := strings.Split(strings.TrimSpace(table), "\n")[1:]
+	ops := 0
+	for i, row := range rows {
+		f := strings.Fields(row)
+		if len(f) != 7 || f[0] != strconv.Itoa(i) {
+			t.Fatalf("row %d = %q, want window %d's 7 columns", i, row, i)
+		}
+		n, err := strconv.Atoi(f[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops += n
+	}
+	wins, err := gen.Windows().Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(wins) || len(rows) < 2 {
+		t.Errorf("%d window rows, the collector holds %d windows (want at least 2)", len(rows), len(wins))
+	}
+	if ops != res.Analysis.Ops {
+		t.Errorf("window rows hold %d ops, the run executed %d", ops, res.Analysis.Ops)
+	}
+}

@@ -58,10 +58,9 @@ func Script(ctx vfs.Ctx, fsys vfs.FileSystem, root string, cfg ScriptConfig, log
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	fs := vfs.Sync{FS: fsys}
-	s := scriptRun{ctx: ctx, fs: fs, cfg: cfg, log: log, session: session}
+	s := &scriptRun{ctx: ctx, fs: vfs.Sync{FS: fsys}, cfg: cfg, log: log, session: session}
 	start := ctx.Now()
-	err := fs.Mkdir(ctx, root)
+	err := s.fs.Mkdir(ctx, root)
 	if err != nil && vfs.IsExist(err) {
 		err = nil
 	}

@@ -55,11 +55,11 @@ func TestScriptPhases(t *testing.T) {
 	}
 
 	// Files really exist with the configured size.
-	info, err := (vfs.Sync{FS: fs}).Stat(ctx, "/bench/d0/f0")
+	info, err := (&vfs.Sync{FS: fs}).Stat(ctx, "/bench/d0/f0")
 	if err != nil || info.Size != 10000 {
 		t.Errorf("copied file: %+v, %v", info, err)
 	}
-	if _, err := (vfs.Sync{FS: fs}).Stat(ctx, "/bench/obj2"); err != nil {
+	if _, err := (&vfs.Sync{FS: fs}).Stat(ctx, "/bench/obj2"); err != nil {
 		t.Errorf("make output missing: %v", err)
 	}
 }
@@ -134,7 +134,7 @@ func TestReplayReproducesOps(t *testing.T) {
 		}
 	}
 	// The replay must reconstruct the same files.
-	info, err := (vfs.Sync{FS: dst}).Stat(&vfs.ManualClock{}, "/b/d1/f0")
+	info, err := (&vfs.Sync{FS: dst}).Stat(&vfs.ManualClock{}, "/b/d1/f0")
 	if err != nil || info.Size != 4096 {
 		t.Errorf("replayed file: %+v, %v", info, err)
 	}

@@ -52,13 +52,13 @@ type Generator struct {
 	local     *vfs.LocalCost    // non-nil in local mode
 	faults    *fault.Engine     // non-nil when the spec carries a fault plan
 	warmOps   int64             // warmed paths (opens + stats), for cost tests
+	sync      vfs.Sync          // warming's synchronous caller, pointed at each warmed client
 	ran       bool
 
 	// Lazy-population wiring (spec.LazyUsers): the per-materialized-user
 	// file-system bindings (entries are deleted again when a user's stream
-	// ends) and the shared warming helper.
+	// ends).
 	lazyFS map[int]vfs.FileSystem
-	w      *warmer
 }
 
 // Result is a completed run.
@@ -227,70 +227,6 @@ func NewGenerator(spec *config.Spec) (*Generator, error) {
 	return g, nil
 }
 
-// zeroClock is a Ctx pinned to t=0 that absorbs holds. Warming must use it
-// rather than a ManualClock: the client's attribute cache stores absolute
-// expiry times (Now + timeout), and a clock that advanced during warming
-// would hand differently-warmed users different expiries in the measured
-// run's timebase.
-type zeroClock struct{}
-
-func (zeroClock) Now() float64             { return 0 }
-func (zeroClock) Hold(_ float64, k func()) { k() }
-
-// warmer issues the uncharged cache-warming reads. Warming runs on the zero
-// clock, never under the DES, so every continuation fires inline and plain
-// result fields capture each call's outcome. The callbacks are bound once:
-// warming touches every file of every warmed client, and a vfs.Sync wrapper
-// would allocate a fresh closure per call.
-type warmer struct {
-	g    *Generator
-	fd   vfs.FD
-	oerr error
-	got  int64
-	rerr error
-
-	openDone  func(vfs.FD, error)
-	readDone  func(int64, error)
-	statDone  func(vfs.FileInfo, error)
-	closeDone func(error)
-}
-
-// warmer returns the generator's shared warming helper, building it on
-// first use.
-func (g *Generator) warmer() *warmer {
-	if g.w == nil {
-		w := &warmer{g: g}
-		w.openDone = func(f vfs.FD, e error) { w.fd, w.oerr = f, e }
-		w.readDone = func(n int64, e error) { w.got, w.rerr = n, e }
-		w.statDone = func(vfs.FileInfo, error) {}
-		w.closeDone = func(error) {}
-		g.w = w
-	}
-	return g.w
-}
-
-// warm reads one pre-created file through the client (stats a directory) on
-// the zero clock.
-func (w *warmer) warm(c *nfs.Client, path string, isDir bool) {
-	var free zeroClock
-	w.g.warmOps++
-	if isDir {
-		c.Stat(&free, path, w.statDone)
-		return
-	}
-	c.Open(&free, path, vfs.ReadOnly, w.openDone)
-	if w.oerr != nil {
-		return
-	}
-	for {
-		c.Read(&free, w.fd, 1<<20, w.readDone)
-		if w.rerr != nil || w.got == 0 {
-			break
-		}
-	}
-	c.Close(&free, w.fd, w.closeDone)
-}
-
 // Cache warming brings every client to a steady state before the measured
 // run: each user's reachable pre-created files are read once (directories
 // stat'ed) on an uncharged clock. The thesis measured logged-in users in
@@ -313,7 +249,6 @@ func (g *Generator) warmSlots() {
 	if !g.fleet.Pooled() {
 		return
 	}
-	w := g.warmer()
 	islands := g.fleet.Islands()
 	for cat := range g.spec.Categories {
 		c := &g.spec.Categories[cat]
@@ -330,7 +265,7 @@ func (g *Generator) warmSlots() {
 					continue
 				}
 				for _, slot := range islands[isl].Pool() {
-					w.warm(slot, path, c.IsDir())
+					g.warm(slot, path, c.IsDir())
 				}
 			}
 		}
@@ -339,7 +274,6 @@ func (g *Generator) warmSlots() {
 
 // warmUser warms user u's reachable sets that no shared slot holds.
 func (g *Generator) warmUser(u int) {
-	w := g.warmer()
 	pooled := g.fleet.Pooled()
 	for cat := range g.spec.Categories {
 		c := &g.spec.Categories[cat]
@@ -351,9 +285,34 @@ func (g *Generator) warmUser(u int) {
 			continue
 		}
 		for _, path := range set.Paths {
-			w.warm(g.fleet.ReadClientFor(u, path), path, c.IsDir())
+			g.warm(g.fleet.ReadClientFor(u, path), path, c.IsDir())
 		}
 	}
+}
+
+// warm reads one pre-created file through client c (stats a directory)
+// with the generator's synchronous caller, on the zero clock: warming runs
+// at setup, or in a lazy user's arrival hook, never inside a simulated
+// operation.
+func (g *Generator) warm(c *nfs.Client, path string, isDir bool) {
+	var ctx vfs.ZeroClock
+	s := &g.sync
+	s.FS = c
+	g.warmOps++
+	if isDir {
+		_, _ = s.Stat(ctx, path) // warming only fills caches
+		return
+	}
+	fd, err := s.Open(ctx, path, vfs.ReadOnly)
+	if err != nil {
+		return
+	}
+	for {
+		if n, err := s.Read(ctx, fd, 1<<20); err != nil || n == 0 {
+			break
+		}
+	}
+	_ = s.Close(ctx, fd) // a read-only descriptor: nothing to flush
 }
 
 // bindUser is every NFS user's binding, called for each user in order by

@@ -154,13 +154,71 @@ func TestGammaSamplingSmallAlpha(t *testing.T) {
 }
 
 func TestRegIncGammaKnownValues(t *testing.T) {
+	lower := func(a, x float64) float64 {
+		p, _ := RegIncGamma(a, x)
+		return p
+	}
 	// P(a, a) tends to ~0.5 for large a; P(1, x) = 1 - e^-x exactly.
-	almost(t, regIncGamma(1, 1), 1-math.Exp(-1), 1e-12, "P(1,1)")
-	almost(t, regIncGamma(5, 5), 0.5595, 1e-3, "P(5,5)")
-	if regIncGamma(3, 0) != 0 {
+	almost(t, lower(1, 1), 1-math.Exp(-1), 1e-12, "P(1,1)")
+	almost(t, lower(5, 5), 0.5595, 1e-3, "P(5,5)")
+	if lower(3, 0) != 0 {
 		t.Error("P(a, 0) must be 0")
 	}
-	almost(t, regIncGamma(0.5, 50), 1, 1e-9, "P(0.5, 50)")
+	almost(t, lower(0.5, 50), 1, 1e-9, "P(0.5, 50)")
+}
+
+// TestRegIncGammaPinned pins the bits of P and Q on both sides of the
+// series/fraction switch at x = a+1, at x = 0 and outside the domain. P
+// was recorded from the gamma mixture's CDF routine and Q from the
+// chi-square survival function's, when each package had its own copy of
+// the Numerical Recipes code.
+func TestRegIncGammaPinned(t *testing.T) {
+	cases := []struct {
+		a, x float64
+		p, q uint64
+	}{
+		{0.05, 0.02, 0x3feb0167368835c7, 0x3fc3fa6325df28e4},
+		{0.05, 2, 0x3fefea62932b696e, 0x3f659d6cd496920f},
+		{0.5, 0, 0x0000000000000000, 0x3ff0000000000000},
+		{0.5, 0.01, 0x3fbcca5ea24fb332, 0x3fec66b42bb6099a},
+		{0.5, 1.4, 0x3fecfbc96b9dfb02, 0x3fb821b4a31027f0},
+		{0.5, 1.5, 0x3fed55e5a70068f1, 0x3fb550d2c7fcb878},
+		{0.5, 3, 0x3fef8ace65ff5640, 0x3f8d4c66802a7011},
+		{0.5, 50, 0x3ff0000000000000, 0x3b326c75e84fb0fa},
+		{1, 0.5, 0x3fd92e9a0720d3eb, 0x3fe368b2fc6f960a},
+		{1, 1.99, 0x3feba030ea465b79, 0x3fc17f3c56e6921c},
+		{1, 2, 0x3febab5557101f8d, 0x3fc152aaa3bf81cc},
+		{1, 10, 0x3fefffa0ca192a6e, 0x3f07cd79b5647c9c},
+		{2.5, 0.2, 0x3f732146c4f9aa92, 0x3fefd9bd72760cab},
+		{2.5, 3.4, 0x3fe8732470ddd47c, 0x3fce336e3c88ae10},
+		{2.5, 3.5, 0x3fe8f083bca77055, 0x3fcc3df10d623eac},
+		{2.5, 8, 0x3fefc7eeefca9e17, 0x3f7c08881ab0f4bd},
+		{5, 1, 0x3f6dfb414dd1647b, 0x3fefe204beb22e9c},
+		{5, 5, 0x3fe1e77aa0513197, 0x3fdc310abf5d9cd2},
+		{5, 5.99, 0x3fe6d5d56b3eced7, 0x3fd2545529826252},
+		{5, 6, 0x3fe6e0d130b41766, 0x3fd23e5d9e97d134},
+		{5, 12, 0x3fefc1bcd352d0d9, 0x3f7f219656979381},
+		{5, 40, 0x3fefffffffffee56, 0x3d61aa08415894d3},
+		{10, 3, 0x3f52102b9da301ce, 0x3feff6f7ea312e7f},
+		{10, 10.99, 0x3fe511a369ab93a5, 0x3fd5dcb92ca8d8b6},
+		{10, 11, 0x3fe51a896cd570f0, 0x3fd5caed26551e1f},
+		{10, 25, 0x3feffe2f87a29edf, 0x3f2d0785d6120fa9},
+		{17.5, 100, 0x3ff0000000000000, 0x3ae4147fce18e617},
+		{20, 10, 0x3f6c4c47ba189e26, 0x3fefe3b3b845e762},
+		{20, 20.999, 0x3fe3b3715cc5525a, 0x3fd8991d46755b4c},
+		{20, 21, 0x3fe3b41e8f01bd4e, 0x3fd897c2e1fc8565},
+		{20, 60, 0x3fefffffffa8b32d, 0x3e05d334da81a877},
+		{3, -1, 0x0000000000000000, 0x3ff0000000000000},
+		{0, 1, 0, 0x3ff0000000000000},
+		{-1, 2, 0, 0x3ff0000000000000},
+	}
+	for _, c := range cases {
+		p, q := RegIncGamma(c.a, c.x)
+		if math.Float64bits(p) != c.p || math.Float64bits(q) != c.q {
+			t.Errorf("RegIncGamma(%v, %v) = (%#016x, %#016x), want (%#016x, %#016x)",
+				c.a, c.x, math.Float64bits(p), math.Float64bits(q), c.p, c.q)
+		}
+	}
 }
 
 func TestCDFTableInverseRoundTrip(t *testing.T) {

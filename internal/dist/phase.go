@@ -179,7 +179,8 @@ func (g *MultiStageGamma) CDF(x float64) float64 {
 	for i := range g.stages {
 		s := &g.stages[i]
 		if y := x - s.Offset; y > 0 {
-			f += s.W * regIncGamma(s.Alpha, y/s.Theta)
+			p, _ := RegIncGamma(s.Alpha, y/s.Theta)
+			f += s.W * p
 		}
 	}
 	return f
@@ -217,12 +218,14 @@ func sampleGamma(r *rand.Rand, alpha float64) float64 {
 	}
 }
 
-// regIncGamma is the regularized lower incomplete gamma function P(a, x),
-// computed by series expansion for x < a+1 and by Lentz's continued
-// fraction otherwise (Numerical Recipes §6.2).
-func regIncGamma(a, x float64) float64 {
-	if x <= 0 {
-		return 0
+// RegIncGamma returns the regularized incomplete gamma functions P(a, x)
+// (lower) and Q(a, x) = 1 - P(a, x) (upper), computed by series expansion
+// for x < a+1 and by Lentz's continued fraction for Q otherwise (Numerical
+// Recipes §6.2); whichever the method computes is exact, the other is its
+// complement. Outside the domain (x <= 0 or a <= 0) it returns (0, 1).
+func RegIncGamma(a, x float64) (p, q float64) {
+	if x <= 0 || a <= 0 {
+		return 0, 1
 	}
 	lg, _ := math.Lgamma(a)
 	if x < a+1 {
@@ -238,9 +241,9 @@ func regIncGamma(a, x float64) float64 {
 				break
 			}
 		}
-		return sum * math.Exp(-x+a*math.Log(x)-lg)
+		p = sum * math.Exp(-x+a*math.Log(x)-lg)
+		return p, 1 - p
 	}
-	// Continued fraction for Q(a,x); P = 1 - Q.
 	const tiny = 1e-300
 	b := x + 1 - a
 	c := 1 / tiny
@@ -264,5 +267,6 @@ func regIncGamma(a, x float64) float64 {
 			break
 		}
 	}
-	return 1 - math.Exp(-x+a*math.Log(x)-lg)*h
+	q = math.Exp(-x+a*math.Log(x)-lg) * h
+	return 1 - q, q
 }

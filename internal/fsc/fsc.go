@@ -134,15 +134,12 @@ func slug(c *config.Category) string {
 	return s
 }
 
-// builder is the FSC's pooled synchronous caller. Setup issues a handful of
-// vfs calls per created file, and the vfs.Sync wrapper allocates a closure
-// per call — the dominant allocator of large builds. The builder binds its
-// result-capturing continuations once; setup is strictly sequential, so a
-// single in-flight slot suffices. It also counts every operation (the
-// BuildOps source) and reuses one path-formatting scratch buffer.
+// builder carries a build's reusable state: the synchronous caller every
+// creation goes through (its call count is the BuildOps source), one
+// path-formatting scratch buffer, and the slabs the inventory is carved
+// from.
 type builder struct {
-	fs    vfs.FileSystem
-	ops   int64
+	fs    vfs.Sync
 	path  []byte
 	slugs []string // category slugs, computed once — slug() allocates
 
@@ -152,61 +149,6 @@ type builder struct {
 	setSlab  []FileSet
 	tabSlab  []*FileSet
 	pathSlab []string
-
-	err  error
-	fd   vfs.FD
-	done bool
-	errK func(error)
-	fdK  func(vfs.FD, error)
-	nK   func(int64, error)
-}
-
-func newBuilder(fs vfs.FileSystem) *builder {
-	b := &builder{fs: fs}
-	b.errK = func(e error) { b.err, b.done = e, true }
-	b.fdK = func(f vfs.FD, e error) { b.fd, b.err, b.done = f, e, true }
-	b.nK = func(_ int64, e error) { b.err, b.done = e, true }
-	return b
-}
-
-// finish panics when a continuation has not run inline — the caller handed
-// the builder a suspending Ctx (setup never runs under the DES).
-func (b *builder) finish() {
-	if !b.done {
-		panic("fsc: builder used with a suspending Ctx; continuation did not complete inline")
-	}
-}
-
-func (b *builder) mkdir(ctx vfs.Ctx, path string) error {
-	b.ops++
-	b.done = false
-	b.fs.Mkdir(ctx, path, b.errK)
-	b.finish()
-	return b.err
-}
-
-func (b *builder) create(ctx vfs.Ctx, path string) (vfs.FD, error) {
-	b.ops++
-	b.done = false
-	b.fs.Create(ctx, path, b.fdK)
-	b.finish()
-	return b.fd, b.err
-}
-
-func (b *builder) write(ctx vfs.Ctx, fd vfs.FD, n int64) error {
-	b.ops++
-	b.done = false
-	b.fs.Write(ctx, fd, n, b.nK)
-	b.finish()
-	return b.err
-}
-
-func (b *builder) close(ctx vfs.Ctx, fd vfs.FD) error {
-	b.ops++
-	b.done = false
-	b.fs.Close(ctx, fd, b.errK)
-	b.finish()
-	return b.err
 }
 
 // newSet carves a FileSet from the slab.
@@ -268,7 +210,7 @@ func Build(ctx vfs.Ctx, fsys vfs.FileSystem, spec *config.Spec, tables *gds.Tabl
 	}
 	// Setup runs on an uncharged synchronous clock, never under the DES, so
 	// the continuation-passing file system folds back to call-and-return.
-	b := newBuilder(fsys)
+	b := &builder{fs: vfs.Sync{FS: fsys}}
 	b.slugs = make([]string, len(spec.Categories))
 	for i := range spec.Categories {
 		b.slugs[i] = slug(&spec.Categories[i])
@@ -294,7 +236,7 @@ func Build(ctx vfs.Ctx, fsys vfs.FileSystem, spec *config.Spec, tables *gds.Tabl
 		return int64(math.Max(1, math.Round(tables.FileSize[catIdx].Sample(r))))
 	}
 
-	if err := b.mkdir(ctx, "/sys"); err != nil && !vfs.IsExist(err) {
+	if err := b.fs.Mkdir(ctx, "/sys"); err != nil && !vfs.IsExist(err) {
 		return nil, fmt.Errorf("fsc: mkdir /sys: %w", err)
 	}
 	for i := range spec.Categories {
@@ -339,7 +281,7 @@ func Build(ctx vfs.Ctx, fsys vfs.FileSystem, spec *config.Spec, tables *gds.Tabl
 			ctx: ctx, b: b, spec: spec, userPct: userPct,
 			sizes: sizes, perUser: perUser,
 		}
-		inv.BuildOps = b.ops
+		inv.BuildOps = b.fs.Calls()
 		return inv, nil
 	}
 
@@ -351,7 +293,7 @@ func Build(ctx vfs.Ctx, fsys vfs.FileSystem, spec *config.Spec, tables *gds.Tabl
 		inv.Users[u] = sets
 		inv.UsersBuilt++
 	}
-	inv.BuildOps = b.ops
+	inv.BuildOps = b.fs.Calls()
 	return inv, nil
 }
 
@@ -371,9 +313,9 @@ func (inv *Inventory) MaterializeUser(u int) error {
 		next++
 		return s
 	}
-	before := lz.b.ops
+	before := lz.b.fs.Calls()
 	sets, err := buildUser(lz.ctx, lz.b, lz.spec, u, lz.userPct, sample, inv)
-	inv.BuildOps += lz.b.ops - before
+	inv.BuildOps += lz.b.fs.Calls() - before
 	if err != nil {
 		return err
 	}
@@ -386,7 +328,7 @@ func (inv *Inventory) MaterializeUser(u int) error {
 func buildUser(ctx vfs.Ctx, b *builder, spec *config.Spec, u int, userPct float64,
 	sample func(catIdx int) int64, inv *Inventory) ([]*FileSet, error) {
 	userDir := "/u" + strconv.Itoa(u)
-	if err := b.mkdir(ctx, userDir); err != nil && !vfs.IsExist(err) {
+	if err := b.fs.Mkdir(ctx, userDir); err != nil && !vfs.IsExist(err) {
 		return nil, fmt.Errorf("fsc: mkdir %s: %w", userDir, err)
 	}
 	sets := b.newTable(len(spec.Categories))
@@ -420,7 +362,7 @@ func share(total int, pct, pctSum float64) int {
 
 func buildSet(ctx vfs.Ctx, b *builder, dir string, catIdx int, c *config.Category,
 	count int, sample func(catIdx int) int64, inv *Inventory) (*FileSet, error) {
-	if err := b.mkdir(ctx, dir); err != nil && !vfs.IsExist(err) {
+	if err := b.fs.Mkdir(ctx, dir); err != nil && !vfs.IsExist(err) {
 		return nil, fmt.Errorf("fsc: mkdir %s: %w", dir, err)
 	}
 	set := b.newSet()
@@ -433,7 +375,7 @@ func buildSet(ctx vfs.Ctx, b *builder, dir string, catIdx int, c *config.Categor
 	for i := 0; i < count; i++ {
 		path := b.filePath(dir, i)
 		if c.IsDir() {
-			if err := b.mkdir(ctx, path); err != nil {
+			if err := b.fs.Mkdir(ctx, path); err != nil {
 				return nil, fmt.Errorf("fsc: mkdir %s: %w", path, err)
 			}
 		} else {
@@ -450,17 +392,17 @@ func buildSet(ctx vfs.Ctx, b *builder, dir string, catIdx int, c *config.Categor
 }
 
 func createFile(ctx vfs.Ctx, b *builder, path string, size int64) error {
-	fd, err := b.create(ctx, path)
+	fd, err := b.fs.Create(ctx, path)
 	if err != nil {
 		return fmt.Errorf("fsc: create %s: %w", path, err)
 	}
 	if size > 0 {
-		if err := b.write(ctx, fd, size); err != nil {
-			_ = b.close(ctx, fd)
+		if _, err := b.fs.Write(ctx, fd, size); err != nil {
+			_ = b.fs.Close(ctx, fd)
 			return fmt.Errorf("fsc: write %s: %w", path, err)
 		}
 	}
-	if err := b.close(ctx, fd); err != nil {
+	if err := b.fs.Close(ctx, fd); err != nil {
 		return fmt.Errorf("fsc: close %s: %w", path, err)
 	}
 	return nil

@@ -34,7 +34,7 @@ func TestBuildCreatesStructure(t *testing.T) {
 
 	// /sys and per-user directories exist.
 	for _, dir := range []string{"/sys", "/u0", "/u1"} {
-		info, err := (vfs.Sync{FS: fsys}).Stat(ctx, dir)
+		info, err := (&vfs.Sync{FS: fsys}).Stat(ctx, dir)
 		if err != nil || !info.IsDir {
 			t.Errorf("%s: %v (dir %v)", dir, err, info.IsDir)
 		}
@@ -113,7 +113,7 @@ func TestDirCategoriesAreDirectories(t *testing.T) {
 	for i, c := range spec.Categories {
 		set := inv.ForUser(0, i)
 		for _, p := range set.Paths {
-			info, err := (vfs.Sync{FS: fsys}).Stat(ctx, p)
+			info, err := (&vfs.Sync{FS: fsys}).Stat(ctx, p)
 			if err != nil {
 				t.Fatalf("stat %s: %v", p, err)
 			}

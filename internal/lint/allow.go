@@ -11,17 +11,15 @@ import (
 //	//wlint:allow <analyzer> <reason>
 //
 // On the diagnostic's line or the line directly above it, the annotation
-// silences that analyzer's finding there; before a file's package clause it
-// covers the whole file. The reason is part of the syntax — an annotation
-// without one is itself a diagnostic, so every suppression carries its
-// audit trail in the source.
+// silences that analyzer's finding there, and nowhere else. The reason is
+// part of the syntax — an annotation without one is itself a diagnostic, so
+// every suppression carries its audit trail in the source.
 const allowPrefix = "wlint:allow"
 
 type allowAnnotation struct {
 	pos      token.Position
 	analyzer string
 	reason   string
-	fileWide bool
 	used     bool
 }
 
@@ -32,7 +30,6 @@ func collectAllows(pkg *Package) ([]*allowAnnotation, []Diagnostic) {
 	var allows []*allowAnnotation
 	var diags []Diagnostic
 	for _, f := range pkg.Files {
-		pkgLine := pkg.Fset.Position(f.Package).Line
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimPrefix(c.Text, "//")
@@ -63,7 +60,6 @@ func collectAllows(pkg *Package) ([]*allowAnnotation, []Diagnostic) {
 					pos:      pos,
 					analyzer: name,
 					reason:   strings.Join(fields[1:], " "),
-					fileWide: pos.Line < pkgLine,
 				})
 			}
 		}
@@ -83,7 +79,7 @@ func applyAllows(diags []Diagnostic, allows []*allowAnnotation, ran map[string]b
 			if a.analyzer != d.Analyzer || a.pos.Filename != d.Pos.Filename {
 				continue
 			}
-			if a.fileWide || a.pos.Line == d.Pos.Line || a.pos.Line == d.Pos.Line-1 {
+			if a.pos.Line == d.Pos.Line || a.pos.Line == d.Pos.Line-1 {
 				a.used = true
 				suppressed = true
 			}

@@ -16,10 +16,10 @@
 //
 // Suppression is explicit and audited: a `//wlint:allow <analyzer> <reason>`
 // comment on the diagnostic's line (or the line directly above it) silences
-// that one finding; placed before the package clause it covers the whole
-// file. The reason is mandatory, unknown analyzer names are themselves
-// diagnosed, and an allow that no longer suppresses anything is reported as
-// stale — annotations cannot rot silently.
+// that one finding; there is no file-wide form. The reason is mandatory,
+// unknown analyzer names are themselves diagnosed, and an allow that no
+// longer suppresses anything is reported as stale — annotations cannot rot
+// silently.
 package lint
 
 import (

@@ -29,7 +29,8 @@ func TestHotAllocFixture(t *testing.T) {
 // TestAllowAudit drives the driver's annotation handling end to end on the
 // allow fixture: the used annotation suppresses its finding silently, while
 // the stale, malformed, and unknown-analyzer annotations each surface as a
-// driver diagnostic, in position order.
+// driver diagnostic, in position order. The first stale one sits before the
+// package clause, where an annotation covers nothing.
 func TestAllowAudit(t *testing.T) {
 	pkgs, err := lint.Load(fixtures + "allow")
 	if err != nil {
@@ -40,6 +41,7 @@ func TestAllowAudit(t *testing.T) {
 	}
 	diags := lint.RunPackage(pkgs[0], lint.All)
 	want := []string{
+		"stale //wlint:allow maprange",
 		"stale //wlint:allow maprange",
 		"malformed annotation",
 		`unknown analyzer "nosuchanalyzer"`,
@@ -54,6 +56,9 @@ func TestAllowAudit(t *testing.T) {
 		if !strings.Contains(diags[i].Message, w) {
 			t.Errorf("diagnostic %d = %q, want substring %q", i, diags[i].Message, w)
 		}
+	}
+	if line := diags[0].Pos.Line; line != 1 {
+		t.Errorf("first stale annotation reported at line %d, want the one before the package clause (line 1)", line)
 	}
 }
 

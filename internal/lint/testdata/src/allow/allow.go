@@ -1,5 +1,8 @@
+//wlint:allow maprange before the package clause - covers no line, so stale
+
 // Package allow exercises the driver's annotation handling: a used allow
-// suppresses its diagnostic, a stale allow is reported, and malformed or
+// suppresses its diagnostic, a stale allow is reported (before the package
+// clause too: there is no file-wide form), and malformed or
 // unknown-analyzer annotations are diagnosed. Checked by TestAllowAudit
 // (no // want comments here; the test asserts the diagnostics directly).
 package allow

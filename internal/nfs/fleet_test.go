@@ -215,7 +215,7 @@ func TestRouterFSTracksFDs(t *testing.T) {
 func TestPooledCrashClosesCoTenantFD(t *testing.T) {
 	f := testFleet(t, 1, 1, 5, false)
 	ctx := &vfs.ManualClock{}
-	if err := (vfs.Sync{FS: f.SetupFS()}).Mkdir(ctx, "/u1"); err != nil {
+	if err := (&vfs.Sync{FS: f.SetupFS()}).Mkdir(ctx, "/u1"); err != nil {
 		t.Fatal(err)
 	}
 	crasher, tenant := f.FSForUser(0), vfs.Sync{FS: f.FSForUser(1)}

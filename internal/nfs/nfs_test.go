@@ -35,7 +35,7 @@ func testClientConfig() ClientConfig {
 
 // cs wraps a client in the Sync adapter for manual-clock tests (no DES, so
 // every continuation completes inline).
-func cs(c *Client) vfs.Sync { return vfs.Sync{FS: c} }
+func cs(c *Client) *vfs.Sync { return &vfs.Sync{FS: c} }
 
 // readUnderSim starts a DES process that opens path, reads n bytes, and
 // closes, reporting the completion time.

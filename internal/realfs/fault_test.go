@@ -62,7 +62,7 @@ func TestEINTRRetryLoop(t *testing.T) {
 func TestEINTRStormEventuallySurfaces(t *testing.T) {
 	fs := newTestFS(t)
 	fs.SetHooks(&Hooks{Before: func(op, path string) error { return syscall.EINTR }})
-	_, err := vfs.Sync{FS: fs}.Create(&vfs.ManualClock{}, "/f")
+	_, err := (&vfs.Sync{FS: fs}).Create(&vfs.ManualClock{}, "/f")
 	if !errors.Is(err, vfs.ErrInterrupted) {
 		t.Fatalf("endless EINTR returned %v, want ErrInterrupted", err)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // sfs wraps the adapter in call-and-return form; wall clocks never suspend.
-func sfs(f *FS) vfs.Sync { return vfs.Sync{FS: f} }
+func sfs(f *FS) *vfs.Sync { return &vfs.Sync{FS: f} }
 
 func newFS(t *testing.T) *FS {
 	t.Helper()

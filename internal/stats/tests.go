@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"uswg/internal/dist"
 )
 
 // KolmogorovSmirnov runs a one-sample KS test of the samples against the
@@ -138,75 +140,11 @@ func ChiSquare(observed, expected []float64, minExp float64) (chi2 float64, dof 
 }
 
 // chiSquareSF is the chi-square survival function P(X > x) with k degrees of
-// freedom, computed via the regularized upper incomplete gamma function.
+// freedom: the regularized upper incomplete gamma function Q(k/2, x/2).
 func chiSquareSF(x float64, k int) float64 {
 	if x <= 0 {
 		return 1
 	}
-	return upperIncompleteGammaReg(float64(k)/2, x/2)
-}
-
-// upperIncompleteGammaReg computes Q(a, x) = Gamma(a, x)/Gamma(a) using the
-// series for x < a+1 and the continued fraction otherwise (Numerical Recipes
-// style).
-func upperIncompleteGammaReg(a, x float64) float64 {
-	if x < 0 || a <= 0 {
-		return 1
-	}
-	if x == 0 {
-		return 1
-	}
-	if x < a+1 {
-		return 1 - lowerGammaSeries(a, x)
-	}
-	return upperGammaCF(a, x)
-}
-
-func lowerGammaSeries(a, x float64) float64 {
-	lg := logGamma(a)
-	ap := a
-	sum := 1 / a
-	del := sum
-	for i := 0; i < 500; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*1e-14 {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-func upperGammaCF(a, x float64) float64 {
-	lg := logGamma(a)
-	const tiny = 1e-300
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i <= 500; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-14 {
-			break
-		}
-	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-func logGamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
+	_, q := dist.RegIncGamma(float64(k)/2, x/2)
+	return q
 }

@@ -12,9 +12,14 @@ import (
 	"uswg/internal/vfs"
 )
 
-// faultyHarness builds a simulator whose file system fails a fraction of
-// calls through the fault engine, each fault charging 100 µs.
-func faultyHarness(t *testing.T, rate float64) *Simulator {
+// eio fails a fraction of all calls, each fault charging 100 µs.
+func eio(rate float64) fault.Rule {
+	return fault.Rule{Name: "eio", Ops: []string{"*"}, Prob: rate, Err: fault.EIO, Latency: 100}
+}
+
+// faultyHarness builds a simulator whose file system fails calls through
+// the fault engine as the rule says.
+func faultyHarness(t *testing.T, rule fault.Rule) *Simulator {
 	t.Helper()
 	spec := config.Default()
 	spec.Users = 1
@@ -32,12 +37,7 @@ func faultyHarness(t *testing.T, rate float64) *Simulator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := fault.NewEngine(&fault.Plan{
-		Name: "usim-test",
-		Rules: []fault.Rule{
-			{Name: "eio", Ops: []string{"*"}, Prob: rate, Err: fault.EIO, Latency: 100},
-		},
-	}, 7)
+	eng, err := fault.NewEngine(&fault.Plan{Name: "usim-test", Rules: []fault.Rule{rule}}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func faultyHarness(t *testing.T, rate float64) *Simulator {
 }
 
 func TestSessionsSurviveFaults(t *testing.T) {
-	s := faultyHarness(t, 0.05)
+	s := faultyHarness(t, eio(0.05))
 	ctx := &vfs.ManualClock{}
 	for i := 0; i < 10; i++ {
 		if err := s.RunSession(ctx, i, 0, config.UserHeavy, rng.New(uint64(i))); err != nil {
@@ -83,7 +83,7 @@ func TestSessionsSurviveFaults(t *testing.T) {
 }
 
 func TestHighFaultRateStillTerminates(t *testing.T) {
-	s := faultyHarness(t, 0.6)
+	s := faultyHarness(t, eio(0.6))
 	ctx := &vfs.ManualClock{}
 	for i := 0; i < 5; i++ {
 		if err := s.RunSession(ctx, i, 0, config.UserHeavy, rng.New(uint64(i))); err != nil {
@@ -111,7 +111,7 @@ func TestHighFaultRateStillTerminates(t *testing.T) {
 
 func TestFaultsChargeTime(t *testing.T) {
 	run := func(rate float64) (errors int, elapsed float64) {
-		s := faultyHarness(t, rate)
+		s := faultyHarness(t, eio(rate))
 		ctx := &vfs.ManualClock{}
 		for i := 0; i < 5; i++ {
 			if err := s.RunSession(ctx, i, 0, config.UserHeavy, rng.New(3)); err != nil {
@@ -140,5 +140,30 @@ func TestFaultsChargeTime(t *testing.T) {
 	}
 	if want := float64(dirtyErrs) * 100; dirtyResp < want*0.9 {
 		t.Errorf("faulty response total %v, want >= ~%v", dirtyResp, want)
+	}
+}
+
+// TestFailedSizeLookupReturnsItem: a file whose size lookup fails drops out
+// of the session, and its workItem goes back to the arena, so the free list
+// a recycled arena starts each session from never shrinks.
+func TestFailedSizeLookupReturnsItem(t *testing.T) {
+	s := faultyHarness(t, fault.Rule{Name: "stat", Ops: []string{"stat"}, Prob: 1, Err: fault.EIO})
+	ar := newArena()
+	for i := 0; i < 64; i++ {
+		ar.free = append(ar.free, &workItem{})
+	}
+	ctx := &vfs.ManualClock{}
+	for i := 0; i < 5; i++ {
+		done := false
+		if err := s.runSessionK(ctx, ar, i, 0, config.UserHeavy, rng.New(uint64(i)), s.sink.Emit, func() { done = true }); err != nil {
+			t.Fatal(err)
+		}
+		if !done {
+			t.Fatalf("session %d did not finish inline", i)
+		}
+		ar.reset()
+		if n := len(ar.free); n != 64 {
+			t.Fatalf("after session %d the arena holds %d free items, want 64", i, n)
+		}
 	}
 }

@@ -98,10 +98,9 @@ func (ls *lifeState) drain(ses *session) {
 	if cr, ok := ses.fsys.(vfs.Crasher); ok {
 		cr.Crash()
 	} else {
-		sync := vfs.Sync{FS: ses.fsys}
 		for _, it := range ses.items {
 			if it.open {
-				sync.Close(noCharge{}, it.fd) //nolint:errcheck // crash cleanup
+				ses.sync.Close(vfs.ZeroClock{}, it.fd) //nolint:errcheck // crash cleanup
 				it.open = false
 			}
 		}

@@ -229,6 +229,7 @@ func (s *Simulator) runSessionK(ctx vfs.Ctx, ar *arena, sessionID, user int, use
 	ses := &ar.ses
 	ses.sim = s
 	ses.fsys = s.userFS(user)
+	ses.sync.FS = ses.fsys
 	ses.ctx = ctx
 	ses.r = r
 	ses.id = sessionID
@@ -307,10 +308,10 @@ type session struct {
 	closeK     func()
 	finIdx     int // logout sweep position
 
-	// selectFiles' size lookup of an existing file, delivered by sizedFn.
-	sized   bool
-	size    int64
-	sizeErr error
+	// sync issues the calls made outside the simulated operation stream,
+	// on the zero clock: selectFiles' size lookup and a crash's descriptor
+	// release. Its FS is the session's fsys.
+	sync vfs.Sync
 
 	// Continuations bound once per arena: the session body never
 	// allocates a closure per operation.
@@ -318,7 +319,6 @@ type session struct {
 	afterStepFn   func()
 	metaDoneFn    func(error)
 	statDoneFn    func(vfs.FileInfo, error)
-	sizedFn       func(vfs.FileInfo, error)
 	readdirDoneFn func([]string, error)
 	fdDoneFn      func(vfs.FD, error)
 	seekDoneFn    func(int64, error)
@@ -419,7 +419,6 @@ func (ses *session) bind() {
 	ses.afterStepFn = ses.afterStep
 	ses.metaDoneFn = ses.metaDone
 	ses.statDoneFn = func(_ vfs.FileInfo, err error) { ses.metaDone(err) }
-	ses.sizedFn = func(info vfs.FileInfo, err error) { ses.sized, ses.size, ses.sizeErr = true, info.Size, err }
 	ses.readdirDoneFn = func(_ []string, err error) { ses.metaDone(err) }
 	ses.fdDoneFn = func(fd vfs.FD, err error) {
 		if err == nil {
@@ -561,13 +560,15 @@ func (ses *session) selectFiles(ar *arena) {
 				}
 			default:
 				// Existing file: stat to learn the size, then budget
-				// bytes = apb x size.
-				size, err := ses.statSize(item.path)
+				// bytes = apb x size. A file whose lookup fails drops
+				// out of the session, its item back to the arena.
+				info, err := ses.sync.Stat(vfs.ZeroClock{}, item.path)
 				if err != nil {
+					ar.free = append(ar.free, item)
 					continue
 				}
-				item.size = size
-				item.remain = int64(math.Max(1, math.Round(apb*float64(size))))
+				item.size = info.Size
+				item.remain = int64(math.Max(1, math.Round(apb*float64(item.size))))
 				if cat.Writes() {
 					item.writeRem = item.remain / 2 // RD-WRT: half the budget written
 				}
@@ -582,25 +583,6 @@ func (ses *session) selectFiles(ar *arena) {
 		}
 	}
 }
-
-// statSize stats an existing file through the user's file system on a
-// zero clock, outside the simulated operation stream. Like vfs.Sync it needs
-// the continuation to run before Stat returns; it panics otherwise.
-func (ses *session) statSize(path string) (int64, error) {
-	ses.sized = false
-	ses.fsys.Stat(noCharge{}, path, ses.sizedFn)
-	if !ses.sized {
-		panic("usim: file size lookup did not complete inline")
-	}
-	return ses.size, ses.sizeErr
-}
-
-// noCharge is a Ctx that absorbs holds; used for bookkeeping lookups that
-// are not part of the simulated operation stream.
-type noCharge struct{}
-
-func (noCharge) Now() float64             { return 0 }
-func (noCharge) Hold(_ float64, k func()) { k() }
 
 // drive is the main loop: randomly select a file with remaining work,
 // perform its next operation, and pause for a sampled think time. With the

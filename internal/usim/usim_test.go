@@ -409,6 +409,7 @@ func TestSelectFilesSizingAllocs(t *testing.T) {
 		ar := newArena()
 		ses := &ar.ses
 		ses.sim, ses.fsys, ses.r = s, s.userFS(0), rng.New(1)
+		ses.sync.FS = ses.fsys
 		sized := 0
 		cycle := func() {
 			ar.reset()

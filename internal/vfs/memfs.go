@@ -315,6 +315,7 @@ func (fs *MemFS) MkdirAll(ctx Ctx, path string) error {
 	if err != nil {
 		return fmt.Errorf("%w: %q", err, path)
 	}
+	sfs := Sync{FS: fs}
 	cur := "/"
 	for _, s := range segs {
 		if cur == "/" {
@@ -322,7 +323,7 @@ func (fs *MemFS) MkdirAll(ctx Ctx, path string) error {
 		} else {
 			cur += "/" + s
 		}
-		if err := (Sync{FS: fs}).Mkdir(ctx, cur); err != nil && !IsExist(err) {
+		if err := sfs.Mkdir(ctx, cur); err != nil && !IsExist(err) {
 			return err
 		}
 	}

@@ -37,7 +37,8 @@ func chargedFile(tb testing.TB) (*MemFS, *ManualClock) {
 
 // TestMemOpSteadyStateAllocs pins the pooled op states: once the pool, the
 // descriptor table and the cost model's data-op pool are warm, a charged
-// op cycle allocates nothing.
+// op cycle allocates nothing — called in continuation style, and through
+// one Sync once its result continuations are bound.
 func TestMemOpSteadyStateAllocs(t *testing.T) {
 	m, ctx := chargedFile(t)
 	var fd FD
@@ -61,6 +62,24 @@ func TestMemOpSteadyStateAllocs(t *testing.T) {
 	cycle()
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("steady-state op cycle allocates %v times, want 0", allocs)
+	}
+	s := &Sync{FS: m}
+	syncCycle := func() {
+		fd, err := s.Open(ctx, "/f", ReadWrite)
+		check(err)
+		_, err = s.Read(ctx, fd, 4096)
+		check(err)
+		_, err = s.Write(ctx, fd, 4096)
+		check(err)
+		_, err = s.Seek(ctx, fd, 0, SeekStart)
+		check(err)
+		_, err = s.Stat(ctx, "/f")
+		check(err)
+		check(s.Close(ctx, fd))
+	}
+	syncCycle()
+	if allocs := testing.AllocsPerRun(100, syncCycle); allocs != 0 {
+		t.Errorf("steady-state op cycle through a Sync allocates %v times, want 0", allocs)
 	}
 	if failed != nil {
 		t.Fatal(failed)

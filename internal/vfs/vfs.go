@@ -55,6 +55,23 @@ func (c *ManualClock) Hold(d float64, k func()) {
 	k()
 }
 
+// ZeroClock is a Ctx pinned to t=0 whose Hold runs its continuation at
+// once, charging nothing: the clock for work outside the measured run that
+// must leave no trace of time. Cache warming needs it rather than a
+// ManualClock: the NFS client's attribute cache stores absolute expiry
+// times (Now + timeout), and a clock that advanced during warming would
+// hand differently-warmed users different expiries in the measured run's
+// timebase.
+type ZeroClock struct{}
+
+var _ Ctx = ZeroClock{}
+
+// Now returns 0.
+func (ZeroClock) Now() float64 { return 0 }
+
+// Hold runs k.
+func (ZeroClock) Hold(_ float64, k func()) { k() }
+
 // FD is a file descriptor.
 type FD int
 
