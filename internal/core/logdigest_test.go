@@ -19,7 +19,11 @@ import (
 // the session-runner paths no built-in scenario reaches: concurrent
 // sessions per user, an eager population that arrives, departs, crashes
 // and reboots, a lazy population with idle users (more users than
-// sessions), and a lazy population arriving over a window and crashing.
+// sessions), a lazy population arriving over a window and crashing, a
+// crashing population on two islands of two pooled clients each, whose
+// crashes close co-tenants' descriptors under their routers, and clients
+// without a page cache, where every read is a straight fetch and every
+// write a synchronous push.
 // Each row also pins the sessions started and its churn counts, so a row
 // cannot silently stop exercising the lifecycle path it was added for.
 //
@@ -58,6 +62,17 @@ func TestFullRecordLogDigest(t *testing.T) {
 	lazyChurn.LazyUsers = true
 	lazyChurn.UserTypes[0].Lifecycle = &config.Lifecycle{Arrive: &arrive, MTTF: &mttf, MTTR: &mttr}
 
+	pooledChurn := config.Default()
+	pooledChurn.Users = 8
+	pooledChurn.Sessions = 64
+	pooledChurn.FS.Topology = &config.Topology{Servers: 2, ClientPool: 2, Placement: config.PlaceReplicate}
+	pooledChurn.UserTypes[0].Lifecycle = &config.Lifecycle{MTTF: &mttf, MTTR: &mttr}
+
+	uncached := config.Default()
+	uncached.Users = 4
+	uncached.Sessions = 40
+	uncached.FS.Client.CacheBlocks = 0
+
 	for _, tc := range []struct {
 		name     string
 		spec     *config.Spec
@@ -73,6 +88,9 @@ func TestFullRecordLogDigest(t *testing.T) {
 		{"lazy-idle", idle, "097073b847b204044469388068c3634706994f9de3a71b5535bec03fd30ceff4", 12, usim.ChurnStats{}},
 		{"lazy-churn", lazyChurn, "4b41176f8470ff242fd520a8fc93e67777ddf481304d34283c71123e8bc58ef8", 60,
 			usim.ChurnStats{Crashes: 22, Reboots: 22, TruncatedSessions: 22}},
+		{"pooled-churn", pooledChurn, "65033be98fea532f6c101c0d2a43fb72ef9da1102673dcae7fb5c023b05e737a", 64,
+			usim.ChurnStats{Crashes: 14, Reboots: 14, TruncatedSessions: 14}},
+		{"no-client-cache", uncached, "b839a7b5130e442b3a6a1f9df75510daa71d998e7b12d41538fe9080c8643ca6", 40, usim.ChurnStats{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gen, err := NewGenerator(tc.spec)
