@@ -421,8 +421,6 @@ type Engine struct {
 	mu          sync.Mutex
 	calls       int64
 	injected    int64
-	byRule      map[string]int64
-	ruleOrder   []string
 	osStart     time.Time // zero until the first host-level evaluation
 	osPartial   float64   // partial fraction pending between OSBefore and OSChunk
 	outageDrops int64     // messages lost to server outage windows
@@ -450,14 +448,13 @@ func NewEngine(plan *Plan, seed uint64) (*Engine, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{plan: plan, byRule: make(map[string]int64, len(plan.Rules))}
+	e := &Engine{plan: plan}
 	for i := range plan.Rules {
 		r := plan.Rules[i]
 		e.rules = append(e.rules, &ruleState{
 			Rule: r,
 			r:    rng.Derive(seed, plan.Name+"/"+r.Name),
 		})
-		e.ruleOrder = append(e.ruleOrder, r.Name)
 	}
 	return e, nil
 }
@@ -516,7 +513,6 @@ func (e *Engine) eval(op string, now float64, latencyOnly bool) (Outcome, bool) 
 			rs.tripped = true
 		}
 		e.injected++
-		e.byRule[rs.Name]++
 		out := Outcome{
 			Rule:    rs.Name,
 			Kind:    rs.Err,
@@ -556,12 +552,12 @@ func (e *Engine) FiresByRule() []struct {
 	out := make([]struct {
 		Rule  string
 		Fires int64
-	}, 0, len(e.ruleOrder))
-	for _, name := range e.ruleOrder {
+	}, 0, len(e.rules))
+	for _, rs := range e.rules {
 		out = append(out, struct {
 			Rule  string
 			Fires int64
-		}{name, e.byRule[name]})
+		}{rs.Name, rs.fires})
 	}
 	return out
 }

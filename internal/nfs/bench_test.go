@@ -16,10 +16,7 @@ func BenchmarkClientRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := NewClient(srv, nil, cachedClientConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := newClient(srv, nil, cachedClientConfig(), vfs.NewMemFS())
 	ctx := &vfs.ManualClock{}
 	fs := vfs.Sync{FS: c}
 	fd, err := fs.Create(ctx, "/f")
@@ -35,7 +32,7 @@ func BenchmarkClientRead(b *testing.B) {
 	if fd, err = fs.Open(ctx, "/f", vfs.ReadOnly); err != nil {
 		b.Fatal(err)
 	}
-	shadow := c.Backing().Bare()
+	shadow := c.backing.Bare()
 	onN := func(n int64, err error) {
 		if err != nil || n != 4096 {
 			b.Fatalf("read = %d, %v", n, err)

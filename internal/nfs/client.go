@@ -109,23 +109,24 @@ type Client struct {
 	dirty       map[uint64]dirtySpan // unflushed write-behind data by inode
 	dirtyBlocks int64                // sum of the dirty spans' blocks
 
-	// ops is the per-client free list of pooled data-op states. Steady
-	// state keeps every read's page walk and every fetch/push loop
-	// allocation-free: the continuation closures are built once per
-	// opState and reused.
+	// ops is the per-client free list of pooled op states. Steady state
+	// keeps every call, its page walk and its RPCs allocation-free: the
+	// continuation closures are built once per opState and reused.
 	ops []*opState
 
 	rpcs    int64
 	flushes int64
 }
 
-// opState carries one in-flight operation's state. Profiles showed the
+// opState carries one in-flight system call's state. Profiles showed the
 // per-call continuation closures (system-call entry holds, the page walk,
 // the fetch loop, and their captured variables) dominating per-op
 // allocations; pooling the state and pre-binding the continuations cuts
-// that to zero in steady state. Every vfs.FileSystem entry point that can
-// suspend takes a state from the pool, threads it through its continuation
-// chain, and recycles it immediately before delivering its result.
+// that to zero in steady state. Every vfs.FileSystem entry point takes one
+// state from the pool, runs every RPC of the call on it (metadata RPCs,
+// fetches, write-through pushes and flushes alike), and recycles it
+// immediately before delivering its result, so a call holds exactly one
+// state.
 type opState struct {
 	c   *Client
 	ctx vfs.Ctx
@@ -144,7 +145,10 @@ type opState struct {
 	kInfo    func(vfs.FileInfo, error)
 	kErr     func(error)
 	kNames   func([]string, error)
-	mK       func() // rpcMeta completion
+
+	// Metadata RPC state: the reply's payload bytes and the completion.
+	mReply int64
+	mK     func()
 
 	// Write entry state: the install loop's block cursor and the span
 	// bookkeeping inputs.
@@ -166,7 +170,6 @@ type opState struct {
 	curOff, curN    int64
 	write           bool
 	after           func() // runs when the transfer loop completes
-	kDone           func() // standalone fetch/push completion
 
 	// Continuations bound once at construction, reused for every op.
 	walkFn        func()
@@ -175,7 +178,6 @@ type opState struct {
 	reqFn         func()
 	repFn         func()
 	finishFn      func()
-	doneFn        func()
 	readEntryFn   func()
 	writeEntryFn  func()
 	installFn     func()
@@ -198,8 +200,6 @@ type opState struct {
 	unlinkEntryFn   func()
 	unlinkRPCFn     func()
 	readdirEntryFn  func()
-	readdirReqFn    func()
-	readdirRepFn    func()
 	readdirFinishFn func()
 }
 
@@ -217,7 +217,6 @@ func (c *Client) getOp(ctx vfs.Ctx, ino uint64) *opState {
 		st.reqFn = st.req
 		st.repFn = st.rep
 		st.finishFn = st.finishRead
-		st.doneFn = st.done
 		st.readEntryFn = st.readEntry
 		st.writeEntryFn = st.writeEntry
 		st.installFn = st.install
@@ -239,8 +238,6 @@ func (c *Client) getOp(ctx vfs.Ctx, ino uint64) *opState {
 		st.unlinkEntryFn = st.unlinkEntry
 		st.unlinkRPCFn = st.unlinkRPC
 		st.readdirEntryFn = st.readdirEntry
-		st.readdirReqFn = st.readdirReq
-		st.readdirRepFn = st.readdirRep
 		st.readdirFinishFn = st.readdirFinish
 	}
 	st.ctx = ctx
@@ -252,13 +249,10 @@ func (c *Client) getOp(ctx vfs.Ctx, ino uint64) *opState {
 func (c *Client) putOp(st *opState) {
 	st.ctx = nil
 	st.k = nil
-	st.after = nil
-	st.kDone = nil
 	st.kFD = nil
 	st.kInfo = nil
 	st.kErr = nil
 	st.kNames = nil
-	st.mK = nil
 	st.names = nil
 	st.inoErr = nil
 	c.ops = append(c.ops, st)
@@ -347,13 +341,6 @@ func (st *opState) rep() {
 	st.c.xfer(st.ctx, st.curN, st.loopFn)
 }
 
-// done completes a standalone fetch/push and recycles the state.
-func (st *opState) done() {
-	k := st.kDone
-	st.c.putOp(st)
-	k()
-}
-
 // dirtySpan is a contiguous byte range of unflushed write-behind data.
 // Sequential access (§4.2) keeps one span per file sufficient.
 type dirtySpan struct {
@@ -369,32 +356,13 @@ func (s dirtySpan) blocks(bs int64) int64 {
 
 var _ vfs.FileSystem = (*Client)(nil)
 
-// NewClient returns a client of server over link. link may be nil (outside a
-// DES, or for an uncontended wire), in which case wire time is charged from
-// cfg.Net without queueing.
-func NewClient(server *Server, link *netsim.Link, cfg ClientConfig) (*Client, error) {
-	return NewClientWithBacking(server, link, cfg, vfs.NewMemFS())
-}
-
-// NewClientWithBacking returns a client whose namespace shadow is the given
-// MemFS. Several clients sharing one backing model the thesis's testbed —
-// one SUN 3/50 workstation per user, each with its own page and attribute
-// caches, all mounting the same server over the same wire.
-func NewClientWithBacking(server *Server, link *netsim.Link, cfg ClientConfig, backing *vfs.MemFS) (*Client, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if server == nil {
-		return nil, fmt.Errorf("nfs: nil server")
-	}
-	if backing == nil {
-		return nil, fmt.Errorf("nfs: nil backing")
-	}
-	return newClient(server, link, cfg, backing), nil
-}
-
-// newClient builds a client from arguments its caller has already checked:
-// a valid cfg and a non-nil server and backing.
+// newClient returns a client of server over link whose namespace shadow is
+// backing, from arguments its caller has already checked: a valid cfg and a
+// non-nil server and backing. Several clients sharing one backing model the
+// thesis's testbed — one SUN 3/50 workstation per user, each with its own
+// page and attribute caches, all mounting the same server over the same
+// wire. link may be nil (outside a DES, or for an uncontended wire), in
+// which case wire time is charged from cfg.Net without queueing.
 func newClient(server *Server, link *netsim.Link, cfg ClientConfig, backing *vfs.MemFS) *Client {
 	c := &Client{
 		cfg:     cfg,
@@ -409,10 +377,6 @@ func newClient(server *Server, link *netsim.Link, cfg ClientConfig, backing *vfs
 	}
 	return c
 }
-
-// Backing exposes the namespace shadow (for the FSC to size-check, and for
-// tests).
-func (c *Client) Backing() *vfs.MemFS { return c.backing }
 
 // RPCs returns the number of RPCs this client has issued.
 func (c *Client) RPCs() int64 { return c.rpcs }
@@ -433,25 +397,20 @@ func (c *Client) xfer(ctx vfs.Ctx, n int64, k func()) {
 	ctx.Hold(c.cfg.Net.LatencyPerMessage+float64(total)*c.cfg.Net.PerByte, k)
 }
 
-// rpcMeta performs a small request/reply RPC and the server's metadata work
-// on a pooled state (request → server → reply, no per-call closures).
-func (c *Client) rpcMeta(ctx vfs.Ctx, k func()) {
-	c.rpcs++
-	st := c.getOp(ctx, 0)
-	st.mK = k
-	c.xfer(ctx, 0, st.metaReqFn)
+// rpcMeta performs a metadata RPC on the call's own state: a small request,
+// the server's metadata work, and a reply carrying reply payload bytes,
+// then runs k.
+func (st *opState) rpcMeta(reply int64, k func()) {
+	st.c.rpcs++
+	st.mReply, st.mK = reply, k
+	st.c.xfer(st.ctx, 0, st.metaReqFn)
 }
 
 // metaReq runs when the metadata request reaches the server.
 func (st *opState) metaReq() { st.c.server.MetaCall(st.ctx, st.metaRepFn) }
 
-// metaRep sends the small reply back, recycling the state first — the
-// final transfer needs nothing from it.
-func (st *opState) metaRep() {
-	c, ctx, k := st.c, st.ctx, st.mK
-	c.putOp(st)
-	c.xfer(ctx, 0, k)
-}
+// metaRep sends the reply back.
+func (st *opState) metaRep() { st.c.xfer(st.ctx, st.mReply, st.mK) }
 
 func (c *Client) attrFresh(ctx vfs.Ctx, path string) bool {
 	if c.cfg.AttrCacheTimeout <= 0 {
@@ -495,7 +454,7 @@ func (c *Client) Mkdir(ctx vfs.Ctx, path string, k func(error)) {
 }
 
 // mkdirEntry runs after Mkdir's CPU hold.
-func (st *opState) mkdirEntry() { st.c.rpcMeta(st.ctx, st.mkdirRPCFn) }
+func (st *opState) mkdirEntry() { st.rpcMeta(0, st.mkdirRPCFn) }
 
 // mkdirRPC runs after the mkdir RPC's reply.
 func (st *opState) mkdirRPC() {
@@ -517,7 +476,7 @@ func (c *Client) Create(ctx vfs.Ctx, path string, k func(vfs.FD, error)) {
 }
 
 // createEntry runs after Create's CPU hold.
-func (st *opState) createEntry() { st.c.rpcMeta(st.ctx, st.createRPCFn) }
+func (st *opState) createEntry() { st.rpcMeta(0, st.createRPCFn) }
 
 // createRPC runs after the create RPC's reply.
 func (st *opState) createRPC() {
@@ -545,7 +504,7 @@ func (c *Client) Open(ctx vfs.Ctx, path string, mode vfs.OpenMode, k func(vfs.FD
 // openEntry runs after Open's CPU hold.
 func (st *opState) openEntry() {
 	if !st.c.attrFresh(st.ctx, st.path) {
-		st.c.rpcMeta(st.ctx, st.openRPCFn)
+		st.rpcMeta(0, st.openRPCFn)
 		return
 	}
 	st.openFinish()
@@ -628,9 +587,7 @@ func (st *opState) writeEntry() {
 	st.wOff = off
 	st.wPath = path
 	if c.pages == nil || !c.cfg.WriteBehind {
-		// Synchronous push on a second pooled state; this one survives to
-		// set the attribute cache and deliver the result.
-		c.push(st.ctx, ino, off, got, st.finishWriteFn)
+		st.startTransfer(off, got, true, st.finishWriteFn)
 		return
 	}
 	// Write-behind: install pages, extend the dirty span.
@@ -675,7 +632,7 @@ func (st *opState) install() {
 	c.dirty[st.ino] = span
 	c.dirtyBlocks += span.blocks(c.cfg.WireBlock)
 	if c.dirtyBlocks > int64(c.cfg.maxDirty()) {
-		c.flush(st.ctx, st.ino, st.flushedFn)
+		st.flush(st.flushedFn)
 		return
 	}
 	k := st.k
@@ -690,24 +647,19 @@ func (st *opState) flushed() {
 	k(got, nil)
 }
 
-// push issues synchronous write RPCs for n bytes at off, then runs k.
-func (c *Client) push(ctx vfs.Ctx, ino uint64, off, n int64, k func()) {
-	st := c.getOp(ctx, ino)
-	st.kDone = k
-	st.startTransfer(off, n, true, st.doneFn)
-}
-
-// flush writes the inode's dirty span to the server, drops it, and runs k.
-func (c *Client) flush(ctx vfs.Ctx, ino uint64, k func()) {
-	span, ok := c.dirty[ino]
+// flush writes the dirty span of the state's inode to the server with
+// write RPCs on this state, drops it, and runs k.
+func (st *opState) flush(k func()) {
+	c := st.c
+	span, ok := c.dirty[st.ino]
 	if !ok {
 		k()
 		return
 	}
-	delete(c.dirty, ino)
+	delete(c.dirty, st.ino)
 	c.dirtyBlocks -= span.blocks(c.cfg.WireBlock)
 	c.flushes++
-	c.push(ctx, ino, span.lo, span.hi-span.lo, k)
+	st.startTransfer(span.lo, span.hi-span.lo, true, k)
 }
 
 // discardDirty forgets unflushed data for an inode (truncate or unlink).
@@ -771,8 +723,8 @@ func (c *Client) Close(ctx vfs.Ctx, fd vfs.FD, k func(error)) {
 func (st *opState) closeEntry() {
 	c := st.c
 	if ino, path, ok := c.shadow().Owned(st.fd, c); ok {
-		st.wPath = path
-		c.flush(st.ctx, ino, st.closeFlushFn)
+		st.ino, st.wPath = ino, path
+		st.flush(st.closeFlushFn)
 		return
 	}
 	st.closeFinish()
@@ -802,7 +754,7 @@ func (c *Client) Unlink(ctx vfs.Ctx, path string, k func(error)) {
 // path still exists, then issue the RPC.
 func (st *opState) unlinkEntry() {
 	st.ino, st.inoErr = st.c.inoOf(st.path)
-	st.c.rpcMeta(st.ctx, st.unlinkRPCFn)
+	st.rpcMeta(0, st.unlinkRPCFn)
 }
 
 // unlinkRPC runs after the unlink RPC's reply.
@@ -833,7 +785,7 @@ func (c *Client) Stat(ctx vfs.Ctx, path string, k func(vfs.FileInfo, error)) {
 // statEntry runs after Stat's CPU hold.
 func (st *opState) statEntry() {
 	if !st.c.attrFresh(st.ctx, st.path) {
-		st.c.rpcMeta(st.ctx, st.statRPCFn)
+		st.rpcMeta(0, st.statRPCFn)
 		return
 	}
 	st.statRPC()
@@ -862,7 +814,7 @@ func (c *Client) ReadDir(ctx vfs.Ctx, path string, k func([]string, error)) {
 }
 
 // readdirEntry runs after ReadDir's CPU hold: list the shadow namespace,
-// then issue the readdir RPC.
+// then issue the readdir RPC, whose reply scales with the entries.
 func (st *opState) readdirEntry() {
 	c := st.c
 	names, err := c.shadow().ReadDir(st.path)
@@ -873,16 +825,7 @@ func (st *opState) readdirEntry() {
 		return
 	}
 	st.names = names
-	c.rpcs++
-	c.xfer(st.ctx, 0, st.readdirReqFn)
-}
-
-// readdirReq runs when the readdir request reaches the server.
-func (st *opState) readdirReq() { st.c.server.MetaCall(st.ctx, st.readdirRepFn) }
-
-// readdirRep sends the entry-scaled reply back.
-func (st *opState) readdirRep() {
-	st.c.xfer(st.ctx, int64(len(st.names))*st.c.cfg.DirEntryBytes, st.readdirFinishFn)
+	st.rpcMeta(int64(len(names))*c.cfg.DirEntryBytes, st.readdirFinishFn)
 }
 
 // readdirFinish delivers the listing and recycles the state.

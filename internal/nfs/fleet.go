@@ -2,6 +2,7 @@ package nfs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"uswg/internal/netsim"
@@ -46,10 +47,10 @@ func (i *Island) Pool() []*Client { return i.pool }
 
 // Fleet is a set of islands behind a deterministic namespace router. All
 // islands share one backing MemFS (the namespace shadow), so file
-// descriptors are globally unique and the router only tracks which client
-// opened each FD. Routing is a pure function of (seed, path, island
-// count): every construction with the same spec places every path — and
-// therefore every RPC — identically, at any scheduler interleaving.
+// descriptors are globally unique and the shadow's owner tag names the
+// client that opened each FD. Routing is a pure function of (seed, path,
+// island count): every construction with the same spec places every path —
+// and therefore every RPC — identically, at any scheduler interleaving.
 type Fleet struct {
 	islands   []*Island
 	client    ClientConfig    // every client's configuration
@@ -194,9 +195,8 @@ func (f *Fleet) Resident() int { return len(f.private) }
 // private clients that is the user's client itself: a router in front of
 // one unshared client has nothing to route. Otherwise it is a router that
 // dispatches each VFS call to the owning island's client for that user.
-// Routers and their client tables come from per-fleet slabs — provisioning a
-// large population costs one allocation per chunk, and the FD-ownership map
-// appears only once a user actually opens something.
+// Routers and their client tables come from per-fleet slabs, so
+// provisioning a large population costs one allocation per chunk.
 func (f *Fleet) FSForUser(user int) vfs.FileSystem {
 	n := len(f.islands)
 	if n == 1 && f.private != nil {
@@ -221,7 +221,7 @@ func (f *Fleet) FSForUser(user int) vfs.FileSystem {
 // SetupFS returns a construction-time mount over fresh setup clients, one
 // per island, so FSC writes build server-side state on the owning islands
 // without touching any user's client cache. The fleet keeps no reference to
-// them: they live as long as the returned mount.
+// them: they live as long as the returned mount. Its home is island 0.
 func (f *Fleet) SetupFS() vfs.FileSystem {
 	setup := make([]*Client, len(f.islands))
 	for i, isl := range f.islands {
@@ -232,75 +232,29 @@ func (f *Fleet) SetupFS() vfs.FileSystem {
 
 // routerFS is one principal's view of the fleet: vfs.FileSystem calls are
 // routed per path (writes to the primary island, reads to the primary or
-// the home replica) and per FD (to the client that opened it). FDs are
-// allocated by the shared backing, so they are unique fleet-wide and need
-// no translation — only ownership tracking.
+// the home replica) and per FD. FDs are allocated by the shared backing, so
+// they are unique fleet-wide and need no translation, and the backing's
+// owner tag already names the client that opened each one: the router keeps
+// no descriptor table of its own.
 //
-// The router keeps its own FD table rather than asking the shadow which
-// client opened an FD: a pooled client serves several principals, and when
-// a co-tenant's crash closes this principal's FD, the call must still go to
-// the client, which charges its CPU time before failing with ErrBadFD.
+// An FD that none of the principal's clients holds open goes to the home
+// client. For a closed FD (never opened, or closed by a co-tenant's crash on
+// a shared pool slot) that charges the same CPU time and fails with the
+// same ErrBadFD as the opening client would: every client is built from one
+// ClientConfig.
 type routerFS struct {
 	f       *Fleet
 	home    int
 	clients []*Client // this principal's client on each island
-	fds     map[vfs.FD]*Client
-	free    *routerOp // recycled per-call states
 }
 
-// routerOp carries one in-flight routed call's state so the FD-tracking
-// wrappers around Create/Open/Close need no per-call closures. States are
-// pooled per router; continuations are bound once at allocation.
-type routerOp struct {
-	r    *routerFS
-	c    *Client // client the call was routed to (owner of a new FD)
-	fd   vfs.FD  // Close's target
-	kFD  func(vfs.FD, error)
-	kErr func(error)
-	next *routerOp
-
-	trackFn func(vfs.FD, error)
-	closeFn func(error)
-}
-
-func (r *routerFS) getOp() *routerOp {
-	st := r.free
-	if st == nil {
-		st = &routerOp{r: r}
-		st.trackFn = st.track
-		st.closeFn = st.closeDone
-		return st
+// owner returns the client that holds fd open when it is one of the
+// principal's clients, else the home client.
+func (r *routerFS) owner(fd vfs.FD) *Client {
+	if c, ok := r.f.backing.Bare().Owner(fd).(*Client); ok && slices.Contains(r.clients, c) {
+		return c
 	}
-	r.free = st.next
-	st.next = nil
-	return st
-}
-
-func (r *routerFS) putOp(st *routerOp) {
-	st.c, st.fd, st.kFD, st.kErr = nil, 0, nil, nil
-	st.next = r.free
-	r.free = st
-}
-
-// track records FD ownership after a successful Create/Open.
-func (st *routerOp) track(fd vfs.FD, err error) {
-	r, c, k := st.r, st.c, st.kFD
-	r.putOp(st)
-	if err == nil {
-		if r.fds == nil {
-			r.fds = make(map[vfs.FD]*Client)
-		}
-		r.fds[fd] = c
-	}
-	k(fd, err)
-}
-
-// closeDone releases FD ownership once the owning client closed it.
-func (st *routerOp) closeDone(err error) {
-	r, fd, k := st.r, st.fd, st.kErr
-	r.putOp(st)
-	delete(r.fds, fd)
-	k(err)
+	return r.clients[r.home]
 }
 
 func (r *routerFS) primary(path string) *Client { return r.clients[r.f.Route(path)] }
@@ -316,9 +270,7 @@ func (r *routerFS) Mkdir(ctx vfs.Ctx, path string, k func(error)) {
 }
 
 func (r *routerFS) Create(ctx vfs.Ctx, path string, k func(vfs.FD, error)) {
-	st := r.getOp()
-	st.c, st.kFD = r.primary(path), k
-	st.c.Create(ctx, path, st.trackFn)
+	r.primary(path).Create(ctx, path, k)
 }
 
 func (r *routerFS) Open(ctx vfs.Ctx, path string, mode vfs.OpenMode, k func(vfs.FD, error)) {
@@ -326,47 +278,23 @@ func (r *routerFS) Open(ctx vfs.Ctx, path string, mode vfs.OpenMode, k func(vfs.
 	if !mode.CanWrite() {
 		c = r.reader(path)
 	}
-	st := r.getOp()
-	st.c, st.kFD = c, k
-	c.Open(ctx, path, mode, st.trackFn)
+	c.Open(ctx, path, mode, k)
 }
 
 func (r *routerFS) Read(ctx vfs.Ctx, fd vfs.FD, n int64, k func(int64, error)) {
-	c, ok := r.fds[fd]
-	if !ok {
-		k(0, fmt.Errorf("%w: %d", vfs.ErrBadFD, fd))
-		return
-	}
-	c.Read(ctx, fd, n, k)
+	r.owner(fd).Read(ctx, fd, n, k)
 }
 
 func (r *routerFS) Write(ctx vfs.Ctx, fd vfs.FD, n int64, k func(int64, error)) {
-	c, ok := r.fds[fd]
-	if !ok {
-		k(0, fmt.Errorf("%w: %d", vfs.ErrBadFD, fd))
-		return
-	}
-	c.Write(ctx, fd, n, k)
+	r.owner(fd).Write(ctx, fd, n, k)
 }
 
 func (r *routerFS) Seek(ctx vfs.Ctx, fd vfs.FD, offset int64, whence int, k func(int64, error)) {
-	c, ok := r.fds[fd]
-	if !ok {
-		k(0, fmt.Errorf("%w: %d", vfs.ErrBadFD, fd))
-		return
-	}
-	c.Seek(ctx, fd, offset, whence, k)
+	r.owner(fd).Seek(ctx, fd, offset, whence, k)
 }
 
 func (r *routerFS) Close(ctx vfs.Ctx, fd vfs.FD, k func(error)) {
-	c, ok := r.fds[fd]
-	if !ok {
-		k(fmt.Errorf("%w: %d", vfs.ErrBadFD, fd))
-		return
-	}
-	st := r.getOp()
-	st.fd, st.kErr = fd, k
-	c.Close(ctx, fd, st.closeFn)
+	r.owner(fd).Close(ctx, fd, k)
 }
 
 func (r *routerFS) Unlink(ctx vfs.Ctx, path string, k func(error)) {
@@ -388,13 +316,12 @@ func (r *routerFS) ReadDir(ctx vfs.Ctx, path string, k func([]string, error)) {
 }
 
 // Crash implements vfs.Crasher: a workstation crash in pooled mode reclaims
-// the user's pool slot on every island — those clients' caches are lost
-// (and with them any other user multiplexed onto the same slot, which is
-// the cost of sharing the machine). Open FDs tracked by the router are
-// dropped; the slot is reused as-is after reboot.
+// the user's pool slot on every island — those clients' caches and open FDs
+// are lost (and with them any other user multiplexed onto the same slot,
+// which is the cost of sharing the machine). The slot is reused as-is after
+// reboot.
 func (r *routerFS) Crash() {
 	for _, c := range r.clients {
 		c.Crash()
 	}
-	clear(r.fds)
 }

@@ -168,8 +168,9 @@ func TestFleetPrivateClients(t *testing.T) {
 }
 
 // TestRouterFSTracksFDs drives a write/read through the router and checks FD
-// ownership: ops on an FD go to the client that opened it, and a bad FD is
-// rejected with vfs.ErrBadFD without touching any island.
+// ownership: ops on an FD go to the client that opened it, and an FD none of
+// the principal's clients holds goes to the home client, which charges one
+// system call and fails it with vfs.ErrBadFD.
 func TestRouterFSTracksFDs(t *testing.T) {
 	f := testFleet(t, 4, 2, 5, false)
 	ctx := &vfs.ManualClock{}
@@ -188,8 +189,12 @@ func TestRouterFSTracksFDs(t *testing.T) {
 	if err := fsys.Close(ctx, fd); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fsys.Read(ctx, vfs.FD(99999), 10); err == nil {
-		t.Error("read of unopened fd should fail")
+	start := ctx.Now()
+	if _, err := fsys.Read(ctx, vfs.FD(99999), 10); !errors.Is(err, vfs.ErrBadFD) {
+		t.Errorf("read of unopened fd = %v, want ErrBadFD", err)
+	}
+	if got, want := ctx.Now()-start, testClientConfig().CPUPerCall; got != want {
+		t.Errorf("failed read took %v µs, want one system call (%v µs)", got, want)
 	}
 	fd2, err := fsys.Open(ctx, "/u1/f0", vfs.ReadOnly)
 	if err != nil {
@@ -201,9 +206,8 @@ func TestRouterFSTracksFDs(t *testing.T) {
 	if err := fsys.Close(ctx, fd2); err != nil {
 		t.Fatal(err)
 	}
-	// A closed FD's routing entry is reclaimed.
-	if _, err := fsys.Read(ctx, fd2, 10); err == nil {
-		t.Error("read of closed fd should fail")
+	if _, err := fsys.Read(ctx, fd2, 10); !errors.Is(err, vfs.ErrBadFD) {
+		t.Errorf("read of closed fd = %v, want ErrBadFD", err)
 	}
 }
 

@@ -72,11 +72,7 @@ func newTestClient(t *testing.T) *Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewClient(srv, nil, testClientConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return newClient(srv, nil, testClientConfig(), vfs.NewMemFS())
 }
 
 // mkFile creates a file of the given size through the client, without
@@ -148,12 +144,6 @@ func TestClientConfigValidate(t *testing.T) {
 				t.Error("expected error")
 			}
 		})
-	}
-}
-
-func TestNewClientNilServer(t *testing.T) {
-	if _, err := NewClient(nil, nil, testClientConfig()); err == nil {
-		t.Error("nil server should be rejected")
 	}
 }
 
@@ -294,10 +284,7 @@ func TestAttrCacheExpires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewClient(srv, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newClient(srv, nil, cfg, vfs.NewMemFS())
 	mkFile(t, c, "/f", 100)
 	ctx := &vfs.ManualClock{T: 1e6} // long after creation
 	before := c.RPCs()
@@ -358,12 +345,8 @@ func sharedClients(t *testing.T) (a, b *Client, srv *Server) {
 		t.Fatal(err)
 	}
 	backing := vfs.NewMemFS()
-	if a, err = NewClientWithBacking(srv, nil, cachedClientConfig(), backing); err != nil {
-		t.Fatal(err)
-	}
-	if b, err = NewClientWithBacking(srv, nil, cachedClientConfig(), backing); err != nil {
-		t.Fatal(err)
-	}
+	a = newClient(srv, nil, cachedClientConfig(), backing)
+	b = newClient(srv, nil, cachedClientConfig(), backing)
 	return a, b, srv
 }
 
@@ -428,9 +411,9 @@ func TestClientCrashClosesOwnFDs(t *testing.T) {
 		return fds
 	}
 	aFDs, bFDs := open(a, 3), open(b, 2)
-	before := a.Backing().OpenFDs()
+	before := a.backing.OpenFDs()
 	a.Crash()
-	if got := a.Backing().OpenFDs(); got != before-len(aFDs) {
+	if got := a.backing.OpenFDs(); got != before-len(aFDs) {
 		t.Errorf("crash left %d open fds of %d, want %d closed", got, before, len(aFDs))
 	}
 	for _, fd := range aFDs {
@@ -473,10 +456,7 @@ func TestNFSDContentionUnderSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	link := netsim.NewLink(env, netsim.Config{LatencyPerMessage: 10, PerByte: 0})
-	c, err := NewClient(srv, link, testClientConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newClient(srv, link, testClientConfig(), vfs.NewMemFS())
 	mkFile(t, c, "/a", 4096)
 	mkFile(t, c, "/b", 4096)
 	srv.Invalidate(2)
@@ -513,10 +493,7 @@ func TestMoreNFSDsReduceWait(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewClient(srv, nil, testClientConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newClient(srv, nil, testClientConfig(), vfs.NewMemFS())
 		for i := 0; i < 4; i++ {
 			mkFile(t, c, "/f"+string(rune('0'+i)), 4096)
 		}

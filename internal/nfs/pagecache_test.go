@@ -22,11 +22,7 @@ func newCachedClient(t *testing.T) *Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewClient(srv, nil, cachedClientConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return newClient(srv, nil, cachedClientConfig(), vfs.NewMemFS())
 }
 
 func TestClientCacheMakesRereadsCheap(t *testing.T) {
@@ -195,5 +191,52 @@ func TestCacheDisabledKeepsSynchronousSemantics(t *testing.T) {
 	def.CacheBlocks = -1
 	if err := def.Validate(); err == nil {
 		t.Error("negative cache blocks should fail validation")
+	}
+}
+
+// TestOneOpStatePerCall runs calls of every kind, one at a time, on a fresh
+// client, with write-behind on and off: a Mkdir, a Create, a Write past the
+// dirty threshold and a smaller one, a Close that flushes, a cold Stat and
+// a ReadDir. Each call runs its metadata RPC, push or flush on its own op
+// state, so the client never needs a second one.
+func TestOneOpStatePerCall(t *testing.T) {
+	for _, behind := range []bool{true, false} {
+		cfg := cachedClientConfig()
+		cfg.WriteBehind = behind
+		cfg.AttrCacheTimeout = 0 // every Stat is a getattr RPC
+		srv, err := NewServer(nil, testServerConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newClient(srv, nil, cfg, vfs.NewMemFS())
+		ctx := &vfs.ManualClock{}
+		fs := cs(c)
+		if err := fs.Mkdir(ctx, "/d"); err != nil {
+			t.Fatal(err)
+		}
+		fd, err := fs.Create(ctx, "/d/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int64{10 * cfg.WireBlock, 100} { // past the threshold, then dirty at close
+			if _, err := fs.Write(ctx, fd, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fs.Close(ctx, fd); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Stat(ctx, "/d/f"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.ReadDir(ctx, "/d"); err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]int64{true: 2, false: 0}[behind]; c.Flushes() != want {
+			t.Errorf("write-behind %v: %d flushes, want %d", behind, c.Flushes(), want)
+		}
+		if n := len(c.ops); n != 1 {
+			t.Errorf("write-behind %v: the calls left %d op states, want 1", behind, n)
+		}
 	}
 }

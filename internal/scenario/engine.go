@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -151,10 +152,13 @@ type TransientResult struct {
 // transientHeaders label the per-window table columns.
 var transientHeaders = []string{"t (s)", "ops", "errors", "mean (µs)", "p50 (µs)", "p95 (µs)", "avail"}
 
+// rows tabulates the windows, each labelled by its start in seconds with as
+// many digits as it needs: 10 s windows read 0, 10, 20, and 0.25 s ones 0,
+// 0.25, 0.5.
 func (r *TransientResult) rows() [][]string {
 	rows := make([][]string, len(r.Windows))
 	for i, w := range r.Windows {
-		row := []string{fmt.Sprintf("%.0f", w.Start/1e6), fmt.Sprint(w.Ops)}
+		row := []string{strconv.FormatFloat(w.Start/1e6, 'f', -1, 64), fmt.Sprint(w.Ops)}
 		if w.Ops > 0 {
 			row = append(row,
 				fmt.Sprint(w.Errors),

@@ -10,11 +10,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"uswg/internal/config"
+	"uswg/internal/trace"
 )
 
 // small runs sweeps at a fraction of the paper session counts.
@@ -683,6 +685,23 @@ func TestUsageTablePinnedAtPaperScale(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tr.Rows, want) {
 		t.Errorf("rows:\n got %q\nwant %q", tr.Rows, want)
+	}
+}
+
+// TestTransientRowsLabelSubSecondWindows checks that each window is
+// labelled by its exact start: sub-second windows do not round onto whole
+// seconds.
+func TestTransientRowsLabelSubSecondWindows(t *testing.T) {
+	tr := TransientResult{WidthUS: 250000}
+	for i := range 5 {
+		tr.Windows = append(tr.Windows, trace.WindowStats{Start: float64(i) * tr.WidthUS, End: float64(i+1) * tr.WidthUS})
+	}
+	var got []string
+	for _, row := range tr.rows() {
+		got = append(got, row[0])
+	}
+	if want := []string{"0", "0.25", "0.5", "0.75", "1"}; !slices.Equal(got, want) {
+		t.Errorf("window labels %q, want %q", got, want)
 	}
 }
 

@@ -671,8 +671,9 @@ func sumSizes(n *inode) int64 {
 //
 // Create and Open record an owner, an opaque comparable tag (the NFS client
 // passes itself), and Advance serves only that owner, so the descriptor
-// table doubles as each owner's list of open files. Seek and Close act on
-// any descriptor, whoever opened it.
+// table doubles as each owner's list of open files and Owner tells which
+// owner holds a descriptor. Seek and Close act on any descriptor, whoever
+// opened it.
 type Bare struct {
 	FS *MemFS
 }
@@ -711,6 +712,14 @@ func (b Bare) Owned(fd FD, owner any) (ino uint64, path string, ok bool) {
 		return 0, "", false
 	}
 	return of.node.ino, of.path, true
+}
+
+// Owner returns the tag fd was opened with, or nil if fd is not open.
+func (b Bare) Owner(fd FD) any {
+	if of := b.FS.file(fd); of != nil {
+		return of.owner
+	}
+	return nil
 }
 
 // CloseOwned closes every descriptor open for owner, in ascending order.

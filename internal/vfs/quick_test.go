@@ -147,6 +147,7 @@ func TestQuickSplitPath(t *testing.T) {
 // counts, file sizes, OpenFDs and ErrTooManyFD. Advance on a never-issued,
 // closed or other owner's FD must fail with ErrBadFD, and the mode and
 // negative-size errors must come in that order, all with their usual text.
+// Owner must name each open descriptor's owner, and nil for any other FD.
 // The model's descriptor table is a map, the form the MemFS table had
 // before it became a window; the window must keep its closed prefix under
 // half its length and be empty once every descriptor closes.
@@ -333,6 +334,15 @@ func TestQuickAdvanceMatchesSeekAndTransfer(t *testing.T) {
 			}
 			if m.OpenFDs() != len(fds) {
 				fail(step, "OpenFDs = %d, model has %d open", m.OpenFDs(), len(fds))
+			}
+			for _, fd := range issued {
+				var want any
+				if d := fds[fd]; d != nil {
+					want = owners[d.owner]
+				}
+				if got := b.Owner(fd); got != want {
+					fail(step, "Owner(%d) = %v, want %v", fd, got, want)
+				}
 			}
 			checkWindow(step)
 		}
