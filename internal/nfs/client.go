@@ -204,7 +204,7 @@ type opState struct {
 }
 
 // getOp pops a pooled op state (or builds one, binding its continuations).
-func (c *Client) getOp(ctx vfs.Ctx, ino uint64) *opState {
+func (c *Client) getOp(ctx vfs.Ctx) *opState {
 	var st *opState
 	if n := len(c.ops); n > 0 {
 		st = c.ops[n-1]
@@ -241,7 +241,6 @@ func (c *Client) getOp(ctx vfs.Ctx, ino uint64) *opState {
 		st.readdirFinishFn = st.readdirFinish
 	}
 	st.ctx = ctx
-	st.ino = ino
 	return st
 }
 
@@ -448,7 +447,7 @@ func (c *Client) shadow() vfs.Bare { return c.backing.Bare() }
 // FSC's build path issues one Mkdir per directory, and the per-call closure
 // pair dominated large-population construction profiles.
 func (c *Client) Mkdir(ctx vfs.Ctx, path string, k func(error)) {
-	st := c.getOp(ctx, 0)
+	st := c.getOp(ctx)
 	st.path, st.kErr = path, k
 	ctx.Hold(c.cfg.CPUPerCall, st.mkdirEntryFn)
 }
@@ -470,7 +469,7 @@ func (st *opState) mkdirRPC() {
 
 // Create creates (or truncates) a file on the server and opens it.
 func (c *Client) Create(ctx vfs.Ctx, path string, k func(vfs.FD, error)) {
-	st := c.getOp(ctx, 0)
+	st := c.getOp(ctx)
 	st.path, st.kFD = path, k
 	ctx.Hold(c.cfg.CPUPerCall, st.createEntryFn)
 }
@@ -496,7 +495,7 @@ func (st *opState) createRPC() {
 // Open opens an existing file, issuing a lookup RPC unless the attribute
 // cache is fresh.
 func (c *Client) Open(ctx vfs.Ctx, path string, mode vfs.OpenMode, k func(vfs.FD, error)) {
-	st := c.getOp(ctx, 0)
+	st := c.getOp(ctx)
 	st.path, st.mode, st.kFD = path, mode, k
 	ctx.Hold(c.cfg.CPUPerCall, st.openEntryFn)
 }
@@ -527,7 +526,7 @@ func (st *opState) openFinish() {
 // served at memory-copy cost; contiguous runs of missing blocks are fetched
 // with wire-block read RPCs and installed in the cache.
 func (c *Client) Read(ctx vfs.Ctx, fd vfs.FD, n int64, k func(int64, error)) {
-	st := c.getOp(ctx, 0)
+	st := c.getOp(ctx)
 	st.fd, st.n, st.k = fd, n, k
 	ctx.Hold(c.cfg.CPUPerCall, st.readEntryFn)
 }
@@ -567,7 +566,7 @@ func (st *opState) failData(err error) {
 // the dirty threshold is crossed; otherwise each wire block is a synchronous
 // write RPC (NFSv2 semantics straight to the server's disk).
 func (c *Client) Write(ctx vfs.Ctx, fd vfs.FD, n int64, k func(int64, error)) {
-	st := c.getOp(ctx, 0)
+	st := c.getOp(ctx)
 	st.fd, st.n, st.k = fd, n, k
 	ctx.Hold(c.cfg.CPUPerCall, st.writeEntryFn)
 }
@@ -696,7 +695,7 @@ var _ vfs.Crasher = (*Client)(nil)
 
 // Seek repositions the client-side offset; NFS needs no RPC for it.
 func (c *Client) Seek(ctx vfs.Ctx, fd vfs.FD, offset int64, whence int, k func(int64, error)) {
-	st := c.getOp(ctx, 0)
+	st := c.getOp(ctx)
 	st.fd, st.skOff, st.skWhence, st.k = fd, offset, whence, k
 	ctx.Hold(c.cfg.CPUPerCall, st.seekEntryFn)
 }
@@ -713,7 +712,7 @@ func (st *opState) seekEntry() {
 // the file (close-to-open consistency: the next opener must see the data on
 // the server).
 func (c *Client) Close(ctx vfs.Ctx, fd vfs.FD, k func(error)) {
-	st := c.getOp(ctx, 0)
+	st := c.getOp(ctx)
 	st.fd, st.kErr = fd, k
 	ctx.Hold(c.cfg.CPUPerCall, st.closeEntryFn)
 }
@@ -745,7 +744,7 @@ func (st *opState) closeFinish() {
 
 // Unlink removes a file on the server.
 func (c *Client) Unlink(ctx vfs.Ctx, path string, k func(error)) {
-	st := c.getOp(ctx, 0)
+	st := c.getOp(ctx)
 	st.path, st.kErr = path, k
 	ctx.Hold(c.cfg.CPUPerCall, st.unlinkEntryFn)
 }
@@ -777,7 +776,7 @@ func (st *opState) unlinkRPC() {
 // Stat returns metadata, issuing a getattr RPC unless the attribute cache is
 // fresh.
 func (c *Client) Stat(ctx vfs.Ctx, path string, k func(vfs.FileInfo, error)) {
-	st := c.getOp(ctx, 0)
+	st := c.getOp(ctx)
 	st.path, st.kInfo = path, k
 	ctx.Hold(c.cfg.CPUPerCall, st.statEntryFn)
 }
@@ -808,7 +807,7 @@ func (st *opState) statRPC() {
 // ReadDir lists a directory, charging a readdir RPC whose reply size scales
 // with the number of entries.
 func (c *Client) ReadDir(ctx vfs.Ctx, path string, k func([]string, error)) {
-	st := c.getOp(ctx, 0)
+	st := c.getOp(ctx)
 	st.path, st.kNames = path, k
 	ctx.Hold(c.cfg.CPUPerCall, st.readdirEntryFn)
 }
