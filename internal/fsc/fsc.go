@@ -63,7 +63,7 @@ func (fs *FileSet) NewPath() string {
 	id := fs.nextID
 	fs.nextID++
 	fs.mu.Unlock()
-	return fmt.Sprintf("%s/n%d", fs.Dir, id)
+	return fs.Dir + "/n" + strconv.Itoa(id)
 }
 
 // Inventory is the FSC's output: every candidate file, organized by

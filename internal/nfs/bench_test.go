@@ -41,7 +41,7 @@ func BenchmarkClientRead(b *testing.B) {
 	rpcs := c.RPCs()
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := shadow.Seek(fd, 0, vfs.SeekStart); err != nil {
+		if _, err := shadow.Seek(fd, 0, vfs.SeekStart, c); err != nil {
 			b.Fatal(err)
 		}
 		c.Read(ctx, fd, 4096, onN)

@@ -693,7 +693,8 @@ func (c *Client) Crash() {
 
 var _ vfs.Crasher = (*Client)(nil)
 
-// Seek repositions the client-side offset; NFS needs no RPC for it.
+// Seek repositions the client-side offset of a descriptor this client
+// opened; NFS needs no RPC for it.
 func (c *Client) Seek(ctx vfs.Ctx, fd vfs.FD, offset int64, whence int, k func(int64, error)) {
 	st := c.getOp(ctx)
 	st.fd, st.skOff, st.skWhence, st.k = fd, offset, whence, k
@@ -704,7 +705,7 @@ func (c *Client) Seek(ctx vfs.Ctx, fd vfs.FD, offset int64, whence int, k func(i
 func (st *opState) seekEntry() {
 	c, fd, off, whence, k := st.c, st.fd, st.skOff, st.skWhence, st.k
 	c.putOp(st)
-	pos, err := c.shadow().Seek(fd, off, whence)
+	pos, err := c.shadow().Seek(fd, off, whence, c)
 	k(pos, err)
 }
 
@@ -717,8 +718,9 @@ func (c *Client) Close(ctx vfs.Ctx, fd vfs.FD, k func(error)) {
 	ctx.Hold(c.cfg.CPUPerCall, st.closeEntryFn)
 }
 
-// closeEntry runs after Close's CPU hold: flush write-behind data if this
-// client opened the descriptor, then release the shadow descriptor.
+// closeEntry runs after Close's CPU hold: if this client opened the
+// descriptor, flush write-behind data, then release the shadow descriptor.
+// Any other descriptor fails with ErrBadFD, with no RPC and no flush.
 func (st *opState) closeEntry() {
 	c := st.c
 	if ino, path, ok := c.shadow().Owned(st.fd, c); ok {
@@ -739,7 +741,7 @@ func (st *opState) closeFlushed() {
 func (st *opState) closeFinish() {
 	c, fd, k := st.c, st.fd, st.kErr
 	c.putOp(st)
-	k(c.shadow().Close(fd))
+	k(c.shadow().Close(fd, c))
 }
 
 // Unlink removes a file on the server.

@@ -222,10 +222,17 @@ func (f *Fleet) FSForUser(user int) vfs.FileSystem {
 // per island, so FSC writes build server-side state on the owning islands
 // without touching any user's client cache. The fleet keeps no reference to
 // them: they live as long as the returned mount. Its home is island 0.
+//
+// The setup clients keep no attribute cache (AttrCacheTimeout 0). They only
+// make directories and create, write and close files, and none of those
+// consults the cache, so filling it would only grow a map by every path
+// built on them.
 func (f *Fleet) SetupFS() vfs.FileSystem {
+	cfg := f.client
+	cfg.AttrCacheTimeout = 0
 	setup := make([]*Client, len(f.islands))
 	for i, isl := range f.islands {
-		setup[i] = newClient(isl.Server, isl.Link, f.client, f.backing)
+		setup[i] = newClient(isl.Server, isl.Link, cfg, f.backing)
 	}
 	return &routerFS{f: f, clients: setup}
 }

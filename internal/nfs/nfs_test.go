@@ -381,15 +381,25 @@ func TestBadFD(t *testing.T) {
 	if _, err := cs(b).Write(ctx, fd, 10); err == nil || err.Error() != want {
 		t.Errorf("write of another client's fd = %v, want %q", err, want)
 	}
-	// Closing it through the other client flushes nothing: the dirty data
-	// is a's, and no RPC goes out.
+	if _, err := cs(b).Seek(ctx, fd, 0, vfs.SeekStart); err == nil || err.Error() != want {
+		t.Errorf("seek of another client's fd = %v, want %q", err, want)
+	}
+	// Closing it through the other client fails and flushes nothing: the
+	// dirty data is a's, and no RPC goes out.
 	calls, flushes := srv.Calls(), a.Flushes()+b.Flushes()
-	if err := cs(b).Close(ctx, fd); err != nil {
-		t.Errorf("close of another client's fd = %v", err)
+	if err := cs(b).Close(ctx, fd); err == nil || err.Error() != want {
+		t.Errorf("close of another client's fd = %v, want %q", err, want)
 	}
 	if srv.Calls() != calls || a.Flushes()+b.Flushes() != flushes || b.RPCs() != 0 {
 		t.Errorf("foreign close made %d server calls, %d flushes, %d RPCs from b",
 			srv.Calls()-calls, a.Flushes()+b.Flushes()-flushes, b.RPCs())
+	}
+	// The descriptor is still a's, at the offset a's write left.
+	if pos, err := cs(a).Seek(ctx, fd, 0, vfs.SeekCurrent); err != nil || pos != 100 {
+		t.Errorf("a's seek after the foreign calls = %d, %v; want 100", pos, err)
+	}
+	if err := cs(a).Close(ctx, fd); err != nil {
+		t.Errorf("a's close after the foreign close = %v", err)
 	}
 }
 

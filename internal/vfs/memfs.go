@@ -23,9 +23,18 @@ import (
 // descriptor to be issued; its closed prefix is dropped once it is half the
 // window, and an empty window restarts at the front of its array, so a
 // steady open/close stream reuses one array.
+//
+// The namespace is one table for the whole tree, not a map per directory.
+// Inodes live in an arena of fixed-size chunks, numbered by arena index (0
+// is never issued, so a 0 link names no inode). A directory threads its
+// children on an intrusive sibling list, and one open-addressing index
+// keyed by (parent, name) resolves a path segment.
 type MemFS struct {
-	root      *inode
-	nextIno   uint64
+	inodes    []*[inodeChunk]inode // arena: inode i is inodes[i/inodeChunk][i%inodeChunk]
+	nextIno   uint32               // last inode number issued
+	index     []uint32             // namespace index: a linked inode per bucket, 0 when empty
+	shift     uint                 // 64 - log2(len(index)): a hash's top bits pick the bucket
+	linked    int                  // inodes in the index
 	fds       []*openFile
 	fdBase    FD  // descriptor number of fds[0]
 	fdLo      int // fds[:fdLo] are all closed
@@ -33,21 +42,30 @@ type MemFS struct {
 	maxFDs    int
 	cost      CostModel
 	uncharged bool        // cost is NoCost: ops run inline, bypassing the op pool
-	slab      []inode     // inode arena: large trees cost one alloc per chunk
 	ofree     []*openFile // recycled descriptor states
 	opFree    *memOp      // free list of charged-op states
 	opsMade   int         // states ever allocated; all are on opFree when idle
 }
 
+// rootIno is the root directory's inode number.
+const rootIno = 1
+
+// inodeChunk is the arena's chunk length. Chunks never move, so an inode's
+// address holds for the file system's life.
+const inodeChunk = 256
+
+// inode is one file or directory. Its links are inode numbers, 0 for none.
 type inode struct {
-	ino      uint64
-	dir      bool
-	size     int64
-	children map[string]*inode
+	size   int64
+	name   string // final segment of the creating path; "" for the root and once unlinked
+	parent uint32 // directory the name is linked in
+	first  uint32 // a directory's newest child
+	next   uint32 // the next older child of the same parent
+	dir    bool
 }
 
 type openFile struct {
-	node *inode
+	ino  uint32
 	off  int64
 	mode OpenMode
 	path string
@@ -78,12 +96,15 @@ func WithMaxFDs(n int) Option {
 // NewMemFS returns an empty file system containing only the root directory.
 func NewMemFS(opts ...Option) *MemFS {
 	fs := &MemFS{
-		root:    &inode{ino: 1, dir: true, children: make(map[string]*inode)},
-		nextIno: 1,
+		inodes:  []*[inodeChunk]inode{new([inodeChunk]inode)},
+		nextIno: rootIno,
+		index:   make([]uint32, 8),
+		shift:   64 - 3,
 		fdBase:  3, // 0-2 are traditionally stdio
 		maxFDs:  1024,
 		cost:    NoCost{},
 	}
+	fs.node(rootIno).dir = true
 	for _, o := range opts {
 		o(fs)
 	}
@@ -93,17 +114,107 @@ func NewMemFS(opts ...Option) *MemFS {
 
 var _ FileSystem = (*MemFS)(nil)
 
-// newInode carves an inode from the slab. Inodes live as long as the file
-// system (unlinked ones are simply dropped), so a bump allocator turns the
-// per-file/per-directory allocation of large construction runs into one
-// allocation per chunk.
-func (fs *MemFS) newInode() *inode {
-	if len(fs.slab) == 0 {
-		fs.slab = make([]inode, 256)
+// node returns inode ino.
+func (fs *MemFS) node(ino uint32) *inode {
+	return &fs.inodes[ino/inodeChunk][ino%inodeChunk]
+}
+
+// newInode issues the next inode number and links it under name in
+// directory parent, at the head of its sibling list and in the index, which
+// first doubles if it would be more than half full. Inodes are never freed
+// (an unlinked one only loses its name), so the arena grows a chunk at a
+// time: large construction runs cost one allocation per chunk.
+func (fs *MemFS) newInode(parent uint32, name string, dir bool) uint32 {
+	fs.nextIno++
+	ino := fs.nextIno
+	if ino%inodeChunk == 0 {
+		fs.inodes = append(fs.inodes, new([inodeChunk]inode))
 	}
-	n := &fs.slab[0]
-	fs.slab = fs.slab[1:]
-	return n
+	p := fs.node(parent)
+	*fs.node(ino) = inode{name: name, parent: parent, next: p.first, dir: dir}
+	p.first = ino
+	if 2*(fs.linked+1) > len(fs.index) {
+		fs.growIndex()
+	}
+	b, _ := fs.find(parent, name)
+	fs.index[b] = ino
+	fs.linked++
+	return ino
+}
+
+// home returns the bucket the probe run of (parent, name) starts at: the
+// name's FNV-1a hash, folded as rng.DeriveSeed folds one, xored with the
+// parent and scrambled by Knuth's multiplicative hash (2^64/φ), whose top
+// bits pick the bucket. The hash takes no random seed, so runs and profiles
+// repeat.
+func (fs *MemFS) home(parent uint32, name string) int {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= prime64
+	}
+	return int(((h ^ uint64(parent)) * 0x9e3779b97f4a7c15) >> fs.shift)
+}
+
+// find returns the bucket holding (parent, name) and its inode, or the empty
+// bucket that ends its probe run and 0. It compares the parent before the
+// name, and string equality compares lengths before bytes.
+func (fs *MemFS) find(parent uint32, name string) (int, uint32) {
+	mask := len(fs.index) - 1
+	for b := fs.home(parent, name); ; b = (b + 1) & mask {
+		ino := fs.index[b]
+		if ino == 0 {
+			return b, 0
+		}
+		if n := fs.node(ino); n.parent == parent && n.name == name {
+			return b, ino
+		}
+	}
+}
+
+// growIndex doubles the index and reinserts every linked inode.
+func (fs *MemFS) growIndex() {
+	old := fs.index
+	fs.index = make([]uint32, 2*len(old))
+	fs.shift--
+	for _, ino := range old {
+		if ino != 0 {
+			n := fs.node(ino)
+			b, _ := fs.find(n.parent, n.name)
+			fs.index[b] = ino
+		}
+	}
+}
+
+// unlinkName drops linked inode ino's name. Its bucket is emptied, each
+// later entry of the probe run moving back into the hole when the hole lies
+// cyclically between the entry's home and its bucket, so every entry stays
+// reachable from its home and no tombstones build up. Then it leaves its
+// parent's sibling list, and its name is cleared so the creating path's
+// bytes can be collected.
+func (fs *MemFS) unlinkName(ino uint32) {
+	n := fs.node(ino)
+	mask := len(fs.index) - 1
+	b, _ := fs.find(n.parent, n.name)
+	for j := (b + 1) & mask; fs.index[j] != 0; j = (j + 1) & mask {
+		m := fs.node(fs.index[j])
+		if (j-fs.home(m.parent, m.name))&mask >= (j-b)&mask {
+			fs.index[b] = fs.index[j]
+			b = j
+		}
+	}
+	fs.index[b] = 0
+	fs.linked--
+	link := &fs.node(n.parent).first
+	for *link != ino {
+		link = &fs.node(*link).next
+	}
+	*link = n.next
+	n.name, n.next = "", 0
 }
 
 // getOpenFile pops a recycled descriptor state or allocates one.
@@ -188,7 +299,7 @@ func (op *memOp) run() {
 	case opData:
 		st.kN(st.n, nil)
 	case opClose:
-		st.kErr(fs.close(st.fd))
+		st.kErr(fs.close(st.fd, nil))
 	case opUnlink:
 		st.kErr(fs.unlink(st.ctx, st.path))
 	case opStat:
@@ -198,35 +309,36 @@ func (op *memOp) run() {
 	}
 }
 
-// lookup resolves path to its parent directory and final segment. Plain
-// paths — every segment non-empty and neither "." nor ".." — walk the tree
-// in place without allocating; anything else takes the general splitter.
-// Namespace resolution runs on every simulated operation, and the two
-// slices SplitPath allocates per call were measurable on macro benchmarks.
-func (fs *MemFS) lookup(path string) (parent *inode, name string, node *inode, err error) {
+// lookup resolves path to its parent directory's inode, its final segment
+// and that segment's inode (0 when absent; the parent is 0 for the root
+// itself). Plain paths — every segment non-empty and neither "." nor ".." —
+// walk the tree in place without allocating; anything else takes the
+// general splitter. Namespace resolution runs on every simulated operation,
+// and the two slices SplitPath allocates per call were measurable on macro
+// benchmarks.
+func (fs *MemFS) lookup(path string) (parent uint32, name string, ino uint32, err error) {
 	if len(path) == 0 || path[0] != '/' {
-		return nil, "", nil, fmt.Errorf("%w: %q", ErrInvalid, path)
+		return 0, "", 0, fmt.Errorf("%w: %q", ErrInvalid, path)
 	}
 	if !pathIsPlain(path) {
 		return fs.lookupSlow(path)
 	}
-	cur := fs.root
+	cur := uint32(rootIno)
 	i := 1
 	comp := 0
 	for {
 		j := strings.IndexByte(path[i:], '/')
 		if j < 0 {
 			name = path[i:]
-			node = cur.children[name] // may be nil
-			return cur, name, node, nil
+			_, ino = fs.find(cur, name)
+			return cur, name, ino, nil
 		}
-		seg := path[i : i+j]
-		next, ok := cur.children[seg]
-		if !ok {
-			return nil, "", nil, fmt.Errorf("%w: %q (component %d)", ErrNotExist, path, comp)
+		_, next := fs.find(cur, path[i:i+j])
+		if next == 0 {
+			return 0, "", 0, fmt.Errorf("%w: %q (component %d)", ErrNotExist, path, comp)
 		}
-		if !next.dir {
-			return nil, "", nil, fmt.Errorf("%w: %q (component %d)", ErrNotDir, path, comp)
+		if !fs.node(next).dir {
+			return 0, "", 0, fmt.Errorf("%w: %q (component %d)", ErrNotDir, path, comp)
 		}
 		cur = next
 		comp++
@@ -252,28 +364,28 @@ func pathIsPlain(path string) bool {
 
 // lookupSlow resolves non-plain paths through SplitPath, exactly as lookup
 // always did before the in-place fast path.
-func (fs *MemFS) lookupSlow(path string) (parent *inode, name string, node *inode, err error) {
+func (fs *MemFS) lookupSlow(path string) (parent uint32, name string, ino uint32, err error) {
 	segs, err := SplitPath(path)
 	if err != nil {
-		return nil, "", nil, fmt.Errorf("%w: %q", err, path)
+		return 0, "", 0, fmt.Errorf("%w: %q", err, path)
 	}
-	cur := fs.root
+	cur := uint32(rootIno)
 	if len(segs) == 0 {
-		return nil, "", cur, nil
+		return 0, "", cur, nil
 	}
 	for i, s := range segs[:len(segs)-1] {
-		next, ok := cur.children[s]
-		if !ok {
-			return nil, "", nil, fmt.Errorf("%w: %q (component %d)", ErrNotExist, path, i)
+		_, next := fs.find(cur, s)
+		if next == 0 {
+			return 0, "", 0, fmt.Errorf("%w: %q (component %d)", ErrNotExist, path, i)
 		}
-		if !next.dir {
-			return nil, "", nil, fmt.Errorf("%w: %q (component %d)", ErrNotDir, path, i)
+		if !fs.node(next).dir {
+			return 0, "", 0, fmt.Errorf("%w: %q (component %d)", ErrNotDir, path, i)
 		}
 		cur = next
 	}
 	name = segs[len(segs)-1]
-	node = cur.children[name] // may be nil
-	return cur, name, node, nil
+	_, ino = fs.find(cur, name)
+	return cur, name, ino, nil
 }
 
 // Mkdir creates a directory. Parents must already exist.
@@ -289,23 +401,14 @@ func (fs *MemFS) Mkdir(ctx Ctx, path string, k func(error)) {
 
 // mkdir is Mkdir's namespace mutation, after the cost charge.
 func (fs *MemFS) mkdir(path string) error {
-	parent, name, node, err := fs.lookup(path)
+	parent, name, ino, err := fs.lookup(path)
 	if err != nil {
 		return err
 	}
-	if parent == nil { // root itself
+	if parent == 0 || ino != 0 { // the root itself, or taken
 		return fmt.Errorf("%w: %q", ErrExist, path)
 	}
-	if node != nil {
-		return fmt.Errorf("%w: %q", ErrExist, path)
-	}
-	fs.nextIno++
-	n := fs.newInode()
-	n.ino, n.dir = fs.nextIno, true
-	if parent.children == nil {
-		parent.children = make(map[string]*inode)
-	}
-	parent.children[name] = n
+	fs.newInode(parent, name, true)
 	return nil
 }
 
@@ -348,11 +451,11 @@ func (fs *MemFS) Create(ctx Ctx, path string, k func(FD, error)) {
 // create is Create's namespace mutation, after the cost charge. It also
 // returns the file's inode.
 func (fs *MemFS) create(ctx Ctx, path string, owner any) (FD, uint64, error) {
-	parent, name, node, err := fs.lookup(path)
+	parent, name, ino, err := fs.lookup(path)
 	if err != nil {
 		return 0, 0, err
 	}
-	if parent == nil || node != nil && node.dir {
+	if parent == 0 || ino != 0 && fs.node(ino).dir {
 		return 0, 0, fmt.Errorf("%w: %q", ErrIsDir, path)
 	}
 	// Refuse the descriptor before touching the namespace, as EMFILE
@@ -360,24 +463,17 @@ func (fs *MemFS) create(ctx Ctx, path string, owner any) (FD, uint64, error) {
 	if fs.openFDs >= fs.maxFDs {
 		return 0, 0, ErrTooManyFD
 	}
-	truncatedIno := uint64(0)
-	if node != nil {
-		node.size = 0
-		truncatedIno = node.ino
+	truncated := ino != 0
+	if truncated {
+		fs.node(ino).size = 0
 	} else {
-		fs.nextIno++
-		node = fs.newInode()
-		node.ino = fs.nextIno
-		if parent.children == nil {
-			parent.children = make(map[string]*inode)
-		}
-		parent.children[name] = node
+		ino = fs.newInode(parent, name, false)
 	}
-	fd, err := fs.allocFD(node, WriteOnly, path, owner)
-	if truncatedIno != 0 {
-		fs.cost.Truncate(ctx, truncatedIno)
+	fd, err := fs.allocFD(ino, WriteOnly, path, owner)
+	if truncated {
+		fs.cost.Truncate(ctx, uint64(ino))
 	}
-	return fd, node.ino, err
+	return fd, uint64(ino), err
 }
 
 // Open opens an existing regular file.
@@ -396,25 +492,25 @@ func (fs *MemFS) open(path string, mode OpenMode, owner any) (FD, error) {
 	if mode != ReadOnly && mode != WriteOnly && mode != ReadWrite {
 		return 0, fmt.Errorf("%w: open mode %d", ErrInvalid, mode)
 	}
-	_, _, node, err := fs.lookup(path)
+	_, _, ino, err := fs.lookup(path)
 	if err != nil {
 		return 0, err
 	}
-	if node == nil {
+	if ino == 0 {
 		return 0, fmt.Errorf("%w: %q", ErrNotExist, path)
 	}
-	if node.dir {
+	if fs.node(ino).dir {
 		return 0, fmt.Errorf("%w: %q", ErrIsDir, path)
 	}
-	return fs.allocFD(node, mode, path, owner)
+	return fs.allocFD(ino, mode, path, owner)
 }
 
-func (fs *MemFS) allocFD(node *inode, mode OpenMode, path string, owner any) (FD, error) {
+func (fs *MemFS) allocFD(ino uint32, mode OpenMode, path string, owner any) (FD, error) {
 	if fs.openFDs >= fs.maxFDs {
 		return 0, ErrTooManyFD
 	}
 	of := fs.getOpenFile()
-	of.node, of.off, of.mode, of.path, of.owner = node, 0, mode, path, owner
+	of.ino, of.off, of.mode, of.path, of.owner = ino, 0, mode, path, owner
 	fs.fds = append(fs.fds, of)
 	fs.openFDs++
 	return fs.fdBase + FD(len(fs.fds)-1), nil
@@ -428,6 +524,14 @@ func (fs *MemFS) file(fd FD) *openFile {
 	return nil
 }
 
+// owned returns descriptor fd's state if it is open for owner, else nil.
+func (fs *MemFS) owned(fd FD, owner any) *openFile {
+	if of := fs.file(fd); of != nil && of.owner == owner {
+		return of
+	}
+	return nil
+}
+
 // advance moves owner's descriptor over a read of up to n bytes, or a write
 // of n bytes that extends the file as needed. It returns the file's inode
 // and path and the offset and length the transfer covers (m = 0 at end of
@@ -435,8 +539,8 @@ func (fs *MemFS) file(fd FD) *openFile {
 // ErrBadFD; then the open mode and a negative size are checked, in that
 // order.
 func (fs *MemFS) advance(fd FD, n int64, write bool, owner any) (ino uint64, path string, off, m int64, err error) {
-	of := fs.file(fd)
-	if of == nil || of.owner != owner {
+	of := fs.owned(fd, owner)
+	if of == nil {
 		return 0, "", 0, 0, fmt.Errorf("%w: %d", ErrBadFD, fd)
 	}
 	verb, allowed := "read", of.mode.CanRead()
@@ -450,13 +554,14 @@ func (fs *MemFS) advance(fd FD, n int64, write bool, owner any) (ino uint64, pat
 		return 0, "", 0, 0, fmt.Errorf("%w: negative %s size %d", ErrInvalid, verb, n)
 	}
 	off = of.off
+	f := fs.node(of.ino)
 	if write {
-		of.node.size = max(of.node.size, off+n)
+		f.size = max(f.size, off+n)
 	} else {
-		n = min(n, max(of.node.size-off, 0)) // 0 at end of file
+		n = min(n, max(f.size-off, 0)) // 0 at end of file
 	}
 	of.off = off + n
-	return of.node.ino, of.path, off, n, nil
+	return uint64(of.ino), of.path, off, n, nil
 }
 
 // Read transfers up to n bytes from the descriptor's current offset.
@@ -495,11 +600,11 @@ func (fs *MemFS) dataOp(ctx Ctx, ino uint64, off, n int64, write bool, k func(in
 // Seek repositions the descriptor's offset. It charges nothing: a seek is
 // offset bookkeeping with no I/O.
 func (fs *MemFS) Seek(ctx Ctx, fd FD, offset int64, whence int, k func(int64, error)) {
-	k(fs.seek(fd, offset, whence))
+	k(fs.seek(fd, offset, whence, nil))
 }
 
-func (fs *MemFS) seek(fd FD, offset int64, whence int) (int64, error) {
-	of := fs.file(fd)
+func (fs *MemFS) seek(fd FD, offset int64, whence int, owner any) (int64, error) {
+	of := fs.owned(fd, owner)
 	if of == nil {
 		return 0, fmt.Errorf("%w: %d", ErrBadFD, fd)
 	}
@@ -510,7 +615,7 @@ func (fs *MemFS) seek(fd FD, offset int64, whence int) (int64, error) {
 	case SeekCurrent:
 		base = of.off
 	case SeekEnd:
-		base = of.node.size
+		base = fs.node(of.ino).size
 	default:
 		return 0, fmt.Errorf("%w: whence %d", ErrInvalid, whence)
 	}
@@ -525,7 +630,7 @@ func (fs *MemFS) seek(fd FD, offset int64, whence int) (int64, error) {
 // Close releases the descriptor.
 func (fs *MemFS) Close(ctx Ctx, fd FD, k func(error)) {
 	if fs.uncharged {
-		k(fs.close(fd))
+		k(fs.close(fd, nil))
 		return
 	}
 	op := fs.getOp(opClose, ctx)
@@ -533,8 +638,8 @@ func (fs *MemFS) Close(ctx Ctx, fd FD, k func(error)) {
 	fs.cost.MetaOp(ctx, op.runFn)
 }
 
-func (fs *MemFS) close(fd FD) error {
-	if fs.file(fd) == nil {
+func (fs *MemFS) close(fd FD, owner any) error {
+	if fs.owned(fd, owner) == nil {
 		return fmt.Errorf("%w: %d", ErrBadFD, fd)
 	}
 	fs.release(fd)
@@ -576,18 +681,18 @@ func (fs *MemFS) Unlink(ctx Ctx, path string, k func(error)) {
 }
 
 func (fs *MemFS) unlink(ctx Ctx, path string) error {
-	parent, name, node, err := fs.lookup(path)
+	_, _, ino, err := fs.lookup(path)
 	if err != nil {
 		return err
 	}
-	if node == nil {
+	if ino == 0 {
 		return fmt.Errorf("%w: %q", ErrNotExist, path)
 	}
-	if node.dir {
+	if fs.node(ino).dir {
 		return fmt.Errorf("%w: %q", ErrIsDir, path)
 	}
-	delete(parent.children, name)
-	fs.cost.Truncate(ctx, node.ino)
+	fs.unlinkName(ino)
+	fs.cost.Truncate(ctx, uint64(ino))
 	return nil
 }
 
@@ -603,14 +708,15 @@ func (fs *MemFS) Stat(ctx Ctx, path string, k func(FileInfo, error)) {
 }
 
 func (fs *MemFS) stat(path string) (FileInfo, error) {
-	_, _, node, err := fs.lookup(path)
+	_, _, ino, err := fs.lookup(path)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	if node == nil {
+	if ino == 0 {
 		return FileInfo{}, fmt.Errorf("%w: %q", ErrNotExist, path)
 	}
-	return FileInfo{Path: path, Ino: node.ino, Size: node.size, IsDir: node.dir}, nil
+	n := fs.node(ino)
+	return FileInfo{Path: path, Ino: uint64(ino), Size: n.size, IsDir: n.dir}, nil
 }
 
 // ReadDir lists a directory in lexical order.
@@ -625,19 +731,24 @@ func (fs *MemFS) ReadDir(ctx Ctx, path string, k func([]string, error)) {
 }
 
 func (fs *MemFS) readDir(path string) ([]string, error) {
-	_, _, node, err := fs.lookup(path)
+	_, _, ino, err := fs.lookup(path)
 	if err != nil {
 		return nil, err
 	}
-	if node == nil {
+	if ino == 0 {
 		return nil, fmt.Errorf("%w: %q", ErrNotExist, path)
 	}
-	if !node.dir {
+	d := fs.node(ino)
+	if !d.dir {
 		return nil, fmt.Errorf("%w: %q", ErrNotDir, path)
 	}
-	names := make([]string, 0, len(node.children))
-	for name := range node.children {
-		names = append(names, name)
+	count := 0
+	for c := d.first; c != 0; c = fs.node(c).next {
+		count++
+	}
+	names := make([]string, 0, count)
+	for c := d.first; c != 0; c = fs.node(c).next {
+		names = append(names, fs.node(c).name)
 	}
 	sort.Strings(names)
 	return names, nil
@@ -648,15 +759,16 @@ func (fs *MemFS) OpenFDs() int { return fs.openFDs }
 
 // TotalBytes returns the sum of all regular file sizes (used by tests and
 // the FSC to report the synthetic file system's footprint).
-func (fs *MemFS) TotalBytes() int64 { return sumSizes(fs.root) }
+func (fs *MemFS) TotalBytes() int64 { return fs.sumSizes(rootIno) }
 
-func sumSizes(n *inode) int64 {
+func (fs *MemFS) sumSizes(ino uint32) int64 {
+	n := fs.node(ino)
 	if !n.dir {
 		return n.size
 	}
 	var total int64
-	for _, c := range n.children {
-		total += sumSizes(c)
+	for c := n.first; c != 0; c = fs.node(c).next {
+		total += fs.sumSizes(c)
 	}
 	return total
 }
@@ -670,10 +782,9 @@ func sumSizes(n *inode) int64 {
 // counterparts under a NoCost model.
 //
 // Create and Open record an owner, an opaque comparable tag (the NFS client
-// passes itself), and Advance serves only that owner, so the descriptor
-// table doubles as each owner's list of open files and Owner tells which
-// owner holds a descriptor. Seek and Close act on any descriptor, whoever
-// opened it.
+// passes itself), and Advance, Seek and Close serve only that owner, so the
+// descriptor table doubles as each owner's list of open files and Owner
+// tells which owner holds a descriptor.
 type Bare struct {
 	FS *MemFS
 }
@@ -707,11 +818,11 @@ func (b Bare) Advance(fd FD, n int64, write bool, owner any) (ino uint64, path s
 // Owned reports whether fd is open for owner, with the file's inode and
 // path.
 func (b Bare) Owned(fd FD, owner any) (ino uint64, path string, ok bool) {
-	of := b.FS.file(fd)
-	if of == nil || of.owner != owner {
+	of := b.FS.owned(fd, owner)
+	if of == nil {
 		return 0, "", false
 	}
-	return of.node.ino, of.path, true
+	return uint64(of.ino), of.path, true
 }
 
 // Owner returns the tag fd was opened with, or nil if fd is not open.
@@ -734,13 +845,15 @@ func (b Bare) CloseOwned(owner any) {
 	}
 }
 
-// Seek repositions the descriptor's offset.
-func (b Bare) Seek(fd FD, offset int64, whence int) (int64, error) {
-	return b.FS.seek(fd, offset, whence)
+// Seek repositions owner's descriptor's offset. A descriptor not open for
+// owner is ErrBadFD, as in Advance.
+func (b Bare) Seek(fd FD, offset int64, whence int, owner any) (int64, error) {
+	return b.FS.seek(fd, offset, whence, owner)
 }
 
-// Close releases the descriptor.
-func (b Bare) Close(fd FD) error { return b.FS.close(fd) }
+// Close releases owner's descriptor. A descriptor not open for owner is
+// ErrBadFD, as in Advance.
+func (b Bare) Close(fd FD, owner any) error { return b.FS.close(fd, owner) }
 
 // Unlink removes a file name.
 func (b Bare) Unlink(path string) error { return b.FS.unlink(nil, path) }

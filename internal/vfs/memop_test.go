@@ -108,9 +108,9 @@ func (f bareFS) Write(_ Ctx, fd FD, n int64, k func(int64, error)) {
 	k(m, err)
 }
 func (f bareFS) Seek(_ Ctx, fd FD, off int64, wh int, k func(int64, error)) {
-	k(f.b.Seek(fd, off, wh))
+	k(f.b.Seek(fd, off, wh, nil))
 }
-func (f bareFS) Close(_ Ctx, fd FD, k func(error))                { k(f.b.Close(fd)) }
+func (f bareFS) Close(_ Ctx, fd FD, k func(error))                { k(f.b.Close(fd, nil)) }
 func (f bareFS) Unlink(_ Ctx, p string, k func(error))            { k(f.b.Unlink(p)) }
 func (f bareFS) Stat(_ Ctx, p string, k func(FileInfo, error))    { k(f.b.Stat(p)) }
 func (f bareFS) ReadDir(_ Ctx, p string, k func([]string, error)) { k(f.b.ReadDir(p)) }

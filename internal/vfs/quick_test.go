@@ -144,9 +144,10 @@ func TestQuickSplitPath(t *testing.T) {
 // for the offset, then a Read or Write. Random create/open/advance/seek/
 // close/CloseOwned/unlink sequences by three owners, under a small
 // descriptor limit, must agree with the model in FD numbers, offsets, byte
-// counts, file sizes, OpenFDs and ErrTooManyFD. Advance on a never-issued,
-// closed or other owner's FD must fail with ErrBadFD, and the mode and
-// negative-size errors must come in that order, all with their usual text.
+// counts, file sizes, OpenFDs and ErrTooManyFD. Advance, Seek and Close on
+// a never-issued, closed or other owner's FD must fail with ErrBadFD, and
+// Advance's mode and negative-size errors must come in that order, all with
+// their usual text.
 // Owner must name each open descriptor's owner, and nil for any other FD.
 // The model's descriptor table is a map, the form the MemFS table had
 // before it became a window; the window must keep its closed prefix under
@@ -294,26 +295,29 @@ func TestQuickAdvanceMatchesSeekAndTransfer(t *testing.T) {
 				if err != nil || off != wantOff || got != wantN {
 					fail(step, "%s fd %d n %d = off %d, %d bytes, %v; want off %d, %d bytes", verb, fd, n, off, got, err, wantOff, wantN)
 				}
-			case 5: // seek serves any owner
+			case 5: // seek serves the opener only
 				fd := issued[r.Intn(len(issued))]
 				to := int64(r.Intn(8000))
-				pos, err := b.Seek(fd, to, SeekStart)
-				if d := fds[fd]; d != nil {
+				pos, err := b.Seek(fd, to, SeekStart, owners[who])
+				if d := fds[fd]; d != nil && d.owner == who {
 					d.off = to
 					if err != nil || pos != to {
 						fail(step, "seek fd %d to %d = %d, %v", fd, to, pos, err)
 					}
 				} else if err == nil || err.Error() != fmt.Sprintf("vfs: bad file descriptor: %d", fd) {
-					fail(step, "seek closed fd %d = %v", fd, err)
+					fail(step, "seek fd %d by owner %d = %v", fd, who, err)
 				}
-			case 6: // close serves any owner
+			case 6: // close serves the opener only
 				fd := issued[r.Intn(len(issued))]
-				err := b.Close(fd)
-				if fds[fd] != nil && err != nil ||
-					fds[fd] == nil && (err == nil || err.Error() != fmt.Sprintf("vfs: bad file descriptor: %d", fd)) {
-					fail(step, "close fd %d = %v", fd, err)
+				err := b.Close(fd, owners[who])
+				if d := fds[fd]; d != nil && d.owner == who {
+					if err != nil {
+						fail(step, "close fd %d = %v", fd, err)
+					}
+					delete(fds, fd)
+				} else if err == nil || err.Error() != fmt.Sprintf("vfs: bad file descriptor: %d", fd) {
+					fail(step, "close fd %d by owner %d = %v", fd, who, err)
 				}
-				delete(fds, fd)
 			case 7: // CloseOwned closes the owner's descriptors only
 				b.CloseOwned(owners[who])
 				for fd, d := range fds {
