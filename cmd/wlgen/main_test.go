@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -139,5 +141,23 @@ func TestPrintWindowsSumsToRun(t *testing.T) {
 	}
 	if ops != res.Analysis.Ops {
 		t.Errorf("window rows hold %d ops, the run executed %d", ops, res.Analysis.Ops)
+	}
+}
+
+// TestScriptLogDigest pins the usage log of `wlgen script` at its defaults
+// byte for byte. The script drives the simulated local file system on a
+// synchronous clock, with no DES, a path no run of the generator takes.
+func TestScriptLogDigest(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "script.jsonl")
+	if err := cmdScript([]string{"-log", logPath}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "9598eb3835db37d44c5037a5e9fe7fae48ee4a9fca6aaac90ecaa6b539cebed2"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Errorf("%d records hash to %s, want %s", bytes.Count(data, []byte("\n")), got, want)
 	}
 }

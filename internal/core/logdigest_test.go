@@ -23,7 +23,10 @@ import (
 // crashing population on two islands of two pooled clients each, whose
 // crashes close co-tenants' descriptors under their routers, and clients
 // without a page cache, where every read is a straight fetch and every
-// write a synchronous push.
+// write a synchronous push. Three rows run the simulated local file
+// system: the default spec, a population arriving over a window and
+// crashing, whose crash cleanup closes each session's descriptors on the
+// zero clock through the charged path, and a lazy population.
 // Each row also pins the sessions started and its churn counts, so a row
 // cannot silently stop exercising the lifecycle path it was added for.
 //
@@ -73,6 +76,21 @@ func TestFullRecordLogDigest(t *testing.T) {
 	uncached.Sessions = 40
 	uncached.FS.Client.CacheBlocks = 0
 
+	local := config.Default()
+	local.FS.Kind = config.FSLocal
+
+	localChurn := config.Default()
+	localChurn.Users = 6
+	localChurn.Sessions = 60
+	localChurn.FS.Kind = config.FSLocal
+	localChurn.UserTypes[0].Lifecycle = &config.Lifecycle{Arrive: &arrive, MTTF: &mttf, MTTR: &mttr}
+
+	localLazy := config.Default()
+	localLazy.Users = 12
+	localLazy.Sessions = 60
+	localLazy.LazyUsers = true
+	localLazy.FS.Kind = config.FSLocal
+
 	for _, tc := range []struct {
 		name     string
 		spec     *config.Spec
@@ -91,6 +109,10 @@ func TestFullRecordLogDigest(t *testing.T) {
 		{"pooled-churn", pooledChurn, "65033be98fea532f6c101c0d2a43fb72ef9da1102673dcae7fb5c023b05e737a", 64,
 			usim.ChurnStats{Crashes: 14, Reboots: 14, TruncatedSessions: 14}},
 		{"no-client-cache", uncached, "b839a7b5130e442b3a6a1f9df75510daa71d998e7b12d41538fe9080c8643ca6", 40, usim.ChurnStats{}},
+		{"local", local, "4f90d62c43e458f5d51df11ce8f9b96a3bd18b565526646a2a385497c1558c6d", 600, usim.ChurnStats{}},
+		{"local-churn", localChurn, "8e186b1fe0bf38142b993e540f76043e843d78bf72b55ad86359dc570a37a9a4", 60,
+			usim.ChurnStats{Crashes: 12, Reboots: 12, TruncatedSessions: 12}},
+		{"local-lazy", localLazy, "e9d779791500007a0f104f5d3dabc5600125d2e90257dda99ce92df774bdd8ab", 60, usim.ChurnStats{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gen, err := NewGenerator(tc.spec)
