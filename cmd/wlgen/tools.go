@@ -165,10 +165,10 @@ func cmdScript(args []string) error {
 	_ = fs.Parse(args)
 
 	cfg := baseline.ScriptConfig{Dirs: *dirs, FilesPerDir: *files, FileSize: *size, Chunk: 4096}
-	memfs := vfs.NewMemFS(vfs.WithCostModel(vfs.NewLocalCost(nil, vfs.DefaultLocalCostConfig())), vfs.WithMaxFDs(1<<20))
+	local := vfs.NewLocalCost(nil, vfs.DefaultLocalCostConfig(), vfs.NewMemFS(vfs.WithMaxFDs(1<<20)))
 	ctx := &vfs.ManualClock{}
 	var log trace.Log
-	if err := baseline.Script(ctx, memfs, "/bench", cfg, &log, 0); err != nil {
+	if err := baseline.Script(ctx, local, "/bench", cfg, &log, 0); err != nil {
 		return err
 	}
 	a := trace.Analyze(&log)

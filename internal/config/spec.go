@@ -354,7 +354,7 @@ func (t TraceSpec) Validate() error {
 
 // File system kinds.
 const (
-	FSLocal = "local" // simulated local UNIX file system (MemFS + LocalCost)
+	FSLocal = "local" // simulated local UNIX file system (vfs.LocalCost over a MemFS namespace)
 	FSNFS   = "nfs"   // simulated SUN NFS (client + server + shared wire)
 	FSReal  = "real"  // host file system under a sandbox root
 )

@@ -112,8 +112,8 @@ func NewGenerator(spec *config.Spec) (*Generator, error) {
 		if cfg == (vfs.LocalCostConfig{}) {
 			cfg = vfs.DefaultLocalCostConfig()
 		}
-		g.local = vfs.NewLocalCost(g.env, cfg)
-		g.fs = vfs.NewMemFS(vfs.WithCostModel(g.local), vfs.WithMaxFDs(1<<20))
+		g.local = vfs.NewLocalCost(g.env, cfg, vfs.NewMemFS(vfs.WithMaxFDs(1<<20)))
+		g.fs = g.local
 	case config.FSNFS:
 		g.env = sim.NewEnv()
 		// Every NFS run is a fleet: N islands (server + wire) behind a
@@ -422,7 +422,8 @@ func (g *Generator) BuildOps() int64 { return g.inventory.BuildOps }
 // one.
 func (g *Generator) MaterializedUsers() int { return g.inventory.UsersBuilt }
 
-// LocalCost returns the local cost model, or nil outside local mode.
+// LocalCost returns the simulated local file system, or nil outside local
+// mode.
 func (g *Generator) LocalCost() *vfs.LocalCost { return g.local }
 
 // Windows returns the windowed transient-response collector, or nil unless

@@ -100,7 +100,7 @@ func TestRunLocalMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if gen.LocalCost() == nil {
-		t.Fatal("local mode must expose the cost model")
+		t.Fatal("local mode must expose the local file system")
 	}
 	if gen.Servers() != nil {
 		t.Error("local mode should not expose an NFS server")

@@ -209,14 +209,13 @@ func TestBuildChargesTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc := vfs.NewLocalCost(nil, vfs.DefaultLocalCostConfig())
-	fsys := vfs.NewMemFS(vfs.WithCostModel(lc), vfs.WithMaxFDs(1<<20))
+	fsys := vfs.NewLocalCost(nil, vfs.DefaultLocalCostConfig(), vfs.NewMemFS(vfs.WithMaxFDs(1<<20)))
 	ctx := &vfs.ManualClock{}
 	if _, err := Build(ctx, fsys, spec, tables, rng.New(2)); err != nil {
 		t.Fatal(err)
 	}
 	if ctx.Now() <= 0 {
-		t.Error("creation through a cost model should consume time")
+		t.Error("creation on the local file system should consume time")
 	}
 }
 

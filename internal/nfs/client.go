@@ -139,7 +139,6 @@ type opState struct {
 	mode     vfs.OpenMode
 	skOff    int64
 	skWhence int
-	inoErr   error    // Unlink's pre-resolved inode lookup result
 	names    []string // ReadDir's listing, held across the RPC
 	kFD      func(vfs.FD, error)
 	kInfo    func(vfs.FileInfo, error)
@@ -253,7 +252,6 @@ func (c *Client) putOp(st *opState) {
 	st.kErr = nil
 	st.kNames = nil
 	st.names = nil
-	st.inoErr = nil
 	c.ops = append(c.ops, st)
 }
 
@@ -428,19 +426,9 @@ func (c *Client) setAttr(ctx vfs.Ctx, path string) {
 
 func (c *Client) dropAttr(path string) { delete(c.attrs, path) }
 
-// inoOf resolves a path's inode in the shadow namespace without charging.
-func (c *Client) inoOf(path string) (uint64, error) {
-	info, err := c.shadow().Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	return info.Ino, nil
-}
-
 // shadow is the cost-free call-and-return facade over the backing
-// namespace. The backing MemFS carries no cost model — the client charges
-// through its own RPC accounting — so shadow operations are pure
-// bookkeeping and never suspend.
+// namespace. The client charges through its own RPC accounting, so shadow
+// operations are pure bookkeeping and never suspend.
 func (c *Client) shadow() vfs.Bare { return c.backing.Bare() }
 
 // Mkdir creates a directory on the server. Pooled like the data ops: the
@@ -751,26 +739,21 @@ func (c *Client) Unlink(ctx vfs.Ctx, path string, k func(error)) {
 	ctx.Hold(c.cfg.CPUPerCall, st.unlinkEntryFn)
 }
 
-// unlinkEntry runs after Unlink's CPU hold: resolve the inode while the
-// path still exists, then issue the RPC.
-func (st *opState) unlinkEntry() {
-	st.ino, st.inoErr = st.c.inoOf(st.path)
-	st.rpcMeta(0, st.unlinkRPCFn)
-}
+// unlinkEntry runs after Unlink's CPU hold.
+func (st *opState) unlinkEntry() { st.rpcMeta(0, st.unlinkRPCFn) }
 
-// unlinkRPC runs after the unlink RPC's reply.
+// unlinkRPC runs after the unlink RPC's reply. The server and the client
+// drop the blocks of the inode the shadow unlinked.
 func (st *opState) unlinkRPC() {
 	c, path, k := st.c, st.path, st.kErr
-	ino, inoErr := st.ino, st.inoErr
 	c.putOp(st)
-	if err := c.shadow().Unlink(path); err != nil {
+	ino, err := c.shadow().Unlink(path)
+	if err != nil {
 		k(err)
 		return
 	}
-	if inoErr == nil {
-		c.server.Invalidate(ino)
-		c.discardDirty(ino)
-	}
+	c.server.Invalidate(ino)
+	c.discardDirty(ino)
 	c.dropAttr(path)
 	k(nil)
 }

@@ -69,8 +69,8 @@ func TestDirtyBlocksMatchesRecount(t *testing.T) {
 			check(step, "close")
 		case k < 97:
 			p := paths[r.Intn(len(paths))]
-			if ino, err := c.inoOf(p); err == nil {
-				if _, ok := c.dirty[ino]; ok {
+			if info, err := c.shadow().Stat(p); err == nil {
+				if _, ok := c.dirty[info.Ino]; ok {
 					discards++
 				}
 			}

@@ -232,8 +232,7 @@ func harnessUnderSim(t *testing.T, spec *config.Spec) (*Simulator, *sim.Env) {
 		t.Fatal(err)
 	}
 	env := sim.NewEnv()
-	lc := vfs.NewLocalCost(env, vfs.DefaultLocalCostConfig())
-	fsys := vfs.NewMemFS(vfs.WithCostModel(lc), vfs.WithMaxFDs(1<<20))
+	fsys := vfs.NewLocalCost(env, vfs.DefaultLocalCostConfig(), vfs.NewMemFS(vfs.WithMaxFDs(1<<20)))
 	inv, err := fscBuild(fsys, spec, tables)
 	if err != nil {
 		t.Fatal(err)

@@ -33,8 +33,7 @@ func lifecycleSim(t *testing.T, sessions int, lc *config.Lifecycle, sink trace.S
 		t.Fatal(err)
 	}
 	env := sim.NewEnv()
-	lcost := vfs.NewLocalCost(env, vfs.DefaultLocalCostConfig())
-	fsys := vfs.NewMemFS(vfs.WithCostModel(lcost), vfs.WithMaxFDs(1<<20))
+	fsys := vfs.NewLocalCost(env, vfs.DefaultLocalCostConfig(), vfs.NewMemFS(vfs.WithMaxFDs(1<<20)))
 	inv, err := fsc.Build(&vfs.ManualClock{}, fsys, spec, tables, rng.New(spec.Seed))
 	if err != nil {
 		t.Fatal(err)

@@ -305,8 +305,7 @@ func TestRunUnderSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := sim.NewEnv()
-	lc := vfs.NewLocalCost(env, vfs.DefaultLocalCostConfig())
-	fsys := vfs.NewMemFS(vfs.WithCostModel(lc), vfs.WithMaxFDs(1<<20))
+	fsys := vfs.NewLocalCost(env, vfs.DefaultLocalCostConfig(), vfs.NewMemFS(vfs.WithMaxFDs(1<<20)))
 	inv, err := fsc.Build(&vfs.ManualClock{}, fsys, spec, tables, rng.New(spec.Seed))
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +334,7 @@ func TestRunUnderSim(t *testing.T) {
 		t.Errorf("users seen = %d, want 3", len(users))
 	}
 	// Response times are virtual-time measurements and must be positive
-	// for data ops through the cost model.
+	// for data ops on the local file system.
 	if a.Response.N() > 0 && a.Response.Mean() <= 0 {
 		t.Error("mean data-op response time should be positive")
 	}

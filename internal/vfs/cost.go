@@ -8,38 +8,6 @@ import (
 	"uswg/internal/sim"
 )
 
-// CostModel charges virtual time for file system operations. MetaOp and
-// DataOp are continuation-passing, mirroring Ctx.Hold: under the DES they
-// may suspend at holds or a disk queue, so the work that follows a charge
-// must live in k. Truncate never suspends and stays call-and-return.
-type CostModel interface {
-	// MetaOp charges for a metadata operation (open, close, stat, create,
-	// unlink, mkdir, readdir), then runs k.
-	MetaOp(ctx Ctx, k func())
-	// DataOp charges for transferring n bytes at offset off of inode ino,
-	// then runs k.
-	DataOp(ctx Ctx, ino uint64, off, n int64, write bool, k func())
-	// Truncate invalidates cached state for an inode (file truncated or
-	// removed). It must not suspend.
-	Truncate(ctx Ctx, ino uint64)
-}
-
-// NoCost charges nothing. It is the model for namespace bookkeeping (e.g.,
-// the NFS client's shadow of the server namespace, which charges through its
-// own RPC accounting instead).
-type NoCost struct{}
-
-var _ CostModel = NoCost{}
-
-// MetaOp charges nothing.
-func (NoCost) MetaOp(_ Ctx, k func()) { k() }
-
-// DataOp charges nothing.
-func (NoCost) DataOp(_ Ctx, _ uint64, _, _ int64, _ bool, k func()) { k() }
-
-// Truncate does nothing.
-func (NoCost) Truncate(Ctx, uint64) {}
-
 // LocalCostConfig parameterizes LocalCost.
 type LocalCostConfig struct {
 	// Disk is the drive model.
@@ -74,24 +42,36 @@ func DefaultLocalCostConfig() LocalCostConfig {
 	}
 }
 
-// LocalCost models a local UNIX file system: a buffer cache in front of one
-// disk arm. When attached to a DES environment the disk is a contended
-// resource; otherwise disk time is charged without queueing.
+// LocalCost is the simulated local UNIX file system of the §5.3
+// comparison: a buffer cache in front of one disk arm. Like the NFS client,
+// it is a FileSystem over a MemFS's cost-free Bare namespace that charges
+// its own time. A metadata call holds for MetaTime, then makes the
+// namespace call. A read or write advances the descriptor at once, then
+// charges each cached block and one disk pass for the misses; Seek charges
+// nothing. When attached to a DES environment the disk is a contended
+// resource; otherwise disk time is charged without queueing. Every user
+// shares the one local file system, so its descriptors carry no owner and
+// it is no Crasher: a crashed session's own descriptors are closed one by
+// one. (The name dates from when it was a cost model that a MemFS charged
+// through; reports and benchmarks know it by that name.)
 type LocalCost struct {
 	cfg     LocalCostConfig
+	ns      Bare
 	arm     *disk.Arm
 	cache   *cache.LRU
 	diskRes *sim.Resource // nil outside a DES
-	opFree  *dataOp       // free list of per-DataOp states (single-threaded under the DES)
+	opFree  *localOp      // free list of call states (single-threaded under the DES)
+	opsMade int           // states ever allocated; all are on opFree when idle
 }
 
-var _ CostModel = (*LocalCost)(nil)
+var _ FileSystem = (*LocalCost)(nil)
 
-// NewLocalCost returns a cost model. env may be nil, in which case disk
-// accesses are charged without contention.
-func NewLocalCost(env *sim.Env, cfg LocalCostConfig) *LocalCost {
+// NewLocalCost returns the local file system over namespace ns. env may be
+// nil, in which case disk accesses are charged without contention.
+func NewLocalCost(env *sim.Env, cfg LocalCostConfig, ns *MemFS) *LocalCost {
 	lc := &LocalCost{
 		cfg:   cfg,
+		ns:    ns.Bare(),
 		arm:   disk.NewArm(cfg.Disk),
 		cache: cache.NewLRU(cfg.CacheBlocks),
 	}
@@ -104,28 +84,198 @@ func NewLocalCost(env *sim.Env, cfg LocalCostConfig) *LocalCost {
 // Cache exposes the block cache for inspection by tests and reports.
 func (lc *LocalCost) Cache() *cache.LRU { return lc.cache }
 
-// MetaOp charges the metadata CPU time.
-func (lc *LocalCost) MetaOp(ctx Ctx, k func()) {
-	ctx.Hold(lc.cfg.MetaTime, k)
+// metaKind names the namespace call a metadata call makes after its charge.
+type metaKind uint8
+
+const (
+	metaMkdir metaKind = iota
+	metaCreate
+	metaOpen
+	metaClose
+	metaUnlink
+	metaStat
+	metaReadDir
+)
+
+// localOp is the defunctionalized state of one LocalCost call: a metadata
+// call's kind, arguments and typed continuation, or a read's or write's
+// cache walk, disk pass and byte count. Its continuations are bound to
+// method values once, when the state is first allocated, and the state is
+// recycled through the LocalCost's free list before the caller's
+// continuation runs, so a call holds one state and a steady-state call
+// allocates nothing. The schedule points (hold durations, acquire order) are
+// the ones of the closures it replaced, so event order, and every rendered
+// byte, is unchanged.
+type localOp struct {
+	lc   *LocalCost
+	next *localOp // free list link
+	ctx  Ctx
+
+	// A metadata call.
+	kind  metaKind
+	path  string
+	mode  OpenMode
+	fd    FD
+	kErr  func(error)
+	kFD   func(FD, error)
+	kInfo func(FileInfo, error)
+	kDir  func([]string, error)
+
+	// A read or write of n bytes of inode ino: blocks first to last, the
+	// walk at block b.
+	ino            uint64
+	n              int64
+	first, last, b int64
+	missBlocks     int64
+	write          bool
+	kN             func(int64, error)
+
+	metaFn     func()
+	walkFn     func()
+	acquiredFn func()
+	releasedFn func()
+	doneFn     func()
 }
 
-// DataOp charges per-block cache hits and disk service for misses. Writes
-// under write-behind are absorbed by the cache; under write-through every
-// written block goes to disk. The per-block walk holds between cache
-// touches, so concurrent processes interleave with this one exactly as they
-// did under the goroutine kernel (the shared cache sees the same access
-// order). The walk state lives in a pooled dataOp with once-bound
-// continuations, so a steady-state data op allocates nothing.
-func (lc *LocalCost) DataOp(ctx Ctx, ino uint64, off, n int64, write bool, k func()) {
-	if n <= 0 {
-		k()
+// getOp pops a recycled call state or allocates one, binding its
+// continuations once.
+func (lc *LocalCost) getOp(ctx Ctx) *localOp {
+	op := lc.opFree
+	if op == nil {
+		op = &localOp{lc: lc}
+		op.metaFn = op.meta
+		op.walkFn = op.walk
+		op.acquiredFn = op.acquired
+		op.releasedFn = op.released
+		op.doneFn = op.done
+		lc.opsMade++
+	} else {
+		lc.opFree = op.next
+	}
+	op.ctx = ctx
+	return op
+}
+
+// putOp returns a finished call state to the free list, dropping its
+// references to the caller.
+func (lc *LocalCost) putOp(op *localOp) {
+	op.ctx, op.path = nil, ""
+	op.kErr, op.kFD, op.kInfo, op.kDir, op.kN = nil, nil, nil, nil, nil
+	op.next = lc.opFree
+	lc.opFree = op
+}
+
+// Mkdir creates a directory. Parents must already exist.
+func (lc *LocalCost) Mkdir(ctx Ctx, path string, k func(error)) {
+	op := lc.getOp(ctx)
+	op.kind, op.path, op.kErr = metaMkdir, path, k
+	ctx.Hold(lc.cfg.MetaTime, op.metaFn)
+}
+
+// Create creates (or truncates) a regular file and opens it write-only.
+func (lc *LocalCost) Create(ctx Ctx, path string, k func(FD, error)) {
+	op := lc.getOp(ctx)
+	op.kind, op.path, op.kFD = metaCreate, path, k
+	ctx.Hold(lc.cfg.MetaTime, op.metaFn)
+}
+
+// Open opens an existing regular file.
+func (lc *LocalCost) Open(ctx Ctx, path string, mode OpenMode, k func(FD, error)) {
+	op := lc.getOp(ctx)
+	op.kind, op.path, op.mode, op.kFD = metaOpen, path, mode, k
+	ctx.Hold(lc.cfg.MetaTime, op.metaFn)
+}
+
+// Close releases the descriptor.
+func (lc *LocalCost) Close(ctx Ctx, fd FD, k func(error)) {
+	op := lc.getOp(ctx)
+	op.kind, op.fd, op.kErr = metaClose, fd, k
+	ctx.Hold(lc.cfg.MetaTime, op.metaFn)
+}
+
+// Unlink removes a file name. Data reachable through open descriptors
+// survives until they close.
+func (lc *LocalCost) Unlink(ctx Ctx, path string, k func(error)) {
+	op := lc.getOp(ctx)
+	op.kind, op.path, op.kErr = metaUnlink, path, k
+	ctx.Hold(lc.cfg.MetaTime, op.metaFn)
+}
+
+// Stat returns metadata for a path.
+func (lc *LocalCost) Stat(ctx Ctx, path string, k func(FileInfo, error)) {
+	op := lc.getOp(ctx)
+	op.kind, op.path, op.kInfo = metaStat, path, k
+	ctx.Hold(lc.cfg.MetaTime, op.metaFn)
+}
+
+// ReadDir lists a directory in lexical order.
+func (lc *LocalCost) ReadDir(ctx Ctx, path string, k func([]string, error)) {
+	op := lc.getOp(ctx)
+	op.kind, op.path, op.kDir = metaReadDir, path, k
+	ctx.Hold(lc.cfg.MetaTime, op.metaFn)
+}
+
+// meta makes a metadata call's namespace call once its charge is paid. The
+// state is copied out and recycled first: the continuation may start the
+// next call at once and reuse it. A successful Create or Unlink drops the
+// inode's cached blocks (a new file has none: inode numbers are never
+// reused).
+func (op *localOp) meta() {
+	st, lc := *op, op.lc
+	lc.putOp(op)
+	switch st.kind {
+	case metaMkdir:
+		st.kErr(lc.ns.Mkdir(st.path))
+	case metaCreate:
+		fd, ino, err := lc.ns.Create(st.path, nil)
+		if err == nil {
+			lc.cache.InvalidateFile(ino)
+		}
+		st.kFD(fd, err)
+	case metaOpen:
+		st.kFD(lc.ns.Open(st.path, st.mode, nil))
+	case metaClose:
+		st.kErr(lc.ns.Close(st.fd, nil))
+	case metaUnlink:
+		ino, err := lc.ns.Unlink(st.path)
+		if err == nil {
+			lc.cache.InvalidateFile(ino)
+		}
+		st.kErr(err)
+	case metaStat:
+		st.kInfo(lc.ns.Stat(st.path))
+	case metaReadDir:
+		st.kDir(lc.ns.ReadDir(st.path))
+	}
+}
+
+// Read transfers up to n bytes from the descriptor's current offset.
+func (lc *LocalCost) Read(ctx Ctx, fd FD, n int64, k func(int64, error)) {
+	ino, _, off, m, err := lc.ns.Advance(fd, n, false, nil)
+	lc.transfer(ctx, ino, off, m, false, err, k)
+}
+
+// Write transfers n bytes at the descriptor's current offset, extending the
+// file as needed.
+func (lc *LocalCost) Write(ctx Ctx, fd FD, n int64, k func(int64, error)) {
+	ino, _, off, m, err := lc.ns.Advance(fd, n, true, nil)
+	lc.transfer(ctx, ino, off, m, true, err, k)
+}
+
+// transfer charges a read or write of the n bytes at off that the
+// descriptor has already advanced over, then delivers n. An error or an
+// empty transfer delivers at once and charges nothing. Each cached block
+// costs a memory copy; writes under write-behind are absorbed by the cache,
+// and under write-through every written block goes to disk. The walk holds
+// between cache touches, so concurrent processes interleave with this one
+// block by block, and the misses go to disk in one pass at the end.
+func (lc *LocalCost) transfer(ctx Ctx, ino uint64, off, n int64, write bool, err error, k func(int64, error)) {
+	if err != nil || n == 0 {
+		k(0, err)
 		return
 	}
-	op := lc.getOp()
-	op.ctx = ctx
-	op.ino = ino
-	op.write = write
-	op.k = k
+	op := lc.getOp(ctx)
+	op.ino, op.n, op.write, op.kN = ino, n, write, k
 	bs := lc.cfg.Disk.BlockSize
 	op.first = off / bs
 	op.last = (off + n - 1) / bs
@@ -134,47 +284,15 @@ func (lc *LocalCost) DataOp(ctx Ctx, ino uint64, off, n int64, write bool, k fun
 	op.walk()
 }
 
-// dataOp is the defunctionalized state of one LocalCost.DataOp: the cache
-// walk, the disk acquisition, and the final continuation, bound to method
-// values once when the state is first allocated and recycled through the
-// owning LocalCost's free list thereafter. The schedule points (hold
-// durations, acquire order) are exactly the ones the closure tower it
-// replaced produced, so event order — and every rendered byte — is
-// unchanged.
-type dataOp struct {
-	lc   *LocalCost
-	next *dataOp // free list link
-
-	ctx            Ctx
-	ino            uint64
-	first, last, b int64
-	missBlocks     int64
-	write          bool
-	k              func()
-
-	walkFn     func()
-	acquiredFn func()
-	releasedFn func()
-	doneFn     func()
-}
-
-func (lc *LocalCost) getOp() *dataOp {
-	op := lc.opFree
-	if op == nil {
-		op = &dataOp{lc: lc}
-		op.walkFn = op.walk
-		op.acquiredFn = op.acquired
-		op.releasedFn = op.released
-		op.doneFn = op.done
-		return op
-	}
-	lc.opFree = op.next
-	return op
+// Seek repositions the descriptor's offset. It charges nothing: a seek is
+// offset bookkeeping with no I/O.
+func (lc *LocalCost) Seek(_ Ctx, fd FD, offset int64, whence int, k func(int64, error)) {
+	k(lc.ns.Seek(fd, offset, whence, nil))
 }
 
 // walk touches blocks until one suspends (cache-hit copy charge) or the op
 // runs out, then moves to the disk pass for the accumulated misses.
-func (op *dataOp) walk() {
+func (op *localOp) walk() {
 	lc := op.lc
 	for op.b <= op.last {
 		id := cache.BlockID{File: op.ino, Block: op.b}
@@ -195,7 +313,7 @@ func (op *dataOp) walk() {
 }
 
 // finish fetches (or writes through) all missing blocks in one disk pass.
-func (op *dataOp) finish() {
+func (op *localOp) finish() {
 	if op.missBlocks == 0 {
 		op.done()
 		return
@@ -212,35 +330,27 @@ func (op *dataOp) finish() {
 // acquired holds for the disk service time. The arm moves only here, after
 // the resource grant, preserving the seek-state sequence of the original
 // closure form.
-func (op *dataOp) acquired() {
+func (op *localOp) acquired() {
 	lc := op.lc
 	op.ctx.Hold(lc.arm.Access(op.fileBase(), op.first*lc.cfg.Disk.BlockSize, op.missBytes()), op.releasedFn)
 }
 
-func (op *dataOp) released() {
+func (op *localOp) released() {
 	op.lc.diskRes.Release()
 	op.done()
 }
 
-// done recycles the state and runs the caller's continuation. The state is
-// released first: k may immediately start another DataOp on this LocalCost
+// done recycles the state and delivers the byte count. The state is
+// released first: k may immediately start another call on this LocalCost
 // and reuse it.
-func (op *dataOp) done() {
-	k := op.k
-	lc := op.lc
-	op.ctx, op.k = nil, nil
-	op.next = lc.opFree
-	lc.opFree = op
-	k()
+func (op *localOp) done() {
+	lc, n, k := op.lc, op.n, op.kN
+	lc.putOp(op)
+	k(n, nil)
 }
 
 // fileBase separates files by 2^20 blocks so they are never "sequential"
 // with each other.
-func (op *dataOp) fileBase() int64 { return int64(op.ino) << 20 }
+func (op *localOp) fileBase() int64 { return int64(op.ino) << 20 }
 
-func (op *dataOp) missBytes() int64 { return op.missBlocks * op.lc.cfg.Disk.BlockSize }
-
-// Truncate invalidates the inode's cached blocks.
-func (lc *LocalCost) Truncate(_ Ctx, ino uint64) {
-	lc.cache.InvalidateFile(ino)
-}
+func (op *localOp) missBytes() int64 { return op.missBlocks * op.lc.cfg.Disk.BlockSize }

@@ -44,8 +44,8 @@ func nsOp(x, y byte) (kind byte, path, parent, name string, size int64) {
 // calls on a MemFS over a three-level tree of nsNames, up to 584
 // names, and holds the file system to a map model. Each call must fail
 // with the model's error text (kind, path and the missing or non-directory
-// component) or succeed with the model's inode numbers, sizes and bytes
-// read; after each call Stat of its path, ReadDir of its parent and
+// component) or succeed with the model's inode numbers (the created, opened
+// or unlinked one), sizes and bytes read; after each call Stat of its path, ReadDir of its parent and
 // TotalBytes must agree with the model, and at the end every modelled name
 // must still resolve. The generated seeds run 2,000 calls each: enough names
 // for the namespace index to double six times or more, probe runs that wrap
@@ -146,7 +146,11 @@ func FuzzMemFSNamespace(f *testing.F) {
 				} else if want == nil && e.dir {
 					want = fmt.Errorf("%w: %q", ErrIsDir, path)
 				}
-				same("unlink "+path, b.Unlink(path), want)
+				ino, err := b.Unlink(path)
+				same("unlink "+path, err, want)
+				if want == nil && ino != e.ino {
+					t.Fatalf("unlink %s = inode %d, want %d", path, ino, e.ino)
+				}
 				if want == nil {
 					total -= e.size
 					delete(model, path)

@@ -11,6 +11,10 @@ import (
 // MemFS is an in-memory inode-based file system. File content is represented
 // by size only — the workload generator measures operation streams and
 // timing, not data — which keeps multi-gigabyte synthetic file systems cheap.
+// It charges no time: as a FileSystem every call delivers its result before
+// it returns, whatever the Ctx. The simulated file systems that charge time
+// (LocalCost, the NFS client) keep their namespace in a MemFS and drive it
+// through its Bare facade.
 //
 // A MemFS is not safe for concurrent use. Every caller drives it from one
 // goroutine: the DES kernel, a synchronous setup clock, or a tool. The
@@ -30,21 +34,17 @@ import (
 // children on an intrusive sibling list, and one open-addressing index
 // keyed by (parent, name) resolves a path segment.
 type MemFS struct {
-	inodes    []*[inodeChunk]inode // arena: inode i is inodes[i/inodeChunk][i%inodeChunk]
-	nextIno   uint32               // last inode number issued
-	index     []uint32             // namespace index: a linked inode per bucket, 0 when empty
-	shift     uint                 // 64 - log2(len(index)): a hash's top bits pick the bucket
-	linked    int                  // inodes in the index
-	fds       []*openFile
-	fdBase    FD  // descriptor number of fds[0]
-	fdLo      int // fds[:fdLo] are all closed
-	openFDs   int // non-nil entries of fds
-	maxFDs    int
-	cost      CostModel
-	uncharged bool        // cost is NoCost: ops run inline, bypassing the op pool
-	ofree     []*openFile // recycled descriptor states
-	opFree    *memOp      // free list of charged-op states
-	opsMade   int         // states ever allocated; all are on opFree when idle
+	inodes  []*[inodeChunk]inode // arena: inode i is inodes[i/inodeChunk][i%inodeChunk]
+	nextIno uint32               // last inode number issued
+	index   []uint32             // namespace index: a linked inode per bucket, 0 when empty
+	shift   uint                 // 64 - log2(len(index)): a hash's top bits pick the bucket
+	linked  int                  // inodes in the index
+	fds     []*openFile
+	fdBase  FD  // descriptor number of fds[0]
+	fdLo    int // fds[:fdLo] are all closed
+	openFDs int // non-nil entries of fds
+	maxFDs  int
+	ofree   []*openFile // recycled descriptor states
 }
 
 // rootIno is the root directory's inode number.
@@ -78,11 +78,6 @@ type openFile struct {
 // Option configures a MemFS.
 type Option func(*MemFS)
 
-// WithCostModel attaches a cost model charging virtual time for operations.
-func WithCostModel(c CostModel) Option {
-	return func(fs *MemFS) { fs.cost = c }
-}
-
 // WithMaxFDs bounds the per-file-system descriptor table (default 1024,
 // mirroring a period UNIX per-process limit of open files).
 func WithMaxFDs(n int) Option {
@@ -102,13 +97,11 @@ func NewMemFS(opts ...Option) *MemFS {
 		shift:   64 - 3,
 		fdBase:  3, // 0-2 are traditionally stdio
 		maxFDs:  1024,
-		cost:    NoCost{},
 	}
 	fs.node(rootIno).dir = true
 	for _, o := range opts {
 		o(fs)
 	}
-	_, fs.uncharged = fs.cost.(NoCost)
 	return fs
 }
 
@@ -227,88 +220,6 @@ func (fs *MemFS) getOpenFile() *openFile {
 	return &openFile{}
 }
 
-// memKind names the operation a memOp completes after its cost charge.
-type memKind uint8
-
-const (
-	opMkdir memKind = iota
-	opCreate
-	opOpen
-	opData // read or write: the descriptor already advanced, deliver n
-	opClose
-	opUnlink
-	opStat
-	opReadDir
-)
-
-// memOp is the defunctionalized state of one charged MemFS operation: its
-// arguments and typed continuation, completed by run once the cost model's
-// charge has been paid. run is bound to a method value once, when the state
-// is first allocated, and the state is recycled through the owning MemFS's
-// free list — mirroring LocalCost's dataOp — so a steady-state op
-// allocates nothing. A cost-free MemFS never uses it (see MemFS).
-type memOp struct {
-	fs   *MemFS
-	next *memOp // free list link
-
-	kind memKind
-	ctx  Ctx
-	path string
-	mode OpenMode
-	fd   FD
-	n    int64
-
-	kErr  func(error)
-	kFD   func(FD, error)
-	kN    func(int64, error)
-	kInfo func(FileInfo, error)
-	kDir  func([]string, error)
-
-	runFn func()
-}
-
-// getOp pops a recycled op state or allocates one, binding run once.
-func (fs *MemFS) getOp(kind memKind, ctx Ctx) *memOp {
-	op := fs.opFree
-	if op == nil {
-		op = &memOp{fs: fs}
-		op.runFn = op.run
-		fs.opsMade++
-	} else {
-		fs.opFree = op.next
-	}
-	op.kind, op.ctx = kind, ctx
-	return op
-}
-
-// run completes the operation after its charge. The state is copied out and
-// returned to the free list first: the continuation may start the next
-// MemFS op at once and reuse it.
-func (op *memOp) run() {
-	st, fs := *op, op.fs
-	*op = memOp{fs: fs, next: fs.opFree, runFn: op.runFn}
-	fs.opFree = op
-	switch st.kind {
-	case opMkdir:
-		st.kErr(fs.mkdir(st.path))
-	case opCreate:
-		fd, _, err := fs.create(st.ctx, st.path, nil)
-		st.kFD(fd, err)
-	case opOpen:
-		st.kFD(fs.open(st.path, st.mode, nil))
-	case opData:
-		st.kN(st.n, nil)
-	case opClose:
-		st.kErr(fs.close(st.fd, nil))
-	case opUnlink:
-		st.kErr(fs.unlink(st.ctx, st.path))
-	case opStat:
-		st.kInfo(fs.stat(st.path))
-	case opReadDir:
-		st.kDir(fs.readDir(st.path))
-	}
-}
-
 // lookup resolves path to its parent directory's inode, its final segment
 // and that segment's inode (0 when absent; the parent is 0 for the root
 // itself). Plain paths — every segment non-empty and neither "." nor ".." —
@@ -389,17 +300,8 @@ func (fs *MemFS) lookupSlow(path string) (parent uint32, name string, ino uint32
 }
 
 // Mkdir creates a directory. Parents must already exist.
-func (fs *MemFS) Mkdir(ctx Ctx, path string, k func(error)) {
-	if fs.uncharged {
-		k(fs.mkdir(path))
-		return
-	}
-	op := fs.getOp(opMkdir, ctx)
-	op.path, op.kErr = path, k
-	fs.cost.MetaOp(ctx, op.runFn)
-}
+func (fs *MemFS) Mkdir(_ Ctx, path string, k func(error)) { k(fs.mkdir(path)) }
 
-// mkdir is Mkdir's namespace mutation, after the cost charge.
 func (fs *MemFS) mkdir(path string) error {
 	parent, name, ino, err := fs.lookup(path)
 	if err != nil {
@@ -412,45 +314,17 @@ func (fs *MemFS) mkdir(path string) error {
 	return nil
 }
 
-// MkdirAll creates a directory and any missing parents.
-func (fs *MemFS) MkdirAll(ctx Ctx, path string) error {
-	segs, err := SplitPath(path)
-	if err != nil {
-		return fmt.Errorf("%w: %q", err, path)
-	}
-	sfs := Sync{FS: fs}
-	cur := "/"
-	for _, s := range segs {
-		if cur == "/" {
-			cur += s
-		} else {
-			cur += "/" + s
-		}
-		if err := sfs.Mkdir(ctx, cur); err != nil && !IsExist(err) {
-			return err
-		}
-	}
-	return nil
-}
-
 // IsExist reports whether err indicates an already-existing file.
 func IsExist(err error) bool { return errors.Is(err, ErrExist) }
 
 // Create creates (or truncates) a regular file and opens it write-only.
-func (fs *MemFS) Create(ctx Ctx, path string, k func(FD, error)) {
-	if fs.uncharged {
-		fd, _, err := fs.create(ctx, path, nil)
-		k(fd, err)
-		return
-	}
-	op := fs.getOp(opCreate, ctx)
-	op.path, op.kFD = path, k
-	fs.cost.MetaOp(ctx, op.runFn)
+func (fs *MemFS) Create(_ Ctx, path string, k func(FD, error)) {
+	fd, _, err := fs.create(path, nil)
+	k(fd, err)
 }
 
-// create is Create's namespace mutation, after the cost charge. It also
-// returns the file's inode.
-func (fs *MemFS) create(ctx Ctx, path string, owner any) (FD, uint64, error) {
+// create is Create for owner. It also returns the file's inode.
+func (fs *MemFS) create(path string, owner any) (FD, uint64, error) {
 	parent, name, ino, err := fs.lookup(path)
 	if err != nil {
 		return 0, 0, err
@@ -463,31 +337,21 @@ func (fs *MemFS) create(ctx Ctx, path string, owner any) (FD, uint64, error) {
 	if fs.openFDs >= fs.maxFDs {
 		return 0, 0, ErrTooManyFD
 	}
-	truncated := ino != 0
-	if truncated {
+	if ino != 0 {
 		fs.node(ino).size = 0
 	} else {
 		ino = fs.newInode(parent, name, false)
 	}
 	fd, err := fs.allocFD(ino, WriteOnly, path, owner)
-	if truncated {
-		fs.cost.Truncate(ctx, uint64(ino))
-	}
 	return fd, uint64(ino), err
 }
 
 // Open opens an existing regular file.
-func (fs *MemFS) Open(ctx Ctx, path string, mode OpenMode, k func(FD, error)) {
-	if fs.uncharged {
-		k(fs.open(path, mode, nil))
-		return
-	}
-	op := fs.getOp(opOpen, ctx)
-	op.path, op.mode, op.kFD = path, mode, k
-	fs.cost.MetaOp(ctx, op.runFn)
+func (fs *MemFS) Open(_ Ctx, path string, mode OpenMode, k func(FD, error)) {
+	k(fs.open(path, mode, nil))
 }
 
-// open is Open's descriptor allocation, after the cost charge.
+// open is Open for owner.
 func (fs *MemFS) open(path string, mode OpenMode, owner any) (FD, error) {
 	if mode != ReadOnly && mode != WriteOnly && mode != ReadWrite {
 		return 0, fmt.Errorf("%w: open mode %d", ErrInvalid, mode)
@@ -565,41 +429,20 @@ func (fs *MemFS) advance(fd FD, n int64, write bool, owner any) (ino uint64, pat
 }
 
 // Read transfers up to n bytes from the descriptor's current offset.
-func (fs *MemFS) Read(ctx Ctx, fd FD, n int64, k func(int64, error)) {
-	ino, _, off, m, err := fs.advance(fd, n, false, nil)
-	if err != nil || m == 0 {
-		k(0, err)
-		return
-	}
-	fs.dataOp(ctx, ino, off, m, false, k)
+func (fs *MemFS) Read(_ Ctx, fd FD, n int64, k func(int64, error)) {
+	_, _, _, m, err := fs.advance(fd, n, false, nil)
+	k(m, err)
 }
 
 // Write transfers n bytes at the descriptor's current offset, extending the
 // file as needed.
-func (fs *MemFS) Write(ctx Ctx, fd FD, n int64, k func(int64, error)) {
-	ino, _, off, m, err := fs.advance(fd, n, true, nil)
-	if err != nil {
-		k(0, err)
-		return
-	}
-	fs.dataOp(ctx, ino, off, m, true, k)
+func (fs *MemFS) Write(_ Ctx, fd FD, n int64, k func(int64, error)) {
+	_, _, _, m, err := fs.advance(fd, n, true, nil)
+	k(m, err)
 }
 
-// dataOp charges a read or write of n bytes the descriptor has already
-// advanced over, then delivers n.
-func (fs *MemFS) dataOp(ctx Ctx, ino uint64, off, n int64, write bool, k func(int64, error)) {
-	if fs.uncharged {
-		k(n, nil)
-		return
-	}
-	op := fs.getOp(opData, ctx)
-	op.n, op.kN = n, k
-	fs.cost.DataOp(ctx, ino, off, n, write, op.runFn)
-}
-
-// Seek repositions the descriptor's offset. It charges nothing: a seek is
-// offset bookkeeping with no I/O.
-func (fs *MemFS) Seek(ctx Ctx, fd FD, offset int64, whence int, k func(int64, error)) {
+// Seek repositions the descriptor's offset.
+func (fs *MemFS) Seek(_ Ctx, fd FD, offset int64, whence int, k func(int64, error)) {
 	k(fs.seek(fd, offset, whence, nil))
 }
 
@@ -628,15 +471,7 @@ func (fs *MemFS) seek(fd FD, offset int64, whence int, owner any) (int64, error)
 }
 
 // Close releases the descriptor.
-func (fs *MemFS) Close(ctx Ctx, fd FD, k func(error)) {
-	if fs.uncharged {
-		k(fs.close(fd, nil))
-		return
-	}
-	op := fs.getOp(opClose, ctx)
-	op.fd, op.kErr = fd, k
-	fs.cost.MetaOp(ctx, op.runFn)
-}
+func (fs *MemFS) Close(_ Ctx, fd FD, k func(error)) { k(fs.close(fd, nil)) }
 
 func (fs *MemFS) close(fd FD, owner any) error {
 	if fs.owned(fd, owner) == nil {
@@ -670,42 +505,29 @@ func (fs *MemFS) release(fd FD) {
 
 // Unlink removes a file name. Data reachable through open descriptors
 // survives until they close.
-func (fs *MemFS) Unlink(ctx Ctx, path string, k func(error)) {
-	if fs.uncharged {
-		k(fs.unlink(ctx, path))
-		return
-	}
-	op := fs.getOp(opUnlink, ctx)
-	op.path, op.kErr = path, k
-	fs.cost.MetaOp(ctx, op.runFn)
+func (fs *MemFS) Unlink(_ Ctx, path string, k func(error)) {
+	_, err := fs.unlink(path)
+	k(err)
 }
 
-func (fs *MemFS) unlink(ctx Ctx, path string) error {
+// unlink is Unlink. It also returns the unlinked inode.
+func (fs *MemFS) unlink(path string) (uint64, error) {
 	_, _, ino, err := fs.lookup(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if ino == 0 {
-		return fmt.Errorf("%w: %q", ErrNotExist, path)
+		return 0, fmt.Errorf("%w: %q", ErrNotExist, path)
 	}
 	if fs.node(ino).dir {
-		return fmt.Errorf("%w: %q", ErrIsDir, path)
+		return 0, fmt.Errorf("%w: %q", ErrIsDir, path)
 	}
 	fs.unlinkName(ino)
-	fs.cost.Truncate(ctx, uint64(ino))
-	return nil
+	return uint64(ino), nil
 }
 
 // Stat returns metadata for a path.
-func (fs *MemFS) Stat(ctx Ctx, path string, k func(FileInfo, error)) {
-	if fs.uncharged {
-		k(fs.stat(path))
-		return
-	}
-	op := fs.getOp(opStat, ctx)
-	op.path, op.kInfo = path, k
-	fs.cost.MetaOp(ctx, op.runFn)
-}
+func (fs *MemFS) Stat(_ Ctx, path string, k func(FileInfo, error)) { k(fs.stat(path)) }
 
 func (fs *MemFS) stat(path string) (FileInfo, error) {
 	_, _, ino, err := fs.lookup(path)
@@ -720,15 +542,7 @@ func (fs *MemFS) stat(path string) (FileInfo, error) {
 }
 
 // ReadDir lists a directory in lexical order.
-func (fs *MemFS) ReadDir(ctx Ctx, path string, k func([]string, error)) {
-	if fs.uncharged {
-		k(fs.readDir(path))
-		return
-	}
-	op := fs.getOp(opReadDir, ctx)
-	op.path, op.kDir = path, k
-	fs.cost.MetaOp(ctx, op.runFn)
-}
+func (fs *MemFS) ReadDir(_ Ctx, path string, k func([]string, error)) { k(fs.readDir(path)) }
 
 func (fs *MemFS) readDir(path string) ([]string, error) {
 	_, _, ino, err := fs.lookup(path)
@@ -757,8 +571,8 @@ func (fs *MemFS) readDir(path string) ([]string, error) {
 // OpenFDs returns the number of descriptors currently open.
 func (fs *MemFS) OpenFDs() int { return fs.openFDs }
 
-// TotalBytes returns the sum of all regular file sizes (used by tests and
-// the FSC to report the synthetic file system's footprint).
+// TotalBytes returns the sum of all regular file sizes reachable from the
+// root: the footprint of the synthetic file system, for tests.
 func (fs *MemFS) TotalBytes() int64 { return fs.sumSizes(rootIno) }
 
 func (fs *MemFS) sumSizes(ino uint32) int64 {
@@ -773,13 +587,13 @@ func (fs *MemFS) sumSizes(ino uint32) int64 {
 	return total
 }
 
-// Bare is MemFS's cost-free synchronous facade: plain call-and-return
-// namespace operations that bypass the cost model entirely. It exists for
-// callers that use a MemFS purely as bookkeeping — the NFS client's shadow
-// of the server namespace charges through its own RPC accounting, and
+// Bare is MemFS's synchronous facade: plain call-and-return namespace
+// operations. It is the namespace under the file systems that charge time —
+// LocalCost, and the NFS client's shadow of the server namespace — which
+// make each call's namespace change here and charge their own time;
 // paying the continuation-adapter allocations on every shadow lookup showed
-// up in profiles. Operations behave exactly like their FileSystem
-// counterparts under a NoCost model.
+// up in profiles. Operations behave exactly like their MemFS FileSystem
+// counterparts.
 //
 // Create and Open record an owner, an opaque comparable tag (the NFS client
 // passes itself), and Advance, Seek and Close serve only that owner, so the
@@ -798,7 +612,7 @@ func (b Bare) Mkdir(path string) error { return b.FS.mkdir(path) }
 // Create creates (or truncates) a regular file open for writing by owner,
 // and returns the file's inode with the descriptor.
 func (b Bare) Create(path string, owner any) (FD, uint64, error) {
-	return b.FS.create(nil, path, owner)
+	return b.FS.create(path, owner)
 }
 
 // Open opens an existing regular file for owner.
@@ -855,8 +669,8 @@ func (b Bare) Seek(fd FD, offset int64, whence int, owner any) (int64, error) {
 // ErrBadFD, as in Advance.
 func (b Bare) Close(fd FD, owner any) error { return b.FS.close(fd, owner) }
 
-// Unlink removes a file name.
-func (b Bare) Unlink(path string) error { return b.FS.unlink(nil, path) }
+// Unlink removes a file name and returns the inode it named.
+func (b Bare) Unlink(path string) (uint64, error) { return b.FS.unlink(path) }
 
 // Stat returns metadata for a path.
 func (b Bare) Stat(path string) (FileInfo, error) { return b.FS.stat(path) }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"uswg/internal/cache"
 )
 
 // syncMemFS drives a MemFS through the Sync adapter (ManualClock never
@@ -77,20 +79,6 @@ func TestMkdirAndStat(t *testing.T) {
 	}
 	if err := fs.Mkdir(ctx, "/no/such/parent"); !errors.Is(err, ErrNotExist) {
 		t.Errorf("mkdir without parent = %v, want ErrNotExist", err)
-	}
-}
-
-func TestMkdirAll(t *testing.T) {
-	fs, ctx := newFS()
-	if err := fs.M.MkdirAll(ctx, "/a/b/c"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Stat(ctx, "/a/b/c"); err != nil {
-		t.Fatal(err)
-	}
-	// Idempotent.
-	if err := fs.M.MkdirAll(ctx, "/a/b/c"); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -380,21 +368,13 @@ func TestFDLimit(t *testing.T) {
 	}
 }
 
-// truncCounter is a cost-free model that counts Truncate charges.
-type truncCounter struct {
-	NoCost
-	n int
-}
-
-func (c *truncCounter) Truncate(Ctx, uint64) { c.n++ }
-
 // TestRefusedCreateLeavesNamespace: a Create refused for want of a
-// descriptor changes nothing. It keeps an existing file's size, charges no
-// Truncate, and links no new file. The lookup and directory errors still
-// come first.
+// descriptor changes nothing. It keeps an existing file's size and, on the
+// local file system, its cached block, and links no new file. The lookup
+// and directory errors still come first.
 func TestRefusedCreateLeavesNamespace(t *testing.T) {
-	cost := &truncCounter{}
-	fs := wrapFS(NewMemFS(WithMaxFDs(1), WithCostModel(cost)))
+	lc := NewLocalCost(nil, testCostConfig(), NewMemFS(WithMaxFDs(1)))
+	fs := Sync{FS: lc}
 	ctx := &ManualClock{}
 	fd, err := fs.Create(ctx, "/a")
 	if err != nil {
@@ -403,6 +383,11 @@ func TestRefusedCreateLeavesNamespace(t *testing.T) {
 	if _, err := fs.Write(ctx, fd, 100); err != nil {
 		t.Fatal(err)
 	}
+	info, err := fs.Stat(ctx, "/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := func() bool { return lc.Cache().Contains(cache.BlockID{File: info.Ino}) }
 	if err := fs.Mkdir(ctx, "/d"); err != nil {
 		t.Fatal(err)
 	}
@@ -412,8 +397,8 @@ func TestRefusedCreateLeavesNamespace(t *testing.T) {
 	if info, err := fs.Stat(ctx, "/a"); err != nil || info.Size != 100 {
 		t.Errorf("after the refused create, /a = %+v, %v; want size 100", info, err)
 	}
-	if cost.n != 0 {
-		t.Errorf("the refused create charged %d truncates, want 0", cost.n)
+	if !cached() {
+		t.Error("the refused create dropped /a's cached block")
 	}
 	if _, err := fs.Create(ctx, "/b"); !errors.Is(err, ErrTooManyFD) {
 		t.Errorf("create of a new file with the table full = %v, want ErrTooManyFD", err)
@@ -430,8 +415,8 @@ func TestRefusedCreateLeavesNamespace(t *testing.T) {
 	if err := fs.Close(ctx, fd); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Create(ctx, "/a"); err != nil || cost.n != 1 {
-		t.Errorf("create after close = %v with %d truncates, want nil and 1", err, cost.n)
+	if _, err := fs.Create(ctx, "/a"); err != nil || cached() {
+		t.Errorf("create after close = %v, /a's block cached %v; want nil and false", err, cached())
 	}
 }
 
@@ -476,8 +461,10 @@ func TestSequentialReadInvariant(t *testing.T) {
 
 func TestTotalBytes(t *testing.T) {
 	fs, ctx := newFS()
-	if err := fs.M.MkdirAll(ctx, "/u/0"); err != nil {
-		t.Fatal(err)
+	for _, dir := range []string{"/u", "/u/0"} {
+		if err := fs.Mkdir(ctx, dir); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i, size := range []int64{100, 200, 300} {
 		path := "/u/0/f" + string(rune('a'+i))

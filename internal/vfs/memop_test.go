@@ -6,20 +6,20 @@ import (
 	"testing"
 )
 
-// freeOps counts the op states on the MemFS free list.
-func freeOps(m *MemFS) int {
+// freeOps counts the call states on the LocalCost free list.
+func freeOps(lc *LocalCost) int {
 	n := 0
-	for op := m.opFree; op != nil; op = op.next {
+	for op := lc.opFree; op != nil; op = op.next {
 		n++
 	}
 	return n
 }
 
-// chargedFile returns a MemFS under LocalCost holding /f (8 KiB), on a
-// synchronous clock.
-func chargedFile(tb testing.TB) (*MemFS, *ManualClock) {
+// chargedFile returns a LocalCost holding /f (8 KiB), on a synchronous
+// clock.
+func chargedFile(tb testing.TB) (*LocalCost, *ManualClock) {
 	tb.Helper()
-	m := NewMemFS(WithCostModel(NewLocalCost(nil, testCostConfig())))
+	m := NewLocalCost(nil, testCostConfig(), NewMemFS())
 	ctx := &ManualClock{}
 	fs := Sync{FS: m}
 	fd, err := fs.Create(ctx, "/f")
@@ -35,10 +35,11 @@ func chargedFile(tb testing.TB) (*MemFS, *ManualClock) {
 	return m, ctx
 }
 
-// TestMemOpSteadyStateAllocs pins the pooled op states: once the pool, the
-// descriptor table and the cost model's data-op pool are warm, a charged
-// op cycle allocates nothing — called in continuation style, and through
-// one Sync once its result continuations are bound.
+// TestMemOpSteadyStateAllocs pins the pooled call states: once the
+// LocalCost's pool and the descriptor table are warm, a charged op cycle
+// allocates nothing — called in continuation style, and through one Sync
+// once its result continuations are bound. Sequential calls share one
+// state.
 func TestMemOpSteadyStateAllocs(t *testing.T) {
 	m, ctx := chargedFile(t)
 	var fd FD
@@ -110,8 +111,11 @@ func (f bareFS) Write(_ Ctx, fd FD, n int64, k func(int64, error)) {
 func (f bareFS) Seek(_ Ctx, fd FD, off int64, wh int, k func(int64, error)) {
 	k(f.b.Seek(fd, off, wh, nil))
 }
-func (f bareFS) Close(_ Ctx, fd FD, k func(error))                { k(f.b.Close(fd, nil)) }
-func (f bareFS) Unlink(_ Ctx, p string, k func(error))            { k(f.b.Unlink(p)) }
+func (f bareFS) Close(_ Ctx, fd FD, k func(error)) { k(f.b.Close(fd, nil)) }
+func (f bareFS) Unlink(_ Ctx, p string, k func(error)) {
+	_, err := f.b.Unlink(p)
+	k(err)
+}
 func (f bareFS) Stat(_ Ctx, p string, k func(FileInfo, error))    { k(f.b.Stat(p)) }
 func (f bareFS) ReadDir(_ Ctx, p string, k func([]string, error)) { k(f.b.ReadDir(p)) }
 
@@ -165,12 +169,12 @@ func chainOps(ctx Ctx, fs FileSystem) []string {
 	return out
 }
 
-// TestMemOpReentrantMatchesBare issues each op from inside the previous
-// op's continuation under a charging cost model: the state is recycled
-// before the continuation runs, so the nested op reuses it, and every
-// result must still match the cost-free Bare facade.
+// TestMemOpReentrantMatchesBare issues each op on the local file system
+// from inside the previous op's continuation: the state is recycled before
+// the continuation runs, so the nested op reuses it, and every result must
+// still match the cost-free Bare facade.
 func TestMemOpReentrantMatchesBare(t *testing.T) {
-	m := NewMemFS(WithCostModel(NewLocalCost(nil, testCostConfig())))
+	m := NewLocalCost(nil, testCostConfig(), NewMemFS())
 	got := chainOps(&ManualClock{}, m)
 	want := chainOps(&ManualClock{}, bareFS{NewMemFS().Bare()})
 	if !reflect.DeepEqual(got, want) {
@@ -181,8 +185,8 @@ func TestMemOpReentrantMatchesBare(t *testing.T) {
 	}
 }
 
-// BenchmarkMemFSOp times one open/read/write/close cycle through a MemFS
-// under LocalCost on a synchronous clock, all cache hits.
+// BenchmarkMemFSOp times one open/read/write/close cycle through the local
+// file system over a MemFS namespace on a synchronous clock, all cache hits.
 func BenchmarkMemFSOp(b *testing.B) {
 	m, ctx := chargedFile(b)
 	var fd FD

@@ -4,110 +4,150 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// TestQuickMemFSRandomOps drives random operation sequences against MemFS
-// and checks structural invariants after every step: offsets and sizes are
-// never negative, reads never run past the size, closed descriptors stay
-// closed, and the namespace matches a shadow model.
+// TestQuickMemFSRandomOps drives random operation sequences in lockstep on
+// a plain MemFS and on the local file system over a MemFS of its own. After
+// every step both sides must have returned the same descriptors, byte
+// counts, offsets and error text, and hold the same sizes and open
+// descriptors. The plain side's results must also keep MemFS's invariants:
+// offsets and sizes are never negative, writes move every byte, closed
+// descriptors stay closed, and the namespace matches a shadow model. At the
+// end every call state must be back on the LocalCost's free list, and no
+// descriptor open on either side.
 func TestQuickMemFSRandomOps(t *testing.T) {
+	paths := []string{"/a", "/b", "/c", "/d/e"}
 	f := func(seed int64, opsRaw uint16) bool {
 		r := rand.New(rand.NewSource(seed))
-		ops := 10 + int(opsRaw%400)
-		mem := NewMemFS()
-		fs := Sync{FS: mem}
+		steps := 10 + int(opsRaw%400)
+		mem, ns := NewMemFS(), NewMemFS()
+		lc := NewLocalCost(nil, testCostConfig(), ns)
+		plain, local := Sync{FS: mem}, Sync{FS: lc}
 		ctx := &ManualClock{}
-
-		paths := []string{"/a", "/b", "/c", "/d/e"}
-		type state struct {
-			size int64
+		ok := true
+		fail := func(step int, format string, args ...any) {
+			t.Errorf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
+			ok = false
 		}
-		shadow := map[string]*state{}
-		openFDs := map[FD]string{}
-		_ = fs.Mkdir(ctx, "/d")
-
-		for i := 0; i < ops; i++ {
+		// same fails the step unless both sides' results print alike.
+		same := func(step int, call string, got, want []any) {
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				fail(step, "%s: local file system %v, MemFS %v", call, got, want)
+			}
+		}
+		exists := map[string]bool{}
+		var open []FD
+		for _, s := range []*Sync{&plain, &local} {
+			if err := s.Mkdir(ctx, "/d"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for step := 0; ok && step < steps; step++ {
 			p := paths[r.Intn(len(paths))]
-			switch r.Intn(7) {
+			kind, i := r.Intn(9), r.Intn(max(len(open), 1))
+			if len(open) == 0 && kind >= 2 && kind <= 5 {
+				continue // a descriptor call with nothing open
+			}
+			switch kind {
 			case 0: // create
-				fd, err := fs.Create(ctx, p)
+				fd, err := plain.Create(ctx, p)
+				lfd, lerr := local.Create(ctx, p)
+				same(step, "create "+p, []any{lfd, lerr}, []any{fd, err})
 				if err != nil {
-					return false
-				}
-				shadow[p] = &state{}
-				openFDs[fd] = p
-			case 1: // open existing read-only
-				fd, err := fs.Open(ctx, p, ReadOnly)
-				if _, exists := shadow[p]; !exists {
-					if err == nil {
-						return false // opening a missing file must fail
-					}
-					continue
-				}
-				if err != nil {
-					return false
-				}
-				openFDs[fd] = p
-			case 2: // write on a random open fd
-				for fd, path := range openFDs {
-					n := int64(r.Intn(5000))
-					got, err := fs.Write(ctx, fd, n)
-					if err == nil {
-						if got != n {
-							return false
-						}
-						// Track max size via Stat below.
-					}
-					_ = path
+					fail(step, "create %s = %v", p, err)
 					break
 				}
-			case 3: // read on a random open fd
-				for fd := range openFDs {
-					got, err := fs.Read(ctx, fd, int64(r.Intn(5000)))
-					if err == nil && got < 0 {
-						return false
-					}
-					break
+				exists[p] = true
+				open = append(open, fd)
+			case 1: // open read-only
+				fd, err := plain.Open(ctx, p, ReadOnly)
+				lfd, lerr := local.Open(ctx, p, ReadOnly)
+				same(step, "open "+p, []any{lfd, lerr}, []any{fd, err})
+				if exists[p] != (err == nil) {
+					fail(step, "open %s = %v, file exists %v", p, err, exists[p])
+				}
+				if err == nil {
+					open = append(open, fd)
+				}
+			case 2: // write on an open descriptor
+				fd, n := open[i], int64(r.Intn(5000))
+				got, err := plain.Write(ctx, fd, n)
+				lgot, lerr := local.Write(ctx, fd, n)
+				same(step, fmt.Sprintf("write fd %d", fd), []any{lgot, lerr}, []any{got, err})
+				if err == nil && got != n {
+					fail(step, "write fd %d moved %d of %d bytes", fd, got, n)
+				}
+			case 3: // read on an open descriptor
+				fd, n := open[i], int64(r.Intn(5000))
+				got, err := plain.Read(ctx, fd, n)
+				lgot, lerr := local.Read(ctx, fd, n)
+				same(step, fmt.Sprintf("read fd %d", fd), []any{lgot, lerr}, []any{got, err})
+				if got < 0 || got > n {
+					fail(step, "read fd %d moved %d of %d bytes", fd, got, n)
 				}
 			case 4: // seek
-				for fd := range openFDs {
-					pos, err := fs.Seek(ctx, fd, int64(r.Intn(10000)), SeekStart)
-					if err != nil || pos < 0 {
-						return false
+				fd, to := open[i], int64(r.Intn(10000))
+				pos, err := plain.Seek(ctx, fd, to, SeekStart)
+				lpos, lerr := local.Seek(ctx, fd, to, SeekStart)
+				same(step, fmt.Sprintf("seek fd %d", fd), []any{lpos, lerr}, []any{pos, err})
+				if err != nil || pos != to {
+					fail(step, "seek fd %d to %d = %d, %v", fd, to, pos, err)
+				}
+			case 5: // close, then close again
+				fd := open[i]
+				for pass := range 2 {
+					err, lerr := plain.Close(ctx, fd), local.Close(ctx, fd)
+					same(step, fmt.Sprintf("close fd %d", fd), []any{lerr}, []any{err})
+					if (err == nil) != (pass == 0) {
+						fail(step, "close %d of fd %d = %v", pass+1, fd, err)
 					}
-					break
 				}
-			case 5: // close
-				for fd := range openFDs {
-					if err := fs.Close(ctx, fd); err != nil {
-						return false
-					}
-					if err := fs.Close(ctx, fd); err == nil {
-						return false // double close must fail
-					}
-					delete(openFDs, fd)
-					break
+				open = slices.Delete(open, i, i+1)
+			case 6: // stat
+				info, err := plain.Stat(ctx, p)
+				linfo, lerr := local.Stat(ctx, p)
+				same(step, "stat "+p, []any{linfo, lerr}, []any{info, err})
+				if exists[p] != (err == nil) || info.Size < 0 {
+					fail(step, "stat %s = %+v, %v; file exists %v", p, info, err, exists[p])
 				}
-			case 6: // stat and cross-check existence with the shadow
-				info, err := fs.Stat(ctx, p)
-				_, exists := shadow[p]
-				if exists != (err == nil) {
-					return false
+			case 7: // unlink: open descriptors keep the file
+				err, lerr := plain.Unlink(ctx, p), local.Unlink(ctx, p)
+				same(step, "unlink "+p, []any{lerr}, []any{err})
+				if exists[p] != (err == nil) {
+					fail(step, "unlink %s = %v, file exists %v", p, err, exists[p])
 				}
-				if err == nil && info.Size < 0 {
-					return false
-				}
+				delete(exists, p)
+			case 8: // readdir
+				dir := []string{"/", "/d", "/a"}[r.Intn(3)]
+				names, err := plain.ReadDir(ctx, dir)
+				lnames, lerr := local.ReadDir(ctx, dir)
+				same(step, "readdir "+dir, []any{lnames, lerr}, []any{names, err})
+			}
+			for _, p := range paths {
+				info, err := mem.Bare().Stat(p)
+				linfo, lerr := ns.Bare().Stat(p)
+				same(step, "size of "+p, []any{linfo, lerr}, []any{info, err})
+			}
+			if mem.OpenFDs() != len(open) || ns.OpenFDs() != len(open) {
+				fail(step, "%d and %d descriptors open on MemFS and the local file system, want %d", mem.OpenFDs(), ns.OpenFDs(), len(open))
 			}
 		}
-		// All open descriptors close cleanly at the end.
-		for fd := range openFDs {
-			if err := fs.Close(ctx, fd); err != nil {
-				return false
+		for _, fd := range open {
+			err, lerr := plain.Close(ctx, fd), local.Close(ctx, fd)
+			if err != nil || lerr != nil {
+				fail(steps, "close fd %d = %v on MemFS, %v on the local file system", fd, err, lerr)
 			}
 		}
-		return mem.OpenFDs() == 0
+		if mem.OpenFDs() != 0 || ns.OpenFDs() != 0 {
+			fail(steps, "%d and %d descriptors left open on MemFS and the local file system", mem.OpenFDs(), ns.OpenFDs())
+		}
+		if freeOps(lc) != lc.opsMade {
+			fail(steps, "%d of the %d call states back on the free list", freeOps(lc), lc.opsMade)
+		}
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -326,7 +366,7 @@ func TestQuickAdvanceMatchesSeekAndTransfer(t *testing.T) {
 					}
 				}
 			case 8: // unlink: open descriptors keep the file
-				if err := b.Unlink(p); (files[p] != nil) != (err == nil) {
+				if _, err := b.Unlink(p); (files[p] != nil) != (err == nil) {
 					fail(step, "unlink %s = %v", p, err)
 				}
 				delete(files, p)

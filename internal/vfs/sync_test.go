@@ -8,11 +8,11 @@ import (
 )
 
 // TestSyncPanicsUnderSuspendingCtx: from a DES process a charged read holds
-// on the calendar, so MemFS returns before the read's continuation runs,
+// on the calendar, so LocalCost returns before the read's continuation runs,
 // and Sync must panic rather than hand back a result it does not have.
 func TestSyncPanicsUnderSuspendingCtx(t *testing.T) {
 	env := sim.NewEnv()
-	m := NewMemFS(WithCostModel(NewLocalCost(env, testCostConfig())))
+	m := NewLocalCost(env, testCostConfig(), NewMemFS())
 	s := &Sync{FS: m}
 	setup := &ManualClock{}
 	fd, err := s.Create(setup, "/f")

@@ -1,12 +1,13 @@
 // Package vfs defines the system-call-level file system interface the
 // workload generator drives (thesis §3.1.2 chooses the kernel level: open,
 // read, write, close, ...), and provides MemFS, an in-memory inode-based
-// implementation with a pluggable cost model.
+// implementation that charges no time, and LocalCost, the simulated local
+// UNIX file system over a MemFS namespace.
 //
-// The same interface is implemented by the simulated local file system
-// (MemFS + LocalCost), the simulated SUN NFS client (package nfs), and the
-// host file system adapter (package realfs), so the User Simulator can drive
-// any of them unchanged — the portability property the thesis argues for.
+// The same interface is implemented by LocalCost, the simulated SUN NFS
+// client (package nfs, also over a MemFS namespace), and the host file
+// system adapter (package realfs), so the User Simulator can drive any of
+// them unchanged — the portability property the thesis argues for.
 // This interface is the seam between the pipeline's workload stage (the
 // User Simulator above it) and its DES stage (the simulated systems below).
 package vfs
@@ -36,8 +37,8 @@ type Ctx interface {
 }
 
 // ManualClock is a trivial Ctx that just accumulates held time, running
-// continuations inline. It is useful in tests and for running MemFS outside
-// the DES.
+// continuations inline. It is useful in tests and for running the local
+// file system outside the DES.
 type ManualClock struct {
 	T float64
 }
