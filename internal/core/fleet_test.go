@@ -191,44 +191,72 @@ func TestPooledWarmingCost(t *testing.T) {
 
 // TestRunEndsWithoutLeaks is a piece of the end-of-run invariant check, on
 // the testbed and on two islands of private clients, eager and lazy, with
-// and without workstation crashes: no descriptor is left open on the
-// shared namespace shadow, and a lazy population holds no private client —
-// every user's workstation left with its stream.
+// and without workstation crashes; on two islands of two pool clients with
+// crashes, where a crash on a shared slot closes a co-tenant's descriptors
+// while its call may be in flight; and on the local file system with
+// crashes. No descriptor is left open on the shared namespace shadow, every
+// server, link and client op state is back on its free list (the local
+// file system's call states too), and a lazy population holds no private
+// client — every user's workstation left with its stream.
 func TestRunEndsWithoutLeaks(t *testing.T) {
+	type row struct {
+		name               string
+		topo               *config.Topology
+		local, lazy, crash bool
+	}
+	var rows []row
 	for _, tc := range lazyTopologies[:2] {
 		for _, lazy := range []bool{false, true} {
 			for _, crash := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s,lazy=%v,crash=%v", tc.name, lazy, crash), func(t *testing.T) {
-					spec := churnSpec()
-					spec.Users = 4
-					if !crash {
-						spec.UserTypes[0].Lifecycle = nil
-					}
-					spec.FS.Topology = tc.topo
-					spec.LazyUsers = lazy
-					gen, err := NewGenerator(spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := gen.Run(); err != nil {
-						t.Fatal(err)
-					}
-					if crash && gen.Metrics()["usim.crashes"] == 0 {
-						t.Fatal("no workstation crashed; the crash case is vacuous")
-					}
-					if n := gen.fleet.Backing().OpenFDs(); n != 0 {
-						t.Errorf("%d descriptors left open on the namespace shadow", n)
-					}
-					if lazy {
-						if n := gen.fleet.Resident(); n != 0 {
-							t.Errorf("%d private clients resident after the run", n)
-						}
-						if n := len(gen.lazyFS); n != 0 {
-							t.Errorf("%d users still bound after the run", n)
-						}
-					}
-				})
+				rows = append(rows, row{name: tc.name, topo: tc.topo, lazy: lazy, crash: crash})
 			}
 		}
+	}
+	rows = append(rows,
+		row{name: "servers=2,pool=2", topo: &config.Topology{Servers: 2, ClientPool: 2}, crash: true},
+		row{name: "local", local: true, crash: true})
+	for _, tc := range rows {
+		t.Run(fmt.Sprintf("%s,lazy=%v,crash=%v", tc.name, tc.lazy, tc.crash), func(t *testing.T) {
+			spec := churnSpec()
+			spec.Users = 4
+			if !tc.crash {
+				spec.UserTypes[0].Lifecycle = nil
+			}
+			spec.FS.Topology = tc.topo
+			if tc.local {
+				spec.FS.Kind = config.FSLocal
+			}
+			spec.LazyUsers = tc.lazy
+			gen, err := NewGenerator(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := gen.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.crash && gen.Metrics()["usim.crashes"] == 0 {
+				t.Fatal("no workstation crashed; the crash case is vacuous")
+			}
+			if tc.local {
+				if err := gen.LocalCost().Idle(); err != nil {
+					t.Error(err)
+				}
+				return
+			}
+			if n := gen.fleet.Backing().OpenFDs(); n != 0 {
+				t.Errorf("%d descriptors left open on the namespace shadow", n)
+			}
+			if err := gen.fleet.Idle(); err != nil {
+				t.Error(err)
+			}
+			if tc.lazy {
+				if n := gen.fleet.Resident(); n != 0 {
+					t.Errorf("%d private clients resident after the run", n)
+				}
+				if n := len(gen.lazyFS); n != 0 {
+					t.Errorf("%d users still bound after the run", n)
+				}
+			}
+		})
 	}
 }

@@ -105,9 +105,10 @@ func Load(patterns ...string) ([]*Package, error) {
 		}
 		conf := types.Config{Importer: imp}
 		info := &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
 		tpkg, err := conf.Check(p.ImportPath, fset, files, info)
 		if err != nil {

@@ -96,10 +96,11 @@ type Link struct {
 
 	// pool is the free list of in-flight transfer states (guarded by the
 	// DES scheduler: one simulated process runs at a time). A transfer's
-	// whole acquire → serialize → (drop/retry) → deliver chain runs on
-	// pre-bound continuations, so steady-state wire traffic allocates
-	// nothing.
-	pool []*xferState
+	// whole acquire → serialize → (drop/retry) → deliver chain runs on its
+	// state's one bound continuation, so steady-state wire traffic
+	// allocates nothing. xfersMade counts the states ever made.
+	pool      []*xferState
+	xfersMade int
 
 	messages    int64
 	bytes       int64
@@ -109,7 +110,8 @@ type Link struct {
 	blockedTime float64
 }
 
-// xferState is one in-flight message transfer.
+// xferState is one in-flight message transfer. It binds one continuation
+// when made, which runs the pending step.
 type xferState struct {
 	l     *Link
 	p     *sim.Proc
@@ -117,14 +119,12 @@ type xferState struct {
 	tries int
 	k     sim.K
 
-	onWireFn     func()
-	serializedFn func()
-	retryFn      func()
-	deliveredFn  func()
+	step     func(*xferState) // what the pending continuation runs
+	resumeFn func()           // st.resume, bound once when the state is made
 }
 
-// getXfer pops a pooled transfer state (or builds one, binding its
-// continuations).
+// getXfer pops a pooled transfer state (or makes one, binding its
+// continuation).
 func (l *Link) getXfer(p *sim.Proc, n int64, k sim.K) *xferState {
 	var st *xferState
 	if ln := len(l.pool); ln > 0 {
@@ -132,20 +132,28 @@ func (l *Link) getXfer(p *sim.Proc, n int64, k sim.K) *xferState {
 		l.pool = l.pool[:ln-1]
 	} else {
 		st = &xferState{l: l}
-		st.onWireFn = st.onWire
-		st.serializedFn = st.serialized
-		st.retryFn = st.retry
-		st.deliveredFn = st.delivered
+		st.resumeFn = st.resume //wlint:allow hotalloc once per state made; the pool reuses it for every transfer
+		l.xfersMade++
 	}
 	st.p, st.n, st.tries, st.k = p, n, 0, k
 	return st
 }
 
-// putXfer returns a delivered transfer state to the pool.
+// putXfer returns a delivered transfer state to the pool, dropping the step.
 func (l *Link) putXfer(st *xferState) {
 	st.p = nil
+	st.step = nil
 	st.k = nil
 	l.pool = append(l.pool, st)
+}
+
+// resume runs the pending step.
+func (st *xferState) resume() { st.step(st) }
+
+// then returns the state's one continuation, set to run step.
+func (st *xferState) then(step func(*xferState)) func() {
+	st.step = step
+	return st.resumeFn
 }
 
 // NewLink returns a link attached to the environment.
@@ -180,12 +188,12 @@ func (st *xferState) attempt() {
 	l := st.l
 	l.messages++
 	l.bytes += st.n
-	l.wire.Acquire(st.p, st.onWireFn)
+	l.wire.Acquire(st.p, st.then((*xferState).onWire))
 }
 
 // onWire serializes the message onto the held wire.
 func (st *xferState) onWire() {
-	st.p.Hold(float64(st.n)*st.l.cfg.PerByte, st.serializedFn)
+	st.p.Hold(float64(st.n)*st.l.cfg.PerByte, st.then((*xferState).serialized))
 }
 
 // serialized releases the wire and decides the message's fate: delivered,
@@ -202,7 +210,7 @@ func (st *xferState) serialized() {
 				l.retransmits++
 				timeo := l.fcfg.timeoutFor(st.tries)
 				l.blockedTime += timeo
-				st.p.Hold(timeo, st.retryFn)
+				st.p.Hold(timeo, st.then((*xferState).retry))
 				return
 			}
 			// Soft mount, retry budget exhausted: count the give-up
@@ -212,7 +220,7 @@ func (st *xferState) serialized() {
 		}
 		delay = d
 	}
-	st.p.Hold(l.cfg.LatencyPerMessage+delay, st.deliveredFn)
+	st.p.Hold(l.cfg.LatencyPerMessage+delay, st.then((*xferState).delivered))
 }
 
 // retry re-sends the message after the sender's timeout.
@@ -227,6 +235,10 @@ func (st *xferState) delivered() {
 	st.l.putXfer(st)
 	k()
 }
+
+// InFlight returns how many transfer states the link made are not on its
+// free list: transfers in flight, or states never recycled.
+func (l *Link) InFlight() int { return l.xfersMade - len(l.pool) }
 
 // Messages returns the number of messages transferred, retransmissions
 // included.

@@ -281,3 +281,14 @@ func TestSoftMountCountsGiveUps(t *testing.T) {
 		t.Errorf("give-ups = %d, want 1 (retry budget exhausted once)", link.GiveUps())
 	}
 }
+
+// TestXferStateCost pins what making a transfer state costs: taken from an
+// emptied free list and put back, it allocates the state and its one bound
+// continuation.
+func TestXferStateCost(t *testing.T) {
+	l := NewLink(sim.NewEnv(), DefaultConfig())
+	cycle := func() { l.pool = l.pool[:0]; l.putXfer(l.getXfer(nil, 0, nil)) }
+	if n := testing.AllocsPerRun(100, cycle); n != 2 {
+		t.Errorf("getXfer on an empty free list: %v allocations, want 2", n)
+	}
+}

@@ -110,9 +110,11 @@ type Client struct {
 	dirtyBlocks int64                // sum of the dirty spans' blocks
 
 	// ops is the per-client free list of pooled op states. Steady state
-	// keeps every call, its page walk and its RPCs allocation-free: the
-	// continuation closures are built once per opState and reused.
-	ops []*opState
+	// keeps every call, its page walk and its RPCs allocation-free: each
+	// opState binds its one continuation when it is made and is reused.
+	// opsMade counts the states ever made; all are on ops when idle.
+	ops     []*opState
+	opsMade int
 
 	rpcs    int64
 	flushes int64
@@ -121,12 +123,16 @@ type Client struct {
 // opState carries one in-flight system call's state. Profiles showed the
 // per-call continuation closures (system-call entry holds, the page walk,
 // the fetch loop, and their captured variables) dominating per-op
-// allocations; pooling the state and pre-binding the continuations cuts
-// that to zero in steady state. Every vfs.FileSystem entry point takes one
-// state from the pool, runs every RPC of the call on it (metadata RPCs,
-// fetches, write-through pushes and flushes alike), and recycles it
-// immediately before delivering its result, so a call holds exactly one
-// state.
+// allocations; pooling the state cuts that to zero in steady state. A
+// state binds one continuation when it is made, resumeFn, which runs the
+// pending step; a site that hands a continuation to another layer sets
+// the step from a method expression (st.then((*opState).walk)), which
+// allocates nothing. A call is one linear chain of steps, each of which
+// finishes or makes exactly one blocking call, so one step field suffices.
+// Every vfs.FileSystem entry point takes one state from the pool, runs
+// every RPC of the call on it (metadata RPCs, fetches, write-through
+// pushes and flushes alike), and recycles it immediately before
+// delivering its result, so a call holds exactly one state.
 type opState struct {
 	c   *Client
 	ctx vfs.Ctx
@@ -147,7 +153,7 @@ type opState struct {
 
 	// Metadata RPC state: the reply's payload bytes and the completion.
 	mReply int64
-	mK     func()
+	mK     func(*opState)
 
 	// Write entry state: the install loop's block cursor and the span
 	// bookkeeping inputs.
@@ -168,41 +174,13 @@ type opState struct {
 	xOff, xN, xDone int64
 	curOff, curN    int64
 	write           bool
-	after           func() // runs when the transfer loop completes
+	after           func(*opState) // runs when the transfer loop completes
 
-	// Continuations bound once at construction, reused for every op.
-	walkFn        func()
-	hitFn         func()
-	loopFn        func()
-	reqFn         func()
-	repFn         func()
-	finishFn      func()
-	readEntryFn   func()
-	writeEntryFn  func()
-	installFn     func()
-	finishWriteFn func()
-	flushedFn     func()
-	seekEntryFn   func()
-	closeEntryFn  func()
-	closeFlushFn  func()
-	openEntryFn   func()
-	openRPCFn     func()
-	statEntryFn   func()
-	statRPCFn     func()
-	metaReqFn     func()
-	metaRepFn     func()
-
-	mkdirEntryFn    func()
-	mkdirRPCFn      func()
-	createEntryFn   func()
-	createRPCFn     func()
-	unlinkEntryFn   func()
-	unlinkRPCFn     func()
-	readdirEntryFn  func()
-	readdirFinishFn func()
+	step     func(*opState) // what the pending continuation runs
+	resumeFn func()         // st.resume, bound once when the state is made
 }
 
-// getOp pops a pooled op state (or builds one, binding its continuations).
+// getOp pops a pooled op state (or makes one, binding its continuation).
 func (c *Client) getOp(ctx vfs.Ctx) *opState {
 	var st *opState
 	if n := len(c.ops); n > 0 {
@@ -210,42 +188,18 @@ func (c *Client) getOp(ctx vfs.Ctx) *opState {
 		c.ops = c.ops[:n-1]
 	} else {
 		st = &opState{c: c}
-		st.walkFn = st.walk
-		st.hitFn = st.hit
-		st.loopFn = st.loop
-		st.reqFn = st.req
-		st.repFn = st.rep
-		st.finishFn = st.finishRead
-		st.readEntryFn = st.readEntry
-		st.writeEntryFn = st.writeEntry
-		st.installFn = st.install
-		st.finishWriteFn = st.finishWrite
-		st.flushedFn = st.flushed
-		st.seekEntryFn = st.seekEntry
-		st.closeEntryFn = st.closeEntry
-		st.closeFlushFn = st.closeFlushed
-		st.openEntryFn = st.openEntry
-		st.openRPCFn = st.openRPC
-		st.statEntryFn = st.statEntry
-		st.statRPCFn = st.statRPC
-		st.metaReqFn = st.metaReq
-		st.metaRepFn = st.metaRep
-		st.mkdirEntryFn = st.mkdirEntry
-		st.mkdirRPCFn = st.mkdirRPC
-		st.createEntryFn = st.createEntry
-		st.createRPCFn = st.createRPC
-		st.unlinkEntryFn = st.unlinkEntry
-		st.unlinkRPCFn = st.unlinkRPC
-		st.readdirEntryFn = st.readdirEntry
-		st.readdirFinishFn = st.readdirFinish
+		st.resumeFn = st.resume //wlint:allow hotalloc once per state made; the pool reuses it for every call
+		c.opsMade++
 	}
 	st.ctx = ctx
 	return st
 }
 
-// putOp returns a finished op state to the pool, dropping caller references.
+// putOp returns a finished op state to the pool, dropping caller references
+// and the step, so a continuation fired after recycling panics at once.
 func (c *Client) putOp(st *opState) {
 	st.ctx = nil
+	st.step = nil
 	st.k = nil
 	st.kFD = nil
 	st.kInfo = nil
@@ -253,6 +207,15 @@ func (c *Client) putOp(st *opState) {
 	st.kNames = nil
 	st.names = nil
 	c.ops = append(c.ops, st)
+}
+
+// resume runs the pending step.
+func (st *opState) resume() { st.step(st) }
+
+// then returns the state's one continuation, set to run step.
+func (st *opState) then(step func(*opState)) func() {
+	st.step = step
+	return st.resumeFn
 }
 
 // walk scans the request's blocks: cache hits cost a memory copy, runs of
@@ -264,7 +227,7 @@ func (st *opState) walk() {
 		st.b++
 		if c.pages.Access(cache.BlockID{File: st.ino, Block: blk}) {
 			st.hitBlk = blk
-			st.ctx.Hold(c.cfg.HitPerBlock, st.hitFn)
+			st.ctx.Hold(c.cfg.HitPerBlock, st.then((*opState).hit))
 			return
 		}
 		if st.missStart < 0 {
@@ -272,10 +235,10 @@ func (st *opState) walk() {
 		}
 	}
 	if ms := st.missStart; ms >= 0 {
-		st.startTransfer(ms*st.bs, (st.last-ms+1)*st.bs, false, st.finishFn)
+		st.startTransfer(ms*st.bs, (st.last-ms+1)*st.bs, false, (*opState).done)
 		return
 	}
-	st.finishRead()
+	st.done()
 }
 
 // hit runs after a cache hit's memory-copy hold: flush the pending miss run
@@ -283,14 +246,15 @@ func (st *opState) walk() {
 func (st *opState) hit() {
 	if ms := st.missStart; ms >= 0 {
 		st.missStart = -1
-		st.startTransfer(ms*st.bs, (st.hitBlk-ms)*st.bs, false, st.walkFn)
+		st.startTransfer(ms*st.bs, (st.hitBlk-ms)*st.bs, false, (*opState).walk)
 		return
 	}
 	st.walk()
 }
 
-// finishRead completes a pooled Read and recycles the state.
-func (st *opState) finishRead() {
+// done completes a Read or a Write: it recycles the state and delivers the
+// byte count.
+func (st *opState) done() {
 	k, got := st.k, st.got
 	st.c.putOp(st)
 	k(got, nil)
@@ -298,7 +262,7 @@ func (st *opState) finishRead() {
 
 // startTransfer begins the chunked RPC loop: a fetch (write=false) or push
 // (write=true) of n bytes at off, running after on completion.
-func (st *opState) startTransfer(off, n int64, write bool, after func()) {
+func (st *opState) startTransfer(off, n int64, write bool, after func(*opState)) {
 	st.xOff, st.xN, st.xDone, st.write, st.after = off, n, 0, write, after
 	st.loop()
 }
@@ -306,7 +270,7 @@ func (st *opState) startTransfer(off, n int64, write bool, after func()) {
 // loop issues one wire-block RPC per iteration until the transfer is done.
 func (st *opState) loop() {
 	if st.xDone >= st.xN {
-		st.after()
+		st.after(st)
 		return
 	}
 	chunk := st.xN - st.xDone
@@ -318,24 +282,24 @@ func (st *opState) loop() {
 	st.xDone += chunk
 	st.c.rpcs++
 	if st.write {
-		st.c.xfer(st.ctx, st.curN, st.reqFn) // data-bearing request
+		st.c.xfer(st.ctx, st.curN, st.then((*opState).req)) // data-bearing request
 		return
 	}
-	st.c.xfer(st.ctx, 0, st.reqFn) // small request
+	st.c.xfer(st.ctx, 0, st.then((*opState).req)) // small request
 }
 
 // req runs when the request reaches the server.
 func (st *opState) req() {
-	st.c.server.DataCall(st.ctx, st.ino, st.curOff, st.curN, st.write, st.repFn)
+	st.c.server.DataCall(st.ctx, st.ino, st.curOff, st.curN, st.write, st.then((*opState).rep))
 }
 
 // rep sends the reply back: data-bearing for reads, small for writes.
 func (st *opState) rep() {
 	if st.write {
-		st.c.xfer(st.ctx, 0, st.loopFn)
+		st.c.xfer(st.ctx, 0, st.then((*opState).loop))
 		return
 	}
-	st.c.xfer(st.ctx, st.curN, st.loopFn)
+	st.c.xfer(st.ctx, st.curN, st.then((*opState).loop))
 }
 
 // dirtySpan is a contiguous byte range of unflushed write-behind data.
@@ -397,17 +361,17 @@ func (c *Client) xfer(ctx vfs.Ctx, n int64, k func()) {
 // rpcMeta performs a metadata RPC on the call's own state: a small request,
 // the server's metadata work, and a reply carrying reply payload bytes,
 // then runs k.
-func (st *opState) rpcMeta(reply int64, k func()) {
+func (st *opState) rpcMeta(reply int64, k func(*opState)) {
 	st.c.rpcs++
 	st.mReply, st.mK = reply, k
-	st.c.xfer(st.ctx, 0, st.metaReqFn)
+	st.c.xfer(st.ctx, 0, st.then((*opState).metaReq))
 }
 
 // metaReq runs when the metadata request reaches the server.
-func (st *opState) metaReq() { st.c.server.MetaCall(st.ctx, st.metaRepFn) }
+func (st *opState) metaReq() { st.c.server.MetaCall(st.ctx, st.then((*opState).metaRep)) }
 
 // metaRep sends the reply back.
-func (st *opState) metaRep() { st.c.xfer(st.ctx, st.mReply, st.mK) }
+func (st *opState) metaRep() { st.c.xfer(st.ctx, st.mReply, st.then(st.mK)) }
 
 func (c *Client) attrFresh(ctx vfs.Ctx, path string) bool {
 	if c.cfg.AttrCacheTimeout <= 0 {
@@ -437,11 +401,11 @@ func (c *Client) shadow() vfs.Bare { return c.backing.Bare() }
 func (c *Client) Mkdir(ctx vfs.Ctx, path string, k func(error)) {
 	st := c.getOp(ctx)
 	st.path, st.kErr = path, k
-	ctx.Hold(c.cfg.CPUPerCall, st.mkdirEntryFn)
+	ctx.Hold(c.cfg.CPUPerCall, st.then((*opState).mkdirEntry))
 }
 
 // mkdirEntry runs after Mkdir's CPU hold.
-func (st *opState) mkdirEntry() { st.rpcMeta(0, st.mkdirRPCFn) }
+func (st *opState) mkdirEntry() { st.rpcMeta(0, (*opState).mkdirRPC) }
 
 // mkdirRPC runs after the mkdir RPC's reply.
 func (st *opState) mkdirRPC() {
@@ -459,11 +423,11 @@ func (st *opState) mkdirRPC() {
 func (c *Client) Create(ctx vfs.Ctx, path string, k func(vfs.FD, error)) {
 	st := c.getOp(ctx)
 	st.path, st.kFD = path, k
-	ctx.Hold(c.cfg.CPUPerCall, st.createEntryFn)
+	ctx.Hold(c.cfg.CPUPerCall, st.then((*opState).createEntry))
 }
 
 // createEntry runs after Create's CPU hold.
-func (st *opState) createEntry() { st.rpcMeta(0, st.createRPCFn) }
+func (st *opState) createEntry() { st.rpcMeta(0, (*opState).createRPC) }
 
 // createRPC runs after the create RPC's reply.
 func (st *opState) createRPC() {
@@ -485,13 +449,13 @@ func (st *opState) createRPC() {
 func (c *Client) Open(ctx vfs.Ctx, path string, mode vfs.OpenMode, k func(vfs.FD, error)) {
 	st := c.getOp(ctx)
 	st.path, st.mode, st.kFD = path, mode, k
-	ctx.Hold(c.cfg.CPUPerCall, st.openEntryFn)
+	ctx.Hold(c.cfg.CPUPerCall, st.then((*opState).openEntry))
 }
 
 // openEntry runs after Open's CPU hold.
 func (st *opState) openEntry() {
 	if !st.c.attrFresh(st.ctx, st.path) {
-		st.rpcMeta(0, st.openRPCFn)
+		st.rpcMeta(0, (*opState).openRPC)
 		return
 	}
 	st.openFinish()
@@ -516,7 +480,7 @@ func (st *opState) openFinish() {
 func (c *Client) Read(ctx vfs.Ctx, fd vfs.FD, n int64, k func(int64, error)) {
 	st := c.getOp(ctx)
 	st.fd, st.n, st.k = fd, n, k
-	ctx.Hold(c.cfg.CPUPerCall, st.readEntryFn)
+	ctx.Hold(c.cfg.CPUPerCall, st.then((*opState).readEntry))
 }
 
 // readEntry runs after Read's CPU hold: move the shadow offset of this
@@ -532,7 +496,7 @@ func (st *opState) readEntry() {
 	st.ino = ino
 	st.got = got
 	if c.pages == nil {
-		st.startTransfer(off, got, false, st.finishFn)
+		st.startTransfer(off, got, false, (*opState).done)
 		return
 	}
 	st.bs = c.cfg.WireBlock
@@ -556,7 +520,7 @@ func (st *opState) failData(err error) {
 func (c *Client) Write(ctx vfs.Ctx, fd vfs.FD, n int64, k func(int64, error)) {
 	st := c.getOp(ctx)
 	st.fd, st.n, st.k = fd, n, k
-	ctx.Hold(c.cfg.CPUPerCall, st.writeEntryFn)
+	ctx.Hold(c.cfg.CPUPerCall, st.then((*opState).writeEntry))
 }
 
 // writeEntry runs after Write's CPU hold: move the shadow offset of this
@@ -574,7 +538,7 @@ func (st *opState) writeEntry() {
 	st.wOff = off
 	st.wPath = path
 	if c.pages == nil || !c.cfg.WriteBehind {
-		st.startTransfer(off, got, true, st.finishWriteFn)
+		st.startTransfer(off, got, true, (*opState).finishWrite)
 		return
 	}
 	// Write-behind: install pages, extend the dirty span.
@@ -586,11 +550,8 @@ func (st *opState) writeEntry() {
 
 // finishWrite completes a synchronous (write-through) Write.
 func (st *opState) finishWrite() {
-	c := st.c
-	c.setAttr(st.ctx, st.wPath) // write replies carry fresh attributes
-	k, got := st.k, st.got
-	c.putOp(st)
-	k(got, nil)
+	st.c.setAttr(st.ctx, st.wPath) // write replies carry fresh attributes
+	st.done()
 }
 
 // install loops over the written blocks, charging a memory copy each, then
@@ -600,7 +561,7 @@ func (st *opState) install() {
 	if st.wB <= st.wLast {
 		c.pages.Access(cache.BlockID{File: st.ino, Block: st.wB})
 		st.wB++
-		st.ctx.Hold(c.cfg.HitPerBlock, st.installFn)
+		st.ctx.Hold(c.cfg.HitPerBlock, st.then((*opState).install))
 		return
 	}
 	off, got := st.wOff, st.got
@@ -619,28 +580,19 @@ func (st *opState) install() {
 	c.dirty[st.ino] = span
 	c.dirtyBlocks += span.blocks(c.cfg.WireBlock)
 	if c.dirtyBlocks > int64(c.cfg.maxDirty()) {
-		st.flush(st.flushedFn)
+		st.flush((*opState).done)
 		return
 	}
-	k := st.k
-	c.putOp(st)
-	k(got, nil)
-}
-
-// flushed completes a Write whose install crossed the dirty threshold.
-func (st *opState) flushed() {
-	k, got := st.k, st.got
-	st.c.putOp(st)
-	k(got, nil)
+	st.done()
 }
 
 // flush writes the dirty span of the state's inode to the server with
 // write RPCs on this state, drops it, and runs k.
-func (st *opState) flush(k func()) {
+func (st *opState) flush(k func(*opState)) {
 	c := st.c
 	span, ok := c.dirty[st.ino]
 	if !ok {
-		k()
+		k(st)
 		return
 	}
 	delete(c.dirty, st.ino)
@@ -686,7 +638,7 @@ var _ vfs.Crasher = (*Client)(nil)
 func (c *Client) Seek(ctx vfs.Ctx, fd vfs.FD, offset int64, whence int, k func(int64, error)) {
 	st := c.getOp(ctx)
 	st.fd, st.skOff, st.skWhence, st.k = fd, offset, whence, k
-	ctx.Hold(c.cfg.CPUPerCall, st.seekEntryFn)
+	ctx.Hold(c.cfg.CPUPerCall, st.then((*opState).seekEntry))
 }
 
 // seekEntry runs after Seek's CPU hold.
@@ -703,7 +655,7 @@ func (st *opState) seekEntry() {
 func (c *Client) Close(ctx vfs.Ctx, fd vfs.FD, k func(error)) {
 	st := c.getOp(ctx)
 	st.fd, st.kErr = fd, k
-	ctx.Hold(c.cfg.CPUPerCall, st.closeEntryFn)
+	ctx.Hold(c.cfg.CPUPerCall, st.then((*opState).closeEntry))
 }
 
 // closeEntry runs after Close's CPU hold: if this client opened the
@@ -713,7 +665,7 @@ func (st *opState) closeEntry() {
 	c := st.c
 	if ino, path, ok := c.shadow().Owned(st.fd, c); ok {
 		st.ino, st.wPath = ino, path
-		st.flush(st.closeFlushFn)
+		st.flush((*opState).closeFlushed)
 		return
 	}
 	st.closeFinish()
@@ -736,11 +688,11 @@ func (st *opState) closeFinish() {
 func (c *Client) Unlink(ctx vfs.Ctx, path string, k func(error)) {
 	st := c.getOp(ctx)
 	st.path, st.kErr = path, k
-	ctx.Hold(c.cfg.CPUPerCall, st.unlinkEntryFn)
+	ctx.Hold(c.cfg.CPUPerCall, st.then((*opState).unlinkEntry))
 }
 
 // unlinkEntry runs after Unlink's CPU hold.
-func (st *opState) unlinkEntry() { st.rpcMeta(0, st.unlinkRPCFn) }
+func (st *opState) unlinkEntry() { st.rpcMeta(0, (*opState).unlinkRPC) }
 
 // unlinkRPC runs after the unlink RPC's reply. The server and the client
 // drop the blocks of the inode the shadow unlinked.
@@ -763,13 +715,13 @@ func (st *opState) unlinkRPC() {
 func (c *Client) Stat(ctx vfs.Ctx, path string, k func(vfs.FileInfo, error)) {
 	st := c.getOp(ctx)
 	st.path, st.kInfo = path, k
-	ctx.Hold(c.cfg.CPUPerCall, st.statEntryFn)
+	ctx.Hold(c.cfg.CPUPerCall, st.then((*opState).statEntry))
 }
 
 // statEntry runs after Stat's CPU hold.
 func (st *opState) statEntry() {
 	if !st.c.attrFresh(st.ctx, st.path) {
-		st.rpcMeta(0, st.statRPCFn)
+		st.rpcMeta(0, (*opState).statRPC)
 		return
 	}
 	st.statRPC()
@@ -794,7 +746,7 @@ func (st *opState) statRPC() {
 func (c *Client) ReadDir(ctx vfs.Ctx, path string, k func([]string, error)) {
 	st := c.getOp(ctx)
 	st.path, st.kNames = path, k
-	ctx.Hold(c.cfg.CPUPerCall, st.readdirEntryFn)
+	ctx.Hold(c.cfg.CPUPerCall, st.then((*opState).readdirEntry))
 }
 
 // readdirEntry runs after ReadDir's CPU hold: list the shadow namespace,
@@ -809,7 +761,7 @@ func (st *opState) readdirEntry() {
 		return
 	}
 	st.names = names
-	st.rpcMeta(int64(len(names))*c.cfg.DirEntryBytes, st.readdirFinishFn)
+	st.rpcMeta(int64(len(names))*c.cfg.DirEntryBytes, (*opState).readdirFinish)
 }
 
 // readdirFinish delivers the listing and recycles the state.

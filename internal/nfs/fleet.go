@@ -2,6 +2,7 @@ package nfs
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
@@ -190,6 +191,34 @@ func (f *Fleet) Release(user int) {
 // Resident reports how many private clients the fleet holds (0 with a
 // pool).
 func (f *Fleet) Resident() int { return len(f.private) }
+
+// Idle names the first island server, link or pool client, in island
+// order, then the first resident private client, whose free list holds
+// fewer op states than it made: a call still in flight, or a state that
+// was never recycled. It returns nil when every state is back, as at the
+// end of a run.
+func (f *Fleet) Idle() error {
+	for i, isl := range f.islands {
+		if n := isl.Server.callsMade - len(isl.Server.pool); n != 0 {
+			return fmt.Errorf("nfs: island %d server: %d of its %d call states are not on its free list", i, n, isl.Server.callsMade)
+		}
+		if n := isl.Link.InFlight(); n != 0 {
+			return fmt.Errorf("nfs: island %d link: %d of its transfer states are not on its free list", i, n)
+		}
+		for k, c := range isl.pool {
+			if n := c.opsMade - len(c.ops); n != 0 {
+				return fmt.Errorf("nfs: island %d pool client %d: %d of its %d op states are not on its free list", i, k, n, c.opsMade)
+			}
+		}
+	}
+	for _, key := range slices.Sorted(maps.Keys(f.private)) {
+		if c := f.private[key]; c.opsMade != len(c.ops) {
+			return fmt.Errorf("nfs: user %d's client on island %d: %d of its %d op states are not on its free list",
+				key/len(f.islands), key%len(f.islands), c.opsMade-len(c.ops), c.opsMade)
+		}
+	}
+	return nil
+}
 
 // FSForUser returns user's mount view of the fleet. On one island with
 // private clients that is the user's client itself: a router in front of

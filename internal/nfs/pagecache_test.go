@@ -198,7 +198,8 @@ func TestCacheDisabledKeepsSynchronousSemantics(t *testing.T) {
 // client, with write-behind on and off: a Mkdir, a Create, a Write past the
 // dirty threshold and a smaller one, a Close that flushes, a cold Stat and
 // a ReadDir. Each call runs its metadata RPC, push or flush on its own op
-// state, so the client never needs a second one.
+// state, so the client never needs a second one, and the state it leaves
+// on the free list holds no step.
 func TestOneOpStatePerCall(t *testing.T) {
 	for _, behind := range []bool{true, false} {
 		cfg := cachedClientConfig()
@@ -237,6 +238,30 @@ func TestOneOpStatePerCall(t *testing.T) {
 		}
 		if n := len(c.ops); n != 1 {
 			t.Errorf("write-behind %v: the calls left %d op states, want 1", behind, n)
+		} else if c.ops[0].step != nil {
+			t.Errorf("write-behind %v: the recycled op state keeps its last step", behind)
+		}
+	}
+}
+
+// TestStateCost pins what making a pooled state costs: a client op state
+// or a server call state taken from an emptied free list and put back
+// allocates the state and its one bound continuation.
+func TestStateCost(t *testing.T) {
+	srv, err := NewServer(nil, testServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newClient(srv, nil, cachedClientConfig(), vfs.NewMemFS())
+	for _, tc := range []struct {
+		name  string
+		cycle func()
+	}{
+		{"Client.getOp", func() { c.ops = c.ops[:0]; c.putOp(c.getOp(nil)) }},
+		{"Server.getCall", func() { srv.pool = srv.pool[:0]; srv.putCall(srv.getCall(nil)) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.cycle); n != 2 {
+			t.Errorf("%s on an empty free list: %v allocations, want 2", tc.name, n)
 		}
 	}
 }

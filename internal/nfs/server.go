@@ -79,8 +79,10 @@ type Server struct {
 	staller Staller
 
 	// pool is the free list of callStates (guarded by the DES scheduler:
-	// exactly one simulated process runs at a time).
-	pool []*callState
+	// exactly one simulated process runs at a time). callsMade counts the
+	// states ever made; all are on pool when idle.
+	pool      []*callState
+	callsMade int
 
 	calls     int64
 	dataCalls int64
@@ -173,10 +175,11 @@ func rel(held *sim.Resource) {
 
 // callState carries one in-flight RPC's service state through the daemon
 // pool, CPU holds, block cache, and disk arm. States are pooled per server
-// with their continuations bound once (the same idiom as the client's
-// opState): serving an RPC allocates nothing in steady state. The DES runs
-// one process at a time, so the free list needs no lock; each concurrent
-// call in service (up to NFSDs, plus queued callers) holds its own state.
+// and bind one continuation when made, which runs the pending step (the
+// same idiom as the client's opState): serving an RPC allocates nothing in
+// steady state. The DES runs one process at a time, so the free list needs
+// no lock; each concurrent call in service (up to NFSDs, plus queued
+// callers) holds its own state.
 type callState struct {
 	s     *Server
 	ctx   vfs.Ctx
@@ -192,15 +195,11 @@ type callState struct {
 	first      int64
 	missBlocks int64
 
-	metaGrantedFn func()
-	metaDoneFn    func()
-	dataGrantedFn func()
-	dataServeFn   func()
-	diskGrantedFn func()
-	diskDoneFn    func()
+	step     func(*callState) // what the pending continuation runs
+	resumeFn func()           // st.resume, bound once when the state is made
 }
 
-// getCall pops a pooled call state (or builds one, binding continuations).
+// getCall pops a pooled call state (or makes one, binding its continuation).
 func (s *Server) getCall(ctx vfs.Ctx) *callState {
 	var st *callState
 	if n := len(s.pool); n > 0 {
@@ -208,24 +207,30 @@ func (s *Server) getCall(ctx vfs.Ctx) *callState {
 		s.pool = s.pool[:n-1]
 	} else {
 		st = &callState{s: s}
-		st.metaGrantedFn = st.metaGranted
-		st.metaDoneFn = st.metaDone
-		st.dataGrantedFn = st.dataGranted
-		st.dataServeFn = st.dataServe
-		st.diskGrantedFn = st.diskGranted
-		st.diskDoneFn = st.diskDone
+		st.resumeFn = st.resume //wlint:allow hotalloc once per state made; the pool reuses it for every call
+		s.callsMade++
 	}
 	st.ctx = ctx
 	return st
 }
 
-// putCall returns a finished call state to the pool.
+// putCall returns a finished call state to the pool, dropping the step.
 func (s *Server) putCall(st *callState) {
 	st.ctx = nil
+	st.step = nil
 	st.k = nil
 	st.nfsd = nil
 	st.disk = nil
 	s.pool = append(s.pool, st)
+}
+
+// resume runs the pending step.
+func (st *callState) resume() { st.step(st) }
+
+// then returns the state's one continuation, set to run step.
+func (st *callState) then(step func(*callState)) func() {
+	st.step = step
+	return st.resumeFn
 }
 
 // MetaCall serves a metadata RPC (lookup, getattr, create, remove, ...),
@@ -236,7 +241,7 @@ func (s *Server) MetaCall(ctx vfs.Ctx, k func()) {
 	st.k = k
 	if p, ok := ctx.(*sim.Proc); ok && s.nfsd != nil {
 		st.nfsd = s.nfsd
-		s.nfsd.Acquire(p, st.metaGrantedFn)
+		s.nfsd.Acquire(p, st.then((*callState).metaGranted))
 		return
 	}
 	st.metaGranted()
@@ -245,15 +250,7 @@ func (s *Server) MetaCall(ctx vfs.Ctx, k func()) {
 // metaGranted runs once a daemon slot is held (or immediately outside a DES).
 func (st *callState) metaGranted() {
 	s := st.s
-	st.ctx.Hold(s.cfg.CPUPerCall+s.stall(st.ctx), st.metaDoneFn)
-}
-
-// metaDone releases the daemon and completes the RPC.
-func (st *callState) metaDone() {
-	rel(st.nfsd)
-	k := st.k
-	st.s.putCall(st)
-	k()
+	st.ctx.Hold(s.cfg.CPUPerCall+s.stall(st.ctx), st.then((*callState).finish))
 }
 
 // DataCall serves a read or write RPC of n bytes at offset off of inode ino,
@@ -266,7 +263,7 @@ func (s *Server) DataCall(ctx vfs.Ctx, ino uint64, off, n int64, write bool, k f
 	st.ino, st.off, st.n, st.write, st.k = ino, off, n, write, k
 	if p, ok := ctx.(*sim.Proc); ok && s.nfsd != nil {
 		st.nfsd = s.nfsd
-		s.nfsd.Acquire(p, st.dataGrantedFn)
+		s.nfsd.Acquire(p, st.then((*callState).dataGranted))
 		return
 	}
 	st.dataGranted()
@@ -276,7 +273,7 @@ func (s *Server) DataCall(ctx vfs.Ctx, ino uint64, off, n int64, write bool, k f
 func (st *callState) dataGranted() {
 	s := st.s
 	nblocks := s.cfg.Disk.Blocks(st.off, st.n)
-	st.ctx.Hold(s.cfg.CPUPerCall+float64(nblocks)*s.cfg.CPUPerBlock+s.stall(st.ctx), st.dataServeFn)
+	st.ctx.Hold(s.cfg.CPUPerCall+float64(nblocks)*s.cfg.CPUPerBlock+s.stall(st.ctx), st.then((*callState).dataServe))
 }
 
 // dataServe walks the blocks through the cache and goes to disk for misses
@@ -311,7 +308,7 @@ func (st *callState) dataServe() {
 	st.first, st.missBlocks = first, missBlocks
 	if p, ok := st.ctx.(*sim.Proc); ok && s.diskRes != nil {
 		st.disk = s.diskRes
-		s.diskRes.Acquire(p, st.diskGrantedFn)
+		s.diskRes.Acquire(p, st.then((*callState).diskGranted))
 		return
 	}
 	st.diskGranted()
@@ -324,7 +321,7 @@ func (st *callState) diskGranted() {
 	// Files are separated by 2^20 blocks so distinct files never look
 	// sequential to the arm.
 	fileBase := int64(st.ino) << 20
-	st.ctx.Hold(s.arm.Access(fileBase, st.first*bs, st.missBlocks*bs), st.diskDoneFn)
+	st.ctx.Hold(s.arm.Access(fileBase, st.first*bs, st.missBlocks*bs), st.then((*callState).diskDone))
 }
 
 // diskDone releases the arm and completes the RPC.

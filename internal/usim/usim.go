@@ -247,9 +247,11 @@ func (s *Simulator) runSessionK(ctx vfs.Ctx, ar *arena, sessionID, user int, use
 }
 
 // session holds per-login state. The struct is embedded in an arena and
-// reused across the sessions of one user stream; all of its continuations
-// are bound once per arena (see bind), so executing an operation allocates
-// no closures.
+// reused across the sessions of one user stream. The continuations it hands
+// to Hold or to a FileSystem are bound once per arena (see bind); the
+// completions that only metaDone and closeItem call back are methods,
+// passed as method expressions. Executing an operation allocates no
+// closures.
 type session struct {
 	sim    *Simulator
 	fsys   vfs.FileSystem
@@ -296,7 +298,7 @@ type session struct {
 	// strictly sequential, so one set of fields suffices.
 	mOp    trace.Op
 	mItem  *workItem
-	mK     func(error)
+	mK     func(*session, error)
 	mStart float64
 	mMode  vfs.OpenMode
 
@@ -305,7 +307,7 @@ type session struct {
 	dStart float64
 
 	seekTarget int64 // random-access seek destination
-	closeK     func()
+	closeK     func(*session)
 	finIdx     int // logout sweep position
 
 	// sync issues the calls made outside the simulated operation stream,
@@ -313,31 +315,19 @@ type session struct {
 	// release. Its FS is the session's fsys.
 	sync vfs.Sync
 
-	// Continuations bound once per arena: the session body never
-	// allocates a closure per operation.
+	// Continuations bound once per arena, the ones handed to Hold or to a
+	// FileSystem: the session body never allocates a closure per operation.
 	driveFn       func()
-	afterStepFn   func()
 	metaDoneFn    func(error)
 	statDoneFn    func(vfs.FileInfo, error)
 	readdirDoneFn func([]string, error)
 	fdDoneFn      func(vfs.FD, error)
 	seekDoneFn    func(int64, error)
 	dataDoneFn    func(int64, error)
-	dropFn        func(error)
-	createdFn     func(error)
-	openedFn      func(error)
-	rewoundFn     func(error)
-	randSeekedFn  func(error)
-	closedFn      func(error)
-	unlinkedFn    func(error)
-	reopenClosedF func(error)
-	reopenOpenedF func(error)
-	finishLoopFn  func()
-	finUnlinkedFn func(error)
 }
 
 // arena recycles per-session state across the sessions of one user stream:
-// the session struct itself (with its once-bound continuations), the
+// the session struct itself (with its seven once-bound continuations), the
 // workItem free list, the items/live-set backing arrays, the created set,
 // and the selectFiles scratch buffers. One arena serves at most one live
 // session at a time; RunUnderSim gives each concurrent session stream its
@@ -411,12 +401,13 @@ func (ar *arena) pickWithoutReplacement(r *rand.Rand, pool []string, n int) []st
 	return out
 }
 
-// bind builds the session's continuation set. Called once per arena; the
-// session pointer is stable for the arena's lifetime, so every closure
-// here is shared by all of the arena's sessions.
+// bind builds the continuations the session hands to Hold or to a
+// FileSystem: drive, metaDone and one result adapter per FileSystem
+// signature. Called once per arena; the session pointer is stable for the
+// arena's lifetime, so every closure here is shared by all of the arena's
+// sessions.
 func (ses *session) bind() {
 	ses.driveFn = ses.drive
-	ses.afterStepFn = ses.afterStep
 	ses.metaDoneFn = ses.metaDone
 	ses.statDoneFn = func(_ vfs.FileInfo, err error) { ses.metaDone(err) }
 	ses.readdirDoneFn = func(_ []string, err error) { ses.metaDone(err) }
@@ -428,85 +419,82 @@ func (ses *session) bind() {
 	}
 	ses.seekDoneFn = func(_ int64, err error) { ses.metaDone(err) }
 	ses.dataDoneFn = ses.dataDone
-	ses.dropFn = func(error) { ses.afterStep() }
-	ses.createdFn = func(err error) {
-		item := ses.mItem
-		if err != nil {
-			item.remain = 0 // give up on this file
-			ses.afterStep()
-			return
-		}
-		ses.created[item.path] = true
-		item.open = true
-		item.mode = vfs.WriteOnly
-		item.offset = 0
-		ses.afterStep()
-	}
-	ses.openedFn = func(err error) {
-		item := ses.mItem
-		if err != nil {
-			item.remain = 0
-			ses.afterStep()
-			return
-		}
-		item.open = true
-		item.mode = ses.mMode
-		item.offset = 0
-		ses.afterStep()
-	}
-	ses.rewoundFn = func(err error) {
-		item := ses.mItem
-		if err != nil {
-			item.remain = 0
-			ses.afterStep()
-			return
-		}
-		item.offset = 0
-		ses.afterStep()
-	}
-	ses.randSeekedFn = func(err error) {
-		item := ses.mItem
-		if err != nil {
-			item.remain = 0
-			ses.afterStep()
-			return
-		}
-		item.offset = ses.seekTarget
-		item.seekNext = false
-		ses.afterStep()
-	}
-	ses.closedFn = func(error) {
-		item := ses.mItem
-		item.open = false
-		if item.unlink && item.remain <= 0 {
-			ses.startMeta(trace.OpUnlink, item, ses.unlinkedFn)
-			ses.fsys.Unlink(ses.ctx, item.path, ses.metaDoneFn)
-			return
-		}
-		ses.closeK()
-	}
-	ses.unlinkedFn = func(error) { ses.closeK() }
-	ses.reopenClosedF = func(error) {
-		item := ses.mItem
-		item.open = false
-		ses.startMeta(trace.OpOpen, item, ses.reopenOpenedF)
-		ses.fsys.Open(ses.ctx, item.path, vfs.ReadOnly, ses.fdDoneFn)
-	}
-	ses.reopenOpenedF = func(err error) {
-		item := ses.mItem
-		if err != nil {
-			item.remain = 0
-			ses.afterStep()
-			return
-		}
-		item.open = true
-		item.mode = vfs.ReadOnly
-		item.offset = 0
-		ses.afterStep()
-	}
-	ses.finishLoopFn = ses.finishLoop
-	ses.finUnlinkedFn = func(error) { ses.finishLoop() }
 }
+
+// The completions below run from metaDone once the op's record is emitted;
+// startMeta takes each as a method expression.
+
+func (ses *session) drop(error) { ses.afterStep() }
+
+// createDone records a created file and opens it (mMode is WriteOnly).
+func (ses *session) createDone(err error) {
+	if err == nil {
+		ses.created[ses.mItem.path] = true
+	}
+	ses.opened(err)
+}
+
+// opened marks the item open in mode mMode, or gives up on the file.
+func (ses *session) opened(err error) {
+	item := ses.mItem
+	if err != nil {
+		item.remain = 0
+		ses.afterStep()
+		return
+	}
+	item.open = true
+	item.mode = ses.mMode
+	item.offset = 0
+	ses.afterStep()
+}
+
+func (ses *session) rewound(err error) {
+	item := ses.mItem
+	if err != nil {
+		item.remain = 0
+		ses.afterStep()
+		return
+	}
+	item.offset = 0
+	ses.afterStep()
+}
+
+func (ses *session) randSeeked(err error) {
+	item := ses.mItem
+	if err != nil {
+		item.remain = 0
+		ses.afterStep()
+		return
+	}
+	item.offset = ses.seekTarget
+	item.seekNext = false
+	ses.afterStep()
+}
+
+// closed unlinks a TEMP file whose work is done, then runs closeK.
+func (ses *session) closed(error) {
+	item := ses.mItem
+	item.open = false
+	if item.unlink && item.remain <= 0 {
+		ses.startMeta(trace.OpUnlink, item, (*session).unlinked)
+		ses.fsys.Unlink(ses.ctx, item.path, ses.metaDoneFn)
+		return
+	}
+	ses.closeK(ses)
+}
+
+func (ses *session) unlinked(error) { ses.closeK(ses) }
+
+// reopenClosed reopens a closed write-only item read-only.
+func (ses *session) reopenClosed(error) {
+	item := ses.mItem
+	item.open = false
+	ses.mMode = vfs.ReadOnly
+	ses.startMeta(trace.OpOpen, item, (*session).opened)
+	ses.fsys.Open(ses.ctx, item.path, vfs.ReadOnly, ses.fdDoneFn)
+}
+
+func (ses *session) finUnlinked(error) { ses.finishLoop() }
 
 // selectFiles performs the per-category draw: with probability PercentUsers
 // the user touches the category this session, sampling how many files and,
@@ -674,7 +662,7 @@ func (ses *session) step(item *workItem) {
 	case !item.open:
 		ses.openItem(item)
 	case item.remain <= 0:
-		ses.closeItem(item, ses.afterStepFn)
+		ses.closeItem(item, (*session).afterStep)
 	default:
 		ses.transfer(item)
 	}
@@ -688,18 +676,19 @@ func (ses *session) stepDir(item *workItem) {
 	}
 	item.remain--
 	if ses.r.Intn(2) == 0 {
-		ses.startMeta(trace.OpStat, item, ses.dropFn)
+		ses.startMeta(trace.OpStat, item, (*session).drop)
 		ses.fsys.Stat(ses.ctx, item.path, ses.statDoneFn)
 		return
 	}
-	ses.startMeta(trace.OpReadDir, item, ses.dropFn)
+	ses.startMeta(trace.OpReadDir, item, (*session).drop)
 	ses.fsys.ReadDir(ses.ctx, item.path, ses.readdirDoneFn)
 }
 
 // openItem creates or opens the file.
 func (ses *session) openItem(item *workItem) {
 	if item.created && !ses.created[item.path] {
-		ses.startMeta(trace.OpCreate, item, ses.createdFn)
+		ses.mMode = vfs.WriteOnly
+		ses.startMeta(trace.OpCreate, item, (*session).createDone)
 		ses.fsys.Create(ses.ctx, item.path, ses.fdDoneFn)
 		return
 	}
@@ -708,21 +697,21 @@ func (ses *session) openItem(item *workItem) {
 		mode = vfs.ReadWrite
 	}
 	ses.mMode = mode
-	ses.startMeta(trace.OpOpen, item, ses.openedFn)
+	ses.startMeta(trace.OpOpen, item, (*session).opened)
 	ses.fsys.Open(ses.ctx, item.path, mode, ses.fdDoneFn)
 }
 
 // closeItem closes the descriptor and unlinks TEMP files whose work is
 // done, then runs k (the op loop, or the logout sweep).
-func (ses *session) closeItem(item *workItem, k func()) {
+func (ses *session) closeItem(item *workItem, k func(*session)) {
 	ses.closeK = k
-	ses.startMeta(trace.OpClose, item, ses.closedFn)
+	ses.startMeta(trace.OpClose, item, (*session).closed)
 	ses.fsys.Close(ses.ctx, item.fd, ses.metaDoneFn)
 }
 
 // seekTo issues and records a seek to the given offset, delivering the
 // seek's error to k.
-func (ses *session) seekTo(item *workItem, target int64, k func(error)) {
+func (ses *session) seekTo(item *workItem, target int64, k func(*session, error)) {
 	ses.startMeta(trace.OpSeek, item, k)
 	ses.fsys.Seek(ses.ctx, item.fd, target, vfs.SeekStart, ses.seekDoneFn)
 }
@@ -752,7 +741,7 @@ func (ses *session) transfer(item *workItem) {
 		// clamp so the file keeps its size (growth is what NEW models).
 		if !item.created {
 			if item.offset >= item.size {
-				ses.seekTo(item, 0, ses.rewoundFn)
+				ses.seekTo(item, 0, (*session).rewound)
 				return
 			}
 			if n > item.size-item.offset {
@@ -776,7 +765,7 @@ func (ses *session) transfer(item *workItem) {
 	if item.cat.RandomAccess() && item.size > 0 {
 		if item.seekNext || item.offset >= item.size {
 			ses.seekTarget = ses.r.Int63n(item.size)
-			ses.seekTo(item, ses.seekTarget, ses.randSeekedFn)
+			ses.seekTo(item, ses.seekTarget, (*session).randSeeked)
 			return
 		}
 		item.seekNext = true // after the read below, reposition again
@@ -785,7 +774,7 @@ func (ses *session) transfer(item *workItem) {
 	// Sequential read; rewind at EOF (re-reads are how access-per-byte
 	// exceeds one).
 	if item.offset >= item.size {
-		ses.seekTo(item, 0, ses.rewoundFn)
+		ses.seekTo(item, 0, (*session).rewound)
 		return
 	}
 	ses.startData(trace.OpRead, item, n)
@@ -794,7 +783,7 @@ func (ses *session) transfer(item *workItem) {
 // reopenForRead closes a write-only descriptor and reopens the file
 // read-only so the remaining byte budget can be read back.
 func (ses *session) reopenForRead(item *workItem) {
-	ses.startMeta(trace.OpClose, item, ses.reopenClosedF)
+	ses.startMeta(trace.OpClose, item, (*session).reopenClosed)
 	ses.fsys.Close(ses.ctx, item.fd, ses.metaDoneFn)
 }
 
@@ -811,11 +800,11 @@ func (ses *session) finishLoop() {
 		ses.finIdx++
 		if item.open {
 			item.remain = 0
-			ses.closeItem(item, ses.finishLoopFn)
+			ses.closeItem(item, (*session).finishLoop)
 			return
 		}
 		if item.unlink && ses.created[item.path] && item.remain > 0 {
-			ses.startMeta(trace.OpUnlink, item, ses.finUnlinkedFn)
+			ses.startMeta(trace.OpUnlink, item, (*session).finUnlinked)
 			ses.fsys.Unlink(ses.ctx, item.path, ses.metaDoneFn)
 			return
 		}
@@ -881,7 +870,7 @@ func (ses *session) dataDone(got int64, err error) {
 // call's result adapter funnels into metaDone, which emits the record and
 // dispatches k. Ops within a session are strictly sequential, so the
 // single set of in-flight fields never overlaps.
-func (ses *session) startMeta(op trace.Op, item *workItem, k func(error)) {
+func (ses *session) startMeta(op trace.Op, item *workItem, k func(*session, error)) {
 	ses.mOp, ses.mItem, ses.mK = op, item, k
 	ses.mStart = ses.ctx.Now()
 }
@@ -896,7 +885,7 @@ func (ses *session) metaDone(err error) {
 	}
 	ses.fillRec(ses.mOp, ses.mItem, ses.mStart, err)
 	ses.emit(&ses.rec)
-	ses.mK(err)
+	ses.mK(ses, err)
 }
 
 // fillRec fills the pooled record in place for an op on item that started
@@ -950,7 +939,7 @@ func (s *Simulator) RunUnderSim(env *sim.Env) (int, error) {
 			}
 			st := &stream{sim: s, name: fmt.Sprintf("user%d.%d", u, w), user: u, utype: types[u],
 				life: ls, first: first, count: count, started: &started}
-			env.Start(st.name, st.run)
+			env.Start(st.name, st.run) //wlint:allow hotalloc once per session stream, before the run
 		}
 	}
 	err := env.Run(sim.Forever)
@@ -994,7 +983,7 @@ type stream struct {
 func (st *stream) run(p *sim.Proc, done sim.K) {
 	st.p, st.done = p, done
 	if st.life != nil && st.life.arriveAt > 0 {
-		p.Hold(st.life.arriveAt, st.boot)
+		p.Hold(st.life.arriveAt, st.boot) //wlint:allow hotalloc once per session stream, at its process start
 		return
 	}
 	st.boot()
@@ -1022,10 +1011,10 @@ func (st *stream) boot() {
 	// moment the handle starts the next one. With concurrent sessions,
 	// windows of one user interleave, so sharing a handle across them
 	// would break contiguity.
-	st.emit = s.sink.Stream(st.user).Emit
+	st.emit = s.sink.Stream(st.user).Emit //wlint:allow hotalloc once per session stream, at its boot
 	st.r = rng.Derive(s.spec.Seed, st.name)
 	st.ar = s.getArena()
-	st.nextFn = st.next
+	st.nextFn = st.next //wlint:allow hotalloc once per session stream, at its boot; every session's continuation
 	if st.life != nil {
 		st.life.arm(st.p.Now())
 	}

@@ -426,3 +426,15 @@ func TestSelectFilesSizingAllocs(t *testing.T) {
 		t.Errorf("selectFiles allocates %v times sizing 32 files, %v sizing 2", many, few)
 	}
 }
+
+// arenaSink keeps TestArenaCost's arenas on the heap.
+var arenaSink *arena
+
+// TestArenaCost pins what making a session arena costs: the arena, its
+// created set and the seven continuations the session hands to Hold or to
+// a FileSystem.
+func TestArenaCost(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { arenaSink = newArena() }); n > 9 {
+		t.Errorf("newArena: %v allocations, want at most 9", n)
+	}
+}

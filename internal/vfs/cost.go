@@ -84,6 +84,19 @@ func NewLocalCost(env *sim.Env, cfg LocalCostConfig, ns *MemFS) *LocalCost {
 // Cache exposes the block cache for inspection by tests and reports.
 func (lc *LocalCost) Cache() *cache.LRU { return lc.cache }
 
+// Idle returns an error while fewer call states are on the free list than
+// the local file system made: a call in flight, or a state never recycled.
+func (lc *LocalCost) Idle() error {
+	free := 0
+	for op := lc.opFree; op != nil; op = op.next {
+		free++
+	}
+	if n := lc.opsMade - free; n != 0 {
+		return fmt.Errorf("vfs: %d of the local file system's %d call states are not on its free list", n, lc.opsMade)
+	}
+	return nil
+}
+
 // metaKind names the namespace call a metadata call makes after its charge.
 type metaKind uint8
 
@@ -99,13 +112,14 @@ const (
 
 // localOp is the defunctionalized state of one LocalCost call: a metadata
 // call's kind, arguments and typed continuation, or a read's or write's
-// cache walk, disk pass and byte count. Its continuations are bound to
-// method values once, when the state is first allocated, and the state is
-// recycled through the LocalCost's free list before the caller's
-// continuation runs, so a call holds one state and a steady-state call
-// allocates nothing. The schedule points (hold durations, acquire order) are
-// the ones of the closures it replaced, so event order, and every rendered
-// byte, is unchanged.
+// cache walk, disk pass and byte count. It binds one continuation when it
+// is first allocated, which runs the pending step, and a hold or acquire
+// sets that step from a method expression. The state is recycled through
+// the LocalCost's free list before the caller's continuation runs, so a
+// call holds one state and a steady-state call allocates nothing. The
+// schedule points (hold durations, acquire order) are the ones of the
+// closures it replaced, so event order, and every rendered byte, is
+// unchanged.
 type localOp struct {
 	lc   *LocalCost
 	next *localOp // free list link
@@ -130,24 +144,17 @@ type localOp struct {
 	write          bool
 	kN             func(int64, error)
 
-	metaFn     func()
-	walkFn     func()
-	acquiredFn func()
-	releasedFn func()
-	doneFn     func()
+	step     func(*localOp) // what the pending continuation runs
+	resumeFn func()         // op.resume, bound once when the state is made
 }
 
 // getOp pops a recycled call state or allocates one, binding its
-// continuations once.
+// continuation once.
 func (lc *LocalCost) getOp(ctx Ctx) *localOp {
 	op := lc.opFree
 	if op == nil {
 		op = &localOp{lc: lc}
-		op.metaFn = op.meta
-		op.walkFn = op.walk
-		op.acquiredFn = op.acquired
-		op.releasedFn = op.released
-		op.doneFn = op.done
+		op.resumeFn = op.resume //wlint:allow hotalloc once per state made; the free list reuses it for every call
 		lc.opsMade++
 	} else {
 		lc.opFree = op.next
@@ -157,40 +164,49 @@ func (lc *LocalCost) getOp(ctx Ctx) *localOp {
 }
 
 // putOp returns a finished call state to the free list, dropping its
-// references to the caller.
+// references to the caller and its step.
 func (lc *LocalCost) putOp(op *localOp) {
-	op.ctx, op.path = nil, ""
+	op.ctx, op.path, op.step = nil, "", nil
 	op.kErr, op.kFD, op.kInfo, op.kDir, op.kN = nil, nil, nil, nil, nil
 	op.next = lc.opFree
 	lc.opFree = op
+}
+
+// resume runs the pending step.
+func (op *localOp) resume() { op.step(op) }
+
+// then returns the state's one continuation, set to run step.
+func (op *localOp) then(step func(*localOp)) func() {
+	op.step = step
+	return op.resumeFn
 }
 
 // Mkdir creates a directory. Parents must already exist.
 func (lc *LocalCost) Mkdir(ctx Ctx, path string, k func(error)) {
 	op := lc.getOp(ctx)
 	op.kind, op.path, op.kErr = metaMkdir, path, k
-	ctx.Hold(lc.cfg.MetaTime, op.metaFn)
+	ctx.Hold(lc.cfg.MetaTime, op.then((*localOp).meta))
 }
 
 // Create creates (or truncates) a regular file and opens it write-only.
 func (lc *LocalCost) Create(ctx Ctx, path string, k func(FD, error)) {
 	op := lc.getOp(ctx)
 	op.kind, op.path, op.kFD = metaCreate, path, k
-	ctx.Hold(lc.cfg.MetaTime, op.metaFn)
+	ctx.Hold(lc.cfg.MetaTime, op.then((*localOp).meta))
 }
 
 // Open opens an existing regular file.
 func (lc *LocalCost) Open(ctx Ctx, path string, mode OpenMode, k func(FD, error)) {
 	op := lc.getOp(ctx)
 	op.kind, op.path, op.mode, op.kFD = metaOpen, path, mode, k
-	ctx.Hold(lc.cfg.MetaTime, op.metaFn)
+	ctx.Hold(lc.cfg.MetaTime, op.then((*localOp).meta))
 }
 
 // Close releases the descriptor.
 func (lc *LocalCost) Close(ctx Ctx, fd FD, k func(error)) {
 	op := lc.getOp(ctx)
 	op.kind, op.fd, op.kErr = metaClose, fd, k
-	ctx.Hold(lc.cfg.MetaTime, op.metaFn)
+	ctx.Hold(lc.cfg.MetaTime, op.then((*localOp).meta))
 }
 
 // Unlink removes a file name. Data reachable through open descriptors
@@ -198,21 +214,21 @@ func (lc *LocalCost) Close(ctx Ctx, fd FD, k func(error)) {
 func (lc *LocalCost) Unlink(ctx Ctx, path string, k func(error)) {
 	op := lc.getOp(ctx)
 	op.kind, op.path, op.kErr = metaUnlink, path, k
-	ctx.Hold(lc.cfg.MetaTime, op.metaFn)
+	ctx.Hold(lc.cfg.MetaTime, op.then((*localOp).meta))
 }
 
 // Stat returns metadata for a path.
 func (lc *LocalCost) Stat(ctx Ctx, path string, k func(FileInfo, error)) {
 	op := lc.getOp(ctx)
 	op.kind, op.path, op.kInfo = metaStat, path, k
-	ctx.Hold(lc.cfg.MetaTime, op.metaFn)
+	ctx.Hold(lc.cfg.MetaTime, op.then((*localOp).meta))
 }
 
 // ReadDir lists a directory in lexical order.
 func (lc *LocalCost) ReadDir(ctx Ctx, path string, k func([]string, error)) {
 	op := lc.getOp(ctx)
 	op.kind, op.path, op.kDir = metaReadDir, path, k
-	ctx.Hold(lc.cfg.MetaTime, op.metaFn)
+	ctx.Hold(lc.cfg.MetaTime, op.then((*localOp).meta))
 }
 
 // meta makes a metadata call's namespace call once its charge is paid. The
@@ -300,11 +316,11 @@ func (op *localOp) walk() {
 		if op.write && !lc.cfg.WriteThrough {
 			// Write-behind: install the block, charge a memory copy.
 			lc.cache.Access(id)
-			op.ctx.Hold(lc.cfg.HitPerBlock, op.walkFn)
+			op.ctx.Hold(lc.cfg.HitPerBlock, op.then((*localOp).walk))
 			return
 		}
 		if lc.cache.Access(id) {
-			op.ctx.Hold(lc.cfg.HitPerBlock, op.walkFn)
+			op.ctx.Hold(lc.cfg.HitPerBlock, op.then((*localOp).walk))
 			return
 		}
 		op.missBlocks++
@@ -321,10 +337,10 @@ func (op *localOp) finish() {
 	lc := op.lc
 	p, inSim := op.ctx.(*sim.Proc)
 	if inSim && lc.diskRes != nil {
-		lc.diskRes.Acquire(p, op.acquiredFn)
+		lc.diskRes.Acquire(p, op.then((*localOp).acquired))
 		return
 	}
-	op.ctx.Hold(lc.arm.Access(op.fileBase(), op.first*lc.cfg.Disk.BlockSize, op.missBytes()), op.doneFn)
+	op.ctx.Hold(lc.arm.Access(op.fileBase(), op.first*lc.cfg.Disk.BlockSize, op.missBytes()), op.then((*localOp).done))
 }
 
 // acquired holds for the disk service time. The arm moves only here, after
@@ -332,7 +348,7 @@ func (op *localOp) finish() {
 // closure form.
 func (op *localOp) acquired() {
 	lc := op.lc
-	op.ctx.Hold(lc.arm.Access(op.fileBase(), op.first*lc.cfg.Disk.BlockSize, op.missBytes()), op.releasedFn)
+	op.ctx.Hold(lc.arm.Access(op.fileBase(), op.first*lc.cfg.Disk.BlockSize, op.missBytes()), op.then((*localOp).released))
 }
 
 func (op *localOp) released() {

@@ -185,6 +185,17 @@ func TestMemOpReentrantMatchesBare(t *testing.T) {
 	}
 }
 
+// TestLocalOpCost pins what making a call state costs: taken from an
+// emptied free list and put back, it allocates the state and its one bound
+// continuation.
+func TestLocalOpCost(t *testing.T) {
+	lc := NewLocalCost(nil, testCostConfig(), NewMemFS())
+	cycle := func() { lc.opFree = nil; lc.putOp(lc.getOp(nil)) }
+	if n := testing.AllocsPerRun(100, cycle); n != 2 {
+		t.Errorf("getOp on an empty free list: %v allocations, want 2", n)
+	}
+}
+
 // BenchmarkMemFSOp times one open/read/write/close cycle through the local
 // file system over a MemFS namespace on a synchronous clock, all cache hits.
 func BenchmarkMemFSOp(b *testing.B) {
