@@ -16,6 +16,7 @@ import (
 	"uswg/internal/dist"
 	"uswg/internal/gds"
 	"uswg/internal/report"
+	"uswg/internal/sim"
 	"uswg/internal/trace"
 	"uswg/internal/validate"
 	"uswg/internal/vfs"
@@ -165,7 +166,7 @@ func cmdScript(args []string) error {
 	_ = fs.Parse(args)
 
 	cfg := baseline.ScriptConfig{Dirs: *dirs, FilesPerDir: *files, FileSize: *size, Chunk: 4096}
-	local := vfs.NewLocalCost(nil, vfs.DefaultLocalCostConfig(), vfs.NewMemFS(vfs.WithMaxFDs(1<<20)))
+	local := vfs.NewLocalCost(sim.NewEnv(), vfs.DefaultLocalCostConfig(), vfs.NewMemFS(vfs.WithMaxFDs(1<<20)))
 	ctx := &vfs.ManualClock{}
 	var log trace.Log
 	if err := baseline.Script(ctx, local, "/bench", cfg, &log, 0); err != nil {

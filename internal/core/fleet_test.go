@@ -194,10 +194,11 @@ func TestPooledWarmingCost(t *testing.T) {
 // and without workstation crashes; on two islands of two pool clients with
 // crashes, where a crash on a shared slot closes a co-tenant's descriptors
 // while its call may be in flight; and on the local file system with
-// crashes. No descriptor is left open on the shared namespace shadow, every
-// server, link and client op state is back on its free list (the local
-// file system's call states too), and a lazy population holds no private
-// client — every user's workstation left with its stream.
+// crashes. No descriptor is left open on the shared namespace shadow, no
+// nfsd pool or disk arm is held or queued for, every link and client op
+// state is back on its free list (the local file system's arm and call
+// states too), and a lazy population holds no private client — every
+// user's workstation left with its stream.
 func TestRunEndsWithoutLeaks(t *testing.T) {
 	type row struct {
 		name               string

@@ -244,6 +244,40 @@ func TestFSLatencySpikeForwards(t *testing.T) {
 	}
 }
 
+// crashCounter is a file system that models workstation crashes by
+// counting them.
+type crashCounter struct {
+	vfs.FileSystem
+	crashes int
+}
+
+func (c *crashCounter) Crash() { c.crashes++ }
+
+// TestFSForwardsCrash: the wrapper forwards a crash to a vfs.Crasher exactly
+// once, and over a file system that models none (MemFS) it does nothing. A
+// crash is not a call: no rule evaluates, even one matching every op.
+func TestFSForwardsCrash(t *testing.T) {
+	e := mustEngine(t, &Plan{Name: "p", Rules: []Rule{
+		{Name: "any", Ops: []string{"*"}, Prob: 1, Err: EIO},
+	}}, 1)
+	cr := &crashCounter{FileSystem: vfs.NewMemFS()}
+	NewFS(cr, e).Crash()
+	if cr.crashes != 1 {
+		t.Errorf("wrapped Crasher crashed %d times, want 1", cr.crashes)
+	}
+	m, fd := memFSWithFile(t)
+	NewFS(m, e).Crash()
+	if n := m.OpenFDs(); n != 1 {
+		t.Errorf("crash through the wrapper left %d descriptors open on a MemFS, want its 1", n)
+	}
+	if got, err := (&vfs.Sync{FS: m}).Read(&vfs.ManualClock{}, fd, 10); got != 10 || err != nil {
+		t.Errorf("read after the crash = (%d, %v), want (10, nil)", got, err)
+	}
+	if e.Calls() != 0 {
+		t.Errorf("crashes evaluated %d calls, want 0", e.Calls())
+	}
+}
+
 // TestCloseDoesNotConsumeErrorRules: Close cannot deliver an error, so an
 // error rule matching close must keep its stream and fire budget for calls
 // that can.

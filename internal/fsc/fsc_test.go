@@ -8,6 +8,7 @@ import (
 	"uswg/internal/config"
 	"uswg/internal/gds"
 	"uswg/internal/rng"
+	"uswg/internal/sim"
 	"uswg/internal/vfs"
 )
 
@@ -209,7 +210,7 @@ func TestBuildChargesTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys := vfs.NewLocalCost(nil, vfs.DefaultLocalCostConfig(), vfs.NewMemFS(vfs.WithMaxFDs(1<<20)))
+	fsys := vfs.NewLocalCost(sim.NewEnv(), vfs.DefaultLocalCostConfig(), vfs.NewMemFS(vfs.WithMaxFDs(1<<20)))
 	ctx := &vfs.ManualClock{}
 	if _, err := Build(ctx, fsys, spec, tables, rng.New(2)); err != nil {
 		t.Fatal(err)

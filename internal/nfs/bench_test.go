@@ -12,11 +12,7 @@ import (
 // page walk's memory-copy hold. The offset is rewound through the shadow,
 // which charges nothing, between reads.
 func BenchmarkClientRead(b *testing.B) {
-	srv, err := NewServer(nil, testServerConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := newClient(srv, nil, cachedClientConfig(), vfs.NewMemFS())
+	c := newSyncClient(b, cachedClientConfig())
 	ctx := &vfs.ManualClock{}
 	fs := vfs.Sync{FS: c}
 	fd, err := fs.Create(ctx, "/f")

@@ -12,8 +12,9 @@ import (
 // ClientConfig parameterizes the simulated NFS client (the SUN 3/50
 // workstation side).
 type ClientConfig struct {
-	// Net is the link model used when the client is constructed without a
-	// shared Link (and for charging outside a DES).
+	// Net is the wire's model: NewFleet builds each island's link from it,
+	// and a client on a synchronous clock charges its wire time from it
+	// without queueing.
 	Net netsim.Config
 	// WireBlock is the maximum data bytes per read/write RPC. NFSv2 used
 	// 8 KiB transfers.
@@ -100,7 +101,7 @@ type Client struct {
 	cfg     ClientConfig
 	backing *vfs.MemFS
 	server  *Server
-	link    *netsim.Link // nil outside a DES
+	link    *netsim.Link
 
 	attrs map[string]float64 // path -> expiry time, µs
 
@@ -132,7 +133,10 @@ type Client struct {
 // Every vfs.FileSystem entry point takes one state from the pool, runs
 // every RPC of the call on it (metadata RPCs, fetches, write-through
 // pushes and flushes alike), and recycles it immediately before
-// delivering its result, so a call holds exactly one state.
+// delivering its result, so a call holds exactly one state. The server
+// serves each RPC on the same state (serveMeta, serveData): request
+// transfer, service and reply are one chain, so the state never has two
+// continuations out.
 type opState struct {
 	c   *Client
 	ctx vfs.Ctx
@@ -176,6 +180,11 @@ type opState struct {
 	write           bool
 	after           func(*opState) // runs when the transfer loop completes
 
+	// Server state: the step that runs once the RPC is served (its reply),
+	// and the disk pass's first block and miss count.
+	sNext         func(*opState)
+	sFirst, sMiss int64
+
 	step     func(*opState) // what the pending continuation runs
 	resumeFn func()         // st.resume, bound once when the state is made
 }
@@ -200,6 +209,7 @@ func (c *Client) getOp(ctx vfs.Ctx) *opState {
 func (c *Client) putOp(st *opState) {
 	st.ctx = nil
 	st.step = nil
+	st.sNext = nil
 	st.k = nil
 	st.kFD = nil
 	st.kInfo = nil
@@ -289,9 +299,7 @@ func (st *opState) loop() {
 }
 
 // req runs when the request reaches the server.
-func (st *opState) req() {
-	st.c.server.DataCall(st.ctx, st.ino, st.curOff, st.curN, st.write, st.then((*opState).rep))
-}
+func (st *opState) req() { st.serveData((*opState).rep) }
 
 // rep sends the reply back: data-bearing for reads, small for writes.
 func (st *opState) rep() {
@@ -319,11 +327,11 @@ var _ vfs.FileSystem = (*Client)(nil)
 
 // newClient returns a client of server over link whose namespace shadow is
 // backing, from arguments its caller has already checked: a valid cfg and a
-// non-nil server and backing. Several clients sharing one backing model the
-// thesis's testbed — one SUN 3/50 workstation per user, each with its own
-// page and attribute caches, all mounting the same server over the same
-// wire. link may be nil (outside a DES, or for an uncontended wire), in
-// which case wire time is charged from cfg.Net without queueing.
+// non-nil server, link and backing. Several clients sharing one backing
+// model the thesis's testbed — one SUN 3/50 workstation per user, each with
+// its own page and attribute caches, all mounting the same server over the
+// same wire. Under the DES the client's messages queue for link; on a
+// synchronous clock wire time is charged from cfg.Net without queueing.
 func newClient(server *Server, link *netsim.Link, cfg ClientConfig, backing *vfs.MemFS) *Client {
 	c := &Client{
 		cfg:     cfg,
@@ -351,7 +359,7 @@ func (c *Client) Flushes() int64 { return c.flushes }
 // xfer moves n payload bytes (plus the header) across the wire, then runs k.
 func (c *Client) xfer(ctx vfs.Ctx, n int64, k func()) {
 	total := n + c.cfg.HeaderBytes
-	if p, ok := ctx.(*sim.Proc); ok && c.link != nil {
+	if p, ok := ctx.(*sim.Proc); ok {
 		c.link.Transfer(p, total, k)
 		return
 	}
@@ -368,7 +376,7 @@ func (st *opState) rpcMeta(reply int64, k func(*opState)) {
 }
 
 // metaReq runs when the metadata request reaches the server.
-func (st *opState) metaReq() { st.c.server.MetaCall(st.ctx, st.then((*opState).metaRep)) }
+func (st *opState) metaReq() { st.serveMeta((*opState).metaRep) }
 
 // metaRep sends the reply back.
 func (st *opState) metaRep() { st.c.xfer(st.ctx, st.mReply, st.then(st.mK)) }

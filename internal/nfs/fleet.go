@@ -192,15 +192,19 @@ func (f *Fleet) Release(user int) {
 // pool).
 func (f *Fleet) Resident() int { return len(f.private) }
 
-// Idle names the first island server, link or pool client, in island
-// order, then the first resident private client, whose free list holds
-// fewer op states than it made: a call still in flight, or a state that
-// was never recycled. It returns nil when every state is back, as at the
-// end of a run.
+// Idle names, in island order, the first island whose nfsd pool or disk
+// arm is held or has callers queued, or whose link or pool client holds
+// fewer transfer or op states on its free list than it made, then the first
+// resident private client that does: a call still in flight, or one that
+// never released or recycled what it took. It returns nil when every
+// resource is free and every state is back, as at the end of a run.
 func (f *Fleet) Idle() error {
 	for i, isl := range f.islands {
-		if n := isl.Server.callsMade - len(isl.Server.pool); n != 0 {
-			return fmt.Errorf("nfs: island %d server: %d of its %d call states are not on its free list", i, n, isl.Server.callsMade)
+		if d := isl.Server.nfsd; d.InUse() > 0 || d.QueueLen() > 0 {
+			return fmt.Errorf("nfs: island %d server: its nfsd pool has %d held and %d queued", i, d.InUse(), d.QueueLen())
+		}
+		if a := isl.Server.diskRes; a.InUse() > 0 || a.QueueLen() > 0 {
+			return fmt.Errorf("nfs: island %d server: its disk arm has %d held and %d queued", i, a.InUse(), a.QueueLen())
 		}
 		if n := isl.Link.InFlight(); n != 0 {
 			return fmt.Errorf("nfs: island %d link: %d of its transfer states are not on its free list", i, n)

@@ -243,3 +243,32 @@ func TestPooledCrashClosesCoTenantFD(t *testing.T) {
 		t.Errorf("co-tenant close after crash = %v, want ErrBadFD", err)
 	}
 }
+
+// TestFleetIdleNamesHeldResource: a call that keeps an island's daemon or
+// disk arm past the end of a run is a leak Idle names, though every op and
+// transfer state is back on its free list.
+func TestFleetIdleNamesHeldResource(t *testing.T) {
+	for _, tc := range []struct {
+		res  func(*Server) *sim.Resource
+		want string
+	}{
+		{func(s *Server) *sim.Resource { return s.nfsd }, "nfs: island 0 server: its nfsd pool has 1 held and 0 queued"},
+		{func(s *Server) *sim.Resource { return s.diskRes }, "nfs: island 0 server: its disk arm has 1 held and 0 queued"},
+	} {
+		env := sim.NewEnv()
+		f, err := NewFleet(env, FleetConfig{Servers: 2, Pool: 1, Server: testServerConfig(), Client: testClientConfig()}, 1, vfs.NewMemFS())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Idle(); err != nil {
+			t.Fatalf("a new fleet is not idle: %v", err)
+		}
+		env.Start("holder", func(p *sim.Proc, fin sim.K) { tc.res(f.islands[0].Server).Acquire(p, fin) })
+		if err := env.Run(sim.Forever); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Idle(); err == nil || err.Error() != tc.want {
+			t.Errorf("Idle = %v, want %q", err, tc.want)
+		}
+	}
+}

@@ -68,11 +68,20 @@ func readUnderSim(t *testing.T, env *sim.Env, c *Client, path string, n int64, d
 
 func newTestClient(t *testing.T) *Client {
 	t.Helper()
-	srv, err := NewServer(nil, testServerConfig())
+	return newSyncClient(t, testClientConfig())
+}
+
+// newSyncClient returns a client with cfg of its own server and link, on a
+// fresh env. A test that drives it on a synchronous clock never acquires
+// the server's daemons or arm, nor the link.
+func newSyncClient(tb testing.TB, cfg ClientConfig) *Client {
+	tb.Helper()
+	env := sim.NewEnv()
+	srv, err := NewServer(env, testServerConfig())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return newClient(srv, nil, testClientConfig(), vfs.NewMemFS())
+	return newClient(srv, netsim.NewLink(env, cfg.Net), cfg, vfs.NewMemFS())
 }
 
 // mkFile creates a file of the given size through the client, without
@@ -280,11 +289,7 @@ func TestAttrCacheSuppressesLookups(t *testing.T) {
 func TestAttrCacheExpires(t *testing.T) {
 	cfg := testClientConfig()
 	cfg.AttrCacheTimeout = 50
-	srv, err := NewServer(nil, testServerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newClient(srv, nil, cfg, vfs.NewMemFS())
+	c := newSyncClient(t, cfg)
 	mkFile(t, c, "/f", 100)
 	ctx := &vfs.ManualClock{T: 1e6} // long after creation
 	before := c.RPCs()
@@ -340,13 +345,15 @@ func TestReadAtEOFIsFree(t *testing.T) {
 // backing namespace, the way every user's client shares it.
 func sharedClients(t *testing.T) (a, b *Client, srv *Server) {
 	t.Helper()
-	srv, err := NewServer(nil, testServerConfig())
+	env := sim.NewEnv()
+	srv, err := NewServer(env, testServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	link := netsim.NewLink(env, cachedClientConfig().Net)
 	backing := vfs.NewMemFS()
-	a = newClient(srv, nil, cachedClientConfig(), backing)
-	b = newClient(srv, nil, cachedClientConfig(), backing)
+	a = newClient(srv, link, cachedClientConfig(), backing)
+	b = newClient(srv, link, cachedClientConfig(), backing)
 	return a, b, srv
 }
 
@@ -493,7 +500,9 @@ func TestNFSDContentionUnderSim(t *testing.T) {
 }
 
 func TestMoreNFSDsReduceWait(t *testing.T) {
-	// With as many daemons as users, queueing at the pool disappears.
+	// With as many daemons as users, queueing at the pool disappears. The
+	// wire charges no per-byte time and its latency hold follows the wire's
+	// release, so no message waits on it.
 	run := func(nfsds int) sim.Time {
 		env := sim.NewEnv()
 		cfg := testServerConfig()
@@ -503,7 +512,7 @@ func TestMoreNFSDsReduceWait(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := newClient(srv, nil, testClientConfig(), vfs.NewMemFS())
+		c := newClient(srv, netsim.NewLink(env, netsim.Config{LatencyPerMessage: 100}), testClientConfig(), vfs.NewMemFS())
 		for i := 0; i < 4; i++ {
 			mkFile(t, c, "/f"+string(rune('0'+i)), 4096)
 		}

@@ -18,11 +18,7 @@ func cachedClientConfig() ClientConfig {
 
 func newCachedClient(t *testing.T) *Client {
 	t.Helper()
-	srv, err := NewServer(nil, testServerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return newClient(srv, nil, cachedClientConfig(), vfs.NewMemFS())
+	return newSyncClient(t, cachedClientConfig())
 }
 
 func TestClientCacheMakesRereadsCheap(t *testing.T) {
@@ -205,11 +201,7 @@ func TestOneOpStatePerCall(t *testing.T) {
 		cfg := cachedClientConfig()
 		cfg.WriteBehind = behind
 		cfg.AttrCacheTimeout = 0 // every Stat is a getattr RPC
-		srv, err := NewServer(nil, testServerConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := newClient(srv, nil, cfg, vfs.NewMemFS())
+		c := newSyncClient(t, cfg)
 		ctx := &vfs.ManualClock{}
 		fs := cs(c)
 		if err := fs.Mkdir(ctx, "/d"); err != nil {
@@ -245,23 +237,12 @@ func TestOneOpStatePerCall(t *testing.T) {
 }
 
 // TestStateCost pins what making a pooled state costs: a client op state
-// or a server call state taken from an emptied free list and put back
-// allocates the state and its one bound continuation.
+// taken from an emptied free list and put back allocates the state and its
+// one bound continuation. The server serves its RPCs on the same state.
 func TestStateCost(t *testing.T) {
-	srv, err := NewServer(nil, testServerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newClient(srv, nil, cachedClientConfig(), vfs.NewMemFS())
-	for _, tc := range []struct {
-		name  string
-		cycle func()
-	}{
-		{"Client.getOp", func() { c.ops = c.ops[:0]; c.putOp(c.getOp(nil)) }},
-		{"Server.getCall", func() { srv.pool = srv.pool[:0]; srv.putCall(srv.getCall(nil)) }},
-	} {
-		if n := testing.AllocsPerRun(100, tc.cycle); n != 2 {
-			t.Errorf("%s on an empty free list: %v allocations, want 2", tc.name, n)
-		}
+	c := newSyncClient(t, cachedClientConfig())
+	cycle := func() { c.ops = c.ops[:0]; c.putOp(c.getOp(nil)) }
+	if n := testing.AllocsPerRun(100, cycle); n != 2 {
+		t.Errorf("Client.getOp on an empty free list: %v allocations, want 2", n)
 	}
 }

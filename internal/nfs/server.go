@@ -68,21 +68,19 @@ func (c ServerConfig) Validate() error {
 }
 
 // Server is the simulated file server: a pool of nfsd daemons in front of a
-// block cache and one disk arm. When constructed without a DES environment
-// it charges service times without queueing (useful in unit tests).
+// block cache and one disk arm. It keeps no per-call state: its clients
+// serve each RPC on the calling op state (opState.serveMeta and serveData),
+// which reaches the server's daemons, cache, arm, staller and counters
+// through its client. Under the DES a call queues for a daemon and, on a
+// miss, for the arm; on a synchronous clock neither is acquired, and
+// service is charged without queueing.
 type Server struct {
 	cfg     ServerConfig
-	nfsd    *sim.Resource // nil outside a DES
-	diskRes *sim.Resource // nil outside a DES
+	nfsd    *sim.Resource
+	diskRes *sim.Resource
 	arm     *disk.Arm
 	cache   *cache.LRU
 	staller Staller
-
-	// pool is the free list of callStates (guarded by the DES scheduler:
-	// exactly one simulated process runs at a time). callsMade counts the
-	// states ever made; all are on pool when idle.
-	pool      []*callState
-	callsMade int
 
 	calls     int64
 	dataCalls int64
@@ -100,22 +98,19 @@ type Staller interface {
 	Stall(now float64) float64
 }
 
-// NewServer returns a server. env may be nil, in which case RPCs are charged
-// without contention.
+// NewServer returns a server whose daemons and disk arm are resources of
+// env.
 func NewServer(env *sim.Env, cfg ServerConfig) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg:   cfg,
-		arm:   disk.NewArm(cfg.Disk),
-		cache: cache.NewLRU(cfg.CacheBlocks),
-	}
-	if env != nil {
-		s.nfsd = sim.NewResource(env, cfg.NFSDs)
-		s.diskRes = sim.NewResource(env, 1)
-	}
-	return s, nil
+	return &Server{
+		cfg:     cfg,
+		nfsd:    sim.NewResource(env, cfg.NFSDs),
+		diskRes: sim.NewResource(env, 1),
+		arm:     disk.NewArm(cfg.Disk),
+		cache:   cache.NewLRU(cfg.CacheBlocks),
+	}, nil
 }
 
 // SetStaller attaches a stall source. Call before the measured run.
@@ -149,144 +144,62 @@ func (s *Server) Calls() int64 { return s.calls }
 // DataCalls returns the number of read/write RPCs served.
 func (s *Server) DataCalls() int64 { return s.dataCalls }
 
-// NFSDUtilization returns the time-averaged utilization of the daemon pool
-// (0 outside a DES).
-func (s *Server) NFSDUtilization() float64 {
-	if s.nfsd == nil {
-		return 0
-	}
-	return s.nfsd.Utilization()
-}
+// NFSDUtilization returns the time-averaged utilization of the daemon pool.
+func (s *Server) NFSDUtilization() float64 { return s.nfsd.Utilization() }
 
-// MeanNFSDWait returns the mean queueing delay for a daemon (0 outside a DES).
-func (s *Server) MeanNFSDWait() float64 {
-	if s.nfsd == nil {
-		return 0
-	}
-	return s.nfsd.MeanWait()
-}
+// MeanNFSDWait returns the mean queueing delay for a daemon.
+func (s *Server) MeanNFSDWait() float64 { return s.nfsd.MeanWait() }
 
-// rel releases an acquired resource (nil-safe).
-func rel(held *sim.Resource) {
-	if held != nil {
-		held.Release()
-	}
-}
-
-// callState carries one in-flight RPC's service state through the daemon
-// pool, CPU holds, block cache, and disk arm. States are pooled per server
-// and bind one continuation when made, which runs the pending step (the
-// same idiom as the client's opState): serving an RPC allocates nothing in
-// steady state. The DES runs one process at a time, so the free list needs
-// no lock; each concurrent call in service (up to NFSDs, plus queued
-// callers) holds its own state.
-type callState struct {
-	s     *Server
-	ctx   vfs.Ctx
-	ino   uint64
-	off   int64
-	n     int64
-	write bool
-	k     func()
-
-	nfsd *sim.Resource // held daemon slot (nil outside a DES)
-	disk *sim.Resource // held disk arm (nil until acquired)
-
-	first      int64
-	missBlocks int64
-
-	step     func(*callState) // what the pending continuation runs
-	resumeFn func()           // st.resume, bound once when the state is made
-}
-
-// getCall pops a pooled call state (or makes one, binding its continuation).
-func (s *Server) getCall(ctx vfs.Ctx) *callState {
-	var st *callState
-	if n := len(s.pool); n > 0 {
-		st = s.pool[n-1]
-		s.pool = s.pool[:n-1]
-	} else {
-		st = &callState{s: s}
-		st.resumeFn = st.resume //wlint:allow hotalloc once per state made; the pool reuses it for every call
-		s.callsMade++
-	}
-	st.ctx = ctx
-	return st
-}
-
-// putCall returns a finished call state to the pool, dropping the step.
-func (s *Server) putCall(st *callState) {
-	st.ctx = nil
-	st.step = nil
-	st.k = nil
-	st.nfsd = nil
-	st.disk = nil
-	s.pool = append(s.pool, st)
-}
-
-// resume runs the pending step.
-func (st *callState) resume() { st.step(st) }
-
-// then returns the state's one continuation, set to run step.
-func (st *callState) then(step func(*callState)) func() {
-	st.step = step
-	return st.resumeFn
-}
-
-// MetaCall serves a metadata RPC (lookup, getattr, create, remove, ...),
-// then runs k.
-func (s *Server) MetaCall(ctx vfs.Ctx, k func()) {
+// serveMeta serves a metadata RPC (lookup, getattr, create, remove, ...) on
+// the calling op state, then runs next. An RPC is one linear chain (request,
+// service, reply), so the server's steps share the state's one step field.
+func (st *opState) serveMeta(next func(*opState)) {
+	s := st.c.server
 	s.calls++
-	st := s.getCall(ctx)
-	st.k = k
-	if p, ok := ctx.(*sim.Proc); ok && s.nfsd != nil {
-		st.nfsd = s.nfsd
-		s.nfsd.Acquire(p, st.then((*callState).metaGranted))
+	st.sNext = next
+	if p, ok := st.ctx.(*sim.Proc); ok {
+		s.nfsd.Acquire(p, st.then((*opState).metaGranted))
 		return
 	}
 	st.metaGranted()
 }
 
-// metaGranted runs once a daemon slot is held (or immediately outside a DES).
-func (st *callState) metaGranted() {
-	s := st.s
-	st.ctx.Hold(s.cfg.CPUPerCall+s.stall(st.ctx), st.then((*callState).finish))
+// metaGranted charges the per-call CPU once a daemon is held.
+func (st *opState) metaGranted() {
+	s := st.c.server
+	st.ctx.Hold(s.cfg.CPUPerCall+s.stall(st.ctx), st.then((*opState).served))
 }
 
-// DataCall serves a read or write RPC of n bytes at offset off of inode ino,
-// then runs k. Reads miss to disk through the block cache; writes go through
-// the cache and, under write-through, to disk before the RPC completes.
-func (s *Server) DataCall(ctx vfs.Ctx, ino uint64, off, n int64, write bool, k func()) {
+// serveData serves a read or write RPC of the state's current chunk (curN
+// bytes at curOff of inode ino), then runs next. Reads miss to disk through
+// the block cache; writes go through the cache and, under write-through, to
+// disk before the RPC completes.
+func (st *opState) serveData(next func(*opState)) {
+	s := st.c.server
 	s.calls++
 	s.dataCalls++
-	st := s.getCall(ctx)
-	st.ino, st.off, st.n, st.write, st.k = ino, off, n, write, k
-	if p, ok := ctx.(*sim.Proc); ok && s.nfsd != nil {
-		st.nfsd = s.nfsd
-		s.nfsd.Acquire(p, st.then((*callState).dataGranted))
+	st.sNext = next
+	if p, ok := st.ctx.(*sim.Proc); ok {
+		s.nfsd.Acquire(p, st.then((*opState).dataGranted))
 		return
 	}
 	st.dataGranted()
 }
 
-// dataGranted charges the per-call CPU once a daemon slot is held.
-func (st *callState) dataGranted() {
-	s := st.s
-	nblocks := s.cfg.Disk.Blocks(st.off, st.n)
-	st.ctx.Hold(s.cfg.CPUPerCall+float64(nblocks)*s.cfg.CPUPerBlock+s.stall(st.ctx), st.then((*callState).dataServe))
+// dataGranted charges the per-call and per-block CPU once a daemon is held.
+func (st *opState) dataGranted() {
+	s := st.c.server
+	nblocks := s.cfg.Disk.Blocks(st.curOff, st.curN)
+	st.ctx.Hold(s.cfg.CPUPerCall+float64(nblocks)*s.cfg.CPUPerBlock+s.stall(st.ctx), st.then((*opState).serverWalk))
 }
 
-// dataServe walks the blocks through the cache and goes to disk for misses
-// (and, under write-through, for every written block).
-func (st *callState) dataServe() {
-	s := st.s
-	if st.n <= 0 {
-		st.finish()
-		return
-	}
+// serverWalk walks the chunk's blocks through the server cache and goes to
+// disk for misses (and, under write-through, for every written block).
+func (st *opState) serverWalk() {
+	s := st.c.server
 	bs := s.cfg.Disk.BlockSize
-	first := st.off / bs
-	last := (st.off + st.n - 1) / bs
+	first := st.curOff / bs
+	last := (st.curOff + st.curN - 1) / bs
 	var missBlocks int64
 	for b := first; b <= last; b++ {
 		id := cache.BlockID{File: st.ino, Block: b}
@@ -302,40 +215,42 @@ func (st *callState) dataServe() {
 		}
 	}
 	if missBlocks == 0 {
-		st.finish()
+		st.served()
 		return
 	}
-	st.first, st.missBlocks = first, missBlocks
-	if p, ok := st.ctx.(*sim.Proc); ok && s.diskRes != nil {
-		st.disk = s.diskRes
-		s.diskRes.Acquire(p, st.then((*callState).diskGranted))
+	st.sFirst, st.sMiss = first, missBlocks
+	if p, ok := st.ctx.(*sim.Proc); ok {
+		s.diskRes.Acquire(p, st.then((*opState).diskGranted))
 		return
 	}
 	st.diskGranted()
 }
 
 // diskGranted seeks and transfers the missing blocks once the arm is held.
-func (st *callState) diskGranted() {
-	s := st.s
+func (st *opState) diskGranted() {
+	s := st.c.server
 	bs := s.cfg.Disk.BlockSize
 	// Files are separated by 2^20 blocks so distinct files never look
 	// sequential to the arm.
 	fileBase := int64(st.ino) << 20
-	st.ctx.Hold(s.arm.Access(fileBase, st.first*bs, st.missBlocks*bs), st.then((*callState).diskDone))
+	st.ctx.Hold(s.arm.Access(fileBase, st.sFirst*bs, st.sMiss*bs), st.then((*opState).diskDone))
 }
 
-// diskDone releases the arm and completes the RPC.
-func (st *callState) diskDone() {
-	rel(st.disk)
-	st.finish()
+// diskDone releases the arm (held only under the DES) and completes the RPC.
+func (st *opState) diskDone() {
+	if _, ok := st.ctx.(*sim.Proc); ok {
+		st.c.server.diskRes.Release()
+	}
+	st.served()
 }
 
-// finish releases the daemon and delivers the reply.
-func (st *callState) finish() {
-	rel(st.nfsd)
-	k := st.k
-	st.s.putCall(st)
-	k()
+// served releases the daemon (held only under the DES) and runs the RPC's
+// next step, its reply.
+func (st *opState) served() {
+	if _, ok := st.ctx.(*sim.Proc); ok {
+		st.c.server.nfsd.Release()
+	}
+	st.sNext(st)
 }
 
 // Restart models the server coming back from a crash: all daemon state is

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"uswg/internal/disk"
+	"uswg/internal/netsim"
 	"uswg/internal/sim"
+	"uswg/internal/vfs"
 )
 
 // onceStaller stalls the first call by D and leaves the rest healthy.
@@ -19,6 +21,21 @@ func (s *onceStaller) Stall(float64) float64 {
 	}
 	s.used = true
 	return s.D
+}
+
+// getattr returns a call that stats the root through a client of srv whose
+// own costs are zero (no CPU, an instant wire, no attribute cache), so each
+// call is one getattr RPC whose time is all the server's, then runs k.
+func getattr(t *testing.T, env *sim.Env, srv *Server) func(p *sim.Proc, k func()) {
+	c := newClient(srv, netsim.NewLink(env, netsim.Config{}), ClientConfig{WireBlock: 8192}, vfs.NewMemFS())
+	return func(p *sim.Proc, k func()) {
+		c.Stat(p, "/", func(_ vfs.FileInfo, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			k()
+		})
+	}
 }
 
 // TestStallQueuesOtherClients verifies that a stalled nfsd holds the daemon
@@ -37,11 +54,12 @@ func TestStallQueuesOtherClients(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv.SetStaller(&onceStaller{D: stall})
+		stat := getattr(t, env, srv)
 		var done [2]sim.Time
 		for i := 0; i < 2; i++ {
 			i := i
 			env.Start("c", func(p *sim.Proc, fin sim.K) {
-				srv.MetaCall(p, func() {
+				stat(p, func() {
 					done[i] = p.Now()
 					fin()
 				})
@@ -75,9 +93,10 @@ func TestStallCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.SetStaller(&onceStaller{D: 1234})
+	stat := getattr(t, env, srv)
 	env.Start("c", func(p *sim.Proc, fin sim.K) {
-		srv.MetaCall(p, func() {
-			srv.MetaCall(p, fin)
+		stat(p, func() {
+			stat(p, fin)
 		})
 	})
 	if err := env.Run(sim.Forever); err != nil {

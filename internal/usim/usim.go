@@ -494,8 +494,6 @@ func (ses *session) reopenClosed(error) {
 	ses.fsys.Open(ses.ctx, item.path, vfs.ReadOnly, ses.fdDoneFn)
 }
 
-func (ses *session) finUnlinked(error) { ses.finishLoop() }
-
 // selectFiles performs the per-category draw: with probability PercentUsers
 // the user touches the category this session, sampling how many files and,
 // per file, how much of it to access (access-per-byte x file size).
@@ -787,8 +785,12 @@ func (ses *session) reopenForRead(item *workItem) {
 	ses.fsys.Close(ses.ctx, item.fd, ses.metaDoneFn)
 }
 
-// finish closes any descriptors still open at logout and unlinks leftover
-// TEMP files, then hands control back to the session's done continuation.
+// finish closes any descriptors still open at logout, then hands control
+// back to the session's done continuation. Closing a TEMP file unlinks it
+// (closed). A created TEMP file that is not open at logout has no budget
+// left, so the sweep unlinks nothing else: the file stays open until its
+// budget runs out, and reopenForRead either reopens it or drops its budget.
+// A crash ends the session without this sweep.
 func (ses *session) finish() {
 	ses.finIdx = 0
 	ses.finishLoop()
@@ -801,11 +803,6 @@ func (ses *session) finishLoop() {
 		if item.open {
 			item.remain = 0
 			ses.closeItem(item, (*session).finishLoop)
-			return
-		}
-		if item.unlink && ses.created[item.path] && item.remain > 0 {
-			ses.startMeta(trace.OpUnlink, item, (*session).finUnlinked)
-			ses.fsys.Unlink(ses.ctx, item.path, ses.metaDoneFn)
 			return
 		}
 	}

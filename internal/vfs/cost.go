@@ -18,8 +18,9 @@ type LocalCostConfig struct {
 	MetaTime float64
 	// HitPerBlock is the memory-copy cost of a cached block, µs.
 	HitPerBlock float64
-	// WriteThrough forces synchronous writes to disk. A local UNIX file
-	// system uses write-behind (false); NFSv2 servers write through (true).
+	// WriteThrough forces synchronous writes to disk: every written block
+	// goes to disk, cached or not. A local UNIX file system uses
+	// write-behind (false); NFSv2 servers write through (true).
 	WriteThrough bool
 }
 
@@ -48,45 +49,47 @@ func DefaultLocalCostConfig() LocalCostConfig {
 // its own time. A metadata call holds for MetaTime, then makes the
 // namespace call. A read or write advances the descriptor at once, then
 // charges each cached block and one disk pass for the misses; Seek charges
-// nothing. When attached to a DES environment the disk is a contended
-// resource; otherwise disk time is charged without queueing. Every user
-// shares the one local file system, so its descriptors carry no owner and
-// it is no Crasher: a crashed session's own descriptors are closed one by
-// one. (The name dates from when it was a cost model that a MemFS charged
-// through; reports and benchmarks know it by that name.)
+// nothing. Under the DES a disk pass queues for the arm; on a synchronous
+// clock disk time is charged without queueing. Every user shares the one
+// local file system, so its descriptors carry no owner and it is no
+// Crasher: a crashed session's own descriptors are closed one by one. (The
+// name dates from when it was a cost model that a MemFS charged through;
+// reports and benchmarks know it by that name.)
 type LocalCost struct {
 	cfg     LocalCostConfig
 	ns      Bare
 	arm     *disk.Arm
 	cache   *cache.LRU
-	diskRes *sim.Resource // nil outside a DES
-	opFree  *localOp      // free list of call states (single-threaded under the DES)
-	opsMade int           // states ever allocated; all are on opFree when idle
+	diskRes *sim.Resource
+	opFree  *localOp // free list of call states (single-threaded under the DES)
+	opsMade int      // states ever allocated; all are on opFree when idle
 }
 
 var _ FileSystem = (*LocalCost)(nil)
 
-// NewLocalCost returns the local file system over namespace ns. env may be
-// nil, in which case disk accesses are charged without contention.
+// NewLocalCost returns the local file system over namespace ns, whose disk
+// arm is a resource of env.
 func NewLocalCost(env *sim.Env, cfg LocalCostConfig, ns *MemFS) *LocalCost {
-	lc := &LocalCost{
-		cfg:   cfg,
-		ns:    ns.Bare(),
-		arm:   disk.NewArm(cfg.Disk),
-		cache: cache.NewLRU(cfg.CacheBlocks),
+	return &LocalCost{
+		cfg:     cfg,
+		ns:      ns.Bare(),
+		arm:     disk.NewArm(cfg.Disk),
+		cache:   cache.NewLRU(cfg.CacheBlocks),
+		diskRes: sim.NewResource(env, 1),
 	}
-	if env != nil {
-		lc.diskRes = sim.NewResource(env, 1)
-	}
-	return lc
 }
 
 // Cache exposes the block cache for inspection by tests and reports.
 func (lc *LocalCost) Cache() *cache.LRU { return lc.cache }
 
-// Idle returns an error while fewer call states are on the free list than
-// the local file system made: a call in flight, or a state never recycled.
+// Idle returns an error while the disk arm is held or has callers queued,
+// or while fewer call states are on the free list than the local file
+// system made: a call in flight, or one that never released the arm or
+// recycled its state.
 func (lc *LocalCost) Idle() error {
+	if a := lc.diskRes; a.InUse() > 0 || a.QueueLen() > 0 {
+		return fmt.Errorf("vfs: the local file system's disk arm has %d held and %d queued", a.InUse(), a.QueueLen())
+	}
 	free := 0
 	for op := lc.opFree; op != nil; op = op.next {
 		free++
@@ -282,9 +285,10 @@ func (lc *LocalCost) Write(ctx Ctx, fd FD, n int64, k func(int64, error)) {
 // descriptor has already advanced over, then delivers n. An error or an
 // empty transfer delivers at once and charges nothing. Each cached block
 // costs a memory copy; writes under write-behind are absorbed by the cache,
-// and under write-through every written block goes to disk. The walk holds
-// between cache touches, so concurrent processes interleave with this one
-// block by block, and the misses go to disk in one pass at the end.
+// and under write-through every written block is installed and goes to
+// disk, with no memory-copy charge. The walk holds between cache touches,
+// so concurrent processes interleave with this one block by block, and the
+// misses go to disk in one pass at the end.
 func (lc *LocalCost) transfer(ctx Ctx, ino uint64, off, n int64, write bool, err error, k func(int64, error)) {
 	if err != nil || n == 0 {
 		k(0, err)
@@ -313,9 +317,13 @@ func (op *localOp) walk() {
 	for op.b <= op.last {
 		id := cache.BlockID{File: op.ino, Block: op.b}
 		op.b++
-		if op.write && !lc.cfg.WriteThrough {
-			// Write-behind: install the block, charge a memory copy.
-			lc.cache.Access(id)
+		if op.write {
+			lc.cache.Access(id) // install the block
+			if lc.cfg.WriteThrough {
+				op.missBlocks++ // every written block goes to disk
+				continue
+			}
+			// Write-behind: charge a memory copy.
 			op.ctx.Hold(lc.cfg.HitPerBlock, op.then((*localOp).walk))
 			return
 		}
@@ -335,8 +343,7 @@ func (op *localOp) finish() {
 		return
 	}
 	lc := op.lc
-	p, inSim := op.ctx.(*sim.Proc)
-	if inSim && lc.diskRes != nil {
+	if p, ok := op.ctx.(*sim.Proc); ok {
 		lc.diskRes.Acquire(p, op.then((*localOp).acquired))
 		return
 	}

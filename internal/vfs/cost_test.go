@@ -35,7 +35,7 @@ func localFile(tb testing.TB, cfg LocalCostConfig, size int64, mode OpenMode) (*
 	if err := b.Close(fd, nil); err != nil {
 		tb.Fatal(err)
 	}
-	lc := NewLocalCost(nil, cfg, ns)
+	lc := NewLocalCost(sim.NewEnv(), cfg, ns)
 	s := Sync{FS: lc}
 	if fd, err = s.Open(&ManualClock{}, "/f", mode); err != nil {
 		tb.Fatal(err)
@@ -131,17 +131,32 @@ func TestLocalCostWriteBehindIsCheap(t *testing.T) {
 	}
 }
 
+// TestLocalCostWriteThroughHitsDisk: under write-through every written
+// block goes to disk, a rewrite of a cached block included, and stays
+// cached for reads.
 func TestLocalCostWriteThroughHitsDisk(t *testing.T) {
 	cfg := testCostConfig()
 	cfg.WriteThrough = true
-	lc, fd := localFile(t, cfg, 0, WriteOnly)
-	ctx := &ManualClock{}
+	lc, fd := localFile(t, cfg, 0, ReadWrite)
 	s := Sync{FS: lc}
-	if _, err := s.Write(ctx, fd, 4096); err != nil {
+	for _, pass := range []string{"write", "rewrite"} {
+		ctx := &ManualClock{}
+		if _, err := s.Write(ctx, fd, 4096); err != nil {
+			t.Fatal(err)
+		}
+		if ctx.Now() < 1000 {
+			t.Errorf("write-through %s charged %v, want disk-scale cost", pass, ctx.Now())
+		}
+		if _, err := s.Seek(ctx, fd, 0, SeekStart); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := &ManualClock{}
+	if _, err := s.Read(read, fd, 4096); err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Now() < 1000 {
-		t.Errorf("write-through charged %v, want disk-scale cost", ctx.Now())
+	if read.Now() != 1 {
+		t.Errorf("read after write-through charged %v, want 1 (hit cost)", read.Now())
 	}
 }
 
@@ -301,10 +316,28 @@ func TestLocalCostDiskContentionUnderSim(t *testing.T) {
 	}
 }
 
+// TestLocalCostIdleNamesHeldArm: a call that keeps the disk arm past the
+// end of a run is a leak Idle names, though every call state is back.
+func TestLocalCostIdleNamesHeldArm(t *testing.T) {
+	env := sim.NewEnv()
+	lc := NewLocalCost(env, testCostConfig(), NewMemFS())
+	if err := lc.Idle(); err != nil {
+		t.Fatalf("a new local file system is not idle: %v", err)
+	}
+	env.Start("holder", func(p *sim.Proc, fin sim.K) { lc.diskRes.Acquire(p, fin) })
+	if err := env.Run(sim.Forever); err != nil {
+		t.Fatal(err)
+	}
+	want := "vfs: the local file system's disk arm has 1 held and 0 queued"
+	if err := lc.Idle(); err == nil || err.Error() != want {
+		t.Errorf("Idle with the arm held = %v, want %q", err, want)
+	}
+}
+
 // TestMemFSWithCostChargesReads: the local file system over a MemFS
 // namespace charges reads, where the MemFS alone charges nothing.
 func TestMemFSWithCostChargesReads(t *testing.T) {
-	for _, fsys := range []FileSystem{NewLocalCost(nil, testCostConfig(), NewMemFS()), NewMemFS()} {
+	for _, fsys := range []FileSystem{NewLocalCost(sim.NewEnv(), testCostConfig(), NewMemFS()), NewMemFS()} {
 		fs := Sync{FS: fsys}
 		ctx := &ManualClock{}
 		fd, err := fs.Create(ctx, "/f")

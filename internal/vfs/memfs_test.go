@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"uswg/internal/cache"
+	"uswg/internal/sim"
 )
 
 // syncMemFS drives a MemFS through the Sync adapter (ManualClock never
@@ -373,7 +374,7 @@ func TestFDLimit(t *testing.T) {
 // local file system, its cached block, and links no new file. The lookup
 // and directory errors still come first.
 func TestRefusedCreateLeavesNamespace(t *testing.T) {
-	lc := NewLocalCost(nil, testCostConfig(), NewMemFS(WithMaxFDs(1)))
+	lc := NewLocalCost(sim.NewEnv(), testCostConfig(), NewMemFS(WithMaxFDs(1)))
 	fs := Sync{FS: lc}
 	ctx := &ManualClock{}
 	fd, err := fs.Create(ctx, "/a")

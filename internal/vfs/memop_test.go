@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"uswg/internal/sim"
 )
 
 // freeOps counts the call states on the LocalCost free list.
@@ -19,7 +21,7 @@ func freeOps(lc *LocalCost) int {
 // clock.
 func chargedFile(tb testing.TB) (*LocalCost, *ManualClock) {
 	tb.Helper()
-	m := NewLocalCost(nil, testCostConfig(), NewMemFS())
+	m := NewLocalCost(sim.NewEnv(), testCostConfig(), NewMemFS())
 	ctx := &ManualClock{}
 	fs := Sync{FS: m}
 	fd, err := fs.Create(ctx, "/f")
@@ -174,7 +176,7 @@ func chainOps(ctx Ctx, fs FileSystem) []string {
 // the continuation runs, so the nested op reuses it, and every result must
 // still match the cost-free Bare facade.
 func TestMemOpReentrantMatchesBare(t *testing.T) {
-	m := NewLocalCost(nil, testCostConfig(), NewMemFS())
+	m := NewLocalCost(sim.NewEnv(), testCostConfig(), NewMemFS())
 	got := chainOps(&ManualClock{}, m)
 	want := chainOps(&ManualClock{}, bareFS{NewMemFS().Bare()})
 	if !reflect.DeepEqual(got, want) {
@@ -189,7 +191,7 @@ func TestMemOpReentrantMatchesBare(t *testing.T) {
 // emptied free list and put back, it allocates the state and its one bound
 // continuation.
 func TestLocalOpCost(t *testing.T) {
-	lc := NewLocalCost(nil, testCostConfig(), NewMemFS())
+	lc := NewLocalCost(sim.NewEnv(), testCostConfig(), NewMemFS())
 	cycle := func() { lc.opFree = nil; lc.putOp(lc.getOp(nil)) }
 	if n := testing.AllocsPerRun(100, cycle); n != 2 {
 		t.Errorf("getOp on an empty free list: %v allocations, want 2", n)

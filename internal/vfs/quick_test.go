@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"uswg/internal/sim"
 )
 
 // TestQuickMemFSRandomOps drives random operation sequences in lockstep on
@@ -24,7 +26,7 @@ func TestQuickMemFSRandomOps(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		steps := 10 + int(opsRaw%400)
 		mem, ns := NewMemFS(), NewMemFS()
-		lc := NewLocalCost(nil, testCostConfig(), ns)
+		lc := NewLocalCost(sim.NewEnv(), testCostConfig(), ns)
 		plain, local := Sync{FS: mem}, Sync{FS: lc}
 		ctx := &ManualClock{}
 		ok := true
