@@ -123,7 +123,7 @@ func TestBenchmarkVsSyntheticDiversity(t *testing.T) {
 	scriptMix := func() map[trace.Op]int {
 		fs := vfs.NewMemFS(vfs.WithMaxFDs(1 << 16))
 		var log trace.Log
-		if err := baseline.Script(&vfs.ManualClock{}, fs, "/b", baseline.DefaultScriptConfig(), &log, 0); err != nil {
+		if err := baseline.Script(&vfs.ManualClock{}, fs, "/b", baseline.ScriptConfig{Dirs: 10, FilesPerDir: 7, FileSize: 16 << 10, Chunk: 4096}, &log, 0); err != nil {
 			t.Fatal(err)
 		}
 		mix := make(map[trace.Op]int)

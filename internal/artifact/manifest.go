@@ -84,16 +84,3 @@ func (m *Manifest) Write(path string) error {
 	}
 	return nil
 }
-
-// ReadManifest loads a folder's manifest.
-func ReadManifest(dir string) (*Manifest, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
-	if err != nil {
-		return nil, fmt.Errorf("artifact: %w", err)
-	}
-	var m Manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("artifact: manifest: %w", err)
-	}
-	return &m, nil
-}

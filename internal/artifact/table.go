@@ -3,7 +3,6 @@ package artifact
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -36,27 +35,4 @@ func WriteTableJSON(w io.Writer, title string, headers []string, rows [][]string
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(tableJSON{Title: title, Headers: headers, Rows: rows})
-}
-
-// ReadTableJSON loads a points/<name>.json file back into its parts.
-func ReadTableJSON(r io.Reader) (title string, headers []string, rows [][]string, err error) {
-	var t tableJSON
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return "", nil, nil, fmt.Errorf("artifact: table json: %w", err)
-	}
-	return t.Title, t.Headers, t.Rows, nil
-}
-
-// ReadTableCSV loads a points/<name>.csv file back into headers and rows.
-func ReadTableCSV(r io.Reader) (headers []string, rows [][]string, err error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	all, err := cr.ReadAll()
-	if err != nil {
-		return nil, nil, fmt.Errorf("artifact: table csv: %w", err)
-	}
-	if len(all) == 0 {
-		return nil, nil, nil
-	}
-	return all[0], all[1:], nil
 }

@@ -35,11 +35,6 @@ type ScriptConfig struct {
 	Chunk int64
 }
 
-// DefaultScriptConfig resembles the published Andrew benchmark's scale.
-func DefaultScriptConfig() ScriptConfig {
-	return ScriptConfig{Dirs: 10, FilesPerDir: 7, FileSize: 16 << 10, Chunk: 4096}
-}
-
 // Validate reports whether the configuration is usable.
 func (c ScriptConfig) Validate() error {
 	if c.Dirs < 1 || c.FilesPerDir < 1 || c.FileSize < 1 || c.Chunk < 1 {

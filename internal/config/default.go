@@ -16,16 +16,6 @@ const (
 	ThinkLight          = 20000
 )
 
-// ThinkTimeFor returns the Table 5.4 think-time spec for a user type name.
-// Zero think time is a constant (an extremely heavy I/O user never pauses);
-// the others are exponential as in §5.1.
-func ThinkTimeFor(mean float64) DistSpec {
-	if mean <= 0 {
-		return Const(0)
-	}
-	return Exp(mean)
-}
-
 // DefaultCategories returns the merged Table 5.1 (file characterization)
 // and Table 5.2 (user characterization) rows. All measures are specified as
 // their published means with exponential distributions assumed, exactly as

@@ -453,15 +453,16 @@ type Spec struct {
 	// file tree, the user's NFS client or router binding, cache warming, and
 	// the session arena — until the user's first arrival (lifecycle arrive
 	// draw, or t=0 for users with sessions), and reclaims it when the user's
-	// stream ends. Resident state becomes O(active users) instead of
-	// O(spec users), which is what makes 100k+ sparse populations tractable.
+	// stream ends. Resident state and setup become O(arriving users) instead
+	// of O(spec users): a user that never arrives costs nothing, which is
+	// what makes 100k+ sparse populations tractable.
 	// Off (eager) reproduces the published construction exactly; lazy runs
 	// are always deterministic, and bit-equal to eager ones when no cache
-	// evicts and arrivals are simultaneous — per-user file sizes are
-	// pre-drawn on the eager stream, every other per-user draw comes from a
-	// private rng stream, and t=0 materialization replays eager inode order
-	// (see DESIGN.md, "Lazy user materialization"). Simulated modes only
-	// (local or NFS, one session stream per user).
+	// evicts and arrivals are simultaneous — per-user file sizes are drawn
+	// from the eager stream in eager order, every other per-user draw comes
+	// from a private rng stream, and t=0 materialization replays eager inode
+	// order (see DESIGN.md, "Lazy user materialization"). Simulated modes
+	// only (local or NFS, one session stream per user).
 	LazyUsers bool `json:"lazy_users,omitempty"`
 
 	// Fault attaches a fault plan to the measured run: errno injection,

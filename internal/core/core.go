@@ -355,9 +355,9 @@ func (g *Generator) installLazy(s *usim.Simulator) {
 
 // materializeUser is the lazy population's arrival hook, the whole per-user
 // construction cost moved to first arrival: create the user's file tree
-// (pre-drawn sizes, uncharged setup clock), then in NFS mode bind the user
-// exactly as eager setup does. In local mode the shared file system serves
-// everyone; only the file tree is lazy.
+// (sizes drawn in eager order, uncharged setup clock), then in NFS mode
+// bind the user exactly as eager setup does. In local mode the shared file
+// system serves everyone; only the file tree is lazy.
 func (g *Generator) materializeUser(s *usim.Simulator, u int) error {
 	if err := g.inventory.MaterializeUser(u); err != nil {
 		return err

@@ -9,6 +9,7 @@ import (
 	"uswg/internal/config"
 	"uswg/internal/fault"
 	"uswg/internal/trace"
+	"uswg/internal/vfs"
 )
 
 // smallSpec returns a quick NFS spec for tests.
@@ -401,5 +402,59 @@ func TestStreamingFaultRunMatchesLogMode(t *testing.T) {
 	}
 	if !reflect.DeepEqual(logged.Analysis, streamed.Analysis) {
 		t.Error("faulted streaming Analysis diverges from log mode")
+	}
+}
+
+// TestFailedReopenUnlinksTempFile: a created TEMP file is written, then
+// reopened read-only to read back. When that reopen fails the file has no
+// descriptor and no budget left, so the session unlinks it at once; no
+// created TEMP file outlives the run.
+func TestFailedReopenUnlinksTempFile(t *testing.T) {
+	spec := smallSpec()
+	spec.Seed = 7
+	spec.Fault = &fault.Plan{Name: "reopen", Rules: []fault.Rule{{
+		Name: "eio", Ops: []string{"open"}, Prob: 0.3, Err: fault.EIO,
+	}}}
+	gen, err := NewGenerator(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gen.Run(); err != nil {
+		t.Fatal(err)
+	}
+	temp := func(cat int) bool { return spec.Categories[cat].Use == config.UseTemp }
+	failed, unlinked := map[string]bool{}, map[string]bool{}
+	for _, r := range gen.Log().Records() {
+		switch {
+		case !temp(r.Category):
+		case r.Op == trace.OpOpen && r.Err != "":
+			failed[r.Path] = true
+		case r.Op == trace.OpUnlink && r.Err == "":
+			unlinked[r.Path] = true
+		}
+	}
+	if len(failed) == 0 {
+		t.Fatal("no TEMP file's reopen failed; the check is vacuous")
+	}
+	for p := range failed {
+		if !unlinked[p] {
+			t.Errorf("TEMP file %s: reopen failed and no unlink followed", p)
+		}
+	}
+	fs := vfs.Sync{FS: gen.FS()}
+	for u := range spec.Users {
+		for cat := range spec.Categories {
+			if !temp(cat) {
+				continue
+			}
+			dir := gen.inventory.ForUser(u, cat).Dir
+			names, err := fs.ReadDir(vfs.ZeroClock{}, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(names) != 0 {
+				t.Errorf("%s holds %d created TEMP files after the run: %v", dir, len(names), names)
+			}
+		}
 	}
 }

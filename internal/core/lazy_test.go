@@ -42,9 +42,9 @@ var lazyTopologies = []struct {
 
 // TestLazyMatchesEagerByteIdentical is the lazy path's core guarantee: with
 // no cache eviction, a lazy run's full record stream, analysis, and virtual
-// duration are bit-equal to the eager run's — file sizes are pre-drawn on
-// the eager stream, every other per-user draw has a private stream, and
-// materialization replays construction in eager user order.
+// duration are bit-equal to the eager run's — file sizes are drawn from the
+// eager stream in eager order, every other per-user draw has a private
+// stream, and materialization replays construction in eager user order.
 func TestLazyMatchesEagerByteIdentical(t *testing.T) {
 	for _, tc := range lazyTopologies {
 		t.Run(tc.name, func(t *testing.T) {
@@ -174,29 +174,51 @@ func TestLazyLifecycleDeterministic(t *testing.T) {
 	}
 }
 
-// TestLazyMaterializationBoundsHeap is the memory claim at scale: a
-// 100,000-user lazy population with 1% of users ever active must stay
-// within a small multiple of a 1,000-user eager run's heap growth on the
-// same topology — per-user cost attaches to materialized users, and idle
-// users cost only their slot in a few flat index slices. On two islands of
-// private clients this also pins that a lazy user's clients are built at
-// its arrival and dropped when it leaves, not provisioned for everyone.
+// TestLazyMaterializationBoundsHeap is the memory claim at scale: a lazy
+// user costs nothing until it arrives. Each case runs one lazy spec at two
+// population sizes with the same sessions, so the same users arrive, and
+// demands the same analysis and the same heap growth within 256 KiB. A
+// structure that scaled with the population (a per-user slot in the types,
+// the session shares, the lifecycle table, pre-drawn file sizes or the
+// inventory) would show as the 900,000 or 999,000 extra users' worth of
+// it. On two islands of private clients this also pins that a lazy user's
+// clients are built at its arrival and dropped when it leaves, not
+// provisioned for everyone. The last case is the default spec with
+// arrivals spread over 5 s.
 func TestLazyMaterializationBoundsHeap(t *testing.T) {
 	if testing.Short() {
-		t.Skip("100k-user run in -short mode")
+		t.Skip("million-user runs in -short mode")
 	}
-	for _, tc := range lazyTopologies[:2] { // placement does not change what is built
+	small := func(topo *config.Topology) func(*config.Spec) {
+		return func(spec *config.Spec) {
+			spec.Sessions = 1000 // the first 1000 users hold one session each
+			spec.SystemFiles = 30
+			spec.FilesPerUser = 4
+			spec.Seed = 7
+			spec.FS.Topology = topo
+		}
+	}
+	arrive := config.DistSpec{Kind: config.KindUniform, Hi: 5e6}
+	const slack = 256 << 10
+	for _, tc := range []struct {
+		name      string
+		few, many int
+		shape     func(*config.Spec)
+	}{
+		{lazyTopologies[0].name, 100000, 1000000, small(lazyTopologies[0].topo)},
+		{lazyTopologies[1].name, 100000, 1000000, small(lazyTopologies[1].topo)}, // placement does not change what is built
+		{"default,40-sessions,arriving", 1000, 1000000, func(spec *config.Spec) {
+			spec.Sessions = 40
+			spec.UserTypes[0].Lifecycle = &config.Lifecycle{Arrive: &arrive}
+		}},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			grow := func(users int, lazy bool) uint64 {
+			grow := func(users int) (uint64, *trace.Analysis) {
 				spec := config.Default()
+				tc.shape(spec)
 				spec.Users = users
-				spec.Sessions = 1000 // the first 1000 users hold one session each
-				spec.SystemFiles = 30
-				spec.FilesPerUser = 4
-				spec.Seed = 7
 				spec.Trace = config.TraceSpec{Mode: config.TraceStream}
-				spec.FS.Topology = tc.topo
-				spec.LazyUsers = lazy
+				spec.LazyUsers = true
 				var before, after runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&before)
@@ -204,29 +226,30 @@ func TestLazyMaterializationBoundsHeap(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := gen.Run(); err != nil {
+				res, err := gen.Run()
+				if err != nil {
 					t.Fatal(err)
 				}
 				runtime.GC()
 				runtime.ReadMemStats(&after)
+				if got := gen.MaterializedUsers(); got != spec.Sessions {
+					t.Fatalf("%d users materialized, want the %d session holders", got, spec.Sessions)
+				}
 				runtime.KeepAlive(gen)
 				if after.HeapAlloc < before.HeapAlloc {
-					return 0
+					return 0, res.Analysis
 				}
-				return after.HeapAlloc - before.HeapAlloc
+				return after.HeapAlloc - before.HeapAlloc, res.Analysis
 			}
-			eager1k := grow(1000, false)
-			lazy100k := grow(100000, true)
-			// Both runs execute the same 1000 sessions; the lazy run carries
-			// 99k extra users that must each cost no more than their entries
-			// in the population-indexed slices (types, shares, pre-drawn
-			// sizes). 4x plus slack is far below the ~100x an eager 100k
-			// construction costs.
-			slack := uint64(8 << 20)
-			t.Logf("heap growth: eager 1k users %d B, lazy 100k users %d B", eager1k, lazy100k)
-			if lazy100k > 4*eager1k+slack {
-				t.Errorf("lazy 100k-user heap growth %d B exceeds 4x eager 1k-user growth %d B + slack",
-					lazy100k, eager1k)
+			few, fewAnalysis := grow(tc.few)
+			many, manyAnalysis := grow(tc.many)
+			if !reflect.DeepEqual(fewAnalysis, manyAnalysis) {
+				t.Errorf("the same sessions analyze differently at %d and %d users", tc.few, tc.many)
+			}
+			t.Logf("heap growth: %d users %d B, %d users %d B", tc.few, few, tc.many, many)
+			if many > few+slack || few > many+slack {
+				t.Errorf("heap growth differs by more than %d B between %d users (%d B) and %d users (%d B)",
+					slack, tc.few, few, tc.many, many)
 			}
 		})
 	}

@@ -13,11 +13,12 @@
 // category proportions are preserved.
 //
 // With Spec.LazyUsers the per-user trees are not created up front either:
-// Build creates the shared system tree, pre-draws every user's file sizes
-// from the eager stream (in eager order, so a lazy build is bit-equal to an
-// eager one), and MaterializeUser replays one user's tree creation on the
-// user's first arrival. Setup cost then scales with materialized users —
-// the BuildOps counter pins it.
+// Build creates the shared system tree only, and MaterializeUser creates
+// one user's tree on the user's first arrival, drawing its file sizes from
+// the eager stream on demand (in eager order, so a lazy build is bit-equal
+// to an eager one). Setup cost and memory then scale with the users that
+// arrive, not with the population: the BuildOps counter pins the first, and
+// a lazy Build allocates nothing per user.
 //
 // In the DES→workload→trace→analysis pipeline the FSC is the workload
 // stage's setup step: it populates the file system (simulated or real) the
@@ -73,8 +74,10 @@ type Inventory struct {
 	// (nil entries for USER-owned ones).
 	System []*FileSet
 	// Users holds, per user, one FileSet per USER-owned category (nil
-	// entries for OTHER-owned ones). In a lazy build a user's entry is nil
-	// until MaterializeUser creates the tree.
+	// entries for OTHER-owned ones). An eager build sizes it to the
+	// population. A lazy build starts it empty and grows it to cover the
+	// highest user materialized; a user's entry is nil until
+	// MaterializeUser creates the tree.
 	Users [][]*FileSet
 
 	// FilesCreated counts pre-created files and directories.
@@ -94,34 +97,43 @@ type Inventory struct {
 	lazy *lazyUsers
 }
 
-// lazyUsers is everything MaterializeUser needs to replay one user's tree
-// creation on demand, bit-equal to the eager build: the setup clock and
-// file system Build ran on, and every user's file sizes pre-drawn from the
-// eager stream in eager order. Pre-drawing (a few int64s per user) is what
-// makes materialization order unable to perturb any draw — the same
+// lazyUsers is everything MaterializeUser needs to create one user's tree
+// on demand, bit-equal to the eager build: the setup clock and file system
+// Build ran on, and Build's size stream, left where the eager build would
+// start drawing user sizes. Nothing draws from that stream after the users,
+// so it advances only as users arrive, in user order: materializing user u
+// first draws the sizes of every user up to u that has not drawn yet, and
+// keeps them for those users' arrivals. Every draw is then the one the
+// eager build makes, whatever order users arrive in — the same
 // stream-independence contract the user simulator's per-user rng streams
-// give its session draws.
+// give its session draws — and a user that never arrives costs nothing.
 type lazyUsers struct {
 	ctx     vfs.Ctx
 	b       *builder
 	spec    *config.Spec
 	userPct float64
-	// sizes holds the pre-drawn file sizes, perUser entries per user (the
-	// category shares are user-independent, so every user draws the same
-	// count), consumed in build order by MaterializeUser.
-	sizes   []int64
+	sample  func(catIdx int) int64 // Build's size stream
+	// counts[i] is how many sizes every user draws for category i (the
+	// category shares are user-independent), perUser their sum.
+	counts  []int
 	perUser int
+	// sizes holds the drawn sizes of users [0, drawn), perUser per user,
+	// consumed in build order by MaterializeUser.
+	sizes []int64
+	drawn int
 }
 
 // ForUser returns the file set user u draws from for category cat: the
 // user's own set for USER-owned categories, the shared system set
-// otherwise. A lazy-build user that has not materialized falls back to the
-// system set (nil for USER-owned categories) — sessions only run for
-// materialized users.
+// otherwise. A lazy-build user that has not materialized, inside the table
+// (nil entry) or past its end, falls back to the system set (nil for
+// USER-owned categories) — sessions only run for materialized users.
 func (inv *Inventory) ForUser(u, cat int) *FileSet {
-	if sets := inv.Users[u]; sets != nil {
-		if s := sets[cat]; s != nil {
-			return s
+	if u < len(inv.Users) {
+		if sets := inv.Users[u]; sets != nil {
+			if s := sets[cat]; s != nil {
+				return s
+			}
 		}
 	}
 	return inv.System[cat]
@@ -202,8 +214,9 @@ func (b *builder) filePath(dir string, i int) string {
 // characterization, charging creation time to ctx. The spec's SystemFiles
 // are split across OTHER-owned categories and each user's FilesPerUser
 // across USER-owned categories, both proportionally to PercentFiles. With
-// spec.LazyUsers only the system tree is created now; user trees wait for
-// MaterializeUser.
+// spec.LazyUsers only the system tree is created now; user trees, and the
+// draws of their file sizes from r, wait for MaterializeUser, so r must
+// stay the inventory's own.
 func Build(ctx vfs.Ctx, fsys vfs.FileSystem, spec *config.Spec, tables *gds.TableSet, r *rand.Rand) (*Inventory, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -215,10 +228,7 @@ func Build(ctx vfs.Ctx, fsys vfs.FileSystem, spec *config.Spec, tables *gds.Tabl
 	for i := range spec.Categories {
 		b.slugs[i] = slug(&spec.Categories[i])
 	}
-	inv := &Inventory{
-		System: make([]*FileSet, len(spec.Categories)),
-		Users:  make([][]*FileSet, spec.Users),
-	}
+	inv := &Inventory{System: make([]*FileSet, len(spec.Categories))}
 
 	// Partition the file budget within each ownership class.
 	var userPct, otherPct float64
@@ -253,38 +263,28 @@ func Build(ctx vfs.Ctx, fsys vfs.FileSystem, spec *config.Spec, tables *gds.Tabl
 	}
 
 	if spec.LazyUsers {
-		// Defer the user trees: pre-draw every user's sizes from the same
-		// stream, in the exact order the eager loop below would have, so a
-		// later MaterializeUser replays creation bit-equally no matter when
-		// (or whether) each user arrives. Every user draws counts[i] sizes
-		// for category i.
-		counts := make([]int, len(spec.Categories))
-		perUser := 0
+		// Defer the user trees, and their size draws with them: every user
+		// draws counts[i] sizes for category i, in the order the eager
+		// loop below would, when MaterializeUser needs them.
+		lz := &lazyUsers{
+			ctx: ctx, b: b, spec: spec, userPct: userPct, sample: sample,
+			counts: make([]int, len(spec.Categories)),
+		}
 		for i := range spec.Categories {
 			c := &spec.Categories[i]
 			if c.Owner != config.OwnerUser || c.IsDir() ||
 				c.Use == config.UseNew || c.Use == config.UseTemp {
 				continue
 			}
-			counts[i] = share(spec.FilesPerUser, c.PercentFiles, userPct)
-			perUser += counts[i]
+			lz.counts[i] = share(spec.FilesPerUser, c.PercentFiles, userPct)
+			lz.perUser += lz.counts[i]
 		}
-		sizes := make([]int64, 0, perUser*spec.Users)
-		for u := 0; u < spec.Users; u++ {
-			for i, count := range counts {
-				for j := 0; j < count; j++ {
-					sizes = append(sizes, sample(i))
-				}
-			}
-		}
-		inv.lazy = &lazyUsers{
-			ctx: ctx, b: b, spec: spec, userPct: userPct,
-			sizes: sizes, perUser: perUser,
-		}
+		inv.lazy = lz
 		inv.BuildOps = b.fs.Calls()
 		return inv, nil
 	}
 
+	inv.Users = make([][]*FileSet, spec.Users)
 	for u := 0; u < spec.Users; u++ {
 		sets, err := buildUser(ctx, b, spec, u, userPct, sample, inv)
 		if err != nil {
@@ -298,13 +298,20 @@ func Build(ctx vfs.Ctx, fsys vfs.FileSystem, spec *config.Spec, tables *gds.Tabl
 }
 
 // MaterializeUser creates user u's private file tree on demand, exactly as
-// the eager build would have (pre-drawn sizes, same paths), charging the
-// setup clock Build ran on. Idempotent; a no-op for eager inventories. The
-// caller (the DES-driven generator) serializes calls.
+// the eager build would have (the same size draws, the same paths),
+// charging the setup clock Build ran on. Idempotent; a no-op for eager
+// inventories. The caller (the DES-driven generator) serializes calls.
 func (inv *Inventory) MaterializeUser(u int) error {
 	lz := inv.lazy
-	if lz == nil || inv.Users[u] != nil {
+	if lz == nil || (u < len(inv.Users) && inv.Users[u] != nil) {
 		return nil
+	}
+	for ; lz.drawn <= u; lz.drawn++ {
+		for i, count := range lz.counts {
+			for range count {
+				lz.sizes = append(lz.sizes, lz.sample(i))
+			}
+		}
 	}
 	queue := lz.sizes[u*lz.perUser : (u+1)*lz.perUser]
 	next := 0
@@ -318,6 +325,9 @@ func (inv *Inventory) MaterializeUser(u int) error {
 	inv.BuildOps += lz.b.fs.Calls() - before
 	if err != nil {
 		return err
+	}
+	if u >= len(inv.Users) {
+		inv.Users = append(inv.Users, make([][]*FileSet, u+1-len(inv.Users))...)
 	}
 	inv.Users[u] = sets
 	inv.UsersBuilt++

@@ -2,6 +2,7 @@ package fsc
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -258,6 +259,85 @@ func TestBuildDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("category %d differs across identical builds: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestLazyBuildDrawsOnDemand: a lazy Build draws no user's file sizes and
+// allocates no per-user table, so it costs the same at a million users as
+// at a thousand; materializing users out of order then gives each the sets
+// and file sizes the eager build gives it, because the size stream still
+// advances in user order.
+func TestLazyBuildDrawsOnDemand(t *testing.T) {
+	build := func(users int, lazy bool) (*Inventory, *vfs.MemFS, uint64) {
+		t.Helper()
+		spec := config.Default()
+		spec.Users = users
+		spec.LazyUsers = lazy
+		tables, err := gds.BuildTables(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fsys := vfs.NewMemFS(vfs.WithMaxFDs(1 << 20))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		inv, err := Build(&vfs.ManualClock{}, fsys, spec, tables, rng.New(spec.Seed))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inv, fsys, after.TotalAlloc - before.TotalAlloc
+	}
+
+	_, _, few := build(1000, true)
+	inv, _, many := build(1000000, true)
+	t.Logf("lazy Build allocated %d B at 1,000 users, %d B at 1,000,000", few, many)
+	if cap(inv.Users) != 0 || inv.UsersBuilt != 0 {
+		t.Errorf("lazy Build made a %d-slot user table and built %d users, want none", cap(inv.Users), inv.UsersBuilt)
+	}
+	if many > few+64<<10 {
+		t.Errorf("lazy Build at 1,000,000 users allocated %d B, against %d B at 1,000", many, few)
+	}
+
+	eager, efs, _ := build(10, false)
+	lazy, lfs, _ := build(10, true)
+	order := []int{5, 2, 9}
+	for _, u := range order {
+		if err := lazy.MaterializeUser(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(lazy.Users) != 10 || lazy.UsersBuilt != len(order) {
+		t.Fatalf("lazy inventory covers %d users with %d built, want 10 covered, %d built", len(lazy.Users), lazy.UsersBuilt, len(order))
+	}
+	ctx := vfs.ZeroClock{}
+	for u := range 10 {
+		built := u == 2 || u == 5 || u == 9
+		for cat, e := range eager.Users[u] {
+			l := lazy.ForUser(u, cat)
+			if e == nil || !built {
+				if l != lazy.System[cat] {
+					t.Errorf("user %d category %d: unbuilt or shared set is not the system set", u, cat)
+				}
+				continue
+			}
+			if l.Dir != e.Dir || l.Quota != e.Quota || strings.Join(l.Paths, " ") != strings.Join(e.Paths, " ") {
+				t.Fatalf("user %d category %d: lazy set %s (%d of %d) differs from eager %s (%d of %d)",
+					u, cat, l.Dir, len(l.Paths), l.Quota, e.Dir, len(e.Paths), e.Quota)
+			}
+			for _, p := range e.Paths {
+				ei, err := (&vfs.Sync{FS: efs}).Stat(ctx, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				li, err := (&vfs.Sync{FS: lfs}).Stat(ctx, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ei.Size != li.Size || ei.IsDir != li.IsDir {
+					t.Errorf("%s: lazy size %d (dir %v), eager %d (dir %v)", p, li.Size, li.IsDir, ei.Size, ei.IsDir)
+				}
+			}
 		}
 	}
 }

@@ -12,3 +12,7 @@ func SetupAttrs(mount vfs.FileSystem) []int {
 	}
 	return n
 }
+
+// Resident reports how many private clients the fleet holds (0 with a
+// pool).
+func (f *Fleet) Resident() int { return len(f.private) }

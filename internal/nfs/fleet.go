@@ -109,9 +109,6 @@ func (f *Fleet) Islands() []*Island { return f.islands }
 // clients.
 func (f *Fleet) Pooled() bool { return f.private == nil }
 
-// Backing returns the shared namespace shadow.
-func (f *Fleet) Backing() *vfs.MemFS { return f.backing }
-
 // dirOf returns the parent directory of path ("/" for top-level names).
 func dirOf(path string) string {
 	i := strings.LastIndexByte(path, '/')
@@ -188,16 +185,14 @@ func (f *Fleet) Release(user int) {
 	}
 }
 
-// Resident reports how many private clients the fleet holds (0 with a
-// pool).
-func (f *Fleet) Resident() int { return len(f.private) }
-
 // Idle names, in island order, the first island whose nfsd pool or disk
 // arm is held or has callers queued, or whose link or pool client holds
 // fewer transfer or op states on its free list than it made, then the first
 // resident private client that does: a call still in flight, or one that
-// never released or recycled what it took. It returns nil when every
-// resource is free and every state is back, as at the end of a run.
+// never released or recycled what it took. Last it counts the descriptors
+// still open on the namespace shadow, which every session closes by its
+// end. It returns nil when every resource is free, every state is back and
+// no descriptor is open, as at the end of a run.
 func (f *Fleet) Idle() error {
 	for i, isl := range f.islands {
 		if d := isl.Server.nfsd; d.InUse() > 0 || d.QueueLen() > 0 {
@@ -220,6 +215,9 @@ func (f *Fleet) Idle() error {
 			return fmt.Errorf("nfs: user %d's client on island %d: %d of its %d op states are not on its free list",
 				key/len(f.islands), key%len(f.islands), c.opsMade-len(c.ops), c.opsMade)
 		}
+	}
+	if n := f.backing.OpenFDs(); n != 0 {
+		return fmt.Errorf("nfs: %d descriptors left open on the namespace shadow", n)
 	}
 	return nil
 }

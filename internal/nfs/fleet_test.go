@@ -272,3 +272,28 @@ func TestFleetIdleNamesHeldResource(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetIdleNamesOpenDescriptor: a descriptor left open on the namespace
+// shadow is a leak Idle names, though every state is back on its free list.
+func TestFleetIdleNamesOpenDescriptor(t *testing.T) {
+	f := testFleet(t, 2, 0, 2, false)
+	ctx := &vfs.ManualClock{}
+	if err := (&vfs.Sync{FS: f.SetupFS()}).Mkdir(ctx, "/u1"); err != nil {
+		t.Fatal(err)
+	}
+	fsys := vfs.Sync{FS: f.FSForUser(1)}
+	fd, err := fsys.Create(ctx, "/u1/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "nfs: 1 descriptors left open on the namespace shadow"
+	if err := f.Idle(); err == nil || err.Error() != want {
+		t.Errorf("Idle with a descriptor open = %v, want %q", err, want)
+	}
+	if err := fsys.Close(ctx, fd); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Idle(); err != nil {
+		t.Errorf("Idle after the close = %v", err)
+	}
+}

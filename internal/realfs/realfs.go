@@ -104,21 +104,11 @@ func New(dir string) (*FS, error) {
 	}, nil
 }
 
-// Root returns the sandbox root.
-func (f *FS) Root() string { return f.root }
-
 // SetHooks attaches (or, with nil, detaches) the fault-injection hooks.
 func (f *FS) SetHooks(h *Hooks) {
 	f.mu.Lock()
 	f.hooks = h
 	f.mu.Unlock()
-}
-
-// EINTRRetries returns how many interrupted syscall attempts were retried.
-func (f *FS) EINTRRetries() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.eintrRetries
 }
 
 // attempt runs fn as one host syscall with the Before hook applied and EINTR

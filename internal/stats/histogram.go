@@ -46,9 +46,6 @@ func (h *Histogram) binOf(x float64) int {
 	return i
 }
 
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
 // BinWidth returns the width of each bin.
 func (h *Histogram) BinWidth() float64 {
 	return (h.Max - h.Min) / float64(len(h.Counts))

@@ -32,7 +32,8 @@ import (
 //
 // Determinism: each user's lifecycle draws come from a private stream
 // derived from (seed, "life.user<N>"), built once in initLifecycle for
-// eager and lazy populations alike, in a fixed order — arrive, depart at
+// every user that can arrive (all of an eager population, the session
+// holders of a lazy one), in a fixed order — arrive, depart at
 // construction; then MTTF at each boot and MTTR at each crash, which the
 // single-threaded DES schedule serializes identically every run. The
 // timeline is a pure function of the spec, byte-identical at any sweep
@@ -130,8 +131,10 @@ func (ls *lifeState) drain(ses *session) {
 }
 
 // initLifecycle compiles each user type's lifecycle distributions and draws
-// every user's arrival and departure times. Called from New only when the
-// spec carries a lifecycle, so static specs take no extra rng draws.
+// the arrival and departure times of every user that can arrive; the
+// lifecycle table covers those users and no more, so a lazy population's
+// idle users cost nothing here. Called from New only when the spec carries
+// a lifecycle, so static specs take no extra rng draws.
 func (s *Simulator) initLifecycle() error {
 	type compiled struct {
 		arrive, depart, mttf, mttr dist.Distribution
@@ -165,25 +168,22 @@ func (s *Simulator) initLifecycle() error {
 		}
 		byType[ut.Name] = c
 	}
-	types := s.AssignTypes()
 	inf := math.Inf(1)
-	lazy := s.spec.LazyUsers
-	var shares []int
-	if lazy {
-		shares = sessionShares(s.spec.Sessions, s.spec.Users)
+	n := s.spec.Users
+	if s.spec.LazyUsers {
+		// A lazy user arrives only if it holds a session (lazy validation
+		// rules out concurrent sessions), and shareOf gives sessions to the
+		// lowest users first: the table covers that prefix and no more. A
+		// user past it never arrives, so it gets no lifecycle state at all
+		// (and no process — see RunUnderSim). Its draws come from a private
+		// per-user stream, so skipping them perturbs nobody else's.
+		n = min(n, s.spec.Sessions)
 	}
-	s.life = make([]*lifeState, s.spec.Users)
+	s.life = make([]*lifeState, n)
 	for u := range s.life {
-		if lazy && shares[u] == 0 {
-			// Zero-session user of a lazy population: it never arrives, so
-			// it gets no lifecycle state at all (and no process — see
-			// RunUnderSim). Its draws come from a private per-user stream,
-			// so skipping them perturbs nobody else's.
-			continue
-		}
 		ls := &lifeState{departAt: inf, crashAt: inf}
 		s.life[u] = ls
-		c := byType[types[u]]
+		c := byType[s.typeOf(u)]
 		if c == nil {
 			continue
 		}

@@ -57,8 +57,8 @@ type Simulator struct {
 
 	// life holds per-user lifecycle state (arrival, departure, crash
 	// deadlines) — nil for the thesis's static always-on population. See
-	// lifecycle.go. With LazyUsers, entries for users that never arrive
-	// (zero-session streams) stay nil.
+	// lifecycle.go. With LazyUsers it covers only the users that can arrive
+	// (those with a session); lifeOf reads nil past its end.
 	life []*lifeState
 
 	// hooks fire on a lazy spec's user materialization and release (see
@@ -157,25 +157,22 @@ func (s *Simulator) userFS(user int) vfs.FileSystem {
 	return s.fs
 }
 
-// AssignTypes deterministically apportions the spec's user-type fractions
-// across the population: with fractions {0.8 heavy, 0.2 light} and five
-// users, exactly four are heavy. Deterministic assignment keeps small
-// populations faithful to the requested mix, which random draws would not.
-func (s *Simulator) AssignTypes() []string {
-	types := make([]string, s.spec.Users)
-	for i := range types {
-		u := (float64(i) + 0.5) / float64(s.spec.Users)
-		var cum float64
-		types[i] = s.spec.UserTypes[len(s.spec.UserTypes)-1].Name
-		for _, ut := range s.spec.UserTypes {
-			cum += ut.Fraction
-			if u < cum {
-				types[i] = ut.Name
-				break
-			}
+// typeOf deterministically apportions the spec's user-type fractions
+// across the population and returns user u's type: with fractions {0.8
+// heavy, 0.2 light} and five users, exactly four are heavy. Deterministic
+// assignment keeps small populations faithful to the requested mix, which
+// random draws would not. It is a function of the index alone, so no
+// per-user table is built.
+func (s *Simulator) typeOf(u int) string {
+	x := (float64(u) + 0.5) / float64(s.spec.Users)
+	var cum float64
+	for _, ut := range s.spec.UserTypes {
+		cum += ut.Fraction
+		if x < cum {
+			return ut.Name
 		}
 	}
-	return types
+	return s.spec.UserTypes[len(s.spec.UserTypes)-1].Name
 }
 
 // workItem is one file the session will access, with its remaining work.
@@ -490,8 +487,24 @@ func (ses *session) reopenClosed(error) {
 	item := ses.mItem
 	item.open = false
 	ses.mMode = vfs.ReadOnly
-	ses.startMeta(trace.OpOpen, item, (*session).opened)
+	ses.startMeta(trace.OpOpen, item, (*session).reopened)
 	ses.fsys.Open(ses.ctx, item.path, vfs.ReadOnly, ses.fdDoneFn)
+}
+
+// reopened marks a reopened item open read-only. A TEMP file whose reopen
+// fails is left with no descriptor and no budget, so no close would unlink
+// it: unlink it here, as closed does once a TEMP file's work is done, and
+// return to the op loop.
+func (ses *session) reopened(err error) {
+	item := ses.mItem
+	if err == nil || !item.unlink {
+		ses.opened(err)
+		return
+	}
+	item.remain = 0
+	ses.closeK = (*session).afterStep
+	ses.startMeta(trace.OpUnlink, item, (*session).unlinked)
+	ses.fsys.Unlink(ses.ctx, item.path, ses.metaDoneFn)
 }
 
 // selectFiles performs the per-category draw: with probability PercentUsers
@@ -789,7 +802,8 @@ func (ses *session) reopenForRead(item *workItem) {
 // back to the session's done continuation. Closing a TEMP file unlinks it
 // (closed). A created TEMP file that is not open at logout has no budget
 // left, so the sweep unlinks nothing else: the file stays open until its
-// budget runs out, and reopenForRead either reopens it or drops its budget.
+// budget runs out, and reopenForRead either reopens it or, when the reopen
+// fails, unlinks it (reopened).
 // A crash ends the session without this sweep.
 func (ses *session) finish() {
 	ses.finIdx = 0
@@ -914,15 +928,18 @@ func (ses *session) fillRec(op trace.Op, item *workItem, start float64, err erro
 // stream emits to its user's sink stream without locking: the kernel is
 // single-threaded, so a per-record mutex would buy nothing. Returns the
 // number of sessions started, truncated ones included.
+//
+// The user scan computes each stream's type and share in place (typeOf,
+// shareOf) and allocates nothing for a user that starts no stream, so a
+// lazy population's idle users cost no memory here.
 func (s *Simulator) RunUnderSim(env *sim.Env) (int, error) {
-	types := s.AssignTypes()
 	conc := s.spec.Ext.Concurrency()
-	perStream := sessionShares(s.spec.Sessions, s.spec.Users*conc)
+	streams := s.spec.Users * conc
 	next, started := 0, 0
 	for u := 0; u < s.spec.Users; u++ {
 		ls := s.lifeOf(u)
 		for w := 0; w < conc; w++ {
-			first, count := next, perStream[u*conc+w]
+			first, count := next, shareOf(s.spec.Sessions, streams, u*conc+w)
 			next += count
 			if count == 0 && ls == nil {
 				// An empty stream runs no sessions and emits nothing.
@@ -934,7 +951,7 @@ func (s *Simulator) RunUnderSim(env *sim.Env) (int, error) {
 				// never arrives has no lifecycle state (initLifecycle).
 				continue
 			}
-			st := &stream{sim: s, name: fmt.Sprintf("user%d.%d", u, w), user: u, utype: types[u],
+			st := &stream{sim: s, name: fmt.Sprintf("user%d.%d", u, w), user: u, utype: s.typeOf(u),
 				life: ls, first: first, count: count, started: &started}
 			env.Start(st.name, st.run) //wlint:allow hotalloc once per session stream, before the run
 		}
@@ -1033,7 +1050,7 @@ func (st *stream) next() {
 	id := st.first + st.i
 	st.i++
 	*st.started++
-	// A validation error cannot happen here (types come from AssignTypes);
+	// A validation error cannot happen here (types come from typeOf);
 	// operation failures are already recorded in the log — a session
 	// cannot fail in a way that stops the user.
 	if err := st.sim.runSessionK(st.p, st.ar, id, st.user, st.utype, st.r, st.emit, st.nextFn); err != nil {
@@ -1061,17 +1078,17 @@ func (s *Simulator) RunWallClock(clockFactory func() vfs.Ctx) (int, error) {
 	if s.life != nil {
 		return 0, errors.New("usim: lifecycle requires the DES runner (RunUnderSim)")
 	}
-	types := s.AssignTypes()
 	conc := s.spec.Ext.Concurrency()
-	perStream := sessionShares(s.spec.Sessions, s.spec.Users*conc)
+	streams := s.spec.Users * conc
 	var wg sync.WaitGroup
 	next := 0
 	total := 0
 	for u := 0; u < s.spec.Users; u++ {
+		utype := s.typeOf(u)
 		for w := 0; w < conc; w++ {
 			u, w := u, w
 			first := next
-			count := perStream[u*conc+w]
+			count := shareOf(s.spec.Sessions, streams, u*conc+w)
 			next += count
 			total += count
 			r := rng.Derive(s.spec.Seed, fmt.Sprintf("user%d.%d", u, w))
@@ -1081,7 +1098,7 @@ func (s *Simulator) RunWallClock(clockFactory func() vfs.Ctx) (int, error) {
 			go func() {
 				defer wg.Done()
 				for k := 0; k < count; k++ {
-					_ = s.RunSession(ctx, first+k, u, types[u], r)
+					_ = s.RunSession(ctx, first+k, u, utype, r)
 				}
 			}()
 		}
@@ -1090,16 +1107,12 @@ func (s *Simulator) RunWallClock(clockFactory func() vfs.Ctx) (int, error) {
 	return total, nil
 }
 
-// sessionShares splits total sessions across users as evenly as possible.
-func sessionShares(total, users int) []int {
-	out := make([]int, users)
-	base := total / users
-	rem := total % users
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
+// shareOf returns stream i's share when total sessions are split across n
+// streams as evenly as possible: the first total%n streams take one more.
+func shareOf(total, n, i int) int {
+	share := total / n
+	if i < total%n {
+		share++
 	}
-	return out
+	return share
 }

@@ -54,27 +54,29 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestAssignTypesDeterministicSplit(t *testing.T) {
+func TestTypeOfDeterministicSplit(t *testing.T) {
 	s, _ := harness(t, func(sp *config.Spec) {
 		sp.Users = 5
 		sp.UserTypes = config.Population(0.8)
 	})
-	types := s.AssignTypes()
 	heavy := 0
-	for _, ty := range types {
-		if ty == config.UserHeavy {
+	for u := range 5 {
+		if s.typeOf(u) == config.UserHeavy {
 			heavy++
 		}
 	}
 	if heavy != 4 {
 		t.Errorf("heavy users = %d of 5, want 4 (80%%)", heavy)
 	}
+	if got := s.typeOf(4); got != config.UserLight {
+		t.Errorf("typeOf(4) = %s, want the light user last", got)
+	}
 }
 
-func TestAssignTypesSingle(t *testing.T) {
+func TestTypeOfSingle(t *testing.T) {
 	s, _ := harness(t, func(sp *config.Spec) { sp.Users = 3 })
-	for _, ty := range s.AssignTypes() {
-		if ty != config.UserHeavy {
+	for u := range 3 {
+		if ty := s.typeOf(u); ty != config.UserHeavy {
 			t.Errorf("type = %s", ty)
 		}
 	}
@@ -340,7 +342,7 @@ func TestRunUnderSim(t *testing.T) {
 	}
 }
 
-func TestSessionShares(t *testing.T) {
+func TestShareOf(t *testing.T) {
 	cases := []struct {
 		total, users int
 		want         []int
@@ -350,11 +352,9 @@ func TestSessionShares(t *testing.T) {
 		{2, 4, []int{1, 1, 0, 0}},
 	}
 	for _, c := range cases {
-		got := sessionShares(c.total, c.users)
-		for i := range c.want {
-			if got[i] != c.want[i] {
-				t.Errorf("sessionShares(%d, %d) = %v, want %v", c.total, c.users, got, c.want)
-				break
+		for i, want := range c.want {
+			if got := shareOf(c.total, c.users, i); got != want {
+				t.Errorf("shareOf(%d, %d, %d) = %d, want %d", c.total, c.users, i, got, want)
 			}
 		}
 	}

@@ -38,13 +38,10 @@ func runWorkload(t *testing.T, mutate func(*config.Spec), sessions int) (*config
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := &vfs.ManualClock{}
-	types := s.AssignTypes()
-	r := rng.Derive(spec.Seed, "user0.0")
-	for i := 0; i < sessions; i++ {
-		if err := s.RunSession(ctx, i, 0, types[0], r); err != nil {
-			t.Fatal(err)
-		}
+	// The one user's sessions, back to back on a clock whose holds
+	// complete inline.
+	if _, err := s.RunWallClock(func() vfs.Ctx { return &vfs.ManualClock{} }); err != nil {
+		t.Fatal(err)
 	}
 	return spec, s.Log()
 }

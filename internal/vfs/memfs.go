@@ -571,22 +571,6 @@ func (fs *MemFS) readDir(path string) ([]string, error) {
 // OpenFDs returns the number of descriptors currently open.
 func (fs *MemFS) OpenFDs() int { return fs.openFDs }
 
-// TotalBytes returns the sum of all regular file sizes reachable from the
-// root: the footprint of the synthetic file system, for tests.
-func (fs *MemFS) TotalBytes() int64 { return fs.sumSizes(rootIno) }
-
-func (fs *MemFS) sumSizes(ino uint32) int64 {
-	n := fs.node(ino)
-	if !n.dir {
-		return n.size
-	}
-	var total int64
-	for c := n.first; c != 0; c = fs.node(c).next {
-		total += fs.sumSizes(c)
-	}
-	return total
-}
-
 // Bare is MemFS's synchronous facade: plain call-and-return namespace
 // operations. It is the namespace under the file systems that charge time —
 // LocalCost, and the NFS client's shadow of the server namespace — which
