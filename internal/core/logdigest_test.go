@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"uswg/internal/config"
+	"uswg/internal/fault"
 	"uswg/internal/usim"
+	"uswg/internal/vfs"
 )
 
 // TestFullRecordLogDigest pins the full-record usage log byte for byte: each
@@ -27,8 +29,14 @@ import (
 // system: the default spec, a population arriving over a window and
 // crashing, whose crash cleanup closes each session's descriptors on the
 // zero clock through the charged path, and a lazy population.
-// Each row also pins the sessions started and its churn counts, so a row
-// cannot silently stop exercising the lifecycle path it was added for.
+// The storage stage's write policies each have a row the defaults do not
+// reach: the local file system writing through, and a server writing
+// behind. The last row is a lazy population arriving on two islands of two
+// pooled clients under a lossy wire and a stalling server, the only row
+// with a fault plan.
+// Each row also pins the sessions started, its churn counts and its
+// retransmits, give-ups and stalls, so a row cannot silently stop
+// exercising the lifecycle or fault path it was added for.
 //
 // If an intentional change moves the simulated output, review the JSONL
 // diff against the previous commit, then paste the digests the failing
@@ -91,6 +99,36 @@ func TestFullRecordLogDigest(t *testing.T) {
 	localLazy.LazyUsers = true
 	localLazy.FS.Kind = config.FSLocal
 
+	localWT := config.Default()
+	localWT.Users = 6
+	localWT.Sessions = 60
+	localWT.FS.Kind = config.FSLocal
+	localWT.FS.Local = vfs.DefaultLocalCostConfig()
+	localWT.FS.Local.WriteThrough = true
+
+	serverWB := config.Default()
+	serverWB.Users = 6
+	serverWB.Sessions = 60
+	serverWB.FS.Server.WriteThrough = false
+
+	lazyLossy := config.Default()
+	lazyLossy.Users = 12
+	lazyLossy.Sessions = 60
+	lazyLossy.LazyUsers = true
+	lazyLossy.FS.Topology = &config.Topology{Servers: 2, ClientPool: 2}
+	lazyLossy.UserTypes[0].Lifecycle = &config.Lifecycle{Arrive: &arrive}
+	lazyLossy.Fault = &fault.Plan{
+		Name: "lossy", NetTimeout: 100_000, NetRetries: 2, NetBackoff: 2, NetMaxTimeout: 400_000,
+		Rules: []fault.Rule{
+			{Name: "drop", Ops: []string{fault.OpNet}, Prob: 0.15, Drop: true},
+			{Name: "stall", Ops: []string{fault.OpRPC}, Prob: 0.05, Latency: 20_000},
+		},
+	}
+
+	// The retransmits, give-ups and server stalls of the row with a fault
+	// plan; every other row has none.
+	lossy := map[string][3]int{"lazy-lossy": {3494, 71, 638}}
+
 	for _, tc := range []struct {
 		name     string
 		spec     *config.Spec
@@ -113,6 +151,9 @@ func TestFullRecordLogDigest(t *testing.T) {
 		{"local-churn", localChurn, "8e186b1fe0bf38142b993e540f76043e843d78bf72b55ad86359dc570a37a9a4", 60,
 			usim.ChurnStats{Crashes: 12, Reboots: 12, TruncatedSessions: 12}},
 		{"local-lazy", localLazy, "e9d779791500007a0f104f5d3dabc5600125d2e90257dda99ce92df774bdd8ab", 60, usim.ChurnStats{}},
+		{"local-write-through", localWT, "965cc0477f89914490cb43a368f05cbe1f5100edc9d15c1a6e36d5b170a51aba", 60, usim.ChurnStats{}},
+		{"server-write-behind", serverWB, "b2d90890c2844895613f692df1f181c53da22d28af8f04a2b9caf68bd0ba2470", 60, usim.ChurnStats{}},
+		{"lazy-lossy", lazyLossy, "c9595226cbb1026474ce7a3e1d8fcf8b8e0f748fa27c1c2586b14c702ea1a168", 60, usim.ChurnStats{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gen, err := NewGenerator(tc.spec)
@@ -140,6 +181,10 @@ func TestFullRecordLogDigest(t *testing.T) {
 			}
 			if got != tc.churn {
 				t.Errorf("churn %+v, want %+v", got, tc.churn)
+			}
+			faults := [3]int{int(m["netsim.retransmits"]), int(m["netsim.give_ups"]), int(m["nfs.stalls"])}
+			if faults != lossy[tc.name] {
+				t.Errorf("retransmits, give-ups and stalls %v, want %v", faults, lossy[tc.name])
 			}
 		})
 	}
