@@ -84,9 +84,6 @@ func NewArm(m Model) *Arm {
 	return &Arm{model: m}
 }
 
-// Model returns the disk model.
-func (a *Arm) Model() Model { return a.model }
-
 // Access returns the service time for reading or writing n bytes at offset
 // off of the file whose first block is fileBase blocks from other files
 // (callers map file identity into a distinct base so different files are

@@ -181,9 +181,9 @@ type opState struct {
 	after           func(*opState) // runs when the transfer loop completes
 
 	// Server state: the step that runs once the RPC is served (its reply),
-	// and the disk pass's first block and miss count.
-	sNext         func(*opState)
-	sFirst, sMiss int64
+	// and the blocks its disk pass moves.
+	sNext func(*opState)
+	sDisk int64
 
 	step     func(*opState) // what the pending continuation runs
 	resumeFn func()         // st.resume, bound once when the state is made
@@ -357,6 +357,12 @@ func (c *Client) Pages() *cache.LRU { return c.pages }
 func (c *Client) Flushes() int64 { return c.flushes }
 
 // xfer moves n payload bytes (plus the header) across the wire, then runs k.
+// Its branch on the clock is not a resource grant, so vfs.Acquire cannot
+// replace it: under the DES the link queues the message, counts it and its
+// bytes and asks the fault plan about it, while on a synchronous clock the
+// wire charges one hold of its latency and per-byte time, counts no message
+// and draws no fault. The benchmark's digests pin both behaviours through
+// netsim.messages and netsim.bytes.
 func (c *Client) xfer(ctx vfs.Ctx, n int64, k func()) {
 	total := n + c.cfg.HeaderBytes
 	if p, ok := ctx.(*sim.Proc); ok {

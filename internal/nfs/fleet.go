@@ -198,8 +198,8 @@ func (f *Fleet) Idle() error {
 		if d := isl.Server.nfsd; d.InUse() > 0 || d.QueueLen() > 0 {
 			return fmt.Errorf("nfs: island %d server: its nfsd pool has %d held and %d queued", i, d.InUse(), d.QueueLen())
 		}
-		if a := isl.Server.diskRes; a.InUse() > 0 || a.QueueLen() > 0 {
-			return fmt.Errorf("nfs: island %d server: its disk arm has %d held and %d queued", i, a.InUse(), a.QueueLen())
+		if err := isl.Server.store.Idle(); err != nil {
+			return fmt.Errorf("nfs: island %d server: its %w", i, err)
 		}
 		if n := isl.Link.InFlight(); n != 0 {
 			return fmt.Errorf("nfs: island %d link: %d of its transfer states are not on its free list", i, n)

@@ -253,7 +253,7 @@ func TestFleetIdleNamesHeldResource(t *testing.T) {
 		want string
 	}{
 		{func(s *Server) *sim.Resource { return s.nfsd }, "nfs: island 0 server: its nfsd pool has 1 held and 0 queued"},
-		{func(s *Server) *sim.Resource { return s.diskRes }, "nfs: island 0 server: its disk arm has 1 held and 0 queued"},
+		{func(s *Server) *sim.Resource { return s.store.Disk() }, "nfs: island 0 server: its disk arm has 1 held and 0 queued"},
 	} {
 		env := sim.NewEnv()
 		f, err := NewFleet(env, FleetConfig{Servers: 2, Pool: 1, Server: testServerConfig(), Client: testClientConfig()}, 1, vfs.NewMemFS())

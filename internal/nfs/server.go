@@ -68,18 +68,17 @@ func (c ServerConfig) Validate() error {
 }
 
 // Server is the simulated file server: a pool of nfsd daemons in front of a
-// block cache and one disk arm. It keeps no per-call state: its clients
-// serve each RPC on the calling op state (opState.serveMeta and serveData),
-// which reaches the server's daemons, cache, arm, staller and counters
-// through its client. Under the DES a call queues for a daemon and, on a
-// miss, for the arm; on a synchronous clock neither is acquired, and
-// service is charged without queueing.
+// storage stage (disk.Store), a block cache over one disk arm. It keeps no
+// per-call state: its clients serve each RPC on the calling op state
+// (opState.serveMeta and serveData), which reaches the server's daemons,
+// store, staller and counters through its client. A call takes a daemon
+// and, for blocks that go to disk, the arm through vfs.Acquire: it queues
+// under the DES, and on a synchronous clock service is charged without
+// queueing.
 type Server struct {
 	cfg     ServerConfig
 	nfsd    *sim.Resource
-	diskRes *sim.Resource
-	arm     *disk.Arm
-	cache   *cache.LRU
+	store   *disk.Store
 	staller Staller
 
 	calls     int64
@@ -105,11 +104,9 @@ func NewServer(env *sim.Env, cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	return &Server{
-		cfg:     cfg,
-		nfsd:    sim.NewResource(env, cfg.NFSDs),
-		diskRes: sim.NewResource(env, 1),
-		arm:     disk.NewArm(cfg.Disk),
-		cache:   cache.NewLRU(cfg.CacheBlocks),
+		cfg:   cfg,
+		nfsd:  sim.NewResource(env, cfg.NFSDs),
+		store: disk.NewStore(env, cfg.Disk, cfg.CacheBlocks, cfg.WriteThrough),
 	}, nil
 }
 
@@ -136,7 +133,7 @@ func (s *Server) stall(ctx vfs.Ctx) float64 {
 }
 
 // Cache exposes the block cache for inspection.
-func (s *Server) Cache() *cache.LRU { return s.cache }
+func (s *Server) Cache() *cache.LRU { return s.store.Cache() }
 
 // Calls returns the total number of RPCs served.
 func (s *Server) Calls() int64 { return s.calls }
@@ -157,11 +154,7 @@ func (st *opState) serveMeta(next func(*opState)) {
 	s := st.c.server
 	s.calls++
 	st.sNext = next
-	if p, ok := st.ctx.(*sim.Proc); ok {
-		s.nfsd.Acquire(p, st.then((*opState).metaGranted))
-		return
-	}
-	st.metaGranted()
+	vfs.Acquire(st.ctx, s.nfsd, st.then((*opState).metaGranted))
 }
 
 // metaGranted charges the per-call CPU once a daemon is held.
@@ -172,18 +165,14 @@ func (st *opState) metaGranted() {
 
 // serveData serves a read or write RPC of the state's current chunk (curN
 // bytes at curOff of inode ino), then runs next. Reads miss to disk through
-// the block cache; writes go through the cache and, under write-through, to
-// disk before the RPC completes.
+// the store's cache; writes go through the cache and, under write-through,
+// to disk before the RPC completes.
 func (st *opState) serveData(next func(*opState)) {
 	s := st.c.server
 	s.calls++
 	s.dataCalls++
 	st.sNext = next
-	if p, ok := st.ctx.(*sim.Proc); ok {
-		s.nfsd.Acquire(p, st.then((*opState).dataGranted))
-		return
-	}
-	st.dataGranted()
+	vfs.Acquire(st.ctx, s.nfsd, st.then((*opState).dataGranted))
 }
 
 // dataGranted charges the per-call and per-block CPU once a daemon is held.
@@ -193,63 +182,43 @@ func (st *opState) dataGranted() {
 	st.ctx.Hold(s.cfg.CPUPerCall+float64(nblocks)*s.cfg.CPUPerBlock+s.stall(st.ctx), st.then((*opState).serverWalk))
 }
 
-// serverWalk walks the chunk's blocks through the server cache and goes to
-// disk for misses (and, under write-through, for every written block).
+// serverWalk touches the chunk's blocks through the store without
+// holding, then makes one disk pass for those that go to disk: misses, and
+// under write-through every written block.
 func (st *opState) serverWalk() {
 	s := st.c.server
 	bs := s.cfg.Disk.BlockSize
-	first := st.curOff / bs
-	last := (st.curOff + st.curN - 1) / bs
-	var missBlocks int64
-	for b := first; b <= last; b++ {
-		id := cache.BlockID{File: st.ino, Block: b}
-		if st.write {
-			s.cache.Access(id)
-			if s.cfg.WriteThrough {
-				missBlocks++ // every written block goes to disk
-			}
-			continue
-		}
-		if !s.cache.Access(id) {
-			missBlocks++
+	var toDisk int64
+	for b, last := st.curOff/bs, (st.curOff+st.curN-1)/bs; b <= last; b++ {
+		if s.store.Touch(st.ino, b, st.write) {
+			toDisk++
 		}
 	}
-	if missBlocks == 0 {
+	if toDisk == 0 {
 		st.served()
 		return
 	}
-	st.sFirst, st.sMiss = first, missBlocks
-	if p, ok := st.ctx.(*sim.Proc); ok {
-		s.diskRes.Acquire(p, st.then((*opState).diskGranted))
-		return
-	}
-	st.diskGranted()
+	st.sDisk = toDisk
+	vfs.Acquire(st.ctx, s.store.Disk(), st.then((*opState).diskGranted))
 }
 
-// diskGranted seeks and transfers the missing blocks once the arm is held.
+// diskGranted holds for the disk pass once the arm is granted, from the
+// chunk's first block. The arm moves only here, after the grant, so its
+// seek state follows the grant order.
 func (st *opState) diskGranted() {
 	s := st.c.server
-	bs := s.cfg.Disk.BlockSize
-	// Files are separated by 2^20 blocks so distinct files never look
-	// sequential to the arm.
-	fileBase := int64(st.ino) << 20
-	st.ctx.Hold(s.arm.Access(fileBase, st.sFirst*bs, st.sMiss*bs), st.then((*opState).diskDone))
+	st.ctx.Hold(s.store.Service(st.ino, st.curOff/s.cfg.Disk.BlockSize, st.sDisk), st.then((*opState).diskDone))
 }
 
-// diskDone releases the arm (held only under the DES) and completes the RPC.
+// diskDone releases the arm and completes the RPC.
 func (st *opState) diskDone() {
-	if _, ok := st.ctx.(*sim.Proc); ok {
-		st.c.server.diskRes.Release()
-	}
+	vfs.Release(st.ctx, st.c.server.store.Disk())
 	st.served()
 }
 
-// served releases the daemon (held only under the DES) and runs the RPC's
-// next step, its reply.
+// served releases the daemon and runs the RPC's next step, its reply.
 func (st *opState) served() {
-	if _, ok := st.ctx.(*sim.Proc); ok {
-		st.c.server.nfsd.Release()
-	}
+	vfs.Release(st.ctx, st.c.server.nfsd)
 	st.sNext(st)
 }
 
@@ -260,7 +229,7 @@ func (st *opState) served() {
 // servers kept no per-client state to lose, so recovery is entirely the
 // clients' retransmission problem. Hit/miss statistics survive the restart.
 func (s *Server) Restart() {
-	s.cache.Reset()
+	s.store.Cache().Reset()
 	s.restarts++
 }
 
@@ -269,5 +238,5 @@ func (s *Server) Restarts() int64 { return s.restarts }
 
 // Invalidate drops an inode's cached blocks (file truncated or removed).
 func (s *Server) Invalidate(ino uint64) {
-	s.cache.InvalidateFile(ino)
+	s.store.Cache().InvalidateFile(ino)
 }

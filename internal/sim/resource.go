@@ -46,9 +46,6 @@ func NewResource(env *Env, servers int) *Resource {
 	return &Resource{env: env, servers: servers}
 }
 
-// Servers returns the number of servers.
-func (r *Resource) Servers() int { return r.servers }
-
 // InUse returns the number of servers currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
@@ -91,6 +88,9 @@ func (r *Resource) grow() {
 // transfers its server slot to the waiter, so inUse stays unchanged; the
 // wait is accounted here — the grant event fires at this same instant, so
 // the total is identical to accounting inside the woken continuation.
+// Release panics when no server is held: a release on the wrong clock, or a
+// second release of one grant, is a caller's bug that would otherwise
+// corrupt the busy-time integral and the idle checks.
 func (r *Resource) Release() {
 	if r.waiting > 0 {
 		next := r.queue[r.head]
@@ -102,11 +102,11 @@ func (r *Resource) Release() {
 		r.env.schedule(r.env.now, next.k)
 		return
 	}
+	if r.inUse == 0 {
+		panic("sim: Release of a resource with no server held")
+	}
 	r.account()
 	r.inUse--
-	if r.inUse < 0 {
-		r.inUse = 0
-	}
 }
 
 func (r *Resource) account() {

@@ -417,6 +417,25 @@ func TestResourceServersMinimumOne(t *testing.T) {
 	}
 }
 
+// TestReleaseWithNothingHeldPanics: a release with no server held, such as
+// a second release of one grant, panics instead of being absorbed, and
+// leaves the resource's count where it was.
+func TestReleaseWithNothingHeldPanics(t *testing.T) {
+	env := NewEnv()
+	res := NewResource(env, 1)
+	res.Acquire(nil, func() {})
+	res.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("a second Release of one grant did not panic")
+		}
+		if res.InUse() != 0 || res.Acquired() != 1 {
+			t.Errorf("after the bad release: %d held, %d acquired; want 0 and 1", res.InUse(), res.Acquired())
+		}
+	}()
+	res.Release()
+}
+
 func TestManyProcessesQueueing(t *testing.T) {
 	// N processes through a single server with unit service: last finishes
 	// at N, mean wait = (N-1)/2.

@@ -44,13 +44,14 @@ func DefaultLocalCostConfig() LocalCostConfig {
 }
 
 // LocalCost is the simulated local UNIX file system of the §5.3
-// comparison: a buffer cache in front of one disk arm. Like the NFS client,
-// it is a FileSystem over a MemFS's cost-free Bare namespace that charges
-// its own time. A metadata call holds for MetaTime, then makes the
-// namespace call. A read or write advances the descriptor at once, then
-// charges each cached block and one disk pass for the misses; Seek charges
-// nothing. Under the DES a disk pass queues for the arm; on a synchronous
-// clock disk time is charged without queueing. Every user shares the one
+// comparison: a storage stage (disk.Store), a buffer cache over one disk
+// arm. Like the NFS client, it is a FileSystem over a MemFS's
+// cost-free Bare namespace that charges its own time. A metadata call
+// holds for MetaTime, then makes the namespace call. A read or write
+// advances the descriptor at once, then charges each cached block and one
+// disk pass for the misses; Seek charges nothing. The disk pass takes the
+// arm through Acquire, so it queues under the DES and is charged without
+// queueing on a synchronous clock. Every user shares the one
 // local file system, so its descriptors carry no owner and it is no
 // Crasher: a crashed session's own descriptors are closed one by one. (The
 // name dates from when it was a cost model that a MemFS charged through;
@@ -58,9 +59,7 @@ func DefaultLocalCostConfig() LocalCostConfig {
 type LocalCost struct {
 	cfg     LocalCostConfig
 	ns      Bare
-	arm     *disk.Arm
-	cache   *cache.LRU
-	diskRes *sim.Resource
+	store   *disk.Store
 	opFree  *localOp // free list of call states (single-threaded under the DES)
 	opsMade int      // states ever allocated; all are on opFree when idle
 }
@@ -71,24 +70,22 @@ var _ FileSystem = (*LocalCost)(nil)
 // arm is a resource of env.
 func NewLocalCost(env *sim.Env, cfg LocalCostConfig, ns *MemFS) *LocalCost {
 	return &LocalCost{
-		cfg:     cfg,
-		ns:      ns.Bare(),
-		arm:     disk.NewArm(cfg.Disk),
-		cache:   cache.NewLRU(cfg.CacheBlocks),
-		diskRes: sim.NewResource(env, 1),
+		cfg:   cfg,
+		ns:    ns.Bare(),
+		store: disk.NewStore(env, cfg.Disk, cfg.CacheBlocks, cfg.WriteThrough),
 	}
 }
 
 // Cache exposes the block cache for inspection by tests and reports.
-func (lc *LocalCost) Cache() *cache.LRU { return lc.cache }
+func (lc *LocalCost) Cache() *cache.LRU { return lc.store.Cache() }
 
 // Idle returns an error while the disk arm is held or has callers queued,
 // or while fewer call states are on the free list than the local file
 // system made: a call in flight, or one that never released the arm or
 // recycled its state.
 func (lc *LocalCost) Idle() error {
-	if a := lc.diskRes; a.InUse() > 0 || a.QueueLen() > 0 {
-		return fmt.Errorf("vfs: the local file system's disk arm has %d held and %d queued", a.InUse(), a.QueueLen())
+	if err := lc.store.Idle(); err != nil {
+		return fmt.Errorf("vfs: the local file system's %w", err)
 	}
 	free := 0
 	for op := lc.opFree; op != nil; op = op.next {
@@ -139,11 +136,11 @@ type localOp struct {
 	kDir  func([]string, error)
 
 	// A read or write of n bytes of inode ino: blocks first to last, the
-	// walk at block b.
+	// walk at block b, and the blocks that go to disk.
 	ino            uint64
 	n              int64
 	first, last, b int64
-	missBlocks     int64
+	toDisk         int64
 	write          bool
 	kN             func(int64, error)
 
@@ -248,7 +245,7 @@ func (op *localOp) meta() {
 	case metaCreate:
 		fd, ino, err := lc.ns.Create(st.path, nil)
 		if err == nil {
-			lc.cache.InvalidateFile(ino)
+			lc.store.Cache().InvalidateFile(ino)
 		}
 		st.kFD(fd, err)
 	case metaOpen:
@@ -258,7 +255,7 @@ func (op *localOp) meta() {
 	case metaUnlink:
 		ino, err := lc.ns.Unlink(st.path)
 		if err == nil {
-			lc.cache.InvalidateFile(ino)
+			lc.store.Cache().InvalidateFile(ino)
 		}
 		st.kErr(err)
 	case metaStat:
@@ -283,12 +280,12 @@ func (lc *LocalCost) Write(ctx Ctx, fd FD, n int64, k func(int64, error)) {
 
 // transfer charges a read or write of the n bytes at off that the
 // descriptor has already advanced over, then delivers n. An error or an
-// empty transfer delivers at once and charges nothing. Each cached block
-// costs a memory copy; writes under write-behind are absorbed by the cache,
-// and under write-through every written block is installed and goes to
-// disk, with no memory-copy charge. The walk holds between cache touches,
-// so concurrent processes interleave with this one block by block, and the
-// misses go to disk in one pass at the end.
+// empty transfer delivers at once and charges nothing. Each block that
+// stays in the cache (a read hit, or a write under write-behind) costs a
+// memory copy; a block that goes to disk (a read miss, or any write under
+// write-through) costs none. The walk holds between cache touches, so
+// concurrent processes interleave with this one block by block, and the
+// blocks that go to disk do so in one pass at the end.
 func (lc *LocalCost) transfer(ctx Ctx, ino uint64, off, n int64, write bool, err error, k func(int64, error)) {
 	if err != nil || n == 0 {
 		k(0, err)
@@ -300,7 +297,7 @@ func (lc *LocalCost) transfer(ctx Ctx, ino uint64, off, n int64, write bool, err
 	op.first = off / bs
 	op.last = (off + n - 1) / bs
 	op.b = op.first
-	op.missBlocks = 0
+	op.toDisk = 0
 	op.walk()
 }
 
@@ -310,56 +307,36 @@ func (lc *LocalCost) Seek(_ Ctx, fd FD, offset int64, whence int, k func(int64, 
 	k(lc.ns.Seek(fd, offset, whence, nil))
 }
 
-// walk touches blocks until one suspends (cache-hit copy charge) or the op
-// runs out, then moves to the disk pass for the accumulated misses.
+// walk touches blocks through the store until one stays in the cache,
+// whose memory copy it holds for, or the op runs out; then it makes one
+// disk pass for the blocks that go to disk.
 func (op *localOp) walk() {
-	lc := op.lc
 	for op.b <= op.last {
-		id := cache.BlockID{File: op.ino, Block: op.b}
+		b := op.b
 		op.b++
-		if op.write {
-			lc.cache.Access(id) // install the block
-			if lc.cfg.WriteThrough {
-				op.missBlocks++ // every written block goes to disk
-				continue
-			}
-			// Write-behind: charge a memory copy.
-			op.ctx.Hold(lc.cfg.HitPerBlock, op.then((*localOp).walk))
-			return
+		if op.lc.store.Touch(op.ino, b, op.write) {
+			op.toDisk++
+			continue
 		}
-		if lc.cache.Access(id) {
-			op.ctx.Hold(lc.cfg.HitPerBlock, op.then((*localOp).walk))
-			return
-		}
-		op.missBlocks++
+		op.ctx.Hold(op.lc.cfg.HitPerBlock, op.then((*localOp).walk))
+		return
 	}
-	op.finish()
-}
-
-// finish fetches (or writes through) all missing blocks in one disk pass.
-func (op *localOp) finish() {
-	if op.missBlocks == 0 {
+	if op.toDisk == 0 {
 		op.done()
 		return
 	}
-	lc := op.lc
-	if p, ok := op.ctx.(*sim.Proc); ok {
-		lc.diskRes.Acquire(p, op.then((*localOp).acquired))
-		return
-	}
-	op.ctx.Hold(lc.arm.Access(op.fileBase(), op.first*lc.cfg.Disk.BlockSize, op.missBytes()), op.then((*localOp).done))
+	Acquire(op.ctx, op.lc.store.Disk(), op.then((*localOp).acquired))
 }
 
-// acquired holds for the disk service time. The arm moves only here, after
-// the resource grant, preserving the seek-state sequence of the original
-// closure form.
+// acquired holds for the disk pass once the arm is granted. The arm moves
+// only here, after the grant, so its seek state follows the grant order.
 func (op *localOp) acquired() {
-	lc := op.lc
-	op.ctx.Hold(lc.arm.Access(op.fileBase(), op.first*lc.cfg.Disk.BlockSize, op.missBytes()), op.then((*localOp).released))
+	op.ctx.Hold(op.lc.store.Service(op.ino, op.first, op.toDisk), op.then((*localOp).released))
 }
 
+// released releases the arm and completes the op.
 func (op *localOp) released() {
-	op.lc.diskRes.Release()
+	Release(op.ctx, op.lc.store.Disk())
 	op.done()
 }
 
@@ -371,9 +348,3 @@ func (op *localOp) done() {
 	lc.putOp(op)
 	k(n, nil)
 }
-
-// fileBase separates files by 2^20 blocks so they are never "sequential"
-// with each other.
-func (op *localOp) fileBase() int64 { return int64(op.ino) << 20 }
-
-func (op *localOp) missBytes() int64 { return op.missBlocks * op.lc.cfg.Disk.BlockSize }

@@ -324,7 +324,7 @@ func TestLocalCostIdleNamesHeldArm(t *testing.T) {
 	if err := lc.Idle(); err != nil {
 		t.Fatalf("a new local file system is not idle: %v", err)
 	}
-	env.Start("holder", func(p *sim.Proc, fin sim.K) { lc.diskRes.Acquire(p, fin) })
+	env.Start("holder", func(p *sim.Proc, fin sim.K) { lc.store.Disk().Acquire(p, fin) })
 	if err := env.Run(sim.Forever); err != nil {
 		t.Fatal(err)
 	}

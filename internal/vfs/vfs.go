@@ -16,6 +16,8 @@ import (
 	"errors"
 	"io"
 	"strings"
+
+	"uswg/internal/sim"
 )
 
 // Ctx carries the notion of time through a file system call: virtual time
@@ -72,6 +74,26 @@ func (ZeroClock) Now() float64 { return 0 }
 
 // Hold runs k.
 func (ZeroClock) Hold(_ float64, k func()) { k() }
+
+// Acquire grants the call on ctx one server of r, then runs k. Under the
+// DES (ctx is a *sim.Proc) the call queues on r in FIFO order. A
+// synchronous clock runs k at once and touches nothing: outside the DES no
+// call waits for another, so nothing is counted, queued or held.
+func Acquire(ctx Ctx, r *sim.Resource, k func()) {
+	if p, ok := ctx.(*sim.Proc); ok {
+		r.Acquire(p, k)
+		return
+	}
+	k()
+}
+
+// Release frees the server of r that Acquire granted on ctx. On a
+// synchronous clock it does nothing, as Acquire held nothing.
+func Release(ctx Ctx, r *sim.Resource) {
+	if _, ok := ctx.(*sim.Proc); ok {
+		r.Release()
+	}
+}
 
 // FD is a file descriptor.
 type FD int
